@@ -2,7 +2,7 @@
 monomial coefficients via coloured lattice paths, and the positive polynomial
 form of the series Phi."""
 
-from .combinat import Composition, Partition, SequencePair, conjugate
+from .combinat import Partition, SequencePair, conjugate
 from .exactalg import ExactPolynomial, RationalFunction, render
 from .modmac import (HResult, cauchy_check, duality_check, kostka_qt,
                      modified_H, modified_HL, w_reduction_check)
@@ -10,7 +10,7 @@ from .phi import (g_poly, phi_at_one, phi_finite, phi_normalized,
                   phi_positive, phi_prime, phi_series, rotate)
 
 __all__ = [
-    "Composition", "Partition", "SequencePair", "conjugate",
+    "Partition", "SequencePair", "conjugate",
     "ExactPolynomial", "RationalFunction", "render",
     "HResult", "cauchy_check", "duality_check", "kostka_qt",
     "modified_H", "modified_HL", "w_reduction_check",

@@ -8,11 +8,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .combinat import (Partition, SequencePair, parse_intlist, partitions_of)
-from .errors import (IndexOutOfRange, InfeasibleMultiplicities,
-                     InsufficientVariables, MismatchedTops, ModmacdError,
-                     NegativeDifference, NegativeInput, NegativeLambdaZero,
-                     NegativeLength, TooFewVariables, TopMismatch,
-                     TruncationTooSmall)
+from .errors import ModmacdError, UsageError
 from .exactalg import ExactPolynomial, render
 from .lattice import (fused_L_recurrence, fused_vertex_bruteforce, rll_check)
 from .modmac import (cauchy_check, duality_check, kostka_qt, modified_H,
@@ -284,16 +280,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    usage_errors = (ValueError, IndexOutOfRange, InfeasibleMultiplicities,
-                    InsufficientVariables, MismatchedTops, NegativeDifference,
-                    NegativeInput, NegativeLambdaZero, NegativeLength,
-                    TooFewVariables, TopMismatch, TruncationTooSmall)
     try:
         return args.func(args)
-    except usage_errors as exc:
+    except (ValueError, UsageError) as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return 2
-    except (ModmacdError, AssertionError) as exc:
+    except ModmacdError as exc:
         print("internal assertion failed: %s" % exc, file=sys.stderr)
         return 1
 

@@ -1,4 +1,6 @@
-"""Partitions, compositions, sequence pairs and the lattice summation sets."""
+"""Partitions, sequence pairs and the lattice summation sets."""
+
+from itertools import product
 
 from .errors import MismatchedTops
 
@@ -60,43 +62,6 @@ class Partition:
         """Entrywise containment of Young diagrams."""
         return all(other.part(i) <= self.part(i)
                    for i in range(1, len(other) + 1))
-
-
-class Composition:
-    """Sequence of nonnegative integers, order significant."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 0 for p in parts):
-            raise ValueError("parts must be nonnegative")
-        self.parts = parts
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Composition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return "Composition(%r)" % (self.parts,)
-
-    def weight(self):
-        return sum(self.parts)
 
 
 def conjugate(lam):
@@ -185,31 +150,27 @@ class SequencePair:
 
 
 class NuFamily:
-    """Triangular family nu_{i,j}^k, 1 <= i <= j <= n, 1 <= k <= N."""
+    """Triangular family of chains nu_{i,j} = (nu_{i,j}^1, ..., nu_{i,j}^N),
+    1 <= i <= j <= n, keyed by the cell (i, j)."""
 
-    __slots__ = ("n", "N", "entries")
+    __slots__ = ("n", "N", "chains")
 
-    def __init__(self, n, N, entries):
+    def __init__(self, n, N, chains):
         self.n = n
         self.N = N
-        self.entries = dict(entries)
+        self.chains = chains
 
     def column(self, i, j):
-        """The chain (nu_{i,j}^1, ..., nu_{i,j}^N); zero chain for i = j+1."""
+        """The chain nu_{i,j}; zero chain for i = j+1."""
         if i == j + 1:
             return (0,) * self.N
-        return tuple(self.entries[(i, j, k)] for k in range(1, self.N + 1))
+        return self.chains[(i, j)]
 
     def mu(self):
-        """Composition mu with mu_k = sum of k-th increments."""
-        out = []
-        prev = 0
-        for k in range(1, self.N + 1):
-            tot = sum(self.entries[(i, j, k)]
-                      for (i, j, kk) in self.entries if kk == k)
-            out.append(tot - prev)
-            prev = tot
-        return Composition(out)
+        """The composition mu, a tuple with mu_k = sum of k-th increments."""
+        totals = [sum(chain[k] for chain in self.chains.values())
+                  for k in range(self.N)]
+        return tuple(b - a for a, b in zip([0] + totals, totals))
 
 
 def _chains(top, N):
@@ -295,19 +256,8 @@ def enumerate_nu_families(lam, N, dual=False):
     tops = {j: cshape.part(j) - cshape.part(j + 1) for j in range(1, n + 1)}
     cells = [(i, j) for j in range(1, n + 1) for i in range(1, j + 1)]
     chain_sets = {j: _chains(tops[j], N) for j in tops}
-
-    def rec(idx, entries):
-        if idx == len(cells):
-            yield NuFamily(n, N, entries)
-            return
-        i, j = cells[idx]
-        for chain in chain_sets[j]:
-            new = dict(entries)
-            for k, v in enumerate(chain, start=1):
-                new[(i, j, k)] = v
-            yield from rec(idx + 1, new)
-
-    yield from rec(0, {})
+    for choice in product(*(chain_sets[j] for i, j in cells)):
+        yield NuFamily(n, N, dict(zip(cells, choice)))
 
 
 def partitions_of(n, max_part=None):

@@ -303,25 +303,6 @@ ZERO = P(0)
 ONE = P(1)
 
 
-def poly_arith(a, b, op):
-    """Binary arithmetic dispatch: op in {'add','sub','mul'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError("unknown op %r" % (op,))
-
-
-def poly_substitute(p, bindings):
-    return p.substitute(bindings)
-
-
-def poly_coefficient(p, partial):
-    return p.coefficient(partial)
-
-
 def render(p, var_order=None):
     """Human-readable rendering with a preferred variable order."""
     if p.is_zero():

@@ -1,13 +1,21 @@
 """Lattice-model ingredients: face weights, L/R matrices, fusion, columns,
-and the partition-function coefficient extractors."""
+and the partition-function coefficient extractors.
+
+Each formula's weight (x, dual, Hall-Littlewood) is a product of column
+weights, and column_weight is that factor for one column.
+partition_function_coeffs multiplies the same per-column pieces: an
+exponent (chi_column, chi_prime_column, or the one from _hl_column) and one
+factor per cell, or per Gaussian binomial for Hall-Littlewood.  The
+formulas stay independent, each with its own exponent (x and dual share
+only the family enumerator and the cached Phi evaluation), because their
+agreement is the evidence that each is right."""
 
 from itertools import permutations, product as iproduct
 
-from .combinat import (Composition, NuFamily, Partition, SequencePair,
-                       conjugate, enumerate_flags, enumerate_nu_families,
-                       inversion_number, multiplicity, partitions_of)
-from .errors import (InfeasibleMultiplicities, InsufficientVariables,
-                     NegativeCoefficient, TopMismatch)
+from .combinat import (Partition, SequencePair, conjugate, enumerate_flags,
+                       enumerate_nu_families, inversion_number, multiplicity)
+from .errors import (ConsistencyError, InfeasibleMultiplicities,
+                     InsufficientVariables, TopMismatch)
 from .exactalg import (ExactPolynomial, ONE, P, RationalFunction,
                        ratfun_normalize, sym, ZERO)
 from .phi import phi_normalized, phi_prime
@@ -296,7 +304,7 @@ def fused_vertex_bruteforce(J, lam, mu, lamp, mup, x="x"):
     C = fusion_normalizer(J, lam)
     poly = RationalFunction(total, C).as_polynomial()
     if poly is None:
-        raise NegativeCoefficient(
+        raise ConsistencyError(
             "fused vertex sum not divisible by the normalizer")
     return poly
 
@@ -336,6 +344,11 @@ def _b_coef(ln, mn, lpn, mpn, x, z, w):
 # column weights and coefficient extraction
 # ---------------------------------------------------------------------------
 
+def _at(seq, k):
+    """Entry k (1-based) of a chain; entry 0 is 0."""
+    return seq[k - 1] if k >= 1 else 0
+
+
 def _phi_eval(nu, nut, qexp, texp, dual=False):
     """Phi (or Phi') evaluated at the monomial argument, in (q, t)."""
     sp = SequencePair(nu, nut)
@@ -347,14 +360,6 @@ def _phi_eval(nu, nut, qexp, texp, dual=False):
         poly = phi_normalized(sp)
         bindings = {"z": ExactPolynomial.monomial({"q": qexp, "t": texp})}
     return poly.substitute(bindings)
-
-
-def _argument_one_product(nut, basename):
-    """Value of Phi (and Phi') at argument 1: depends on nutilde only."""
-    out = ONE
-    for k in range(1, len(nut)):
-        out = out * gauss_binomial(nut[k], nut[k - 1], base=basename)
-    return out
 
 
 _PHI_EVAL_CACHE = {}
@@ -369,45 +374,16 @@ def _phi_eval_cached(nu, nut, qexp, texp, dual=False):
     return got
 
 
-def chi_exponent(fam):
-    """Exponent chi for the x-formula families."""
-    total = 0
-    n, N = fam.n, fam.N
-    cols = {(i, j): fam.column(i, j)
-            for j in range(1, n + 1) for i in range(1, j + 2)}
+def _cell_factor(i, j, nu, nut, shape, dual=False):
+    """Phi (Phi' when dual) of cell (i, j) at q^(j-i) t^(shape_i - shape_j).
 
-    def at(i, j, k):
-        return cols[(i, j)][k - 1] if k >= 1 else 0
-
-    for k in range(1, N + 1):
-        for j in range(1, n + 1):
-            for i in range(1, j + 1):
-                d = at(i, j, k) - at(i, j, k - 1)
-                total += d * (d - 1) // 2
-                for l in range(j + 1, n + 1):
-                    total += d * (at(i, l, k) - at(i + 1, l, k - 1))
-    return total
-
-
-def chi_prime_exponent(fam):
-    """Exponent chi' for the dual-formula families."""
-    total = 0
-    n, N = fam.n, fam.N
-    cols = {(i, j): fam.column(i, j)
-            for j in range(1, n + 1) for i in range(1, j + 2)}
-
-    def at(i, j, k):
-        return cols[(i, j)][k - 1] if k >= 1 else 0
-
-    for k in range(1, N + 1):
-        for j in range(1, n + 1):
-            for i in range(1, j + 1):
-                d = at(i, j, k) - at(i, j, k - 1)
-                if not d:
-                    continue
-                for l in range(j + 1, n + 1):
-                    total += d * (at(i, l, k - 1) - at(i + 1, l, k))
-    return total
+    The diagonal cell has argument 1, where the value depends on nutilde
+    only, so it is evaluated at nu := nutilde.
+    """
+    if i == j:
+        nu = nut
+    return _phi_eval_cached(nu, nut, j - i, shape.part(i) - shape.part(j),
+                            dual)
 
 
 def chi_column(i, pairs):
@@ -418,49 +394,69 @@ def chi_column(i, pairs):
     total = 0
     js = sorted(pairs)
     N = len(pairs[js[0]][0])
-
-    def at(seq, k):
-        return seq[k - 1] if k >= 1 else 0
-
     for k in range(1, N + 1):
         for j in js:
             nuj, nutj = pairs[j]
-            d = at(nutj, k) - at(nutj, k - 1)
+            d = _at(nutj, k) - _at(nutj, k - 1)
             total += d * (d - 1) // 2
             for l in js:
                 if l > j:
                     nul, nutl = pairs[l]
-                    total += d * (at(nutl, k) - at(nul, k - 1))
+                    total += d * (_at(nutl, k) - _at(nul, k - 1))
     return total
 
 
 def chi_prime_column(i, pairs):
+    """Single-column exponent chi'(nu, nutilde) of the dual formula."""
     total = 0
     js = sorted(pairs)
     N = len(pairs[js[0]][0])
-
-    def at(seq, k):
-        return seq[k - 1] if k >= 1 else 0
-
     for k in range(1, N + 1):
         for j in js:
             nuj, nutj = pairs[j]
-            d = at(nutj, k) - at(nutj, k - 1)
+            d = _at(nutj, k) - _at(nutj, k - 1)
             if not d:
                 continue
             for l in js:
                 if l > j:
                     nul, nutl = pairs[l]
-                    total += d * (at(nutl, k - 1) - at(nul, k))
+                    total += d * (_at(nutl, k - 1) - _at(nul, k))
     return total
 
 
-def column_weight(i, lam, pairs, variant="x", xnames=None):
-    """Weight of column i as a RationalFunction.
+def chi(columns, dual=False):
+    """Exponent of a whole family: the sum of its column exponents,
+    chi_column (chi_prime_column when dual); columns[i - 1] maps
+    j -> (nu_{i+1,j}, nu_{i,j}) for column i."""
+    column_chi = chi_prime_column if dual else chi_column
+    return sum(column_chi(i, pairs)
+               for i, pairs in enumerate(columns, start=1))
 
-    variant 'x'/'z': pairs maps j -> (nu_j, nutilde_j) for j = i..n with tops
-    equal to the multiplicity of j in lambda; variant 'hl': pairs is a single
-    (nu, nutilde) tuple for the column itself.
+
+def _hl_column(nu, nut):
+    """t-exponent and Gaussian binomial factors of one Hall-Littlewood
+    column: sum of d(d-1)/2 over the increments d of nutilde, and
+    [nutilde_{k+1} - nu_k, nutilde_k - nu_k] for k < N."""
+    N = len(nut)
+    expo = 0
+    for k in range(1, N + 1):
+        d = nut[k - 1] - _at(nut, k - 1)
+        expo += d * (d - 1) // 2
+    binoms = [gauss_binomial(nut[k] - nu[k - 1], nut[k - 1] - nu[k - 1])
+              for k in range(1, N)]
+    return expo, binoms
+
+
+def column_weight(i, lam, pairs, variant="x", xnames=None):
+    """Weight of column i as a RationalFunction: the factor column i
+    contributes to the partition function of formula 'x' or 'hl', times its
+    x-monomial.
+
+    variant 'x': pairs maps j -> (nu_j, nutilde_j) for j = i..n with tops
+    equal to the multiplicity of j in lambda, and the weight is divided by
+    the column's normalizer (the diagonal factor j = i is read from
+    nutilde_i alone); variant 'hl': pairs is a single (nu, nutilde) tuple
+    for the column itself.
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
@@ -471,23 +467,17 @@ def column_weight(i, lam, pairs, variant="x", xnames=None):
         if nut[-1] != conj.part(i) or nu[-1] != conj.part(i + 1):
             raise TopMismatch(
                 "column tops must be the conjugate parts at i, i+1")
-        out = ONE
-        expo = 0
-
-        def at(seq, k):
-            return seq[k - 1] if k >= 1 else 0
-
-        for k in range(1, N + 1):
-            d = at(nut, k) - at(nut, k - 1)
-            expo += d * (d - 1) // 2
-        for k in range(1, N):
-            out = out * gauss_binomial(at(nut, k + 1) - at(nu, k),
-                                       at(nut, k) - at(nu, k))
-        xs = ONE
+        expo, binoms = _hl_column(nu, nut)
+        out = T ** expo
+        for b in binoms:
+            out = out * b
         names = xnames or tuple("x%d" % k for k in range(1, N + 1))
-        for k in range(1, N + 1):
-            xs = xs * sym(names[k - 1]) ** (at(nut, k) - at(nut, k - 1))
-        return RationalFunction(T ** expo * out * xs)
+        xs = ExactPolynomial.monomial(
+            {names[k - 1]: nut[k - 1] - _at(nut, k - 1)
+             for k in range(1, N + 1)})
+        return RationalFunction(out * xs)
+    if variant != "x":
+        raise ValueError("variant must be 'x' or 'hl'")
     n = lam.part(1)
     js = sorted(pairs)
     N = len(pairs[js[0]][0])
@@ -495,29 +485,15 @@ def column_weight(i, lam, pairs, variant="x", xnames=None):
         nu, nut = pairs[j]
         if nu[-1] != multiplicity(lam, j) or nut[-1] != multiplicity(lam, j):
             raise TopMismatch("tops must equal the multiplicity of %d" % j)
-    dual = (variant == "z")
-    acc = ONE
+    acc = ExactPolynomial.monomial({"t": chi_column(i, pairs)})
     for j in js:
         nu, nut = pairs[j]
-        sp = SequencePair(tuple(nu), tuple(nut))
-        poly = phi_prime(sp) if dual else phi_normalized(sp)
-        arg = ExactPolynomial.monomial(
-            {"q": j - i, "t": conj.part(i) - conj.part(j)})
-        acc = acc * poly.substitute({"z": arg})
-    if dual:
-        expo = chi_prime_column(i, pairs)
-    else:
-        expo = chi_column(i, pairs)
-    acc = acc * T ** expo
+        acc = acc * _cell_factor(i, j, tuple(nu), tuple(nut), conj)
     names = xnames or tuple("x%d" % k for k in range(1, N + 1))
-    xs = ONE
-
-    def at(seq, k):
-        return seq[k - 1] if k >= 1 else 0
-
-    for k in range(1, N + 1):
-        e = sum(at(pairs[j][1], k) - at(pairs[j][1], k - 1) for j in js)
-        xs = xs * sym(names[k - 1]) ** e
+    xs = ExactPolynomial.monomial(
+        {names[k - 1]: sum(pairs[j][1][k - 1] - _at(pairs[j][1], k - 1)
+                           for j in js)
+         for k in range(1, N + 1)})
     normalizer = ONE
     for j in range(i + 1, n + 1):
         w = ExactPolynomial.monomial({"q": j - i,
@@ -527,24 +503,13 @@ def column_weight(i, lam, pairs, variant="x", xnames=None):
     return ratfun_normalize(RationalFunction(acc * xs, normalizer))
 
 
-def _kirillov_c(flag):
-    total = 0
-    N = len(flag) - 1
-    for k in range(1, N + 1):
-        prev, cur = flag[k - 1], flag[k]
-        rows = max(len(prev), len(cur))
-        for i in range(1, rows + 1):
-            d = cur.part(i) - prev.part(i)
-            total += d * (d - 1) // 2
-    return total
-
-
 def partition_function_coeffs(lam, N, formula="x"):
     """Monomial coefficients of the partition function, keyed by Partition.
 
     formula 'x': t-exponent chi with Phi factors; 'z': dual route with Phi'
-    in base q; 'hl': Kirillov flag sum (polynomials in t).
-    Composition-resolved sums are checked for permutation invariance before
+    in base q; 'hl': Kirillov flag sum (polynomials in t).  Each term is the
+    product over columns of the pieces column_weight is made of.  Sums
+    resolved by composition are checked for permutation invariance before
     collapsing onto partitions.
     """
     if not isinstance(lam, Partition):
@@ -556,18 +521,18 @@ def partition_function_coeffs(lam, N, formula="x"):
     if formula == "hl":
         n = lam.part(1)
         for flag in enumerate_flags(lam, N):
-            coef = T ** _kirillov_c(flag)
-            for k in range(1, N):
-                for i in range(1, n + 1):
-                    coef = coef * gauss_binomial(
-                        flag[k + 1].part(i) - flag[k].part(i + 1),
-                        flag[k].part(i) - flag[k].part(i + 1))
-                    if coef.is_zero():
-                        break
-                if coef.is_zero():
-                    break
-            if coef.is_zero():
+            expo = 0
+            factors = []
+            for i in range(1, n + 1):
+                e, binoms = _hl_column(tuple(f.part(i + 1) for f in flag[1:]),
+                                       tuple(f.part(i) for f in flag[1:]))
+                expo += e
+                factors += binoms
+            if any(f.is_zero() for f in factors):
                 continue
+            coef = T ** expo
+            for f in factors:
+                coef = coef * f
             mu = tuple(flag[k].weight() - flag[k - 1].weight()
                        for k in range(1, N + 1))
             by_comp[mu] = by_comp.get(mu, ZERO) + coef
@@ -576,31 +541,18 @@ def partition_function_coeffs(lam, N, formula="x"):
         n = conj.part(1) if dual else lam.part(1)
         shape = lam if dual else conj
         basename = "q" if dual else "t"
-        base = sym(basename)
         for fam in enumerate_nu_families(lam, N, dual=dual):
-            if dual:
-                expo = chi_prime_exponent(fam)
-            else:
-                expo = chi_exponent(fam)
-            coef = ExactPolynomial.monomial({basename: expo}) if expo \
-                else ONE
-            for j in range(1, n + 1):
-                for i in range(1, j + 1):
-                    nu = fam.column(i + 1, j)
-                    nut = fam.column(i, j)
-                    if i == j:
-                        coef = coef * _argument_one_product(nut, basename)
-                    else:
-                        coef = coef * _phi_eval_cached(
-                            nu, nut, j - i,
-                            shape.part(i) - shape.part(j), dual=dual)
-                    if coef.is_zero():
-                        break
-                if coef.is_zero():
-                    break
-            if coef.is_zero():
+            columns = [{j: (fam.column(i + 1, j), fam.column(i, j))
+                        for j in range(i, n + 1)} for i in range(1, n + 1)]
+            factors = [_cell_factor(i, j, nu, nut, shape, dual)
+                       for i, pairs in enumerate(columns, start=1)
+                       for j, (nu, nut) in pairs.items()]
+            if any(f.is_zero() for f in factors):
                 continue
-            mu = fam.mu().parts
+            coef = ExactPolynomial.monomial({basename: chi(columns, dual)})
+            for f in factors:
+                coef = coef * f
+            mu = fam.mu()
             by_comp[mu] = by_comp.get(mu, ZERO) + coef
     else:
         raise ValueError("formula must be 'x', 'z' or 'hl'")
@@ -614,7 +566,7 @@ def _collapse_compositions(by_comp):
         key = Partition(tuple(sorted(comp, reverse=True)))
         if key in out:
             if out[key] != val:
-                raise NegativeCoefficient(
+                raise ConsistencyError(
                     "composition-resolved coefficients differ at %r" % (comp,))
         else:
             out[key] = val

@@ -5,10 +5,10 @@ Cauchy-identity test harness."""
 from .combinat import Partition, conjugate, n_stat, partitions_of
 from .errors import (InsufficientVariables, NegativeCoefficient,
                      TruncationTooSmall)
-from .exactalg import (ExactPolynomial, ONE, P, RationalFunction,
+from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, RF_ONE,
                        ratfun_normalize, sym, ZERO)
 from .lattice import partition_function_coeffs
-from .qseries import c_functions
+from .qseries import c_functions, pochhammer
 from .symoracle import (basis_convert, integral_J, macdonald_P,
                         modified_H_oracle, monomial_expand, schur_expand,
                         W_oracle, _expand_monomial)
@@ -152,9 +152,6 @@ def w_reduction_check(lam, N):
 # exponent tuples (over the frame) to RationalFunction coefficients in (q,t);
 # terms whose group-A or group-B degree exceeds the truncation are dropped.
 
-RF_ONE = RationalFunction(ONE)
-
-
 class _Frame:
     def __init__(self, nx, ny, degree):
         self.names = tuple(["x%d" % i for i in range(1, nx + 1)]
@@ -259,15 +256,6 @@ def _swap_qt(e):
     return type(e)(e.basis, coeffs, e.nvars)
 
 
-def _pochhammer_list(base, k):
-    """(b; b)_k as a polynomial, with b the base symbol."""
-    b = sym(base)
-    out = ONE
-    for i in range(1, k + 1):
-        out = out * (ONE - b ** i)
-    return out
-
-
 def _factor_coeffs(kind, degree):
     """Coefficients c_m of the per-pair factor f(u) = sum c_m u^m."""
     if kind == "one_plus":
@@ -285,14 +273,14 @@ def _factor_coeffs(kind, degree):
     if kind in ("inv_q", "inv_t"):
         base = "q" if kind == "inv_q" else "t"
         for m in range(1, degree + 1):
-            out.append(RationalFunction(ONE, _pochhammer_list(base, m)))
+            out.append(RationalFunction(ONE, pochhammer(base, base, m)))
         return out
     if kind in ("neg_q", "neg_t"):
         base = "q" if kind == "neg_q" else "t"
         b = sym(base)
         for m in range(1, degree + 1):
             out.append(RationalFunction(b ** (m * (m - 1) // 2),
-                                        _pochhammer_list(base, m)))
+                                        pochhammer(base, base, m)))
         return out
     if kind in ("inv_qt", "neg_qt"):
         # complete homogeneous / elementary functions of {q^a t^b: a,b >= 0}

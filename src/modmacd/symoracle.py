@@ -154,7 +154,8 @@ class SymmetricExpr:
     __slots__ = ("basis", "coeffs", "nvars")
 
     def __init__(self, basis, coeffs, nvars):
-        assert basis in ("monomial", "powersum", "schur")
+        if basis not in ("monomial", "powersum", "schur"):
+            raise ValueError("unknown basis %r" % (basis,))
         self.basis = basis
         self.coeffs = {k if isinstance(k, Partition) else Partition(k): v
                        for k, v in coeffs.items()

@@ -1,9 +1,11 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import inspect
 import json
 
 import pytest
 
+from modmacd import errors
 from modmacd.cli import main
 
 
@@ -124,6 +126,17 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys)[0] == 2
     # Unknown route value.
     assert run(capsys, "hpoly", "--lambda", "2", "--route", "nope")[0] == 2
+
+
+def test_every_error_is_usage_or_consistency():
+    # main maps UsageError to exit code 2 and ConsistencyError to 1.
+    bases = (errors.UsageError, errors.ConsistencyError)
+    classes = [cls for cls in vars(errors).values()
+               if inspect.isclass(cls) and issubclass(cls, Exception)
+               and cls not in bases + (errors.ModmacdError,)]
+    assert classes
+    for cls in classes:
+        assert sum(issubclass(cls, base) for base in bases) == 1, cls
 
 
 def test_mutually_exclusive_output_flags(capsys):

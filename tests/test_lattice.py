@@ -5,17 +5,20 @@ import itertools
 
 import pytest
 
-from modmacd.combinat import Partition, SequencePair, conjugate, multiplicity
+from modmacd.combinat import (Partition, SequencePair, conjugate,
+                              enumerate_flags, enumerate_nu_families,
+                              multiplicity)
 from modmacd.errors import TopMismatch
-from modmacd.exactalg import (ExactPolynomial, P, RationalFunction, sym)
-from modmacd.lattice import (FaceState, chi_column, chi_exponent,
-                             column_weight, fundamental_L,
+from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction, sym,
+                              ZERO)
+from modmacd.lattice import (FaceState, chi_column, column_weight,
+                             fundamental_L,
                              fused_L_recurrence, fused_vertex_bruteforce,
                              partition_function_coeffs, r_matrix, rll_check,
                              weight_fused, weight_fused_x, weight_fused_z,
                              weight_hl, weight_hl_factorization_check)
 from modmacd.phi import phi_at_one
-from modmacd.qseries import gauss_binomial
+from modmacd.qseries import gauss_binomial, pochhammer
 
 Q = sym("q")
 T = sym("t")
@@ -187,3 +190,68 @@ def test_partition_function_known_tables():
     assert got == {Partition((2,)): P(1), Partition((1, 1)): P(1) + Q}
     got = partition_function_coeffs(Partition((1, 1)), 2, formula="x")
     assert got == {Partition((2,)): T, Partition((1, 1)): P(1) + T}
+
+
+def _symmetrized(table, weight, N):
+    """sum over compositions c of weight into N parts of table[sort(c)] x^c."""
+    out = ZERO
+    for comp in itertools.product(range(weight + 1), repeat=N):
+        if sum(comp) != weight:
+            continue
+        key = Partition(tuple(sorted(comp, reverse=True)))
+        if key in table:
+            xs = ExactPolynomial.monomial(
+                {"x%d" % k: e for k, e in enumerate(comp, start=1)})
+            out = out + table[key] * xs
+    return out
+
+
+@pytest.mark.parametrize("parts,N", [((2, 1), 3), ((3, 1), 4), ((2, 2), 2)])
+def test_column_weights_multiply_to_x_partition_function(parts, N):
+    # Column 1 of (3,1) at N = 4 has a negative chi on some families.
+    lam = Partition(parts)
+    conj = conjugate(lam)
+    n = lam.part(1)
+    normalizers = []
+    for i in range(1, n + 1):
+        norm = ONE
+        for j in range(i + 1, n + 1):
+            w = ExactPolynomial.monomial(
+                {"q": j - i, "t": conj.part(i) - conj.part(j)})
+            norm = norm * pochhammer(
+                w, "t", conj.part(j) - conj.part(j + 1) + 1)
+        normalizers.append(norm)
+    total = ZERO
+    for fam in enumerate_nu_families(lam, N):
+        prod = RationalFunction(ONE)
+        for i in range(1, n + 1):
+            # the diagonal factor sits at argument 1, where it depends on
+            # nutilde only; nu := nutilde gives it the tops column_weight
+            # checks
+            pairs = {j: (fam.column(i + 1, j) if j > i else fam.column(i, j),
+                         fam.column(i, j)) for j in range(i, n + 1)}
+            prod = prod * column_weight(i, lam, pairs, "x") \
+                * normalizers[i - 1]
+        total = total + prod.as_polynomial()
+    table = partition_function_coeffs(lam, N, "x")
+    assert total == _symmetrized(table, lam.weight(), N)
+
+
+@pytest.mark.parametrize("parts,N", [((2, 1), 3), ((3, 1), 4), ((2, 2), 3)])
+def test_column_weights_multiply_to_hl_partition_function(parts, N):
+    lam = Partition(parts)
+    total = ZERO
+    for flag in enumerate_flags(lam, N):
+        prod = ONE
+        for i in range(1, lam.part(1) + 1):
+            nu = tuple(f.part(i + 1) for f in flag[1:])
+            nut = tuple(f.part(i) for f in flag[1:])
+            prod = prod * column_weight(i, lam, (nu, nut), "hl").num
+        total = total + prod
+    table = partition_function_coeffs(lam, N, "hl")
+    assert total == _symmetrized(table, lam.weight(), N)
+
+
+def test_column_weight_rejects_unknown_variant():
+    with pytest.raises(ValueError):
+        column_weight(1, Partition((1, 1)), {1: ((0, 2), (1, 2))}, "z")

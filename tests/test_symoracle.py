@@ -5,10 +5,11 @@ import pytest
 from modmacd.combinat import Partition, conjugate, n_stat, partitions_of
 from modmacd.errors import TooFewVariables
 from modmacd.exactalg import (ExactPolynomial, P as PC, RationalFunction, sym)
-from modmacd.symoracle import (W_oracle, basis_convert, horizontal_strip,
-                               integral_J, kostka_number, macdonald_P,
-                               modified_H_oracle, monomial_expand,
-                               psi_coefficient, schur_expand, schur_function)
+from modmacd.symoracle import (SymmetricExpr, W_oracle, basis_convert,
+                               horizontal_strip, integral_J, kostka_number,
+                               macdonald_P, modified_H_oracle,
+                               monomial_expand, psi_coefficient, schur_expand,
+                               schur_function)
 
 Q = sym("q")
 T = sym("t")
@@ -17,6 +18,11 @@ ONE = PC(1)
 
 def rf(p):
     return p if isinstance(p, RationalFunction) else RationalFunction(p)
+
+
+def test_symmetric_expr_rejects_unknown_basis():
+    with pytest.raises(ValueError):
+        SymmetricExpr("elementary", {}, 2)
 
 
 def test_horizontal_strip_predicate():
