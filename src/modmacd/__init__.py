@@ -4,6 +4,7 @@ form of the series Phi."""
 
 from .combinat import Partition, SequencePair, conjugate
 from .exactalg import ExactPolynomial, RationalFunction, render
+from .memo import clear_caches
 from .modmac import (HResult, cauchy_check, duality_check, kostka_qt,
                      modified_H, modified_HL, w_reduction_check)
 from .phi import (g_poly, phi_at_one, phi_finite, phi_normalized,
@@ -11,7 +12,7 @@ from .phi import (g_poly, phi_at_one, phi_finite, phi_normalized,
 
 __all__ = [
     "Partition", "SequencePair", "conjugate",
-    "ExactPolynomial", "RationalFunction", "render",
+    "ExactPolynomial", "RationalFunction", "render", "clear_caches",
     "HResult", "cauchy_check", "duality_check", "kostka_qt",
     "modified_H", "modified_HL", "w_reduction_check",
     "g_poly", "phi_at_one", "phi_finite", "phi_normalized",

@@ -33,7 +33,7 @@ class Partition:
         if isinstance(other, Partition):
             return self.parts == other.parts
         if isinstance(other, tuple):
-            return self == Partition(other)
+            return self.parts == other
         return NotImplemented
 
     def __lt__(self, other):
@@ -64,6 +64,11 @@ class Partition:
                    for i in range(1, len(other) + 1))
 
 
+def _at(seq, k):
+    """Entry k (1-based) of a sequence; entry 0 is 0."""
+    return seq[k - 1] if k >= 1 else 0
+
+
 def conjugate(lam):
     """Transpose of the Young diagram."""
     if not isinstance(lam, Partition):
@@ -83,8 +88,7 @@ def stats(lam):
     for i, row in enumerate(lam.parts, start=1):
         for j in range(1, row + 1):
             armlegs[(i, j)] = (row - j, conj.part(j) - i)
-    n = sum(p * (i - 1) for i, p in enumerate(lam.parts, start=1))
-    return {"n": n, "armlegs": armlegs}
+    return {"n": n_stat(lam), "armlegs": armlegs}
 
 
 def n_stat(lam):

@@ -301,6 +301,8 @@ def sym(name):
 
 ZERO = P(0)
 ONE = P(1)
+Q = sym("q")
+T = sym("t")
 
 
 def render(p, var_order=None):

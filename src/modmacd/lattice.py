@@ -12,16 +12,16 @@ agreement is the evidence that each is right."""
 
 from itertools import permutations, product as iproduct
 
-from .combinat import (Partition, SequencePair, conjugate, enumerate_flags,
-                       enumerate_nu_families, inversion_number, multiplicity)
+from .combinat import (Partition, SequencePair, _at, conjugate,
+                       enumerate_flags, enumerate_nu_families,
+                       inversion_number, multiplicity)
 from .errors import (ConsistencyError, InfeasibleMultiplicities,
                      InsufficientVariables, TopMismatch)
-from .exactalg import (ExactPolynomial, ONE, P, RationalFunction,
+from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, T,
                        ratfun_normalize, sym, ZERO)
+from .memo import memoized
 from .phi import phi_normalized, phi_prime
 from .qseries import fusion_normalizer, gauss_binomial, pochhammer
-
-T = sym("t")
 
 
 def _as_poly(x):
@@ -344,12 +344,11 @@ def _b_coef(ln, mn, lpn, mpn, x, z, w):
 # column weights and coefficient extraction
 # ---------------------------------------------------------------------------
 
-def _at(seq, k):
-    """Entry k (1-based) of a chain; entry 0 is 0."""
-    return seq[k - 1] if k >= 1 else 0
+_PHI_EVAL_CACHE = {}
 
 
-def _phi_eval(nu, nut, qexp, texp, dual=False):
+@memoized(_PHI_EVAL_CACHE)
+def _phi_eval(nu, nut, qexp, texp, dual):
     """Phi (or Phi') evaluated at the monomial argument, in (q, t)."""
     sp = SequencePair(nu, nut)
     if dual:
@@ -362,18 +361,6 @@ def _phi_eval(nu, nut, qexp, texp, dual=False):
     return poly.substitute(bindings)
 
 
-_PHI_EVAL_CACHE = {}
-
-
-def _phi_eval_cached(nu, nut, qexp, texp, dual=False):
-    key = (nu, nut, qexp, texp, dual)
-    got = _PHI_EVAL_CACHE.get(key)
-    if got is None:
-        got = _phi_eval(nu, nut, qexp, texp, dual)
-        _PHI_EVAL_CACHE[key] = got
-    return got
-
-
 def _cell_factor(i, j, nu, nut, shape, dual=False):
     """Phi (Phi' when dual) of cell (i, j) at q^(j-i) t^(shape_i - shape_j).
 
@@ -382,8 +369,7 @@ def _cell_factor(i, j, nu, nut, shape, dual=False):
     """
     if i == j:
         nu = nut
-    return _phi_eval_cached(nu, nut, j - i, shape.part(i) - shape.part(j),
-                            dual)
+    return _phi_eval(nu, nut, j - i, shape.part(i) - shape.part(j), dual)
 
 
 def chi_column(i, pairs):

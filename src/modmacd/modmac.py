@@ -2,19 +2,19 @@
 the Hall-Littlewood specialization, Kostka extraction, duality and the
 Cauchy-identity test harness."""
 
+from functools import reduce
+from operator import mul
+
 from .combinat import Partition, conjugate, n_stat, partitions_of
 from .errors import (InsufficientVariables, NegativeCoefficient,
                      TruncationTooSmall)
-from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, RF_ONE,
-                       ratfun_normalize, sym, ZERO)
+from .exactalg import (ExactPolynomial, ONE, P, Q, RationalFunction, RF_ONE,
+                       T, ratfun_normalize, sym, ZERO)
 from .lattice import partition_function_coeffs
 from .qseries import c_functions, pochhammer
 from .symoracle import (basis_convert, integral_J, macdonald_P,
                         modified_H_oracle, monomial_expand, schur_expand,
                         W_oracle, _expand_monomial)
-
-Q = sym("q")
-T = sym("t")
 
 ROUTES = ("lattice_x", "lattice_dual", "oracle")
 
@@ -323,88 +323,79 @@ def _scaled(series, scale):
     return {e: c * scale for e, c in series.items()}
 
 
+# identity -> (left factor kind, (right factor kind, alphabet), hook
+# products that divide each sum-side term, product-side factors (alphabet,
+# alphabet, factor kind)).  The left factor is in x.  Kinds: "P" is P_lam,
+# "Q" is b_lam P_lam, "P'" is P_{lam'} with q and t swapped, "W" is W_lam
+# (in y, w on the right).
+_CAUCHY = {
+    "PQ": ("P", ("Q", "y"), (), [("x", "y", "pq")]),
+    "dual": ("P", ("P'", "y"), (), [("x", "y", "one_plus")]),
+    "W": ("W", ("W", "y"), ("c", "cprime"),
+          [("z", "y", "neg_qt"), ("x", "w", "neg_qt"),
+           ("x", "y", "inv_qt"), ("z", "w", "inv_qt")]),
+    "mixedQ": ("W", ("P", "y"), ("cprime",),
+               [("z", "y", "neg_q"), ("x", "y", "inv_q")]),
+    "mixedP": ("W", ("P'", "w"), ("c",),
+               [("x", "w", "neg_t"), ("z", "w", "inv_t")]),
+}
+
+
+def _admits_shape(kind, lam, n):
+    """P and Q need ell(lam) <= n, P' needs lam_1 <= n; W takes every shape."""
+    if kind in ("P", "Q"):
+        return len(lam) <= n
+    if kind == "P'":
+        return lam.part(1) <= n
+    return True
+
+
+def _cauchy_factor(frame, kind, lam, alphabet, names):
+    """One factor of a sum-side term as a series in the given alphabet."""
+    n = len(names)
+    if kind == "Q":
+        b = c_functions(lam)["b"]
+        return _scaled(_cauchy_factor(frame, "P", lam, alphabet, names), b)
+    if kind == "P":
+        return _expand_symexpr(frame, macdonald_P(lam, n), names)
+    if kind == "P'":
+        return _expand_symexpr(
+            frame, _swap_qt(macdonald_P(conjugate(lam), n)), names)
+    poly = W_oracle(lam, n)
+    if alphabet == "y":
+        rename = {}
+        for j in range(1, n + 1):
+            rename["x%d" % j] = sym("y%d" % j)
+            rename["z%d" % j] = sym("w%d" % j)
+        poly = poly.substitute(rename)
+    return _series_from_poly(frame, poly)
+
+
 def cauchy_check(identity, nx, ny, degree):
     """Verify one of the Cauchy identities at a fixed series truncation."""
     if degree < 1:
         raise TruncationTooSmall("degree must be at least 1")
     frame = _Frame(nx, ny, degree)
-    xs = ["x%d" % i for i in range(1, nx + 1)]
-    zs = ["z%d" % i for i in range(1, nx + 1)]
-    ys = ["y%d" % j for j in range(1, ny + 1)]
-    ws = ["w%d" % j for j in range(1, ny + 1)]
-
-    lhs = frame.unit()
-    shapes = [lam for d in range(1, degree + 1) for lam in partitions_of(d)]
-
-    if identity == "PQ":
-        for lam in shapes:
-            if len(lam) > min(nx, ny):
-                continue
-            cf = c_functions(lam)
-            px = _expand_symexpr(frame, macdonald_P(lam, nx), xs)
-            qy = _scaled(_expand_symexpr(frame, macdonald_P(lam, ny), ys),
-                         cf["b"])
-            lhs = _series_add(frame, lhs, _series_mul(frame, px, qy))
-        rhs = _product_side(
-            frame, [(a, b, "pq") for a in xs for b in ys], degree)
-    elif identity == "dual":
-        for lam in shapes:
-            if len(lam) > nx or lam.part(1) > ny:
-                continue
-            px = _expand_symexpr(frame, macdonald_P(lam, nx), xs)
-            py = _expand_symexpr(
-                frame, _swap_qt(macdonald_P(conjugate(lam), ny)), ys)
-            lhs = _series_add(frame, lhs, _series_mul(frame, px, py))
-        rhs = _product_side(
-            frame, [(a, b, "one_plus") for a in xs for b in ys], degree)
-    elif identity == "W":
-        for lam in shapes:
-            cf = c_functions(lam)
-            wx = _series_from_poly(frame, W_oracle(lam, nx))
-            rename = {}
-            for j in range(1, ny + 1):
-                rename["x%d" % j] = sym("y%d" % j)
-                rename["z%d" % j] = sym("w%d" % j)
-            wy = _series_from_poly(frame, W_oracle(lam, ny).substitute(rename))
-            scale = RationalFunction(ONE, cf["c"] * cf["cprime"])
-            lhs = _series_add(frame, lhs,
-                              _scaled(_series_mul(frame, wx, wy), scale))
-        rhs = _product_side(
-            frame,
-            [(a, b, "neg_qt") for a in zs for b in ys]
-            + [(a, b, "neg_qt") for a in xs for b in ws]
-            + [(a, b, "inv_qt") for a in xs for b in ys]
-            + [(a, b, "inv_qt") for a in zs for b in ws], degree)
-    elif identity == "mixedQ":
-        for lam in shapes:
-            if len(lam) > ny:
-                continue
-            cf = c_functions(lam)
-            wx = _series_from_poly(frame, W_oracle(lam, nx))
-            py = _expand_symexpr(frame, macdonald_P(lam, ny), ys)
-            scale = RationalFunction(ONE, cf["cprime"])
-            lhs = _series_add(frame, lhs,
-                              _scaled(_series_mul(frame, wx, py), scale))
-        rhs = _product_side(
-            frame,
-            [(a, b, "neg_q") for a in zs for b in ys]
-            + [(a, b, "inv_q") for a in xs for b in ys], degree)
-    elif identity == "mixedP":
-        for lam in shapes:
-            if lam.part(1) > ny:
-                continue
-            cf = c_functions(lam)
-            wx = _series_from_poly(frame, W_oracle(lam, nx))
-            pw = _expand_symexpr(
-                frame, _swap_qt(macdonald_P(conjugate(lam), ny)), ws)
-            scale = RationalFunction(ONE, cf["c"])
-            lhs = _series_add(frame, lhs,
-                              _scaled(_series_mul(frame, wx, pw), scale))
-        rhs = _product_side(
-            frame,
-            [(a, b, "neg_t") for a in xs for b in ws]
-            + [(a, b, "inv_t") for a in zs for b in ws], degree)
-    else:
+    if identity not in _CAUCHY:
         raise ValueError(
             "identity must be one of W, PQ, dual, mixedQ, mixedP")
+    left, (right, alphabet), hooks, pairs = _CAUCHY[identity]
+    names = {a: ["%s%d" % (a, i) for i in range(1, n + 1)]
+             for a, n in (("x", nx), ("z", nx), ("y", ny), ("w", ny))}
+    lhs = frame.unit()
+    for d in range(1, degree + 1):
+        for lam in partitions_of(d):
+            if not (_admits_shape(left, lam, nx)
+                    and _admits_shape(right, lam, ny)):
+                continue
+            cf = c_functions(lam) if hooks else None
+            term = _series_mul(
+                frame, _cauchy_factor(frame, left, lam, "x", names["x"]),
+                _cauchy_factor(frame, right, lam, alphabet, names[alphabet]))
+            if hooks:
+                term = _scaled(term, RationalFunction(
+                    ONE, reduce(mul, [cf[k] for k in hooks])))
+            lhs = _series_add(frame, lhs, term)
+    rhs = _product_side(frame, [(a, b, kind) for pa, pb, kind in pairs
+                                for a in names[pa] for b in names[pb]], degree)
     return _series_equal(lhs, rhs)

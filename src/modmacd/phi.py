@@ -7,18 +7,14 @@ seq[k-1], with nu^0 = 0.  All returned polynomials live in the symbols
 
 from itertools import product as iproduct
 
-from .combinat import SequencePair
+from .combinat import SequencePair, _at
 from .errors import (IndexOutOfRange, NegativeDifference, NegativeInput,
                      TruncationResidual)
-from .exactalg import ExactPolynomial, ONE, P, ZERO, sym
+from .exactalg import ExactPolynomial, ONE, P, T, ZERO, sym
+from .memo import memoized
 from .qseries import gauss_binomial, pochhammer
 
 Z = sym("z")
-T = sym("t")
-
-
-def _at(seq, k):
-    return seq[k - 1] if k >= 1 else 0
 
 
 def _zpart(poly, d):
@@ -34,19 +30,15 @@ def _degree_bound(sp):
 _BINOM_LIST_CACHE = {}
 
 
+@memoized(_BINOM_LIST_CACHE)
 def _binom_list(a, b):
     """Gaussian binomial [a choose b] as a list of integer t-coefficients."""
-    key = (a, b)
-    got = _BINOM_LIST_CACHE.get(key)
-    if got is None:
-        poly = gauss_binomial(a, b)
-        deg = poly.degree("t")
-        got = [0] * (deg + 1)
-        for exp, c in poly.terms.items():
-            got[exp[0] if poly.vars else 0] = c
-        if poly.is_zero():
-            got = []
-        _BINOM_LIST_CACHE[key] = got
+    poly = gauss_binomial(a, b)
+    if poly.is_zero():
+        return []
+    got = [0] * (poly.degree("t") + 1)
+    for exp, c in poly.terms.items():
+        got[exp[0] if poly.vars else 0] = c
     return got
 
 
@@ -219,23 +211,18 @@ def _rot_once(seq):
 _PHI_CACHE = {}
 
 
+@memoized(_PHI_CACHE)
 def phi_normalized(sp):
     """Phi as a (z,t)-polynomial for an arbitrary pair, rotating if needed."""
-    key = (sp.nu, sp.nutilde)
-    got = _PHI_CACHE.get(key)
-    if got is not None:
-        return got
     if sp.min_difference() >= 0:
-        val = phi_positive(sp)
-    else:
-        diffs = [nt - n for n, nt in zip(sp.nu, sp.nutilde)]
-        k = diffs.index(min(diffs)) + 1
-        rotated, zshift = rotate(sp, k)
-        val = ExactPolynomial.monomial({"z": zshift}) * phi_positive(rotated)
-        if val.min_degree("z") < 0:
-            raise TruncationResidual(
-                "rotated evaluation left negative z powers for %r" % (sp,))
-    _PHI_CACHE[key] = val
+        return phi_positive(sp)
+    diffs = [nt - n for n, nt in zip(sp.nu, sp.nutilde)]
+    k = diffs.index(min(diffs)) + 1
+    rotated, zshift = rotate(sp, k)
+    val = ExactPolynomial.monomial({"z": zshift}) * phi_positive(rotated)
+    if val.min_degree("z") < 0:
+        raise TruncationResidual(
+            "rotated evaluation left negative z powers for %r" % (sp,))
     return val
 
 

@@ -3,8 +3,8 @@
 from .combinat import Partition, conjugate
 from .errors import NegativeLambdaZero, NegativeLength
 from .exactalg import ExactPolynomial, ONE, P, RationalFunction, ZERO, sym
+from .memo import memoized
 
-# cache: (a, b, base symbol) -> polynomial
 _BINOM_CACHE = {}
 
 
@@ -16,19 +16,15 @@ def gauss_binomial(a, b, base="t"):
     """
     if not (a >= b >= 0):
         return ZERO
-    b = min(b, a - b)
-    key = (a, b, base)
-    got = _BINOM_CACHE.get(key)
-    if got is not None:
-        return got
+    return _gauss_binomial(a, min(b, a - b), base)
+
+
+@memoized(_BINOM_CACHE)
+def _gauss_binomial(a, b, base):
     if b == 0:
-        val = ONE
-    else:
-        x = sym(base)
-        val = gauss_binomial(a - 1, b - 1, base) \
-            + x ** b * gauss_binomial(a - 1, b, base)
-    _BINOM_CACHE[key] = val
-    return val
+        return ONE
+    return gauss_binomial(a - 1, b - 1, base) \
+        + sym(base) ** b * gauss_binomial(a - 1, b, base)
 
 
 def pochhammer(w, base, k):

@@ -14,11 +14,8 @@ from .errors import (NegativeCoefficient, NonPolynomialCoefficient,
                      SingularConversion, TooFewVariables)
 from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, RF_ONE,
                        RF_ZERO, ZERO, ratfun_normalize, sym)
+from .memo import memoized
 from .qseries import c_functions
-
-
-def _q(k):
-    return ExactPolynomial.monomial({"q": k})
 
 
 def _qt(qk, tk):
@@ -46,6 +43,10 @@ def _ratio_f(a, b, m):
     return den, num
 
 
+_PSI_CACHE = {}
+
+
+@memoized(_PSI_CACHE)
 def psi_coefficient(lam, mu):
     """Branching coefficient psi_{lam/mu}(q,t); 0 off horizontal strips."""
     if not isinstance(lam, Partition):
@@ -68,16 +69,6 @@ def psi_coefficient(lam, mu):
                 for f in ds:
                     den = den * f
     return ratfun_normalize(RationalFunction(num, den))
-
-
-_PSI_CACHE = {}
-
-
-def _psi(lam, mu):
-    key = (lam.parts, mu.parts)
-    if key not in _PSI_CACHE:
-        _PSI_CACHE[key] = psi_coefficient(lam, mu)
-    return _PSI_CACHE[key]
 
 
 def _strips_removing(lam, d):
@@ -103,49 +94,33 @@ def _strips_removing(lam, d):
 _PCOEF_CACHE = {}
 
 
+@memoized(_PCOEF_CACHE)
 def _pcoef(lam, mu):
-    """Coefficient of x^mu in P_lam(x_1..x_len(mu)); mu weakly decreasing."""
-    while mu and mu[-1] == 0:
-        mu = mu[:-1]
-    key = (lam.parts, mu)
-    got = _PCOEF_CACHE.get(key)
-    if got is not None:
-        return got
+    """Coefficient of x^mu in P_lam(x_1..x_len(mu)); mu a partition's parts."""
     if not mu:
-        val = RF_ONE if not lam.parts else RF_ZERO
-    elif sum(mu) != lam.weight() or len(lam) > len(mu):
-        val = RF_ZERO
-    else:
-        val = RF_ZERO
-        for kappa in _strips_removing(lam, mu[-1]):
-            sub = _pcoef(kappa, mu[:-1])
-            if not sub.is_zero():
-                val = val + _psi(lam, kappa) * sub
-        val = ratfun_normalize(val)
-    _PCOEF_CACHE[key] = val
-    return val
+        return RF_ONE if not lam.parts else RF_ZERO
+    if sum(mu) != lam.weight() or len(lam) > len(mu):
+        return RF_ZERO
+    val = RF_ZERO
+    for kappa in _strips_removing(lam, mu[-1]):
+        sub = _pcoef(kappa, mu[:-1])
+        if not sub.is_zero():
+            val = val + psi_coefficient(lam, kappa) * sub
+    return ratfun_normalize(val)
 
 
 _KOSTKA_CACHE = {}
 
 
+@memoized(_KOSTKA_CACHE)
 def kostka_number(lam, mu):
     """Number of semistandard tableaux of shape lam and content mu."""
-    while mu and mu[-1] == 0:
-        mu = mu[:-1]
-    key = (lam.parts, mu)
-    got = _KOSTKA_CACHE.get(key)
-    if got is not None:
-        return got
     if not mu:
-        val = 1 if not lam.parts else 0
-    elif sum(mu) != lam.weight() or len(lam) > len(mu):
-        val = 0
-    else:
-        val = sum(kostka_number(kappa, mu[:-1])
-                  for kappa in _strips_removing(lam, mu[-1]))
-    _KOSTKA_CACHE[key] = val
-    return val
+        return 1 if not lam.parts else 0
+    if sum(mu) != lam.weight() or len(lam) > len(mu):
+        return 0
+    return sum(kostka_number(kappa, mu[:-1])
+               for kappa in _strips_removing(lam, mu[-1]))
 
 
 class SymmetricExpr:
@@ -179,7 +154,7 @@ def macdonald_P(lam, nvars):
     for mu in partitions_of(lam.weight()):
         if len(mu) > nvars:
             continue
-        c = _pcoef(lam, mu.padded(nvars))
+        c = _pcoef(lam, mu.parts)
         if not c.is_zero():
             coeffs[mu] = c
     return SymmetricExpr("monomial", coeffs, nvars)
@@ -227,14 +202,13 @@ def _expand_powersum(lam, nvars):
 _TRANSITION_CACHE = {}
 
 
+@memoized(_TRANSITION_CACHE)
 def _transitions(d):
     """Power-sum <-> monomial transition data at degree d.
 
     Returns (plist, p_in_m, m_in_p): p_in_m[lam][mu] integer coefficient of
     m_mu in p_lam; m_in_p[mu][lam] Fraction coefficient of p_lam in m_mu.
     """
-    if d in _TRANSITION_CACHE:
-        return _TRANSITION_CACHE[d]
     plist = partitions_of(d)
     p_in_m = {}
     for lam in plist:
@@ -271,9 +245,7 @@ def _transitions(d):
     for mu in plist:
         j = idx[mu]
         m_in_p[mu] = {plist[i]: inv[j][i] for i in range(n) if inv[j][i]}
-    out = (plist, p_in_m, m_in_p)
-    _TRANSITION_CACHE[d] = out
-    return out
+    return plist, p_in_m, m_in_p
 
 
 def _rf_scale(rf, frac):
@@ -340,7 +312,7 @@ def basis_convert(e, target):
                     continue
                 coeffs[nu] = c
                 for mu in partitions_of(d):
-                    k = kostka_number(nu, mu.padded(max(d, len(mu))))
+                    k = kostka_number(nu, mu.parts)
                     if k:
                         remaining[mu] = remaining.get(mu, RF_ZERO) - c * k
             coeffs = {k: ratfun_normalize(v) for k, v in coeffs.items()}
@@ -350,7 +322,7 @@ def basis_convert(e, target):
         for nu, c in e.coeffs.items():
             d = nu.weight()
             for mu in partitions_of(d):
-                k = kostka_number(nu, mu.padded(max(d, len(mu), 1)))
+                k = kostka_number(nu, mu.parts)
                 if k:
                     coeffs[mu] = coeffs.get(mu, RF_ZERO) + c * k
         mono = SymmetricExpr("monomial", coeffs, e.nvars)
@@ -473,7 +445,7 @@ def schur_function(lam, nvars):
     for mu in partitions_of(lam.weight()):
         if len(mu) > nvars:
             continue
-        k = kostka_number(lam, mu.padded(nvars))
+        k = kostka_number(lam, mu.parts)
         if k:
             coeffs[mu] = RationalFunction(P(k))
     return SymmetricExpr("monomial", coeffs, nvars)

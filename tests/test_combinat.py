@@ -79,6 +79,16 @@ def test_partition_container_protocol():
     assert not Partition((2, 1)).contains(lam)
 
 
+def test_partition_equals_only_its_own_parts_tuple():
+    lam = Partition((2, 1))
+    assert lam == (2, 1) and hash(lam) == hash((2, 1))
+    # A tuple that is not the trimmed parts is a different key, since its
+    # hash differs; an increasing tuple compares unequal instead of raising.
+    assert lam != (2, 1, 0)
+    assert lam != (1, 2)
+    assert (1, 2) not in [lam]
+
+
 def test_sequence_pair_validation():
     sp = SequencePair((1, 3, 4, 5), (2, 3, 5, 5))
     assert sp.N == 4

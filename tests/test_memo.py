@@ -1,0 +1,116 @@
+"""The memo helper, and the module names the benchmark's tracer reads.
+
+bench/tracer.py wraps library functions and reads the cache dicts by name
+from outside the package; a renamed function or a cache that is no longer a
+module attribute would stop every traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import json
+import os
+
+import pytest
+
+from modmacd import memo
+from modmacd.combinat import Partition, SequencePair
+from modmacd.lattice import partition_function_coeffs
+from modmacd.modmac import kostka_qt
+from modmacd.phi import phi_normalized, phi_series
+from modmacd.qseries import gauss_binomial
+from modmacd.symoracle import kostka_number, macdonald_P
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_tracer", os.path.join(ROOT, "bench", "tracer.py"))
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
+with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+    PER_LAYER = [m["name"] for m in json.load(fh)["per_layer"]]
+
+# per-layer names that bench/run.py derives from other counters rather than
+# from one traced function
+DERIVED = {"exactalg.rf_ops"}
+FUNCTION_METRICS = [
+    name for name in PER_LAYER
+    if name.split(".")[0] in tracer.MODULES
+    and name.rpartition(".")[0] not in set(tracer.MODULES) | DERIVED]
+
+
+def _cache(key):
+    module, attr = tracer.CACHES[key]
+    return getattr(importlib.import_module("modmacd." + module), attr)
+
+
+def _results():
+    sp = SequencePair((0, 1, 3), (1, 2, 3))
+    lam = Partition((2, 1))
+    return [gauss_binomial(6, 2), phi_normalized(sp), phi_series(sp),
+            partition_function_coeffs(lam, 2, formula="x"),
+            partition_function_coeffs(lam, 2, formula="z"),
+            macdonald_P(lam, 3).coeffs, kostka_qt(lam)]
+
+
+def test_clear_caches_empties_every_cache_and_recomputes_the_same():
+    before = _results()
+    assert all(_cache(key) for key in tracer.CACHES)
+    memo.clear_caches()
+    assert not any(_cache(key) for key in tracer.CACHES)
+    assert _results() == before
+
+
+def test_memoized_keys_by_positional_arguments():
+    cache = {}
+    calls = []
+
+    @memo.memoized(cache)
+    def double(x):
+        calls.append(x)
+        return 2 * x
+
+    assert double(3) == double(3) == 6
+    assert calls == [3] and cache == {(3,): 6}
+    assert double.__name__ == "double" and inspect.isfunction(double)
+    memo.clear_caches()
+    assert cache == {}
+
+
+def test_kostka_number_ignores_trailing_zeros():
+    lam = Partition((2, 1))
+    for mu in ((1, 1, 1), (2, 1), (3,)):
+        assert kostka_number(lam, mu + (0, 0)) == kostka_number(lam, mu)
+
+
+@pytest.mark.parametrize("key", sorted(tracer.CACHES))
+def test_tracer_caches_are_registered_dicts(key):
+    cache = _cache(key)
+    assert isinstance(cache, dict)
+    assert any(cache is registered for registered in memo._CACHES)
+
+
+def _traced(base):
+    """Everything the tracer would wrap under the metric name ``base``."""
+    module, _, metric = base.partition(".")
+    mod = importlib.import_module("modmacd." + module)
+    if metric.startswith("partition_function."):
+        return [("partition_function_coeffs", mod.partition_function_coeffs)]
+    found = [(attr, vars(getattr(mod, cls)).get(attr))
+             for cls, ops in tracer.OPERATORS.items() if module == "exactalg"
+             for attr, name in ops.items() if name == metric]
+    names = [f for f, m in tracer.RENAMES.get(module, {}).items()
+             if m == metric] + [metric]
+    found += [(f, getattr(mod, f)) for f in names
+              if getattr(mod, f, None) is not None
+              and getattr(mod, f).__module__ == mod.__name__]
+    return found
+
+
+@pytest.mark.parametrize("name", FUNCTION_METRICS)
+def test_per_layer_metric_names_a_plain_function(name):
+    found = _traced(name.rpartition(".")[0])
+    assert found, "no function behind %s" % name
+    for attr, fn in found:
+        assert inspect.isfunction(fn), "%s is not a plain function" % attr

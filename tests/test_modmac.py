@@ -119,6 +119,12 @@ def test_cauchy_identities():
     assert cauchy_check("mixedP", 1, 1, 2)
 
 
+@pytest.mark.parametrize("nx, ny", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("identity", ["PQ", "dual", "W", "mixedQ", "mixedP"])
+def test_cauchy_identities_unequal_alphabets(identity, nx, ny):
+    assert cauchy_check(identity, nx, ny, 2)
+
+
 def test_cauchy_rejects_trivial_truncation():
     with pytest.raises(TruncationTooSmall):
         cauchy_check("PQ", 1, 1, 0)
