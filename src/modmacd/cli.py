@@ -191,9 +191,13 @@ def _run_suite(item):
 
 def _cmd_verify(args):
     mw = args.max_weight if args.max_weight is not None else 4
+    if mw < 1:
+        raise UsageError("--max-weight must be at least 1")
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     items = [(name, mw) for name in names]
-    if args.jobs and args.jobs > 1:
+    if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_suite, items))
     else:

@@ -7,7 +7,7 @@ from operator import mul
 
 from .combinat import Partition, conjugate, n_stat, partitions_of
 from .errors import (InsufficientVariables, NegativeCoefficient,
-                     TruncationTooSmall)
+                     TooFewVariables, TruncationTooSmall)
 from .exactalg import (ExactPolynomial, ONE, P, Q, RationalFunction, RF_ONE,
                        T, ratfun_normalize, sym, ZERO)
 from .lattice import partition_function_coeffs
@@ -375,6 +375,8 @@ def cauchy_check(identity, nx, ny, degree):
     """Verify one of the Cauchy identities at a fixed series truncation."""
     if degree < 1:
         raise TruncationTooSmall("degree must be at least 1")
+    if nx < 1 or ny < 1:
+        raise TooFewVariables("each alphabet needs at least one variable")
     frame = _Frame(nx, ny, degree)
     if identity not in _CAUCHY:
         raise ValueError(

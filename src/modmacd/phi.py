@@ -6,11 +6,12 @@ seq[k-1], with nu^0 = 0.  All returned polynomials live in the symbols
 """
 
 from itertools import product as iproduct
+from math import comb, prod
 
 from .combinat import SequencePair, _at
 from .errors import (IndexOutOfRange, NegativeDifference, NegativeInput,
                      TruncationResidual)
-from .exactalg import ExactPolynomial, ONE, P, T, ZERO, sym
+from .exactalg import ExactPolynomial, ONE, ZERO, sym
 from .memo import memoized
 from .qseries import gauss_binomial, pochhammer
 
@@ -42,16 +43,56 @@ def _binom_list(a, b):
     return got
 
 
-def _conv(u, v):
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                if b:
-                    out[i + j] += a * b
-    return out
+# Packed arithmetic at t = 2^W (Kronecker substitution).  A polynomial in t
+# whose coefficients are at most B in absolute value is held as its value at
+# t = 2^W with W = B.bit_length() + 1, one balanced W-bit digit per
+# coefficient: products of polynomials become products of ints, and a value
+# is zero exactly when its polynomial is.  Polynomials in (z, t) or (v, t)
+# are lists of such ints indexed by the other degree.  Each route takes B
+# from the l1 norms of its own inputs, never from its result:
+# ||[a, b]_t|| = C(a, b), ||1 - z t^e|| = 2, ||fg|| <= ||f|| ||g|| and
+# ||f + g|| <= ||f|| + ||g||.
+
+def _width(l1):
+    """Digit width W that decodes every value of l1 norm at most l1."""
+    return l1.bit_length() + 1
+
+
+def _comb(a, b):
+    """l1 norm of [a choose b]_t."""
+    return comb(a, b) if a >= b >= 0 else 0
+
+
+def _gauss_at(a, b, W):
+    """[a choose b]_t at t = 2^W; 0 unless a >= b >= 0."""
+    value = 0
+    for c in reversed(_binom_list(a, b)):
+        value = (value << W) + c
+    return value
+
+
+def _pochhammer_at(exponents, W):
+    """prod over e of (1 - z t^e) at t = 2^W, as a list indexed by z-degree."""
+    poly = [1]
+    for e in exponents:
+        poly = [c - (p << W * e) for c, p in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+def _unpack(rows, W, name):
+    """Balanced-digit decode of rows[d] = f_d(2^W) into sum_d name^d f_d(t)."""
+    mask, half = (1 << W) - 1, 1 << (W - 1)
+    terms = {}
+    for d, value in enumerate(rows):
+        # A value of L bits has at most L // W + 1 balanced digits.
+        for i in range(value.bit_length() // W + 1):
+            c = value & mask
+            if c >= half:
+                c -= mask + 1
+            if c:
+                terms[(i, d)] = c
+            value = (value - c) >> W
+    return ExactPolynomial(("t", name), terms)
 
 
 def phi_series(sp):
@@ -61,74 +102,73 @@ def phi_series(sp):
     Pochhammer prefactor and asserts that every coefficient above the proven
     degree bound (and inside the trusted window) vanishes.
 
-    Coefficients are handled as integer lists in t (one list per z-degree);
-    the sparse-polynomial form is assembled only at the end.
+    The z^s coefficients of the series and of the prefactor are packed at
+    t = 2^W; W bounds every z^d coefficient of the product, so the check
+    above the degree bound is exact.
     """
     N = sp.N
     nu, nut = sp.nu, sp.nutilde
     bound = _degree_bound(sp)
     top = nut[-1]
     D = bound + top + 2
-    series = []
-    for s in range(D + 1):
-        coef = [1]
-        for k in range(N):
-            coef = _conv(coef, _binom_list(
-                _at(nut, k + 1) - _at(nu, k) + s,
-                _at(nut, k) - _at(nu, k) + s))
-            if not coef:
-                break
-        series.append(coef)
+    pairs = [[(_at(nut, k + 1) - _at(nu, k) + s, _at(nut, k) - _at(nu, k) + s)
+              for k in range(N)] for s in range(D + 1)]
+    norms = [prod(_comb(a, b) for a, b in row) for row in pairs]
+    l1 = max(sum(comb(top + 1, k) * norms[d - k]
+                 for k in range(min(d, top + 1) + 1)) for d in range(D + 1))
+    W = _width(l1)
+    series = [prod(_gauss_at(a, b, W) for a, b in row) for row in pairs]
     # (z; t)_{top+1} = sum_k (-1)^k t^{k(k-1)/2} [top+1 choose k] z^k.
-    poch = []
-    for k in range(top + 2):
-        shift = k * (k - 1) // 2
-        base = _binom_list(top + 1, k)
-        poch.append([0] * shift + [(-1) ** k * c for c in base])
-    out = ZERO
+    poch = [(-1) ** k * (_gauss_at(top + 1, k, W) << W * (k * (k - 1) // 2))
+            for k in range(top + 2)]
+    rows = []
     for d in range(D + 1):
-        acc = []
-        for k in range(min(d, top + 1) + 1):
-            part = _conv(poch[k], series[d - k])
-            if len(part) > len(acc):
-                acc.extend([0] * (len(part) - len(acc)))
-            for i, c in enumerate(part):
-                acc[i] += c
-        if not any(acc):
-            continue
-        if d > bound:
+        acc = sum(poch[k] * series[d - k] for k in range(min(d, top + 1) + 1))
+        if d <= bound:
+            rows.append(acc)
+        elif acc:
             raise TruncationResidual(
                 "nonzero z^%d coefficient above degree bound %d for %r"
                 % (d, bound, sp))
-        term = {(d, i): c for i, c in enumerate(acc) if c}
-        out = out + ExactPolynomial(("z", "t"), term)
-    return out
+    return _unpack(rows, W, "z")
 
 
 def phi_finite(sp):
-    """Finite-sum evaluation of Phi over sub-tuples lambda <= sigma."""
+    """Finite-sum evaluation of Phi over sub-tuples lambda <= sigma.
+
+    The term of lambda is z^{|lambda|} t^E times Gaussian binomials times
+    prod_j (z t^{p_j}; t)_{sigma_j - lambda_j}; it is packed at t = 2^W.
+    """
     N = sp.N
     nu, nut = sp.nu, sp.nutilde
     sigma = [_at(nu, j) - _at(nu, j - 1) for j in range(1, N)]
-    out = ZERO
+    terms = []
+    l1 = 0
     for lam in iproduct(*[range(s + 1) for s in sigma]):
-        term = ONE
+        tdeg = 0
+        pairs = []
+        exponents = []  # e of each factor (1 - z t^e)
         partial = 0  # lambda_{1,j-1}
         for j in range(1, N):
             lj = lam[j - 1]
             power = _at(nu, j - 1) - partial
-            w = Z * T ** power
-            term = term * w ** lj \
-                * pochhammer(w, "t", sigma[j - 1] - lj) \
-                * gauss_binomial(sigma[j - 1], lj)
+            tdeg += power * lj
+            exponents.extend(range(power, power + sigma[j - 1] - lj))
             partial += lj
-            term = term * gauss_binomial(
-                _at(nut, j + 1) - _at(nu, j) + partial,
-                _at(nut, j) - _at(nu, j) + partial)
-            if term.is_zero():
-                break
-        out = out + term
-    return out
+            pairs.append((sigma[j - 1], lj))
+            pairs.append((_at(nut, j + 1) - _at(nu, j) + partial,
+                          _at(nut, j) - _at(nu, j) + partial))
+        norm = 2 ** len(exponents) * prod(_comb(a, b) for a, b in pairs)
+        if norm:
+            terms.append((sum(lam), tdeg, pairs, exponents))
+            l1 += norm
+    W = _width(l1)
+    rows = [0] * (sum(sigma) + 1)
+    for zdeg, tdeg, pairs, exponents in terms:
+        scalar = prod(_gauss_at(a, b, W) for a, b in pairs) << W * tdeg
+        for d, c in enumerate(_pochhammer_at(exponents, W), zdeg):
+            rows[d] += c * scalar
+    return _unpack(rows, W, "z")
 
 
 def phi_positive(sp):
@@ -159,35 +199,37 @@ def phi_positive(sp):
         rec([], 0)
         return result
 
-    out = ZERO
+    # First the (z-degree, t-shift, binomials) of each nonzero term and the
+    # sum of their l1 norms, then the packed sum at that width.
+    terms = []
+    l1 = 0
     all_chains = [chains(a) for a in range(1, N)]
     for combo in iproduct(*all_chains):
         S = {}
         for a in range(1, N):
             for off, v in enumerate(combo[a - 1]):
                 S[(a, a + off)] = v  # b = a..N
-        term = ONE
+        pairs = []
         eta = 0
         zdeg = 0
         for k in range(1, N):
             zdeg += sigma[k - 1] - S[(k, k)]
             top = _at(nut, k + 1) - sum(S[(a, k + 1)] for a in range(1, k + 1))
             bot = _at(nut, k) - sum(S[(a, k)] for a in range(1, k + 1))
-            term = term * gauss_binomial(top, bot)
-            if term.is_zero():
-                break
+            pairs.append((top, bot))
             for i in range(1, k + 1):
-                term = term * gauss_binomial(S[(i, k + 1)], S[(i, k)])
-                if term.is_zero():
-                    break
+                pairs.append((S[(i, k + 1)], S[(i, k)]))
                 eta += (S[(i, k + 1)] - S[(i, k)]) \
                     * (_at(nut, k) - sum(S[(a, k)] for a in range(i, k + 1)))
-            if term.is_zero():
-                break
-        if term.is_zero():
-            continue
-        out = out + Z ** zdeg * T ** eta * term
-    return out
+        norm = prod(_comb(a, b) for a, b in pairs)
+        if norm:
+            terms.append((zdeg, eta, pairs))
+            l1 += norm
+    W = _width(l1)
+    rows = [0] * (sum(sigma) + 1)
+    for zdeg, eta, pairs in terms:
+        rows[zdeg] += prod(_gauss_at(a, b, W) for a, b in pairs) << W * eta
+    return _unpack(rows, W, "z")
 
 
 def rotate(sp, k):
@@ -280,36 +322,45 @@ def g_poly(m, a, b, form="sum"):
         raise NegativeInput("g_poly needs nonnegative inputs")
     if len(a) != len(b):
         raise NegativeInput("a and b must have equal length")
-    n = len(a)
-    v = sym("v")
     if form == "sum":
-        out = ZERO
+        # sum_k v^k (v; t)_{m-k} [m, k] prod_i [k + a_i, b_i]
+        terms = []
+        l1 = 0
         for k in range(m + 1):
-            term = v ** k * pochhammer(v, "t", m - k) * gauss_binomial(m, k)
-            for ai, bi in zip(a, b):
-                term = term * gauss_binomial(k + ai, bi)
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
+            pairs = [(m, k)] + [(k + ai, bi) for ai, bi in zip(a, b)]
+            norm = 2 ** (m - k) * prod(_comb(x, y) for x, y in pairs)
+            if norm:
+                terms.append((k, pairs))
+                l1 += norm
+        W = _width(l1)
+        rows = [0] * (m + 1)
+        for k, pairs in terms:
+            scalar = prod(_gauss_at(x, y, W) for x, y in pairs)
+            for d, c in enumerate(_pochhammer_at(range(m - k), W), k):
+                rows[d] += c * scalar
+        return _unpack(rows, W, "v")
     if form != "positive":
         raise ValueError("form must be 'sum' or 'positive'")
+    # Leaves of the recursion: (v-degree, t-degree, binomials); nonzero only.
+    n = len(a)
     c = [ai + m - bi for ai, bi in zip(a, b)]
-    out = ZERO
+    leaves = []
 
-    def rec(i, prev, acc_term, acc_v, acc_t):
-        nonlocal out
+    def rec(i, prev, pairs, acc_v, acc_t):
         if i > n:
-            out = out + v ** acc_v * T ** acc_t * acc_term
+            leaves.append((acc_v, acc_t, pairs))
             return
         for p in range(prev + 1):
-            term = acc_term * gauss_binomial(prev, p) \
-                * gauss_binomial(a[i - 1] + m - prev, c[i - 1] - p)
-            if term.is_zero():
-                continue
-            rec(i + 1, p, term,
-                acc_v + prev - p,
-                acc_t + (prev - p) * (c[i - 1] - p))
+            pair = (a[i - 1] + m - prev, c[i - 1] - p)
+            if _comb(*pair):
+                rec(i + 1, p, pairs + [(prev, p), pair],
+                    acc_v + prev - p,
+                    acc_t + (prev - p) * (c[i - 1] - p))
 
-    rec(1, m, ONE, 0, 0)
-    return out
+    rec(1, m, [], 0, 0)
+    W = _width(sum(prod(_comb(x, y) for x, y in pairs)
+                   for _, _, pairs in leaves))
+    rows = [0] * (m + 1)
+    for acc_v, acc_t, pairs in leaves:
+        rows[acc_v] += prod(_gauss_at(x, y, W) for x, y in pairs) << W * acc_t
+    return _unpack(rows, W, "v")

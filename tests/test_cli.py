@@ -142,3 +142,18 @@ def test_every_error_is_usage_or_consistency():
 def test_mutually_exclusive_output_flags(capsys):
     code, _, _ = run(capsys, "hpoly", "--lambda", "2", "--json", "--text")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("cauchy", "--form", "PQ", "--vars", "0"),
+    ("cauchy", "--form", "PQ", "--vars", "-2"),
+    ("verify", "--suite", "hl", "--max-weight", "-5"),
+    ("verify", "--jobs", "-3"),
+])
+def test_empty_ranges_exit_two(capsys, argv):
+    # Each of these once swept an empty alphabet or weight range and
+    # printed "ok".
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "ok" not in out
+    assert "invalid input" in err

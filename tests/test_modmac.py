@@ -4,7 +4,8 @@ Kostka extraction, duality, W reductions, Cauchy identities."""
 import pytest
 
 from modmacd.combinat import Partition, partitions_of
-from modmacd.errors import InsufficientVariables, TruncationTooSmall
+from modmacd.errors import (InsufficientVariables, TooFewVariables,
+                            TruncationTooSmall)
 from modmacd.exactalg import ExactPolynomial, P, sym
 from modmacd.modmac import (cauchy_check, duality_check, kostka_qt,
                             modified_H, modified_HL, w_reduction_check)
@@ -130,3 +131,9 @@ def test_cauchy_rejects_trivial_truncation():
         cauchy_check("PQ", 1, 1, 0)
     with pytest.raises(ValueError):
         cauchy_check("bogus", 1, 1, 2)
+
+
+@pytest.mark.parametrize("nx, ny", [(0, 1), (1, 0), (-2, -2)])
+def test_cauchy_rejects_empty_alphabet(nx, ny):
+    with pytest.raises(TooFewVariables):
+        cauchy_check("PQ", nx, ny, 2)

@@ -1,11 +1,14 @@
 """The polynomial Phi: series, finite-sum, and positive-form routes."""
 
 import itertools
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from modmacd import phi
 from modmacd.combinat import SequencePair
-from modmacd.errors import MismatchedTops, NegativeInput
+from modmacd.errors import MismatchedTops, NegativeInput, TruncationResidual
 from modmacd.exactalg import ExactPolynomial, P, render, sym
 from modmacd.phi import (g_poly, phi_at_one, phi_finite, phi_normalized,
                          phi_positive, phi_prime, phi_prime_series,
@@ -143,3 +146,52 @@ def test_single_entry_pair():
     sp = SequencePair((3,), (3,))
     assert phi_positive(sp).is_one()
     assert phi_series(sp).is_one()
+
+
+def test_truncation_check_fires_below_the_true_degree(monkeypatch):
+    # The worked example has z-degree 3.  With the degree bound cut to 2 the
+    # series route must see the nonzero z^3 coefficient and refuse.
+    sp = SequencePair((1, 3, 4, 5), (2, 3, 5, 5))
+    assert phi_positive(sp).degree("z") == 3
+    monkeypatch.setattr(phi, "_degree_bound", lambda pair: 3)
+    assert phi_series(sp) == phi_positive(sp)
+    monkeypatch.setattr(phi, "_degree_bound", lambda pair: 2)
+    with pytest.raises(TruncationResidual):
+        phi_series(sp)
+
+
+# -- the packed kernel at t = 2^W against ExactPolynomial ---------------------
+
+@given(st.integers(-2, 12), st.integers(-2, 12), st.integers(1, 40))
+@settings(max_examples=80, deadline=None)
+def test_gauss_at_is_gauss_binomial_at_a_power_of_two(a, b, W):
+    expect = gauss_binomial(a, b).substitute({"t": P(2 ** W)})
+    assert P(phi._gauss_at(a, b, W)) == expect
+
+
+@given(st.lists(st.lists(st.integers(-2 ** 80, 2 ** 80), max_size=8),
+                max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_unpack_recovers_signed_rows_at_minimal_width(coeffs):
+    W = max((abs(c) for row in coeffs for c in row), default=0) \
+        .bit_length() + 1
+    rows = [sum(c << W * i for i, c in enumerate(row)) for row in coeffs]
+    expect = ExactPolynomial(("z", "t"), {
+        (d, i): c for d, row in enumerate(coeffs) for i, c in enumerate(row)})
+    assert phi._unpack(rows, W, "z") == expect
+
+
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=4),
+       st.lists(st.integers(0, 6), max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_packed_product_matches_exact_product(pairs, exponents):
+    W = phi._width(2 ** len(exponents)
+                   * prod(phi._comb(a, b) for a, b in pairs))
+    scalar = prod(phi._gauss_at(a, b, W) for a, b in pairs)
+    rows = [c * scalar for c in phi._pochhammer_at(exponents, W)]
+    expect = P(1)
+    for a, b in pairs:
+        expect = expect * gauss_binomial(a, b)
+    for e in exponents:
+        expect = expect * (P(1) - Z * T ** e)
+    assert phi._unpack(rows, W, "z") == expect
