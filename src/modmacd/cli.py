@@ -76,7 +76,13 @@ def _cmd_kostka(args):
 def _cmd_coeff(args):
     lam = Partition(parse_intlist(args.lam))
     mu = Partition(tuple(sorted(parse_intlist(args.mu), reverse=True)))
-    res = modified_H(lam, N=args.vars, route=ROUTE_MAP[args.route])
+    # The table only holds mu with at most N parts.
+    N = args.vars
+    if N is None:
+        N = max(len(lam), lam.part(1), len(mu), 1)
+    elif N < len(mu):
+        raise UsageError("--vars must be at least the length of --mu")
+    res = modified_H(lam, N=N, route=ROUTE_MAP[args.route])
     poly = res.coeffs.get(mu, ExactPolynomial.constant(0))
     print(_emit_poly(poly, args.json))
     return 0

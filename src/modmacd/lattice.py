@@ -18,7 +18,7 @@ from .combinat import (Partition, SequencePair, _at, conjugate,
 from .errors import (ConsistencyError, InfeasibleMultiplicities,
                      InsufficientVariables, TopMismatch)
 from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, T,
-                       ratfun_normalize, sym, ZERO)
+                       poly_divexact, ratfun_normalize, sym, ZERO)
 from .memo import memoized
 from .phi import phi_normalized, phi_prime
 from .qseries import fusion_normalizer, gauss_binomial, pochhammer
@@ -301,12 +301,11 @@ def fused_vertex_bruteforce(J, lam, mu, lamp, mup, x="x"):
             if winv:
                 term = term * ExactPolynomial.monomial({"t": -winv})
             total = total + term
-    C = fusion_normalizer(J, lam)
-    poly = RationalFunction(total, C).as_polynomial()
-    if poly is None:
+    try:
+        return poly_divexact(total, fusion_normalizer(J, lam))
+    except ValueError:
         raise ConsistencyError(
-            "fused vertex sum not divisible by the normalizer")
-    return poly
+            "fused vertex sum not divisible by the normalizer") from None
 
 
 def fused_L_recurrence(lam, mu, lamp, mup, x="x", z="z"):
@@ -433,7 +432,7 @@ def _hl_column(nu, nut):
     return expo, binoms
 
 
-def column_weight(i, lam, pairs, variant="x", xnames=None):
+def column_weight(i, lam, pairs, variant="x"):
     """Weight of column i as a RationalFunction: the factor column i
     contributes to the partition function of formula 'x' or 'hl', times its
     x-monomial.
@@ -457,9 +456,8 @@ def column_weight(i, lam, pairs, variant="x", xnames=None):
         out = T ** expo
         for b in binoms:
             out = out * b
-        names = xnames or tuple("x%d" % k for k in range(1, N + 1))
         xs = ExactPolynomial.monomial(
-            {names[k - 1]: nut[k - 1] - _at(nut, k - 1)
+            {"x%d" % k: nut[k - 1] - _at(nut, k - 1)
              for k in range(1, N + 1)})
         return RationalFunction(out * xs)
     if variant != "x":
@@ -475,10 +473,9 @@ def column_weight(i, lam, pairs, variant="x", xnames=None):
     for j in js:
         nu, nut = pairs[j]
         acc = acc * _cell_factor(i, j, tuple(nu), tuple(nut), conj)
-    names = xnames or tuple("x%d" % k for k in range(1, N + 1))
     xs = ExactPolynomial.monomial(
-        {names[k - 1]: sum(pairs[j][1][k - 1] - _at(pairs[j][1], k - 1)
-                           for j in js)
+        {"x%d" % k: sum(pairs[j][1][k - 1] - _at(pairs[j][1], k - 1)
+                        for j in js)
          for k in range(1, N + 1)})
     normalizer = ONE
     for j in range(i + 1, n + 1):

@@ -18,11 +18,6 @@ from .qseries import gauss_binomial, pochhammer
 Z = sym("z")
 
 
-def _zpart(poly, d):
-    """Coefficient of z^d as a polynomial in t."""
-    return poly.coefficient({"z": d})
-
-
 def _degree_bound(sp):
     """z-degree of Phi: second-to-last entry of nu (0 for N = 1)."""
     return _at(sp.nu, sp.N - 1)
@@ -48,8 +43,9 @@ def _binom_list(a, b):
 # t = 2^W with W = B.bit_length() + 1, one balanced W-bit digit per
 # coefficient: products of polynomials become products of ints, and a value
 # is zero exactly when its polynomial is.  Polynomials in (z, t) or (v, t)
-# are lists of such ints indexed by the other degree.  Each route takes B
-# from the l1 norms of its own inputs, never from its result:
+# are lists of such ints indexed by the other degree.  B comes from the l1
+# norms of the inputs (in phi_series and in _packed_sum, the kernel of the
+# other term-sum routes), never from the result:
 # ||[a, b]_t|| = C(a, b), ||1 - z t^e|| = 2, ||fg|| <= ||f|| ||g|| and
 # ||f + g|| <= ||f|| + ||g||.
 
@@ -95,6 +91,31 @@ def _unpack(rows, W, name):
     return ExactPolynomial(("t", name), terms)
 
 
+def _packed_sum(terms, name):
+    """Sum of terms (d, e, pairs, exponents), each standing for
+    name^d t^e prod_{(a, b) in pairs} [a, b]_t prod_{x in exponents}
+    (1 - name t^x), packed at the width of their summed l1 norms."""
+    kept = []
+    l1 = size = 0
+    for term in terms:
+        d, _, pairs, exponents = term
+        norm = prod(_comb(a, b) for a, b in pairs) << len(exponents)
+        if norm:
+            kept.append(term)
+            l1 += norm
+            size = max(size, d + len(exponents) + 1)
+    W = _width(l1)
+    rows = [0] * size
+    for d, e, pairs, exponents in kept:
+        scalar = prod(_gauss_at(a, b, W) for a, b in pairs) << W * e
+        if exponents:
+            for i, c in enumerate(_pochhammer_at(exponents, W), d):
+                rows[i] += c * scalar
+        else:
+            rows[d] += scalar
+    return _unpack(rows, W, name)
+
+
 def phi_series(sp):
     """Truncated-series evaluation of Phi.
 
@@ -137,99 +158,70 @@ def phi_finite(sp):
     """Finite-sum evaluation of Phi over sub-tuples lambda <= sigma.
 
     The term of lambda is z^{|lambda|} t^E times Gaussian binomials times
-    prod_j (z t^{p_j}; t)_{sigma_j - lambda_j}; it is packed at t = 2^W.
+    prod_j (z t^{p_j}; t)_{sigma_j - lambda_j}.
     """
     N = sp.N
     nu, nut = sp.nu, sp.nutilde
     sigma = [_at(nu, j) - _at(nu, j - 1) for j in range(1, N)]
-    terms = []
-    l1 = 0
-    for lam in iproduct(*[range(s + 1) for s in sigma]):
-        tdeg = 0
-        pairs = []
-        exponents = []  # e of each factor (1 - z t^e)
-        partial = 0  # lambda_{1,j-1}
-        for j in range(1, N):
-            lj = lam[j - 1]
-            power = _at(nu, j - 1) - partial
-            tdeg += power * lj
-            exponents.extend(range(power, power + sigma[j - 1] - lj))
-            partial += lj
-            pairs.append((sigma[j - 1], lj))
-            pairs.append((_at(nut, j + 1) - _at(nu, j) + partial,
-                          _at(nut, j) - _at(nu, j) + partial))
-        norm = 2 ** len(exponents) * prod(_comb(a, b) for a, b in pairs)
-        if norm:
-            terms.append((sum(lam), tdeg, pairs, exponents))
-            l1 += norm
-    W = _width(l1)
-    rows = [0] * (sum(sigma) + 1)
-    for zdeg, tdeg, pairs, exponents in terms:
-        scalar = prod(_gauss_at(a, b, W) for a, b in pairs) << W * tdeg
-        for d, c in enumerate(_pochhammer_at(exponents, W), zdeg):
-            rows[d] += c * scalar
-    return _unpack(rows, W, "z")
+
+    def terms():
+        for lam in iproduct(*[range(s + 1) for s in sigma]):
+            tdeg = 0
+            pairs = []
+            exponents = []  # e of each factor (1 - z t^e)
+            partial = 0  # lambda_{1,j-1}
+            for j in range(1, N):
+                lj = lam[j - 1]
+                power = _at(nu, j - 1) - partial
+                tdeg += power * lj
+                exponents.extend(range(power, power + sigma[j - 1] - lj))
+                partial += lj
+                pairs.append((sigma[j - 1], lj))
+                pairs.append((_at(nut, j + 1) - _at(nu, j) + partial,
+                              _at(nut, j) - _at(nu, j) + partial))
+            yield sum(lam), tdeg, pairs, exponents
+
+    return _packed_sum(terms(), "z")
 
 
 def phi_positive(sp):
-    """Manifestly positive evaluation of Phi (requires nu <= nutilde)."""
+    """Manifestly positive evaluation of Phi (requires nu <= nutilde).
+
+    A term is a choice of nondecreasing chains S_a = (S_a^a, ..., S_a^N)
+    with S_a^N = sigma_a; step k reads only columns k and k+1 of them, so
+    the chains are chosen one column at a time and a branch stops at the
+    first step whose binomial [top, bot] vanishes.
+    """
     N = sp.N
     nu, nut = sp.nu, sp.nutilde
     if sp.min_difference() < 0:
         raise NegativeDifference(
             "nutilde < nu somewhere; rotate first: %r" % (sp,))
     sigma = [_at(nu, j) - _at(nu, j - 1) for j in range(1, N)]
-    if N == 1:
-        return ONE
 
-    # chains S[a] = (S[a][a], ..., S[a][N]) with S[a][N] = sigma_a,
-    # nondecreasing; S[a][b] accessed via dict (a, b).
-    def chains(a):
-        top = sigma[a - 1]
-        length = N - a  # free slots b = a..N-1
-        result = []
+    def terms(k, head, zdeg, eta, pairs):
+        # head = (S_1^k, ..., S_{k-1}^k); column k adds S_k^k to it.
+        if k == N:
+            yield zdeg, eta, pairs, ()
+            return
+        last = k + 1 == N
+        for new in range(sigma[k - 1] + 1):
+            col = head + (new,)
+            bot = _at(nut, k) - sum(col)
+            if bot < 0:
+                break
+            rest = [_at(nut, k) - sum(col[i:]) for i in range(k)]
+            for nxt in iproduct(*[range(s if last else c, s + 1)
+                                  for c, s in zip(col, sigma)]):
+                top = _at(nut, k + 1) - sum(nxt)
+                if top >= bot:
+                    yield from terms(
+                        k + 1, nxt, zdeg + sigma[k - 1] - new,
+                        eta + sum((b - a) * r
+                                  for b, a, r in zip(nxt, col, rest)),
+                        pairs + [(top, bot)] + list(zip(nxt, col)))
 
-        def rec(prefix, last):
-            if len(prefix) == length:
-                result.append(tuple(prefix) + (top,))
-                return
-            for v in range(last, top + 1):
-                rec(prefix + [v], v)
-
-        rec([], 0)
-        return result
-
-    # First the (z-degree, t-shift, binomials) of each nonzero term and the
-    # sum of their l1 norms, then the packed sum at that width.
-    terms = []
-    l1 = 0
-    all_chains = [chains(a) for a in range(1, N)]
-    for combo in iproduct(*all_chains):
-        S = {}
-        for a in range(1, N):
-            for off, v in enumerate(combo[a - 1]):
-                S[(a, a + off)] = v  # b = a..N
-        pairs = []
-        eta = 0
-        zdeg = 0
-        for k in range(1, N):
-            zdeg += sigma[k - 1] - S[(k, k)]
-            top = _at(nut, k + 1) - sum(S[(a, k + 1)] for a in range(1, k + 1))
-            bot = _at(nut, k) - sum(S[(a, k)] for a in range(1, k + 1))
-            pairs.append((top, bot))
-            for i in range(1, k + 1):
-                pairs.append((S[(i, k + 1)], S[(i, k)]))
-                eta += (S[(i, k + 1)] - S[(i, k)]) \
-                    * (_at(nut, k) - sum(S[(a, k)] for a in range(i, k + 1)))
-        norm = prod(_comb(a, b) for a, b in pairs)
-        if norm:
-            terms.append((zdeg, eta, pairs))
-            l1 += norm
-    W = _width(l1)
-    rows = [0] * (sum(sigma) + 1)
-    for zdeg, eta, pairs in terms:
-        rows[zdeg] += prod(_gauss_at(a, b, W) for a, b in pairs) << W * eta
-    return _unpack(rows, W, "z")
+    return _packed_sum(terms(1, (), 0, 0, []), "z")
 
 
 def rotate(sp, k):
@@ -295,7 +287,7 @@ def phi_prime_series(sp):
     acc = acc * pochhammer(Z, "t", nut[-1] + 1)
     out = ZERO
     for d in range(D + 1):
-        c = _zpart(acc, d)
+        c = acc.coefficient({"z": d})
         if c.is_zero():
             continue
         if d > bound:
@@ -324,43 +316,23 @@ def g_poly(m, a, b, form="sum"):
         raise NegativeInput("a and b must have equal length")
     if form == "sum":
         # sum_k v^k (v; t)_{m-k} [m, k] prod_i [k + a_i, b_i]
-        terms = []
-        l1 = 0
-        for k in range(m + 1):
-            pairs = [(m, k)] + [(k + ai, bi) for ai, bi in zip(a, b)]
-            norm = 2 ** (m - k) * prod(_comb(x, y) for x, y in pairs)
-            if norm:
-                terms.append((k, pairs))
-                l1 += norm
-        W = _width(l1)
-        rows = [0] * (m + 1)
-        for k, pairs in terms:
-            scalar = prod(_gauss_at(x, y, W) for x, y in pairs)
-            for d, c in enumerate(_pochhammer_at(range(m - k), W), k):
-                rows[d] += c * scalar
-        return _unpack(rows, W, "v")
+        return _packed_sum(
+            [(k, 0, [(m, k)] + [(k + ai, bi) for ai, bi in zip(a, b)],
+              range(m - k)) for k in range(m + 1)], "v")
     if form != "positive":
         raise ValueError("form must be 'sum' or 'positive'")
-    # Leaves of the recursion: (v-degree, t-degree, binomials); nonzero only.
     n = len(a)
     c = [ai + m - bi for ai, bi in zip(a, b)]
-    leaves = []
 
-    def rec(i, prev, pairs, acc_v, acc_t):
+    def leaves(i, prev, pairs, acc_v, acc_t):
         if i > n:
-            leaves.append((acc_v, acc_t, pairs))
+            yield acc_v, acc_t, pairs, ()
             return
         for p in range(prev + 1):
             pair = (a[i - 1] + m - prev, c[i - 1] - p)
             if _comb(*pair):
-                rec(i + 1, p, pairs + [(prev, p), pair],
-                    acc_v + prev - p,
-                    acc_t + (prev - p) * (c[i - 1] - p))
+                yield from leaves(i + 1, p, pairs + [(prev, p), pair],
+                                  acc_v + prev - p,
+                                  acc_t + (prev - p) * (c[i - 1] - p))
 
-    rec(1, m, [], 0, 0)
-    W = _width(sum(prod(_comb(x, y) for x, y in pairs)
-                   for _, _, pairs in leaves))
-    rows = [0] * (m + 1)
-    for acc_v, acc_t, pairs in leaves:
-        rows[acc_v] += prod(_gauss_at(x, y, W) for x, y in pairs) << W * acc_t
-    return _unpack(rows, W, "v")
+    return _packed_sum(leaves(1, m, [], 0, 0), "v")

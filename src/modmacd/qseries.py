@@ -2,29 +2,29 @@
 
 from .combinat import Partition, conjugate
 from .errors import NegativeLambdaZero, NegativeLength
-from .exactalg import ExactPolynomial, ONE, P, RationalFunction, ZERO, sym
+from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, T, ZERO,
+                       sym)
 from .memo import memoized
 
 _BINOM_CACHE = {}
 
 
-def gauss_binomial(a, b, base="t"):
-    """Gaussian binomial [a choose b] in the given base symbol.
+def gauss_binomial(a, b):
+    """Gaussian binomial [a choose b] in t.
 
     Zero unless a >= b >= 0.  Computed by the Pascal-type recurrence
-    [a, b] = [a-1, b-1] + base^b [a-1, b], keeping intermediates positive.
+    [a, b] = [a-1, b-1] + t^b [a-1, b], keeping intermediates positive.
     """
     if not (a >= b >= 0):
         return ZERO
-    return _gauss_binomial(a, min(b, a - b), base)
+    return _gauss_binomial(a, min(b, a - b))
 
 
 @memoized(_BINOM_CACHE)
-def _gauss_binomial(a, b, base):
+def _gauss_binomial(a, b):
     if b == 0:
         return ONE
-    return gauss_binomial(a - 1, b - 1, base) \
-        + sym(base) ** b * gauss_binomial(a - 1, b, base)
+    return gauss_binomial(a - 1, b - 1) + T ** b * gauss_binomial(a - 1, b)
 
 
 def pochhammer(w, base, k):
@@ -72,8 +72,8 @@ def c_functions(lam, qbase="q", tbase="t"):
     return {"c": c, "cprime": cprime, "b": RationalFunction(c, cprime)}
 
 
-def fusion_normalizer(J, lam, base="t"):
-    """C_J(lambda): closed product form, Laurent in the base symbol.
+def fusion_normalizer(J, lam):
+    """C_J(lambda): closed product form, Laurent in t.
 
     lambda is a composition of colour multiplicities (length n); the
     multiplicity of colour 0 is J - sum(lambda) and must be nonnegative.
@@ -85,7 +85,7 @@ def fusion_normalizer(J, lam, base="t"):
     out = ONE
     prefix = lam0
     for m in parts:
-        out = out * ExactPolynomial.monomial({base: -m * prefix}) \
-            * gauss_binomial(prefix + m, m, base)
+        out = out * ExactPolynomial.monomial({"t": -m * prefix}) \
+            * gauss_binomial(prefix + m, m)
         prefix += m
     return out

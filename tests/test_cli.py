@@ -69,6 +69,24 @@ def test_coeff_accepts_unsorted_mu(capsys):
     assert out.strip() == "1 + t + q*t"
 
 
+@pytest.mark.parametrize("route", ["lattice", "dual", "oracle"])
+def test_coeff_default_vars_cover_mu(capsys, route):
+    # mu has more parts than lambda needs variables; the default N must
+    # still hold it instead of printing 0.
+    code, out, _ = run(capsys, "coeff", "--lambda", "2,1", "--mu", "1,1,1",
+                       "--route", route)
+    assert code == 0
+    assert out.strip() == "2 + t + q + 2*q*t"
+
+
+def test_coeff_too_few_vars_for_mu_exit_two(capsys):
+    code, out, err = run(capsys, "coeff", "--lambda", "2,1", "--mu", "1,1,1",
+                         "--vars", "2")
+    assert code == 2
+    assert out == ""
+    assert "invalid input" in err
+
+
 def test_json_output_is_valid_and_deterministic(capsys):
     code, out1, _ = run(capsys, "phi", "--nu", "1,2",
                         "--nutilde", "1,2", "--json")
