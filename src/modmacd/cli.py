@@ -98,101 +98,88 @@ def _cmd_cauchy(args):
 
 
 # ---------------------------------------------------------------------------
-# verification sweeps
+# verification sweeps: each suite yields (check, args) cases in a fixed
+# order, and the first false check(*args) is the suite's counterexample
 # ---------------------------------------------------------------------------
 
-def _verify_phi(mw):
-    bound = min(mw, 4)
+def phi_routes_check(sp):
+    """The three Phi routes agree and have nonnegative coefficients."""
+    a = phi_series(sp)
+    return a == phi_finite(sp) == phi_positive(sp) and a.is_nonnegative()
+
+
+def fused_vertex_check(J, lam, mu, lamp, mup):
+    """The fused recurrence at z = -t^J x equals the word-sum vertex."""
+    z = ExactPolynomial.monomial({"t": J, "x": 1}, -1)
+    lhs = fused_L_recurrence(lam, mu, lamp, mup).substitute({"z": z})
+    return lhs == fused_vertex_bruteforce(J, lam, mu, lamp, mup)
+
+
+def hl_collapse_check(lam):
+    """The lattice H table at q = 0 is the modified Hall-Littlewood table."""
+    N = max(len(lam), lam.part(1), 1)
+    at_q0 = {mu: poly.substitute({"q": 0}) for mu, poly
+             in modified_H(lam, N=N, route="lattice_x").coeffs.items()}
+    return {mu: poly for mu, poly in at_q0.items()
+            if not poly.is_zero()} == modified_HL(lam, N)
+
+
+def _ascending(seq):
+    return all(a <= b for a, b in zip(seq, seq[1:]))
+
+
+def _phi_cases(mw):
+    # Dominated pairs nu <= nutilde with N <= 3 and entries <= min(mw, 4).
+    entries = range(min(mw, 4) + 1)
     for N in range(1, 4):
-        for nu in itertools.product(range(bound + 1), repeat=N):
-            if any(nu[i] > nu[i + 1] for i in range(N - 1)):
-                continue
-            for nut in itertools.product(range(bound + 1), repeat=N - 1):
-                full = nut + (nu[-1],)
-                if any(full[i] > full[i + 1] for i in range(N - 1)):
-                    continue
-                if any(b < a for a, b in zip(nu, full)):
-                    continue
-                sp = SequencePair(nu, full)
-                a = phi_series(sp)
-                if a != phi_finite(sp) or a != phi_positive(sp):
-                    return False
-                if not a.is_nonnegative():
-                    return False
-    return True
+        for nu in itertools.product(entries, repeat=N):
+            for head in itertools.product(entries, repeat=N - 1):
+                nut = head + nu[-1:]
+                if _ascending(nu) and _ascending(nut) \
+                        and all(a <= b for a, b in zip(nu, nut)):
+                    yield phi_routes_check, (SequencePair(nu, nut),)
 
 
-def _verify_lattice(mw):
-    T = ExactPolynomial.variable("t")
-    minus = ExactPolynomial.constant(-1)
+def _lattice_cases(mw):
+    # Fixed: n = 2 columns, J <= 2, 0/1 occupations; then two RLL checks.
+    pairs = list(itertools.product(range(2), repeat=2))
     for J in (1, 2):
-        for lam in itertools.product(range(2), repeat=2):
-            if sum(lam) > J:
-                continue
-            for mu in itertools.product(range(2), repeat=2):
-                if sum(mu) > J:
-                    continue
-                for lamp in itertools.product(range(2), repeat=2):
-                    mup = tuple(a + b - c for a, b, c in zip(lam, lamp, mu))
-                    if any(v < 0 for v in mup):
-                        continue
-                    zsub = minus * T ** J \
-                        * ExactPolynomial.variable("x")
-                    lhs = fused_L_recurrence(lam, mu, lamp, mup).substitute(
-                        {"z": zsub})
-                    if lhs != fused_vertex_bruteforce(J, lam, mu, lamp, mup):
-                        return False
-    return rll_check(1, 2) and rll_check(2, 2)
+        for lam, mu, lamp in itertools.product(pairs, repeat=3):
+            mup = tuple(a + b - c for a, b, c in zip(lam, lamp, mu))
+            if sum(lam) <= J and sum(mu) <= J and min(mup) >= 0:
+                yield fused_vertex_check, (J, lam, mu, lamp, mup)
+    yield rll_check, (1, 2)
+    yield rll_check, (2, 2)
 
 
-def _verify_reductions(mw):
-    for w in range(1, min(mw, 3) + 1):
-        for lam in partitions_of(w):
-            if not w_reduction_check(lam, w):
-                return False
-    return True
+def _shapes(top):
+    """Every partition of weight 1..top."""
+    for w in range(1, top + 1):
+        yield from partitions_of(w)
 
 
-def _verify_hl(mw):
-    for w in range(1, mw + 1):
-        for lam in partitions_of(w):
-            N = max(len(lam), lam.part(1), 1)
-            res = modified_H(lam, N=N, route="lattice_x")
-            at_q0 = {mu: poly.substitute({"q": 0})
-                     for mu, poly in res.coeffs.items()}
-            at_q0 = {mu: poly for mu, poly in at_q0.items()
-                     if not poly.is_zero()}
-            if at_q0 != modified_HL(lam, N):
-                return False
-    return True
-
-
-def _verify_duality(mw):
-    for w in range(1, mw + 1):
-        for lam in partitions_of(w):
-            if not duality_check(lam):
-                return False
-    return True
-
-
-def _verify_cauchy(mw):
-    return all(cauchy_check(name, 1, 1, 2)
-               for name in ("PQ", "dual", "W", "mixedQ", "mixedP"))
-
+_CAUCHY_FORMS = ("PQ", "dual", "W", "mixedQ", "mixedP")
 
 _SUITES = {
-    "phi": _verify_phi,
-    "lattice": _verify_lattice,
-    "reductions": _verify_reductions,
-    "hl": _verify_hl,
-    "duality": _verify_duality,
-    "cauchy": _verify_cauchy,
+    "phi": _phi_cases,
+    "lattice": _lattice_cases,
+    "reductions": lambda mw: ((w_reduction_check, (lam, lam.weight()))
+                              for lam in _shapes(min(mw, 3))),
+    "hl": lambda mw: ((hl_collapse_check, (lam,)) for lam in _shapes(mw)),
+    "duality": lambda mw: ((duality_check, (lam,)) for lam in _shapes(mw)),
+    "cauchy": lambda mw: ((cauchy_check, (form, 1, 1, 2))
+                          for form in _CAUCHY_FORMS),
 }
 
 
 def _run_suite(item):
+    """One suite's report line; text only, so a process pool pickles str."""
     name, mw = item
-    return name, _SUITES[name](mw)
+    for check, args in _SUITES[name](mw):
+        if not check(*args):
+            return "%s: FAILED at %s(%s)" % (
+                name, check.__name__, ", ".join(map(repr, args)))
+    return "%s: ok" % name
 
 
 def _cmd_verify(args):
@@ -205,15 +192,12 @@ def _cmd_verify(args):
     items = [(name, mw) for name in names]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_suite, items))
+            lines = list(pool.map(_run_suite, items))
     else:
-        results = [_run_suite(item) for item in items]
-    status = 0
-    for name, ok in results:
-        print("%s: %s" % (name, "ok" if ok else "FAILED"))
-        if not ok:
-            status = 1
-    return status
+        lines = [_run_suite(item) for item in items]
+    for line in lines:
+        print(line)
+    return 0 if all(line.endswith(": ok") for line in lines) else 1
 
 
 def build_parser():
@@ -268,13 +252,16 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument("--suite", default="all",
                    choices=["all"] + sorted(_SUITES))
-    p.add_argument("--max-weight", type=int, default=None)
+    p.add_argument("--max-weight", type=int, default=None,
+                   help="weight cap, default 4: phi entries <= min(mw, 4) "
+                        "with N <= 3, reductions weights <= min(mw, 3), "
+                        "hl and duality weights <= mw; lattice and "
+                        "cauchy are fixed")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("cauchy", help="check one Cauchy identity")
-    p.add_argument("--form", default="PQ",
-                   choices=("PQ", "dual", "W", "mixedQ", "mixedP"))
+    p.add_argument("--form", default="PQ", choices=_CAUCHY_FORMS)
     p.add_argument("--vars", type=int, default=None,
                    help="alphabet size for both sides")
     p.add_argument("--max-weight", type=int, default=None,

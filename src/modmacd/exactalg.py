@@ -380,14 +380,13 @@ def _to_univariate(p, name):
 
 def _from_univariate(coeffs, name):
     result = ZERO
-    xn = sym(name)
     for d, c in coeffs.items():
-        result = result + c * xn ** d
+        result = result + c * ExactPolynomial.monomial({name: d})
     return result
 
 
 def poly_divexact(f, g):
-    """Exact division f / g; raises ValueError if not divisible."""
+    """Exact Laurent division f / g; raises ValueError if not divisible."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
@@ -406,10 +405,12 @@ def poly_divexact(f, g):
     gu = _to_univariate(g, name)
     dg = max(gu)
     lead = gu[dg]
+    # The quotient's lowest power of name is min(f) - min(g).
+    low = min(fu) - min(gu)
     quot = {}
     while fu:
         df = max(fu)
-        if df < dg:
+        if df - dg < low:
             raise ValueError("not divisible")
         q = poly_divexact(fu[df], lead)
         quot[df - dg] = q

@@ -9,7 +9,7 @@ from .combinat import Partition, conjugate, n_stat, partitions_of
 from .errors import (InsufficientVariables, NegativeCoefficient,
                      TooFewVariables, TruncationTooSmall)
 from .exactalg import (ExactPolynomial, ONE, P, Q, RationalFunction, RF_ONE,
-                       T, ratfun_normalize, sym, ZERO)
+                       T, sym, ZERO)
 from .lattice import partition_function_coeffs
 from .qseries import c_functions, pochhammer
 from .symoracle import (basis_convert, integral_J, macdonald_P,
@@ -84,7 +84,7 @@ def kostka_qt(lam):
     sch = schur_expand(table)
     out = {}
     for nu, c in sch.coeffs.items():
-        poly = ratfun_normalize(c).as_polynomial()
+        poly = c.as_polynomial()
         if poly is None or not poly.is_nonnegative():
             raise NegativeCoefficient(
                 "Kostka coefficient at %r is not in N[q,t]" % (nu,))

@@ -168,11 +168,11 @@ def integral_J(lam, nvars):
     pexp = macdonald_P(lam, nvars)
     coeffs = {}
     for mu, v in pexp.coeffs.items():
-        w = ratfun_normalize(v * c)
-        if w.as_polynomial() is None:
+        poly = (v * c).as_polynomial()
+        if poly is None:
             raise NonPolynomialCoefficient(
                 "J coefficient at %r did not clear" % (mu,))
-        coeffs[mu] = w
+        coeffs[mu] = RationalFunction(poly)
     return SymmetricExpr("monomial", coeffs, nvars)
 
 
@@ -404,7 +404,6 @@ def modified_H_oracle(lam, nvars=None):
     mono = basis_convert(H, "monomial")
     coeffs = {}
     for mu, c in mono.coeffs.items():
-        c = ratfun_normalize(c)
         poly = c.as_polynomial()
         if poly is None:
             raise NonPolynomialCoefficient(
@@ -427,7 +426,6 @@ def W_oracle(lam, N):
                   + ["z%d" % i for i in range(1, N + 1)])
     out = ZERO
     for exp, c in table.items():
-        c = ratfun_normalize(c)
         poly = c.as_polynomial()
         if poly is None:
             raise NonPolynomialCoefficient("W coefficient not polynomial")

@@ -89,7 +89,7 @@ def test_criterion_02_phi_routes_exhaustive():
         assert a.is_nonnegative()
         count += 1
     assert count > 5000
-    _report(2, 120, t0)
+    _report(2, 30, t0)
 
 
 def test_criterion_03_rotation_and_prime_relation():
@@ -101,7 +101,7 @@ def test_criterion_03_rotation_and_prime_relation():
             assert ExactPolynomial.monomial({"z": shift}) \
                 * phi_normalized(rotated) == base
         assert phi_prime_series(sp) == phi_prime(sp)
-    _report(3, 60, t0)
+    _report(3, 20, t0)
 
 
 def test_criterion_04_g_polynomial():
@@ -114,7 +114,7 @@ def test_criterion_04_g_polynomial():
                     p = g_poly(m, a, b, form="positive")
                     assert s == p
                     assert p.is_nonnegative()
-    _report(4, 60, t0)
+    _report(4, 35, t0)
 
 
 def test_criterion_05_fusion_identification():
@@ -138,14 +138,14 @@ def test_criterion_05_fusion_identification():
                                 {"z": minus * T ** J * X})
                         assert spec == fused_vertex_bruteforce(
                             J, lam, mu, lamp, mup)
-    _report(5, 120, t0)
+    _report(5, 10, t0)
 
 
 def test_criterion_06_exchange_relation():
     t0 = time.time()
     assert rll_check(1, 3)
     assert rll_check(2, 3)
-    _report(6, 120, t0)
+    _report(6, 10, t0)
 
 
 def test_criterion_07_h_routes_identical():
@@ -158,7 +158,7 @@ def test_criterion_07_h_routes_identical():
             assert a == b == c
             for poly in a.values():
                 assert poly.is_nonnegative()
-    _report(7, 600, t0)
+    _report(7, 325, t0)
 
 
 def test_criterion_08_hall_littlewood_collapse():
@@ -178,7 +178,7 @@ def test_criterion_09_reduction_square():
     for w in range(1, 5):
         for lam in partitions_of(w):
             assert w_reduction_check(lam, w)
-    _report(9, 180, t0)
+    _report(9, 75, t0)
 
 
 def test_criterion_10_duality():
@@ -186,14 +186,14 @@ def test_criterion_10_duality():
     for w in range(1, 6):
         for lam in partitions_of(w):
             assert duality_check(lam)
-    _report(10, 120, t0)
+    _report(10, 20, t0)
 
 
 def test_criterion_11_cauchy_identities():
     t0 = time.time()
     for name in ("PQ", "dual", "W", "mixedQ", "mixedP"):
         assert cauchy_check(name, 2, 2, 3)
-    _report(11, 300, t0)
+    _report(11, 60, t0)
 
 
 def test_criterion_12_kostka_positivity_and_triangularity():
@@ -213,4 +213,4 @@ def test_criterion_12_kostka_positivity_and_triangularity():
                     raise AssertionError(
                         "unexpected entry at %r for %r" % (nu, lam))
             assert table[lam].substitute(zeros) == P(1)
-    _report(12, 180, t0)
+    _report(12, 110, t0)

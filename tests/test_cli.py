@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from modmacd import errors
+from modmacd import cli, errors
 from modmacd.cli import main
+from modmacd.combinat import Partition
 
 
 def run(capsys, *argv):
@@ -126,6 +127,31 @@ def test_verify_parallel(capsys):
                        "--max-weight", "2", "--jobs", "2")
     assert code == 0
     assert "cauchy: ok" in out
+
+
+def test_verify_names_first_counterexample(capsys, monkeypatch):
+    seen = []
+
+    def duality_check(lam):
+        seen.append(lam)
+        return lam != Partition((2, 1))
+
+    monkeypatch.setattr(cli, "duality_check", duality_check)
+    code, out, _ = run(capsys, "verify", "--suite", "duality",
+                       "--max-weight", "3")
+    assert code == 1
+    assert out == "duality: FAILED at duality_check(Partition((2, 1)))\n"
+    # Weights 1..3 in order; (1, 1, 1) comes after the failure.
+    assert seen == [Partition(p) for p in
+                    ((1,), (2,), (1, 1), (3,), (2, 1))]
+
+
+@pytest.mark.parametrize("suite,count", [
+    ("phi", 222), ("lattice", 79), ("reductions", 6), ("hl", 11),
+    ("duality", 11), ("cauchy", 5),
+])
+def test_verify_case_counts(suite, count):
+    assert sum(1 for _ in cli._SUITES[suite](4)) == count
 
 
 def test_usage_errors_exit_two(capsys):
