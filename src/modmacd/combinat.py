@@ -250,7 +250,9 @@ def enumerate_nu_families(lam, N, dual=False):
     """Stream all NuFamily objects for the coefficient sum.
 
     dual=False: n = lambda_1, tops lambda'_j - lambda'_{j+1};
-    dual=True swaps lambda and its conjugate.
+    dual=True swaps lambda and its conjugate.  This flat product is the
+    reference: the lattice sums walk the same chains column by column, and
+    this is kept for the tests and the benchmark tracer.
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)

@@ -5,22 +5,26 @@ Each formula's weight (x, dual, Hall-Littlewood) is a product of column
 weights, and column_weight is that factor for one column.
 partition_function_coeffs multiplies the same per-column pieces: an
 exponent (chi_column, chi_prime_column, or the one from _hl_column) and one
-factor per cell, or per Gaussian binomial for Hall-Littlewood.  The
-formulas stay independent, each with its own exponent (x and dual share
-only the family enumerator and the cached Phi evaluation), because their
-agreement is the evidence that each is right."""
+factor per cell, or per Gaussian binomial for Hall-Littlewood.  The x and
+dual routes sum by a transfer sweep over columns n, ..., 1 (_column_sweep):
+its state is the current column's chains, each with a map from partial
+composition to polynomial, and each step multiplies in one column weight,
+which reads only that column and the one before it.  The Hall-Littlewood
+route sums over flags.  The formulas stay independent, each with its own
+exponent (x and dual share only the sweep driver and the cached Phi
+evaluation), because their agreement is the evidence that each is right."""
 
 from itertools import permutations, product as iproduct
+from operator import add
 
-from .combinat import (Partition, SequencePair, _at, conjugate,
-                       enumerate_flags, enumerate_nu_families,
-                       inversion_number, multiplicity)
+from .combinat import (Partition, SequencePair, _at, _chains, conjugate,
+                       enumerate_flags, inversion_number, multiplicity)
 from .errors import (ConsistencyError, InfeasibleMultiplicities,
                      InsufficientVariables, TopMismatch)
 from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, T,
                        poly_divexact, ratfun_normalize, sym, ZERO)
 from .memo import memoized
-from .phi import phi_normalized, phi_prime
+from .phi import phi_at_one, phi_normalized, phi_prime
 from .qseries import fusion_normalizer, gauss_binomial, pochhammer
 
 
@@ -348,7 +352,15 @@ _PHI_EVAL_CACHE = {}
 
 @memoized(_PHI_EVAL_CACHE)
 def _phi_eval(nu, nut, qexp, texp, dual):
-    """Phi (or Phi') evaluated at the monomial argument, in (q, t)."""
+    """Phi (or Phi') evaluated at the monomial argument, in (q, t).
+
+    At argument 1 (qexp == texp == 0, the diagonal cell) the value depends
+    on nutilde only and is the closed product phi_at_one, in base q when
+    dual.
+    """
+    if qexp == texp == 0:
+        poly = phi_at_one(SequencePair(nut, nut))
+        return poly.substitute({"t": sym("q")}) if dual else poly
     sp = SequencePair(nu, nut)
     if dual:
         poly = phi_prime(sp)
@@ -363,11 +375,8 @@ def _phi_eval(nu, nut, qexp, texp, dual):
 def _cell_factor(i, j, nu, nut, shape, dual=False):
     """Phi (Phi' when dual) of cell (i, j) at q^(j-i) t^(shape_i - shape_j).
 
-    The diagonal cell has argument 1, where the value depends on nutilde
-    only, so it is evaluated at nu := nutilde.
+    The diagonal cell has argument 1, where _phi_eval reads nutilde only.
     """
-    if i == j:
-        nu = nut
     return _phi_eval(nu, nut, j - i, shape.part(i) - shape.part(j), dual)
 
 
@@ -412,7 +421,10 @@ def chi_prime_column(i, pairs):
 def chi(columns, dual=False):
     """Exponent of a whole family: the sum of its column exponents,
     chi_column (chi_prime_column when dual); columns[i - 1] maps
-    j -> (nu_{i+1,j}, nu_{i,j}) for column i."""
+    j -> (nu_{i+1,j}, nu_{i,j}) for column i.
+
+    The flat reference: partition_function_coeffs takes chi_column per
+    column instead; this is kept for the tests and the benchmark tracer."""
     column_chi = chi_prime_column if dual else chi_column
     return sum(column_chi(i, pairs)
                for i, pairs in enumerate(columns, start=1))
@@ -491,17 +503,21 @@ def partition_function_coeffs(lam, N, formula="x"):
 
     formula 'x': t-exponent chi with Phi factors; 'z': dual route with Phi'
     in base q; 'hl': Kirillov flag sum (polynomials in t).  Each term is the
-    product over columns of the pieces column_weight is made of.  Sums
-    resolved by composition are checked for permutation invariance before
-    collapsing onto partitions.
+    product over columns of the pieces column_weight is made of.  The x and
+    dual sums run as a column sweep (_column_sweep): the state after column
+    i maps each tuple of column-i chains nu_{i,j}, j = i..n, to its partial
+    compositions and their polynomials; the step to column i multiplies by
+    base^chi_column(i) times column i's cell factors, drops transitions
+    with a zero factor, and adds column i's increments to the composition.
+    Sums resolved by composition are checked for permutation invariance
+    before collapsing onto partitions.
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if N < len(lam):
         raise InsufficientVariables("N must be at least ell(lambda)")
-    conj = conjugate(lam)
-    by_comp = {}
     if formula == "hl":
+        by_comp = {}
         n = lam.part(1)
         for flag in enumerate_flags(lam, N):
             expo = 0
@@ -521,25 +537,56 @@ def partition_function_coeffs(lam, N, formula="x"):
             by_comp[mu] = by_comp.get(mu, ZERO) + coef
     elif formula in ("x", "z"):
         dual = (formula == "z")
-        n = conj.part(1) if dual else lam.part(1)
-        shape = lam if dual else conj
-        basename = "q" if dual else "t"
-        for fam in enumerate_nu_families(lam, N, dual=dual):
-            columns = [{j: (fam.column(i + 1, j), fam.column(i, j))
-                        for j in range(i, n + 1)} for i in range(1, n + 1)]
-            factors = [_cell_factor(i, j, nu, nut, shape, dual)
-                       for i, pairs in enumerate(columns, start=1)
-                       for j, (nu, nut) in pairs.items()]
-            if any(f.is_zero() for f in factors):
-                continue
-            coef = ExactPolynomial.monomial({basename: chi(columns, dual)})
-            for f in factors:
-                coef = coef * f
-            mu = fam.mu()
-            by_comp[mu] = by_comp.get(mu, ZERO) + coef
+        by_comp = _column_sweep(lam if dual else conjugate(lam), N, dual)
     else:
         raise ValueError("formula must be 'x', 'z' or 'hl'")
     return _collapse_compositions(by_comp)
+
+
+def _column_sweep(shape, N, dual):
+    """The x (dual: z) route's sum keyed by composition, column by column
+    as partition_function_coeffs describes.
+
+    shape is lambda' (dual: lambda) and n = len(shape).  The chains nu_{i,j}
+    have length N and end at shape_j - shape_{j+1}; nu_{i+1,i} is the zero
+    chain.
+    """
+    column_chi = chi_prime_column if dual else chi_column
+    base = "q" if dual else "t"
+    n = len(shape)
+    zero = (0,) * N
+    states = {(): {zero: ONE}}
+    for i in range(n, 0, -1):
+        js = range(i, n + 1)
+        choices = list(iproduct(*(_chains(shape.part(j) - shape.part(j + 1),
+                                          N) for j in js)))
+        sums = {}
+        for below, partial in states.items():
+            below = (zero,) + below
+            for cur in choices:
+                pairs = dict(zip(js, zip(below, cur)))
+                factors = [_cell_factor(i, j, nu, nut, shape, dual)
+                           for j, (nu, nut) in pairs.items()]
+                if any(f.is_zero() for f in factors):
+                    continue
+                weight = ExactPolynomial.monomial(
+                    {base: column_chi(i, pairs)})
+                for f in factors:
+                    weight = weight * f
+                acc = sums.setdefault(cur, {})
+                for comp, poly in partial.items():
+                    acc[comp] = acc.get(comp, ZERO) + poly * weight
+        states = {}
+        for cur, acc in sums.items():
+            inc = [sum(chain[k] - _at(chain, k) for chain in cur)
+                   for k in range(N)]
+            states[cur] = {tuple(map(add, comp, inc)): poly
+                           for comp, poly in acc.items()}
+    by_comp = {}
+    for partial in states.values():
+        for comp, poly in partial.items():
+            by_comp[comp] = by_comp.get(comp, ZERO) + poly
+    return by_comp
 
 
 def _collapse_compositions(by_comp):

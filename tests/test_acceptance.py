@@ -158,7 +158,7 @@ def test_criterion_07_h_routes_identical():
             assert a == b == c
             for poly in a.values():
                 assert poly.is_nonnegative()
-    _report(7, 325, t0)
+    _report(7, 115, t0)
 
 
 def test_criterion_08_hall_littlewood_collapse():
@@ -170,7 +170,7 @@ def test_criterion_08_hall_littlewood_collapse():
             at0 = {mu: p.substitute({"q": P(0)}) for mu, p in full.items()}
             at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
             assert at0 == modified_HL(lam, N)
-    _report(8, 120, t0)
+    _report(8, 15, t0)
 
 
 def test_criterion_09_reduction_square():

@@ -1,9 +1,10 @@
-"""Canonical JSON output is byte-identical to the recorded golden file.
+"""Canonical JSON output is byte-identical to the recorded golden files.
 
 tests/data/golden_json.json maps each command line (hpoly on the lattice
 and dual routes, hl) to its exact stdout, for every shape of weight <= 5 at
-the default number of variables.  A change that alters any canonical output
-fails here.
+the default number of variables; tests/data/golden_json_w6.json does the
+same for the 11 shapes of weight 6.  A change that alters any canonical
+output fails here.
 """
 
 import json
@@ -13,13 +14,29 @@ import pytest
 
 from modmacd.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_json.json")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
-with open(GOLDEN) as fh:
-    CASES = json.load(fh)
+
+def _load(name):
+    with open(os.path.join(DATA, name)) as fh:
+        return json.load(fh)
+
+
+CASES = _load("golden_json.json")
+CASES_W6 = _load("golden_json_w6.json")
 
 
 @pytest.mark.parametrize("command", sorted(CASES))
 def test_canonical_json_unchanged(capsys, command):
     assert main(command.split()) == 0
     assert capsys.readouterr().out == CASES[command]
+
+
+def test_golden_w6_covers_every_weight_6_shape():
+    assert len(CASES_W6) == 3 * 11
+
+
+@pytest.mark.parametrize("command", sorted(CASES_W6))
+def test_canonical_json_unchanged_weight_6(capsys, command):
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == CASES_W6[command]

@@ -1,23 +1,26 @@
 """Lattice vertex weights: rank-one, fused, R-matrix, exchange relation,
 column weights and the partition function."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from modmacd.combinat import (Partition, SequencePair, conjugate,
                               enumerate_flags, enumerate_nu_families,
-                              multiplicity)
+                              partitions_of)
 from modmacd.errors import TopMismatch
 from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction, sym,
                               ZERO)
-from modmacd.lattice import (FaceState, chi_column, column_weight,
-                             fundamental_L,
+from modmacd.lattice import (FaceState, _phi_eval, chi, chi_column,
+                             column_weight, fundamental_L,
                              fused_L_recurrence, fused_vertex_bruteforce,
                              partition_function_coeffs, r_matrix, rll_check,
                              weight_fused, weight_fused_x, weight_fused_z,
                              weight_hl, weight_hl_factorization_check)
-from modmacd.phi import phi_at_one
+from modmacd.modmac import modified_H, modified_HL
+from modmacd.phi import phi_at_one, phi_normalized, phi_prime
 from modmacd.qseries import gauss_binomial, pochhammer
 
 Q = sym("q")
@@ -168,7 +171,6 @@ def test_column_weight_single_column_shape():
 
 def test_partition_function_routes_agree():
     for w in range(1, 4):
-        from modmacd.combinat import partitions_of
         for lam in partitions_of(w):
             N = max(len(lam), lam.part(1), 1)
             a = partition_function_coeffs(lam, N, formula="x")
@@ -190,6 +192,91 @@ def test_partition_function_known_tables():
     assert got == {Partition((2,)): P(1), Partition((1, 1)): P(1) + Q}
     got = partition_function_coeffs(Partition((1, 1)), 2, formula="x")
     assert got == {Partition((2,)): T, Partition((1, 1)): P(1) + T}
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_by_substitution(nu, nut, qexp, texp, dual):
+    """Phi (Phi' in base q when dual) of a cell, substituted directly."""
+    sp = SequencePair(nu, nut)
+    if dual:
+        return phi_prime(sp).substitute(
+            {"z": ExactPolynomial.monomial({"t": qexp, "q": texp}), "t": Q})
+    return phi_normalized(sp).substitute(
+        {"z": ExactPolynomial.monomial({"q": qexp, "t": texp})})
+
+
+def _flat_partition_function(lam, N, formula):
+    """Reference for partition_function_coeffs(lam, N, 'x' | 'z'): the flat
+    sum over every nu-family of base^chi times one factor per cell (i, j) at
+    q^(j-i) t^(shape_i - shape_j); the diagonal cell, at argument 1, is
+    evaluated at nu := nutilde."""
+    dual = (formula == "z")
+    shape = lam if dual else conjugate(lam)
+    n = len(shape)
+    by_comp = {}
+    for fam in enumerate_nu_families(lam, N, dual=dual):
+        columns = [{j: (fam.column(i + 1, j), fam.column(i, j))
+                    for j in range(i, n + 1)} for i in range(1, n + 1)]
+        coef = ExactPolynomial.monomial({"q" if dual else "t":
+                                         chi(columns, dual)})
+        for i, pairs in enumerate(columns, start=1):
+            for j, (nu, nut) in pairs.items():
+                coef = coef * _cell_by_substitution(
+                    nut if i == j else nu, nut, j - i,
+                    shape.part(i) - shape.part(j), dual)
+        if not coef.is_zero():
+            mu = fam.mu()
+            by_comp[mu] = by_comp.get(mu, ZERO) + coef
+    out = {}
+    for comp, val in by_comp.items():
+        key = Partition(sorted(comp, reverse=True))
+        assert out.setdefault(key, val) == val, comp
+    return out
+
+
+def _with_n(lam):
+    """(lam, N) for N from max(ell(lam), lam_1) to two more."""
+    least = max(len(lam), lam.part(1))
+    return st.tuples(st.just(lam), st.integers(least, least + 2))
+
+
+@given(st.sampled_from([lam for w in range(5) for lam in partitions_of(w)])
+       .flatmap(_with_n), st.sampled_from("xz"))
+@example((Partition(()), 0), "x")
+@example((Partition(()), 1), "z")
+@example((Partition(()), 2), "x")
+@example((Partition((4,)), 4), "x")
+@example((Partition((4,)), 4), "z")
+@example((Partition((1, 1, 1, 1)), 4), "x")
+@example((Partition((1, 1, 1, 1)), 4), "z")
+@settings(max_examples=100, deadline=None)
+def test_column_sweep_matches_flat_family_sum(case, formula):
+    lam, N = case
+    assert partition_function_coeffs(lam, N, formula) \
+        == _flat_partition_function(lam, N, formula)
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=5).map(sorted)
+       .map(tuple))
+@settings(max_examples=60, deadline=None)
+def test_diagonal_cell_is_phi_at_one(nut):
+    # argument 1 is q^0 t^0; the dual route reads Phi' with t -> q
+    sp = SequencePair(nut, nut)
+    assert _phi_eval(nut, nut, 0, 0, False) \
+        == phi_normalized(sp).substitute({"z": P(1)})
+    assert _phi_eval(nut, nut, 0, 0, True) \
+        == phi_prime(sp).substitute({"z": P(1), "t": Q})
+
+
+def test_weight_7_lattice_routes_agree_and_collapse_to_hl():
+    for lam in partitions_of(7):
+        N = max(len(lam), lam.part(1))
+        x = modified_H(lam, N, "lattice_x").coeffs
+        assert x == modified_H(lam, N, "lattice_dual").coeffs, lam
+        assert all(poly.is_nonnegative() for poly in x.values()), lam
+        at0 = {mu: p.substitute({"q": P(0)}) for mu, p in x.items()}
+        at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
+        assert at0 == modified_HL(lam, N), lam
 
 
 def _symmetrized(table, weight, N):
