@@ -442,7 +442,7 @@ def poly_gcd(f, g):
         acc = other
         for c in _to_univariate(with_it, name).values():
             acc = poly_gcd(acc, c)
-            if acc.is_constant():
+            if acc.is_constant() and acc.terms.get((), 0) in (1, -1):
                 break
         return acc
     fu = _to_univariate(f, name)
@@ -576,11 +576,15 @@ class RationalFunction:
                                 self.den.substitute(bindings))
 
     def as_polynomial(self):
-        """Normalized numerator if the denominator clears to 1, else None."""
-        r = ratfun_normalize(self)
-        if r.den.is_one():
-            return r.num
-        return None
+        """The Laurent polynomial num / den, or None if den does not divide.
+
+        The quotient is unique, so exact division gives the same polynomial
+        as a full gcd reduction without computing a gcd.
+        """
+        try:
+            return poly_divexact(self.num, self.den)
+        except ValueError:
+            return None
 
     def __repr__(self):
         return "RationalFunction(%r, %r)" % (self.num, self.den)

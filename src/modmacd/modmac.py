@@ -2,19 +2,19 @@
 the Hall-Littlewood specialization, Kostka extraction, duality and the
 Cauchy-identity test harness."""
 
+from collections import Counter
 from functools import reduce
-from operator import mul
+from operator import mul, or_
 
-from .combinat import Partition, conjugate, n_stat, partitions_of
+from .combinat import Partition, conjugate, n_stat, partitions_of, stats
 from .errors import (InsufficientVariables, NegativeCoefficient,
                      TooFewVariables, TruncationTooSmall)
 from .exactalg import (ExactPolynomial, ONE, P, Q, RationalFunction, RF_ONE,
-                       T, sym, ZERO)
+                       RF_ZERO, T, sym, ZERO)
 from .lattice import partition_function_coeffs
-from .qseries import c_functions, pochhammer
-from .symoracle import (basis_convert, integral_J, macdonald_P,
-                        modified_H_oracle, monomial_expand, schur_expand,
-                        W_oracle, _expand_monomial)
+from .qseries import pochhammer
+from .symoracle import (integral_J, modified_H_oracle, monomial_expand,
+                        schur_expand, W_oracle)
 
 ROUTES = ("lattice_x", "lattice_dual", "oracle")
 
@@ -149,8 +149,9 @@ def w_reduction_check(lam, N):
 #
 # Truncated series live in a fixed variable frame: group A = x_1..x_nx,
 # z_1..z_nx and group B = y_1..y_ny, w_1..w_ny.  A series is a dict mapping
-# exponent tuples (over the frame) to RationalFunction coefficients in (q,t);
-# terms whose group-A or group-B degree exceeds the truncation are dropped.
+# exponent tuples (over the frame) to coefficients in (q,t), RationalFunction
+# on the product side and ExactPolynomial on the sum side; terms whose
+# group-A or group-B degree exceeds the truncation are dropped.
 
 class _Frame:
     def __init__(self, nx, ny, degree):
@@ -170,18 +171,6 @@ class _Frame:
         return {(0,) * len(self.names): RF_ONE}
 
 
-def _series_add(frame, a, b):
-    out = dict(a)
-    for e, c in b.items():
-        got = out.get(e)
-        tot = c if got is None else got + c
-        if tot.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = tot
-    return out
-
-
 def _series_mul(frame, a, b):
     out = {}
     for ea, ca in a.items():
@@ -199,61 +188,24 @@ def _series_mul(frame, a, b):
     return out
 
 
-def _series_equal(a, b):
-    keys = set(a) | set(b)
-    zero = RationalFunction(ZERO)
-    return all(a.get(e, zero) == b.get(e, zero) for e in keys)
-
-
 def _series_from_poly(frame, poly):
-    """Split an ExactPolynomial over frame symbols plus (q, t) into a series."""
-    out = {}
+    """Split a polynomial over frame symbols plus (q, t) into a dict mapping
+    each admitted frame exponent tuple to its (q, t) polynomial."""
+    qt = [v for v in poly.vars if v not in frame.index]
     width = len(frame.names)
+    out = {}
     for exp, coef in poly.terms.items():
         frame_exp = [0] * width
-        qt = {}
+        qt_exp = []
         for name, e in zip(poly.vars, exp):
-            if not e:
-                continue
             if name in frame.index:
                 frame_exp[frame.index[name]] = e
             else:
-                qt[name] = e
+                qt_exp.append(e)
         fe = tuple(frame_exp)
-        if not frame.admits(fe):
-            continue
-        c = RationalFunction(P(coef) * ExactPolynomial.monomial(qt))
-        got = out.get(fe)
-        tot = c if got is None else got + c
-        out[fe] = tot
-    return {e: c for e, c in out.items() if not c.is_zero()}
-
-
-def _expand_symexpr(frame, e, names):
-    """Monomial-basis SymmetricExpr over the given frame symbols."""
-    nvars = len(names)
-    out = {}
-    width = len(frame.names)
-    for mu, c in e.coeffs.items():
-        if len(mu) > nvars:
-            continue
-        for exp in _expand_monomial(mu, nvars):
-            frame_exp = [0] * width
-            for name, v in zip(names, exp):
-                frame_exp[frame.index[name]] = v
-            fe = tuple(frame_exp)
-            if not frame.admits(fe):
-                continue
-            got = out.get(fe)
-            out[fe] = c if got is None else got + c
-    return {e2: c for e2, c in out.items() if not c.is_zero()}
-
-
-def _swap_qt(e):
-    """Exchange the roles of q and t in every coefficient."""
-    swap = {"q": T, "t": Q}
-    coeffs = {mu: c.substitute(swap) for mu, c in e.coeffs.items()}
-    return type(e)(e.basis, coeffs, e.nvars)
+        if frame.admits(fe):
+            out.setdefault(fe, {})[tuple(qt_exp)] = coef
+    return {fe: ExactPolynomial(qt, terms) for fe, terms in out.items()}
 
 
 def _factor_coeffs(kind, degree):
@@ -319,60 +271,74 @@ def _product_side(frame, factors, degree):
     return acc
 
 
-def _scaled(series, scale):
-    return {e: c * scale for e, c in series.items()}
-
-
-# identity -> (left factor kind, (right factor kind, alphabet), hook
-# products that divide each sum-side term, product-side factors (alphabet,
-# alphabet, factor kind)).  The left factor is in x.  Kinds: "P" is P_lam,
-# "Q" is b_lam P_lam, "P'" is P_{lam'} with q and t swapped, "W" is W_lam
-# (in y, w on the right).
+# identity -> (left kind, (right kind, alphabet), product-side factors
+# (alphabet, alphabet, factor kind)).  The left factor is in x.  Kinds: "J"
+# is the integral form J_lam(q, t), "J'" is J_{lam'} with q and t swapped,
+# "W" is W_lam (in y, w on the right).  Every sum-side term is the product
+# of two of these divided by c_lam c'_lam: J_lam = c_lam P_lam = c'_lam Q_lam
+# turns P_lam Q_lam into J J / (c c'), and c_{lam'}(t, q) = c'_lam(q, t)
+# turns P_lam P_{lam'}(t, q) into J J' / (c c'), W P_lam / c' into
+# W J / (c c') and W P_{lam'}(t, q) / c into W J' / (c c'); the W identity
+# divides by c c' itself.
 _CAUCHY = {
-    "PQ": ("P", ("Q", "y"), (), [("x", "y", "pq")]),
-    "dual": ("P", ("P'", "y"), (), [("x", "y", "one_plus")]),
-    "W": ("W", ("W", "y"), ("c", "cprime"),
+    "PQ": ("J", ("J", "y"), [("x", "y", "pq")]),
+    "dual": ("J", ("J'", "y"), [("x", "y", "one_plus")]),
+    "W": ("W", ("W", "y"),
           [("z", "y", "neg_qt"), ("x", "w", "neg_qt"),
            ("x", "y", "inv_qt"), ("z", "w", "inv_qt")]),
-    "mixedQ": ("W", ("P", "y"), ("cprime",),
+    "mixedQ": ("W", ("J", "y"),
                [("z", "y", "neg_q"), ("x", "y", "inv_q")]),
-    "mixedP": ("W", ("P'", "w"), ("c",),
+    "mixedP": ("W", ("J'", "w"),
                [("x", "w", "neg_t"), ("z", "w", "inv_t")]),
 }
 
 
 def _admits_shape(kind, lam, n):
-    """P and Q need ell(lam) <= n, P' needs lam_1 <= n; W takes every shape."""
-    if kind in ("P", "Q"):
+    """J needs ell(lam) <= n, J' needs lam_1 <= n; W takes every shape."""
+    if kind == "J":
         return len(lam) <= n
-    if kind == "P'":
+    if kind == "J'":
         return lam.part(1) <= n
     return True
 
 
-def _cauchy_factor(frame, kind, lam, alphabet, names):
-    """One factor of a sum-side term as a series in the given alphabet."""
-    n = len(names)
-    if kind == "Q":
-        b = c_functions(lam)["b"]
-        return _scaled(_cauchy_factor(frame, "P", lam, alphabet, names), b)
-    if kind == "P":
-        return _expand_symexpr(frame, macdonald_P(lam, n), names)
-    if kind == "P'":
-        return _expand_symexpr(
-            frame, _swap_qt(macdonald_P(conjugate(lam), n)), names)
-    poly = W_oracle(lam, n)
-    if alphabet == "y":
-        rename = {}
-        for j in range(1, n + 1):
-            rename["x%d" % j] = sym("y%d" % j)
-            rename["z%d" % j] = sym("w%d" % j)
-        poly = poly.substitute(rename)
-    return _series_from_poly(frame, poly)
+def _hooks(lam):
+    """Multiset of (a, b) with c_lam c'_lam = prod (1 - q^a t^b)."""
+    out = Counter()
+    for a, l in stats(lam)["armlegs"].values():
+        out[(a, l + 1)] += 1
+        out[(a + 1, l)] += 1
+    return out
+
+
+def _hook_product(hooks):
+    return reduce(mul, (ONE - ExactPolynomial.monomial({"q": a, "t": b})
+                        for a, b in hooks.elements()), ONE)
+
+
+def _integral_form(kind, lam, alphabet, n):
+    """One sum-side factor as a polynomial in the first n letters of the
+    alphabet (W's second alphabet is z beside x and w beside y)."""
+    if kind == "W":
+        poly = W_oracle(lam, n)
+    else:
+        poly = monomial_expand(
+            integral_J(lam if kind == "J" else conjugate(lam), n), n)
+    rename = {"q": "t", "t": "q"} if kind == "J'" else {}
+    if alphabet != "x":
+        for i in range(1, n + 1):
+            rename["x%d" % i] = "%s%d" % (alphabet, i)
+            rename["z%d" % i] = "w%d" % i
+    return ExactPolynomial([rename.get(v, v) for v in poly.vars], poly.terms)
 
 
 def cauchy_check(identity, nx, ny, degree):
-    """Verify one of the Cauchy identities at a fixed series truncation."""
+    """Verify one of the Cauchy identities at a fixed series truncation.
+
+    The sum side of degree m is one polynomial over D_m, the product of the
+    lcm of the hook multisets of the shapes of weight m, and is compared
+    with the product side by cross-multiplication.
+    """
     if degree < 1:
         raise TruncationTooSmall("degree must be at least 1")
     if nx < 1 or ny < 1:
@@ -381,23 +347,23 @@ def cauchy_check(identity, nx, ny, degree):
     if identity not in _CAUCHY:
         raise ValueError(
             "identity must be one of W, PQ, dual, mixedQ, mixedP")
-    left, (right, alphabet), hooks, pairs = _CAUCHY[identity]
+    left, (right, alphabet), pairs = _CAUCHY[identity]
     names = {a: ["%s%d" % (a, i) for i in range(1, n + 1)]
              for a, n in (("x", nx), ("z", nx), ("y", ny), ("w", ny))}
-    lhs = frame.unit()
-    for d in range(1, degree + 1):
-        for lam in partitions_of(d):
-            if not (_admits_shape(left, lam, nx)
-                    and _admits_shape(right, lam, ny)):
-                continue
-            cf = c_functions(lam) if hooks else None
-            term = _series_mul(
-                frame, _cauchy_factor(frame, left, lam, "x", names["x"]),
-                _cauchy_factor(frame, right, lam, alphabet, names[alphabet]))
-            if hooks:
-                term = _scaled(term, RationalFunction(
-                    ONE, reduce(mul, [cf[k] for k in hooks])))
-            lhs = _series_add(frame, lhs, term)
+    lhs = ONE
+    dens = [ONE]
+    for m in range(1, degree + 1):
+        hooks = {lam: _hooks(lam) for lam in partitions_of(m)
+                 if _admits_shape(left, lam, nx)
+                 and _admits_shape(right, lam, ny)}
+        lcm = reduce(or_, hooks.values(), Counter())
+        dens.append(_hook_product(lcm))
+        for lam, h in hooks.items():
+            lhs = lhs + (_integral_form(left, lam, "x", nx)
+                         * _hook_product(lcm - h)
+                         * _integral_form(right, lam, alphabet, ny))
+    lhs = _series_from_poly(frame, lhs)
     rhs = _product_side(frame, [(a, b, kind) for pa, pb, kind in pairs
                                 for a in names[pa] for b in names[pb]], degree)
-    return _series_equal(lhs, rhs)
+    return all(RationalFunction(lhs.get(e, ZERO), dens[sum(e[:frame.na])])
+               == rhs.get(e, RF_ZERO) for e in set(lhs) | set(rhs))

@@ -315,7 +315,6 @@ def basis_convert(e, target):
                     k = kostka_number(nu, mu.parts)
                     if k:
                         remaining[mu] = remaining.get(mu, RF_ZERO) - c * k
-            coeffs = {k: ratfun_normalize(v) for k, v in coeffs.items()}
         return SymmetricExpr("schur", coeffs, e.nvars)
     if e.basis == "schur":
         coeffs = {}

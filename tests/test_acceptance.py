@@ -158,7 +158,7 @@ def test_criterion_07_h_routes_identical():
             assert a == b == c
             for poly in a.values():
                 assert poly.is_nonnegative()
-    _report(7, 115, t0)
+    _report(7, 85, t0)
 
 
 def test_criterion_08_hall_littlewood_collapse():
@@ -178,7 +178,7 @@ def test_criterion_09_reduction_square():
     for w in range(1, 5):
         for lam in partitions_of(w):
             assert w_reduction_check(lam, w)
-    _report(9, 75, t0)
+    _report(9, 35, t0)
 
 
 def test_criterion_10_duality():
@@ -186,14 +186,14 @@ def test_criterion_10_duality():
     for w in range(1, 6):
         for lam in partitions_of(w):
             assert duality_check(lam)
-    _report(10, 20, t0)
+    _report(10, 10, t0)
 
 
 def test_criterion_11_cauchy_identities():
     t0 = time.time()
     for name in ("PQ", "dual", "W", "mixedQ", "mixedP"):
         assert cauchy_check(name, 2, 2, 3)
-    _report(11, 60, t0)
+    _report(11, 15, t0)
 
 
 def test_criterion_12_kostka_positivity_and_triangularity():
@@ -213,4 +213,4 @@ def test_criterion_12_kostka_positivity_and_triangularity():
                     raise AssertionError(
                         "unexpected entry at %r for %r" % (nu, lam))
             assert table[lam].substitute(zeros) == P(1)
-    _report(12, 110, t0)
+    _report(12, 70, t0)

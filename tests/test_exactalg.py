@@ -157,3 +157,23 @@ def test_zero_denominator_rejected():
 def test_non_polynomial_stays_rational():
     r = RationalFunction(P(1), P(1) - T)
     assert r.as_polynomial() is None
+
+
+@given(small_polys(-3), small_polys(-3))
+@example(P(2) * Q, P(2))
+@example(Q, P(2))
+@example(-Q, P(-1))
+@example(P(1), T)
+@example(P(2) * Q, P(2) + T)
+@settings(max_examples=60, deadline=None)
+def test_as_polynomial_matches_gcd_reduction(a, b):
+    if b.is_zero():
+        return
+    assert RationalFunction(a * b, b).as_polynomial() == a
+    reduced = ratfun_normalize(RationalFunction(a, b))
+    got = RationalFunction(a, b).as_polynomial()
+    if reduced.den.is_one():
+        assert got == reduced.num
+    else:
+        assert got is None
+

@@ -3,8 +3,9 @@
 tests/data/golden_json.json maps each command line (hpoly on the lattice
 and dual routes, hl) to its exact stdout, for every shape of weight <= 5 at
 the default number of variables; tests/data/golden_json_w6.json does the
-same for the 11 shapes of weight 6.  A change that alters any canonical
-output fails here.
+same for the 11 shapes of weight 6, and tests/data/golden_kostka.json maps
+``kostka --lambda ... --json`` to its stdout for the 29 shapes of weight
+1..6.  A change that alters any canonical output fails here.
 """
 
 import json
@@ -24,6 +25,7 @@ def _load(name):
 
 CASES = _load("golden_json.json")
 CASES_W6 = _load("golden_json_w6.json")
+CASES_KOSTKA = _load("golden_kostka.json")
 
 
 @pytest.mark.parametrize("command", sorted(CASES))
@@ -40,3 +42,13 @@ def test_golden_w6_covers_every_weight_6_shape():
 def test_canonical_json_unchanged_weight_6(capsys, command):
     assert main(command.split()) == 0
     assert capsys.readouterr().out == CASES_W6[command]
+
+
+def test_golden_kostka_covers_every_shape_up_to_weight_6():
+    assert len(CASES_KOSTKA) == 29
+
+
+@pytest.mark.parametrize("command", sorted(CASES_KOSTKA))
+def test_kostka_json_unchanged(capsys, command):
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == CASES_KOSTKA[command]

@@ -6,9 +6,11 @@ import pytest
 from modmacd.combinat import Partition, partitions_of
 from modmacd.errors import (InsufficientVariables, TooFewVariables,
                             TruncationTooSmall)
+from modmacd import modmac
 from modmacd.exactalg import ExactPolynomial, P, sym
 from modmacd.modmac import (cauchy_check, duality_check, kostka_qt,
                             modified_H, modified_HL, w_reduction_check)
+from modmacd.qseries import c_functions
 
 Q = sym("q")
 T = sym("t")
@@ -137,3 +139,29 @@ def test_cauchy_rejects_trivial_truncation():
 def test_cauchy_rejects_empty_alphabet(nx, ny):
     with pytest.raises(TooFewVariables):
         cauchy_check("PQ", nx, ny, 2)
+
+
+def test_hook_multiset_multiplies_to_c_cprime():
+    for w in range(7):
+        for lam in partitions_of(w):
+            cf = c_functions(lam)
+            assert modmac._hook_product(modmac._hooks(lam)) == \
+                cf["c"] * cf["cprime"]
+
+
+# Each factor kind mapped to one whose series differs by degree 2.
+_WRONG_KIND = {"pq": "inv_q", "one_plus": "inv_q",
+               "inv_q": "neg_q", "neg_q": "inv_q",
+               "inv_t": "neg_t", "neg_t": "inv_t",
+               "inv_qt": "neg_qt", "neg_qt": "inv_qt"}
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 2)])
+@pytest.mark.parametrize("identity", ["PQ", "dual", "W", "mixedQ", "mixedP"])
+def test_cauchy_check_fails_on_a_wrong_product_side(monkeypatch, identity,
+                                                    nx, ny):
+    left, right, pairs = modmac._CAUCHY[identity]
+    for i, (a, b, kind) in enumerate(pairs):
+        wrong = pairs[:i] + [(a, b, _WRONG_KIND[kind])] + pairs[i + 1:]
+        monkeypatch.setitem(modmac._CAUCHY, identity, (left, right, wrong))
+        assert not cauchy_check(identity, nx, ny, 2), (a, b, kind)
