@@ -564,10 +564,6 @@ class RationalFunction:
             return other
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        n = ratfun_normalize(self)
-        return hash((n.num, n.den))
-
     def is_zero(self):
         return self.num.is_zero()
 

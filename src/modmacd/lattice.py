@@ -22,7 +22,7 @@ from .combinat import (Partition, SequencePair, _at, _chains, conjugate,
 from .errors import (ConsistencyError, InfeasibleMultiplicities,
                      InsufficientVariables, TopMismatch)
 from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, T,
-                       poly_divexact, ratfun_normalize, sym, ZERO)
+                       poly_divexact, sym, ZERO)
 from .memo import memoized
 from .phi import phi_at_one, phi_normalized, phi_prime
 from .qseries import fusion_normalizer, gauss_binomial, pochhammer
@@ -450,8 +450,8 @@ def column_weight(i, lam, pairs, variant="x"):
     x-monomial.
 
     variant 'x': pairs maps j -> (nu_j, nutilde_j) for j = i..n with tops
-    equal to the multiplicity of j in lambda, and the weight is divided by
-    the column's normalizer (the diagonal factor j = i is read from
+    equal to the multiplicity of j in lambda, and the weight is over the
+    column's normalizer, unreduced (the diagonal factor j = i is read from
     nutilde_i alone); variant 'hl': pairs is a single (nu, nutilde) tuple
     for the column itself.
     """
@@ -495,7 +495,7 @@ def column_weight(i, lam, pairs, variant="x"):
                                       "t": conj.part(i) - conj.part(j)})
         normalizer = normalizer * pochhammer(
             w, "t", conj.part(j) - conj.part(j + 1) + 1)
-    return ratfun_normalize(RationalFunction(acc * xs, normalizer))
+    return RationalFunction(acc * xs, normalizer)
 
 
 def partition_function_coeffs(lam, N, formula="x"):

@@ -4,15 +4,15 @@ Cauchy-identity test harness."""
 
 from collections import Counter
 from functools import reduce
-from operator import mul, or_
+from operator import or_
 
-from .combinat import Partition, conjugate, n_stat, partitions_of, stats
+from .combinat import Partition, conjugate, n_stat, partitions_of
 from .errors import (InsufficientVariables, NegativeCoefficient,
                      TooFewVariables, TruncationTooSmall)
 from .exactalg import (ExactPolynomial, ONE, P, Q, RationalFunction, RF_ONE,
                        RF_ZERO, T, sym, ZERO)
 from .lattice import partition_function_coeffs
-from .qseries import pochhammer
+from .qseries import factor_product, hook_factors, pochhammer
 from .symoracle import (integral_J, modified_H_oracle, monomial_expand,
                         schur_expand, W_oracle)
 
@@ -303,17 +303,10 @@ def _admits_shape(kind, lam, n):
 
 
 def _hooks(lam):
-    """Multiset of (a, b) with c_lam c'_lam = prod (1 - q^a t^b)."""
-    out = Counter()
-    for a, l in stats(lam)["armlegs"].values():
-        out[(a, l + 1)] += 1
-        out[(a + 1, l)] += 1
-    return out
-
-
-def _hook_product(hooks):
-    return reduce(mul, (ONE - ExactPolynomial.monomial({"q": a, "t": b})
-                        for a, b in hooks.elements()), ONE)
+    """Multiset of (a, b) with c_lam c'_lam = prod (1 - q^a t^b); c' has
+    (a + 1, l) where c has (a, l + 1)."""
+    c = hook_factors(lam)
+    return c + Counter({(a + 1, b - 1): k for (a, b), k in c.items()})
 
 
 def _integral_form(kind, lam, alphabet, n):
@@ -357,10 +350,10 @@ def cauchy_check(identity, nx, ny, degree):
                  if _admits_shape(left, lam, nx)
                  and _admits_shape(right, lam, ny)}
         lcm = reduce(or_, hooks.values(), Counter())
-        dens.append(_hook_product(lcm))
+        dens.append(factor_product(lcm))
         for lam, h in hooks.items():
             lhs = lhs + (_integral_form(left, lam, "x", nx)
-                         * _hook_product(lcm - h)
+                         * factor_product(lcm - h)
                          * _integral_form(right, lam, alphabet, ny))
     lhs = _series_from_poly(frame, lhs)
     rhs = _product_side(frame, [(a, b, kind) for pa, pb, kind in pairs

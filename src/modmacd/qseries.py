@@ -1,6 +1,8 @@
 """Gaussian binomials, Pochhammer symbols, hook products, fusion normalizer."""
 
-from .combinat import Partition, conjugate
+from collections import Counter
+
+from .combinat import Partition, conjugate, stats
 from .errors import NegativeLambdaZero, NegativeLength
 from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, T, ZERO,
                        sym)
@@ -70,6 +72,19 @@ def c_functions(lam, qbase="q", tbase="t"):
             cprime = cprime * (
                 ONE - ExactPolynomial.monomial({qbase: a + 1, tbase: l}))
     return {"c": c, "cprime": cprime, "b": RationalFunction(c, cprime)}
+
+
+def hook_factors(lam):
+    """Multiset of (a, b) with c_lam = prod (1 - q^a t^b): (arm, leg + 1)."""
+    return Counter((a, l + 1) for a, l in stats(lam)["armlegs"].values())
+
+
+def factor_product(factors):
+    """prod (1 - q^a t^b) over a multiset of (a, b)."""
+    out = ONE
+    for a, b in factors.elements():
+        out = out * (ONE - ExactPolynomial.monomial({"q": a, "t": b}))
+    return out
 
 
 def fusion_normalizer(J, lam):

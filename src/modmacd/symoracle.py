@@ -1,25 +1,23 @@
 """Ground-truth symmetric-function computations in explicit variables.
 
-Macdonald P via the branching rule, integral form J, plethystic evaluations,
-and triangular basis conversions (monomial / power-sum / Schur).  Rational
-(q,t) coefficients are RationalFunction values; integer linear algebra uses
+Integral form J by the branching rule over hook-factor multisets (one exact
+division per coefficient), Macdonald P = J / c, plethystic evaluations, and
+triangular basis conversions (monomial / power-sum / Schur).  Rational (q,t)
+coefficients are RationalFunction values; integer linear algebra uses
 fractions.Fraction.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
-from .combinat import Partition, conjugate, partitions_of
+from .combinat import Partition, partitions_of
 from .errors import (NegativeCoefficient, NonPolynomialCoefficient,
                      SingularConversion, TooFewVariables)
-from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, RF_ONE,
-                       RF_ZERO, ZERO, ratfun_normalize, sym)
+from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, RF_ZERO,
+                       ZERO, poly_divexact)
 from .memo import memoized
-from .qseries import c_functions
-
-
-def _qt(qk, tk):
-    return ExactPolynomial.monomial({"q": qk, "t": tk})
+from .qseries import factor_product, hook_factors
 
 
 def horizontal_strip(lam, mu):
@@ -31,22 +29,29 @@ def horizontal_strip(lam, mu):
     return True
 
 
-def _ratio_f(a, b, m):
-    """(numerator, denominator) factor lists for f(q^a t^m)/f(q^b t^m)."""
-    num, den = [], []
-    lo, hi = (a, b) if a <= b else (b, a)
-    for k in range(lo, hi):
-        num.append(ONE - _qt(k, m + 1))
-        den.append(ONE - _qt(k + 1, m))
-    if a <= b:
-        return num, den
-    return den, num
-
-
 _PSI_CACHE = {}
 
 
 @memoized(_PSI_CACHE)
+def _psi_factors(lam, mu):
+    """psi_{lam/mu} on a horizontal strip as cancelled multisets (num, den)
+    of (a, b), each 1 - q^a t^b: each ratio f(q^a t^m) / f(q^b t^m) gives
+    prod_{a <= k < b} (1 - q^k t^(m+1)) / (1 - q^(k+1) t^m), inverted if a > b.
+    """
+    num, den = Counter(), Counter()
+    for j in range(1, len(mu) + 1):
+        for i in range(1, j + 1):
+            m = j - i
+            for a, b in ((mu.part(i) - mu.part(j), lam.part(i) - mu.part(j)),
+                         (lam.part(i) - lam.part(j + 1),
+                          mu.part(i) - lam.part(j + 1))):
+                up, down = (num, den) if a <= b else (den, num)
+                for k in range(min(a, b), max(a, b)):
+                    up[(k, m + 1)] += 1
+                    down[(k + 1, m)] += 1
+    return num - den, den - num
+
+
 def psi_coefficient(lam, mu):
     """Branching coefficient psi_{lam/mu}(q,t); 0 off horizontal strips."""
     if not isinstance(lam, Partition):
@@ -55,20 +60,8 @@ def psi_coefficient(lam, mu):
         mu = Partition(mu)
     if not horizontal_strip(lam, mu):
         return RF_ZERO
-    num = ONE
-    den = ONE
-    for j in range(1, len(mu) + 1):
-        for i in range(1, j + 1):
-            m = j - i
-            for a, b in ((mu.part(i) - mu.part(j), lam.part(i) - mu.part(j)),
-                         (lam.part(i) - lam.part(j + 1),
-                          mu.part(i) - lam.part(j + 1))):
-                ns, ds = _ratio_f(a, b, m)
-                for f in ns:
-                    num = num * f
-                for f in ds:
-                    den = den * f
-    return ratfun_normalize(RationalFunction(num, den))
+    num, den = _psi_factors(lam, mu)
+    return RationalFunction(factor_product(num), factor_product(den))
 
 
 def _strips_removing(lam, d):
@@ -95,18 +88,35 @@ _PCOEF_CACHE = {}
 
 
 @memoized(_PCOEF_CACHE)
-def _pcoef(lam, mu):
-    """Coefficient of x^mu in P_lam(x_1..x_len(mu)); mu a partition's parts."""
+def _jcoef(lam, mu):
+    """Coefficient of x^mu in J_lam(x_1..x_len(mu)); mu a partition's parts.
+
+    J_lam = sum_kappa x_n^|lam/kappa| J_kappa c_lam psi_{lam/kappa} / c_kappa,
+    each factor a pair of cancelled multisets; the terms are summed over the
+    lcm L of their denominators, and prod(L) divides the sum exactly.
+    """
     if not mu:
-        return RF_ONE if not lam.parts else RF_ZERO
+        return ZERO if lam.parts else ONE
     if sum(mu) != lam.weight() or len(lam) > len(mu):
-        return RF_ZERO
-    val = RF_ZERO
+        return ZERO
+    hooks = hook_factors(lam)
+    terms = []
+    lcm = Counter()
     for kappa in _strips_removing(lam, mu[-1]):
-        sub = _pcoef(kappa, mu[:-1])
+        sub = _jcoef(kappa, mu[:-1])
         if not sub.is_zero():
-            val = val + psi_coefficient(lam, kappa) * sub
-    return ratfun_normalize(val)
+            num, den = _psi_factors(lam, kappa)
+            num, den = num + hooks, den + hook_factors(kappa)
+            terms.append((sub, num - den, den - num))
+            lcm |= den - num
+    total = ZERO
+    for sub, num, den in terms:
+        total = total + sub * factor_product(num + (lcm - den))
+    try:
+        return poly_divexact(total, factor_product(lcm))
+    except ValueError:
+        raise NonPolynomialCoefficient(
+            "J_%r coefficient at %r did not clear" % (lam, mu)) from None
 
 
 _KOSTKA_CACHE = {}
@@ -144,36 +154,23 @@ class SymmetricExpr:
         return out
 
 
-def macdonald_P(lam, nvars):
-    """Macdonald polynomial P_lam in the monomial basis."""
+def integral_J(lam, nvars):
+    """Integral form J_lam in the monomial basis (polynomial coefficients)."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if nvars < len(lam):
         raise TooFewVariables("need at least ell(lambda) variables")
-    coeffs = {}
-    for mu in partitions_of(lam.weight()):
-        if len(mu) > nvars:
-            continue
-        c = _pcoef(lam, mu.parts)
-        if not c.is_zero():
-            coeffs[mu] = c
+    coeffs = {mu: RationalFunction(_jcoef(lam, mu.parts))
+              for mu in partitions_of(lam.weight()) if len(mu) <= nvars}
     return SymmetricExpr("monomial", coeffs, nvars)
 
 
-def integral_J(lam, nvars):
-    """Integral form J = c_lam * P; coefficients must clear to polynomials."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    c = c_functions(lam)["c"]
-    pexp = macdonald_P(lam, nvars)
-    coeffs = {}
-    for mu, v in pexp.coeffs.items():
-        poly = (v * c).as_polynomial()
-        if poly is None:
-            raise NonPolynomialCoefficient(
-                "J coefficient at %r did not clear" % (mu,))
-        coeffs[mu] = RationalFunction(poly)
-    return SymmetricExpr("monomial", coeffs, nvars)
+def macdonald_P(lam, nvars):
+    """Macdonald polynomial P_lam = J_lam / c_lam in the monomial basis."""
+    J = integral_J(lam, nvars)
+    c = factor_product(hook_factors(lam))
+    return SymmetricExpr("monomial", {mu: RationalFunction(v.num, c)
+                                      for mu, v in J.coeffs.items()}, nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +347,7 @@ def plethysm_eval(e, rule, nvars=None):
     if rule == "modified":
         coeffs = {}
         for lam, c in ps.coeffs.items():
-            den = ONE
-            for r in lam.parts:
-                den = den * (ONE - ExactPolynomial.monomial({"t": r}))
+            den = factor_product(Counter((0, r) for r in lam.parts))
             coeffs[lam] = c * RationalFunction(ONE, den)
         return SymmetricExpr("powersum", coeffs, ps.nvars)
     if rule == "double":

@@ -1,4 +1,4 @@
-"""Acceptance sweep: twelve end-to-end criteria, one test (and one printed
+"""Acceptance sweep: thirteen end-to-end criteria, one test (and one printed
 pass/fail line) each.  All comparisons are exact."""
 
 import itertools
@@ -158,7 +158,7 @@ def test_criterion_07_h_routes_identical():
             assert a == b == c
             for poly in a.values():
                 assert poly.is_nonnegative()
-    _report(7, 85, t0)
+    _report(7, 35, t0)
 
 
 def test_criterion_08_hall_littlewood_collapse():
@@ -213,4 +213,18 @@ def test_criterion_12_kostka_positivity_and_triangularity():
                     raise AssertionError(
                         "unexpected entry at %r for %r" % (nu, lam))
             assert table[lam].substitute(zeros) == P(1)
-    _report(12, 70, t0)
+    _report(12, 20, t0)
+
+
+def test_criterion_13_weight_7_routes_and_hall_littlewood_collapse():
+    t0 = time.time()
+    for lam in partitions_of(7):
+        N = max(len(lam), lam.part(1))
+        x = _h_table(lam, "lattice_x")
+        assert x == _h_table(lam, "lattice_dual") == _h_table(lam, "oracle"), \
+            lam
+        assert all(poly.is_nonnegative() for poly in x.values()), lam
+        at0 = {mu: p.substitute({"q": P(0)}) for mu, p in x.items()}
+        at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
+        assert at0 == modified_HL(lam, N), lam
+    _report(13, 220, t0)

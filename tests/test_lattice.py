@@ -19,7 +19,6 @@ from modmacd.lattice import (FaceState, _phi_eval, chi, chi_column,
                              partition_function_coeffs, r_matrix, rll_check,
                              weight_fused, weight_fused_x, weight_fused_z,
                              weight_hl, weight_hl_factorization_check)
-from modmacd.modmac import modified_H, modified_HL
 from modmacd.phi import phi_at_one, phi_normalized, phi_prime
 from modmacd.qseries import gauss_binomial, pochhammer
 
@@ -266,17 +265,6 @@ def test_diagonal_cell_is_phi_at_one(nut):
         == phi_normalized(sp).substitute({"z": P(1)})
     assert _phi_eval(nut, nut, 0, 0, True) \
         == phi_prime(sp).substitute({"z": P(1), "t": Q})
-
-
-def test_weight_7_lattice_routes_agree_and_collapse_to_hl():
-    for lam in partitions_of(7):
-        N = max(len(lam), lam.part(1))
-        x = modified_H(lam, N, "lattice_x").coeffs
-        assert x == modified_H(lam, N, "lattice_dual").coeffs, lam
-        assert all(poly.is_nonnegative() for poly in x.values()), lam
-        at0 = {mu: p.substitute({"q": P(0)}) for mu, p in x.items()}
-        at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
-        assert at0 == modified_HL(lam, N), lam
 
 
 def _symmetrized(table, weight, N):

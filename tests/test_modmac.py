@@ -3,14 +3,14 @@ Kostka extraction, duality, W reductions, Cauchy identities."""
 
 import pytest
 
+from modmacd import clear_caches, exactalg, modmac
 from modmacd.combinat import Partition, partitions_of
 from modmacd.errors import (InsufficientVariables, TooFewVariables,
                             TruncationTooSmall)
-from modmacd import modmac
 from modmacd.exactalg import ExactPolynomial, P, sym
 from modmacd.modmac import (cauchy_check, duality_check, kostka_qt,
                             modified_H, modified_HL, w_reduction_check)
-from modmacd.qseries import c_functions
+from modmacd.qseries import c_functions, factor_product
 
 Q = sym("q")
 T = sym("t")
@@ -145,8 +145,27 @@ def test_hook_multiset_multiplies_to_c_cprime():
     for w in range(7):
         for lam in partitions_of(w):
             cf = c_functions(lam)
-            assert modmac._hook_product(modmac._hooks(lam)) == \
+            assert factor_product(modmac._hooks(lam)) == \
                 cf["c"] * cf["cprime"]
+
+
+def test_runtime_reaches_no_gcd(monkeypatch):
+    # Every oracle, Kostka, reduction, duality and Cauchy result is built by
+    # exact division; none of them may fall back to the general gcd.
+    def reached(f, g):
+        raise AssertionError("gcd reached")
+
+    monkeypatch.setattr(exactalg, "poly_gcd", reached)
+    clear_caches()
+    try:
+        modified_H((3, 2, 1), route="oracle")
+        kostka_qt((3, 1))
+        assert w_reduction_check(Partition((2, 1)), 3)
+        assert duality_check(Partition((2, 1)))
+        for identity in ("PQ", "dual", "W", "mixedQ", "mixedP"):
+            assert cauchy_check(identity, 1, 1, 2)
+    finally:
+        clear_caches()
 
 
 # Each factor kind mapped to one whose series differs by degree 2.

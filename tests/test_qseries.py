@@ -9,8 +9,9 @@ from modmacd.combinat import (Partition, conjugate, inversion_number, n_stat,
                               partitions_of)
 from modmacd.errors import NegativeLambdaZero, NegativeLength
 from modmacd.exactalg import ExactPolynomial, P, RationalFunction, sym
-from modmacd.qseries import (c_functions, fusion_normalizer, gauss_binomial,
-                             pochhammer, pochhammer_qt_partition)
+from modmacd.qseries import (c_functions, factor_product, fusion_normalizer,
+                             gauss_binomial, hook_factors, pochhammer,
+                             pochhammer_qt_partition)
 
 T = sym("t")
 W = sym("w")
@@ -130,6 +131,13 @@ def test_hook_product_inversion():
             {"t": lam.weight() + n_stat(lam), "q": n_stat(conjugate(lam))},
             (-1) ** lam.weight())
         assert fns["c"] == pref * inv
+
+
+def test_hook_factors_multiply_to_c():
+    for lam in small_shapes():
+        assert factor_product(hook_factors(lam)) == c_functions(lam)["c"]
+    assert factor_product(hook_factors(Partition((2, 1)))) == \
+        (P(1) - T) ** 2 * (P(1) - sym("q") * T ** 2)
 
 
 def test_b_ratio_conjugation():

@@ -1,10 +1,16 @@
 """Independent symmetric-function oracles: P, J, H, W, Schur, Kostka."""
 
+from collections import Counter
+from functools import lru_cache
+
 import pytest
 
+from modmacd import clear_caches, symoracle
 from modmacd.combinat import Partition, conjugate, n_stat, partitions_of
-from modmacd.errors import TooFewVariables
-from modmacd.exactalg import (ExactPolynomial, P as PC, RationalFunction, sym)
+from modmacd.errors import NonPolynomialCoefficient, TooFewVariables
+from modmacd.exactalg import (ExactPolynomial, P as PC, RationalFunction,
+                              RF_ZERO, ratfun_normalize, sym)
+from modmacd.qseries import c_functions
 from modmacd.symoracle import (SymmetricExpr, W_oracle, basis_convert,
                                horizontal_strip, integral_J, kostka_number,
                                macdonald_P, modified_H_oracle,
@@ -52,6 +58,71 @@ def test_macdonald_P_two_boxes():
     # P_(1,1) is the elementary symmetric polynomial.
     e11 = macdonald_P(Partition((1, 1)), 2)
     assert e11.coeffs == {Partition((1, 1)): rf(ONE)}
+
+
+def _ref_psi(lam, mu):
+    """psi_{lam/mu} as a product of ExactPolynomial factors f(q^a t^m) /
+    f(q^b t^m), reduced by the general gcd."""
+    num = den = ONE
+    for j in range(1, len(mu) + 1):
+        for i in range(1, j + 1):
+            m = j - i
+            for a, b in ((mu.part(i) - mu.part(j), lam.part(i) - mu.part(j)),
+                         (lam.part(i) - lam.part(j + 1),
+                          mu.part(i) - lam.part(j + 1))):
+                for k in range(min(a, b), max(a, b)):
+                    up = ONE - ExactPolynomial.monomial({"q": k, "t": m + 1})
+                    down = ONE - ExactPolynomial.monomial({"q": k + 1, "t": m})
+                    if a > b:
+                        up, down = down, up
+                    num, den = num * up, den * down
+    return ratfun_normalize(RationalFunction(num, den))
+
+
+@lru_cache(maxsize=None)
+def _ref_pcoef(lam, mu):
+    """Coefficient of x^mu in P_lam by the branching rule on P itself, with
+    every sum reduced by the general gcd."""
+    if not mu:
+        return rf(ONE) if not lam.parts else RF_ZERO
+    if sum(mu) != lam.weight() or len(lam) > len(mu):
+        return RF_ZERO
+    val = RF_ZERO
+    for kappa in partitions_of(lam.weight() - mu[-1]):
+        if horizontal_strip(lam, kappa):
+            val = val + _ref_psi(lam, kappa) * _ref_pcoef(kappa, mu[:-1])
+    return ratfun_normalize(val)
+
+
+def test_P_and_J_match_the_gcd_reduced_branching_rule():
+    for w in range(1, 6):
+        for lam in partitions_of(w):
+            P_ = macdonald_P(lam, w).coeffs
+            J = integral_J(lam, w).coeffs
+            c = c_functions(lam)["c"]
+            for mu in partitions_of(w):
+                ref = _ref_pcoef(lam, mu.parts)
+                assert P_.get(mu, RF_ZERO) == ref, (lam, mu)
+                assert J.get(mu, RF_ZERO) == ref * c, (lam, mu)
+                assert J.get(mu, RF_ZERO).den.is_one(), (lam, mu)
+
+
+def test_integral_J_rejects_a_wrong_branching_denominator(monkeypatch):
+    psi = symoracle._psi_factors
+
+    def wrong(lam, mu):
+        num, den = psi(lam, mu)
+        return num, den + Counter({(1, 0): 1})
+
+    clear_caches()
+    monkeypatch.setattr(symoracle, "_psi_factors", wrong)
+    try:
+        for w in range(1, 5):
+            for lam in partitions_of(w):
+                with pytest.raises(NonPolynomialCoefficient):
+                    integral_J(lam, w)
+    finally:
+        clear_caches()
 
 
 def test_macdonald_P_at_q_equals_t_is_schur():
