@@ -4,6 +4,10 @@ Coefficients are arbitrary-precision Python integers.  A polynomial stores a
 sorted tuple of symbol names and a dict mapping exponent tuples (negatives
 allowed) to nonzero integer coefficients.  Symbols that appear with exponent
 zero everywhere are pruned, so equal values have identical representations.
+
+Sums and products build that canonical form directly, pruning only symbols
+that cancelled; a product of two operands with several terms each sums its
+term products on packed integer exponent keys and decodes them once.
 """
 
 import json
@@ -125,15 +129,25 @@ class ExactPolynomial:
             other = ExactPolynomial.constant(other)
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         merged, a, b = self._aligned(other)
+        if len(a) < len(b):
+            a, b = b, a
         out = dict(a)
+        cancelled = False
         for e, c in b.items():
             s = out.get(e, 0) + c
             if s:
                 out[e] = s
-            elif e in out:
+            else:
                 del out[e]
-        return ExactPolynomial(merged, out)
+                cancelled = True
+        if cancelled:
+            return _pruned(merged, out)
+        return ExactPolynomial(merged, out, _canonical=True)
 
     __radd__ = __add__
 
@@ -163,17 +177,11 @@ class ExactPolynomial:
             return NotImplemented
         if not self.terms or not other.terms:
             return ExactPolynomial.constant(0)
-        merged, a, b = self._aligned(other)
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return ExactPolynomial(merged, out)
+        if len(self.terms) == 1:
+            return _mul_monomial(self, other)
+        if len(other.terms) == 1:
+            return _mul_monomial(other, self)
+        return _mul_packed(self, other)
 
     __rmul__ = __mul__
 
@@ -197,6 +205,9 @@ class ExactPolynomial:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes like the int it equals
+        if not self.vars:
+            return hash(self.terms.get((), 0))
         return hash((self.vars, frozenset(self.terms.items())))
 
     # -- substitution and extraction --------------------------------------
@@ -288,6 +299,100 @@ def _monomial_power(p, ex):
             "binding for a negative exponent must have coefficient +-1")
     inv = ExactPolynomial(p.vars, {tuple(-x for x in e): c}, _canonical=True)
     return inv ** (-ex)
+
+
+def _pruned(variables, terms):
+    """The polynomial of otherwise canonical terms (sorted symbols, nonzero
+    coefficients), without the symbols whose exponent is zero everywhere."""
+    used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
+    if len(used) != len(variables):
+        variables = tuple(variables[i] for i in used)
+        terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+    return ExactPolynomial(variables, terms, _canonical=True)
+
+
+def _mul_monomial(m, p):
+    """m * p for a one-term m: every exponent of p shifts by m's."""
+    (em, cm), = m.terms.items()
+    if not em:
+        return p * cm
+    merged, a, b = m._aligned(p)
+    (em,) = a
+    out = {tuple(x + y for x, y in zip(e, em)): c * cm for e, c in b.items()}
+    # a symbol of m vanishes only where p carries the opposite exponent in
+    # every term, so the first term decides whether a scan is needed
+    first = next(iter(out))
+    if any(x and not first[i] for i, x in enumerate(em)):
+        return _pruned(merged, out)
+    return ExactPolynomial(merged, out, _canonical=True)
+
+
+def _mul_packed(f, g):
+    """f * g accumulated on packed integer exponent keys.
+
+    Symbol i of the product has exponents in [lo_i, lo_i + width_i).  An
+    exponent tuple e packs to sum (e_i - lo_i) R_i in the mixed radix
+    R = 1, width_i, width_i width_j, ... over the symbols kept, so the key
+    of a product of two terms is the sum of their keys (each operand packs
+    with its own lows, and the lows add).  The keys are decoded once at the
+    end.  Extreme exponents never cancel (the ring is a domain), so a symbol
+    is dropped, and packs with weight 0, exactly when its range is {0}.
+    """
+    merged = f.vars if f.vars == g.vars \
+        else tuple(sorted(set(f.vars) | set(g.vars)))
+    n = len(merged)
+    lo = [0] * n
+    hi = [0] * n
+    operands = []
+    for p in (f, g):
+        pos = [merged.index(v) for v in p.vars]
+        lows = []
+        for j, column in zip(pos, zip(*p.terms)):
+            low = min(column)
+            lows.append(low)
+            lo[j] += low
+            hi[j] += max(column)
+        operands.append((p, pos, lows))
+    keep = [i for i in range(n) if lo[i] or hi[i]]
+    radix = [0] * n
+    r = 1
+    for i in keep:
+        radix[i] = r
+        r *= hi[i] - lo[i] + 1
+    a, b = (_packed_terms(p, [radix[j] for j in pos], lows)
+            for p, pos, lows in operands)
+    if len(a) < len(b):
+        a, b = b, a
+    acc = {}
+    get = acc.get
+    for ka, ca in a:
+        for kb, cb in b:
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    out = _unpacked(acc, [(hi[i] - lo[i] + 1, lo[i]) for i in keep])
+    return ExactPolynomial(tuple(merged[i] for i in keep), out,
+                           _canonical=True)
+
+
+def _packed_terms(p, weights, lows):
+    """[(key, coefficient)] of p, key = sum (e_i - low_i) weight_i; built
+    one symbol of every term at a time."""
+    keys = [-sum(x * w for x, w in zip(lows, weights))] * len(p.terms)
+    for column, w in zip(zip(*p.terms), weights):
+        keys = [k + x * w for k, x in zip(keys, column)]
+    return list(zip(keys, p.terms.values()))
+
+
+def _unpacked(acc, digits):
+    """The nonzero entries of acc with each key decoded into its exponent
+    tuple; digits lists (width, low) per symbol, least significant first.
+    Decodes one digit of every key at a time."""
+    keys = [k for k, c in acc.items() if c]
+    columns = []
+    for w, low in digits:
+        columns.append([k % w + low for k in keys])
+        keys = [k // w for k in keys]
+    return dict(zip(zip(*columns), [c for c in acc.values() if c]))
 
 
 # convenience constructors used throughout the package
@@ -514,6 +619,10 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return other
+        if other.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return other
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
@@ -535,6 +644,8 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return RationalFunction(self.num * other, self.den)
         other = _as_rf(other)
         if other is NotImplemented:
             return other

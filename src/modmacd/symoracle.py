@@ -5,19 +5,26 @@ division per coefficient), Macdonald P = J / c, plethystic evaluations, and
 triangular basis conversions (monomial / power-sum / Schur).  Rational (q,t)
 coefficients are RationalFunction values; integer linear algebra uses
 fractions.Fraction.
+
+A plethysm gives all coefficients of one degree the same denominator, an
+integer times a multiset of factors 1 - t^r, so its sums and the basis
+conversions after it never cross-multiply; the oracles then clear that
+known denominator by exact division (qseries.divide_factors), which raises
+when a coefficient is not a polynomial.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from .combinat import Partition, partitions_of
 from .errors import (NegativeCoefficient, NonPolynomialCoefficient,
                      SingularConversion, TooFewVariables)
 from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, RF_ZERO,
-                       ZERO, poly_divexact)
+                       ZERO)
 from .memo import memoized
-from .qseries import factor_product, hook_factors
+from .qseries import divide_factors, factor_product, hook_factors
 
 
 def horizontal_strip(lam, mu):
@@ -113,7 +120,7 @@ def _jcoef(lam, mu):
     for sub, num, den in terms:
         total = total + sub * factor_product(num + (lcm - den))
     try:
-        return poly_divexact(total, factor_product(lcm))
+        return divide_factors(total, lcm)
     except ValueError:
         raise NonPolynomialCoefficient(
             "J_%r coefficient at %r did not clear" % (lam, mu)) from None
@@ -183,17 +190,20 @@ def _expand_monomial(mu, nvars):
     return {e: 1 for e in set(permutations(padded))}
 
 
-def _expand_powersum(lam, nvars):
-    """p_lam as an integer dict exponent-tuple -> coefficient."""
-    acc = {(0,) * nvars: 1}
+def _expand_powersum(lam, nvars, nz=0):
+    """p_lam as an integer dict exponent-tuple -> coefficient over
+    x_1..x_nvars, followed by z_1..z_nz where p_r(z) enters with sign
+    (-1)^(r+1): each p_r becomes p_r(x) + (-1)^(r+1) p_r(z)."""
+    acc = {(0,) * (nvars + nz): 1}
     for r in lam.parts:
+        sign = 1 if r % 2 else -1
         new = {}
         for e, c in acc.items():
-            for i in range(nvars):
-                key = tuple(x + (r if j == i else 0) for j, x in enumerate(e))
-                new[key] = new.get(key, 0) + c
+            for i in range(nvars + nz):
+                key = e[:i] + (e[i] + r,) + e[i + 1:]
+                new[key] = new.get(key, 0) + (c if i < nvars else sign * c)
         acc = new
-    return acc
+    return {e: c for e, c in acc.items() if c}
 
 
 _TRANSITION_CACHE = {}
@@ -245,11 +255,6 @@ def _transitions(d):
     return plist, p_in_m, m_in_p
 
 
-def _rf_scale(rf, frac):
-    return RationalFunction(rf.num * frac.numerator,
-                            rf.den * frac.denominator)
-
-
 def monomial_expand(e, nvars):
     """Explicit polynomial over x_1..x_nvars (polynomial coefficients only)."""
     if e.basis != "monomial":
@@ -294,9 +299,16 @@ def basis_convert(e, target):
                     coeffs[lam] = coeffs.get(lam, RF_ZERO) + c
                 continue
             _, _, m_in_p = _transitions(d)
+            # one integer denominator k per degree: equal input denominators
+            # stay equal, and no sum cross-multiplies
+            k = lcm(*(f.denominator for row in m_in_p.values()
+                      for f in row.values()))
             for mu, c in part.items():
+                den = c.den * k
                 for lam, frac in m_in_p[mu].items():
-                    coeffs[lam] = coeffs.get(lam, RF_ZERO) + _rf_scale(c, frac)
+                    coeffs[lam] = coeffs.get(lam, RF_ZERO) + RationalFunction(
+                        c.num * (frac.numerator * (k // frac.denominator)),
+                        den)
         return SymmetricExpr("powersum", coeffs, e.nvars)
     if e.basis == "monomial" and target == "schur":
         coeffs = {}
@@ -335,6 +347,40 @@ def schur_expand(e):
 # plethystic evaluations
 # ---------------------------------------------------------------------------
 
+def _plethysm_factors(lam):
+    """p_lam[X / (1 - t)] = p_lam / prod (1 - q^a t^b) over these (a, b)."""
+    return Counter((0, r) for r in lam.parts)
+
+
+def _shared_denominators(ps):
+    """Per degree d of a power-sum expression, (k_d, D_d): the lcm of the
+    integer denominators of its degree-d coefficients, and the lcm multiset
+    of _plethysm_factors(lam) over its degree-d terms."""
+    out = {}
+    for lam, c in ps.coeffs.items():
+        k, factors = out.get(lam.weight(), (1, Counter()))
+        out[lam.weight()] = (lcm(k, c.den.constant_value()),
+                             factors | _plethysm_factors(lam))
+    return out
+
+
+def _cleared(num, shared, what):
+    """num / (k_d prod_{D_d} (1 - q^a t^b)) for shared = (k_d, D_d), which
+    must be a polynomial."""
+    k, factors = shared
+    try:
+        poly = divide_factors(num, factors)
+        out = {}
+        for e, c in poly.terms.items():
+            q, r = divmod(c, k)
+            if r:
+                raise ValueError("not divisible by %d" % k)
+            out[e] = q
+    except ValueError:
+        raise NonPolynomialCoefficient("%s not polynomial" % what) from None
+    return ExactPolynomial(poly.vars, out, _canonical=True)
+
+
 def plethysm_eval(e, rule, nvars=None):
     """Apply a power-sum substitution rule.
 
@@ -342,46 +388,35 @@ def plethysm_eval(e, rule, nvars=None):
     rule='double': p_r -> (p_r(x-alphabet) + (-1)^{r+1} p_r(z-alphabet))
     / (1 - t^r); returns a dict exponent-tuple -> RationalFunction over the
     variables x_1..x_N, z_1..z_N (N = nvars).
+
+    Every result coefficient of degree d has the one denominator
+    k_d prod_{D_d} (1 - q^a t^b) of _shared_denominators, so no sum here or
+    in a later basis_convert cross-multiplies.  The power-sum coefficients
+    of e must have integer denominators, as those of any expression with
+    polynomial coefficients do.
     """
+    if rule not in ("modified", "double"):
+        raise ValueError("unknown rule %r" % (rule,))
+    if rule == "double" and nvars is None:
+        raise TooFewVariables("rule='double' needs nvars")
     ps = basis_convert(e, "powersum")
+    shared = _shared_denominators(ps)
+    dens = {d: factor_product(factors) * k
+            for d, (k, factors) in shared.items()}
+    coeffs = {}
+    for lam, c in ps.coeffs.items():
+        k, factors = shared[lam.weight()]
+        num = c.num * (k // c.den.constant_value()) * factor_product(
+            factors - _plethysm_factors(lam))
+        if rule == "modified":
+            coeffs[lam] = RationalFunction(num, dens[lam.weight()])
+            continue
+        for key, m in _expand_powersum(lam, nvars, nvars).items():
+            coeffs[key] = coeffs.get(key, ZERO) + num * m
     if rule == "modified":
-        coeffs = {}
-        for lam, c in ps.coeffs.items():
-            den = factor_product(Counter((0, r) for r in lam.parts))
-            coeffs[lam] = c * RationalFunction(ONE, den)
         return SymmetricExpr("powersum", coeffs, ps.nvars)
-    if rule == "double":
-        if nvars is None:
-            raise TooFewVariables("rule='double' needs nvars")
-        nv = 2 * nvars
-        zero = (0,) * nv
-        total = {}
-        for lam, c in ps.coeffs.items():
-            acc = {zero: c}
-            for r in lam.parts:
-                gen = {}
-                for i in range(nvars):
-                    key = list(zero)
-                    key[i] = r
-                    gen[tuple(key)] = 1
-                sign = 1 if r % 2 else -1
-                for i in range(nvars):
-                    key = list(zero)
-                    key[nvars + i] = r
-                    gen[tuple(key)] = sign
-                scale = RationalFunction(
-                    ONE, ONE - ExactPolynomial.monomial({"t": r}))
-                new = {}
-                for e1, c1 in acc.items():
-                    for e2, c2 in gen.items():
-                        key = tuple(a + b for a, b in zip(e1, e2))
-                        cur = new.get(key, RF_ZERO) + c1 * (scale * c2)
-                        new[key] = cur
-                acc = new
-            for k, v in acc.items():
-                total[k] = total.get(k, RF_ZERO) + v
-        return {k: v for k, v in total.items() if not v.is_zero()}
-    raise ValueError("unknown rule %r" % (rule,))
+    return {key: RationalFunction(v, dens[sum(key)])
+            for key, v in coeffs.items() if not v.is_zero()}
 
 
 def modified_H_oracle(lam, nvars=None):
@@ -393,15 +428,13 @@ def modified_H_oracle(lam, nvars=None):
         nvars = d
     if nvars < d and nvars < len(lam):
         raise TooFewVariables("need nvars >= |lambda| for a faithful oracle")
-    J = integral_J(lam, max(d, 1))
-    H = plethysm_eval(J, "modified")
-    mono = basis_convert(H, "monomial")
+    ps = basis_convert(integral_J(lam, max(d, 1)), "powersum")
+    shared = _shared_denominators(ps)
+    mono = basis_convert(plethysm_eval(ps, "modified"), "monomial")
     coeffs = {}
     for mu, c in mono.coeffs.items():
-        poly = c.as_polynomial()
-        if poly is None:
-            raise NonPolynomialCoefficient(
-                "H coefficient at %r not polynomial" % (mu,))
+        poly = _cleared(c.num, shared[mu.weight()],
+                        "H coefficient at %r" % (mu,))
         if not poly.is_nonnegative():
             raise NegativeCoefficient(
                 "H coefficient at %r has a negative term" % (mu,))
@@ -414,15 +447,15 @@ def W_oracle(lam, N):
     """W polynomial over x_1..x_N, z_1..z_N, q, t with positive coefficients."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    J = integral_J(lam, max(lam.weight(), len(lam), 1))
-    table = plethysm_eval(J, "double", nvars=N)
+    ps = basis_convert(integral_J(lam, max(lam.weight(), len(lam), 1)),
+                       "powersum")
+    shared = _shared_denominators(ps)
+    table = plethysm_eval(ps, "double", nvars=N)
     names = tuple(["x%d" % i for i in range(1, N + 1)]
                   + ["z%d" % i for i in range(1, N + 1)])
     out = ZERO
     for exp, c in table.items():
-        poly = c.as_polynomial()
-        if poly is None:
-            raise NonPolynomialCoefficient("W coefficient not polynomial")
+        poly = _cleared(c.num, shared[sum(exp)], "W coefficient")
         if not poly.is_nonnegative():
             raise NegativeCoefficient("W coefficient has a negative term")
         out = out + poly * ExactPolynomial.monomial(dict(zip(names, exp)))

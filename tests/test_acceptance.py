@@ -101,7 +101,7 @@ def test_criterion_03_rotation_and_prime_relation():
             assert ExactPolynomial.monomial({"z": shift}) \
                 * phi_normalized(rotated) == base
         assert phi_prime_series(sp) == phi_prime(sp)
-    _report(3, 20, t0)
+    _report(3, 10, t0)
 
 
 def test_criterion_04_g_polynomial():
@@ -158,7 +158,7 @@ def test_criterion_07_h_routes_identical():
             assert a == b == c
             for poly in a.values():
                 assert poly.is_nonnegative()
-    _report(7, 35, t0)
+    _report(7, 15, t0)
 
 
 def test_criterion_08_hall_littlewood_collapse():
@@ -170,7 +170,7 @@ def test_criterion_08_hall_littlewood_collapse():
             at0 = {mu: p.substitute({"q": P(0)}) for mu, p in full.items()}
             at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
             assert at0 == modified_HL(lam, N)
-    _report(8, 15, t0)
+    _report(8, 10, t0)
 
 
 def test_criterion_09_reduction_square():
@@ -178,7 +178,7 @@ def test_criterion_09_reduction_square():
     for w in range(1, 5):
         for lam in partitions_of(w):
             assert w_reduction_check(lam, w)
-    _report(9, 35, t0)
+    _report(9, 10, t0)
 
 
 def test_criterion_10_duality():
@@ -193,7 +193,7 @@ def test_criterion_11_cauchy_identities():
     t0 = time.time()
     for name in ("PQ", "dual", "W", "mixedQ", "mixedP"):
         assert cauchy_check(name, 2, 2, 3)
-    _report(11, 15, t0)
+    _report(11, 10, t0)
 
 
 def test_criterion_12_kostka_positivity_and_triangularity():
@@ -213,7 +213,7 @@ def test_criterion_12_kostka_positivity_and_triangularity():
                     raise AssertionError(
                         "unexpected entry at %r for %r" % (nu, lam))
             assert table[lam].substitute(zeros) == P(1)
-    _report(12, 20, t0)
+    _report(12, 10, t0)
 
 
 def test_criterion_13_weight_7_routes_and_hall_littlewood_collapse():
@@ -227,4 +227,4 @@ def test_criterion_13_weight_7_routes_and_hall_littlewood_collapse():
         at0 = {mu: p.substitute({"q": P(0)}) for mu, p in x.items()}
         at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
         assert at0 == modified_HL(lam, N), lam
-    _report(13, 220, t0)
+    _report(13, 85, t0)

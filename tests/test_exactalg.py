@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modmacd.errors import (NonUnitIntoNegativeExponent, ZeroDenominator)
-from modmacd.exactalg import (ExactPolynomial, RationalFunction, P, sym,
+from modmacd.exactalg import (ONE, ExactPolynomial, RationalFunction, P, sym,
                               poly_divexact, poly_gcd, ratfun_normalize,
                               render)
 
@@ -20,6 +20,84 @@ def small_polys(low=0):
     return st.dictionaries(exps, coefs, max_size=4).map(
         lambda d: sum((ExactPolynomial.monomial({"q": e[0], "t": e[1]}, c)
                        for e, c in d.items()), ExactPolynomial.constant(0)))
+
+
+NAMES = ("q", "t", "x1")
+
+
+def mixed_polys():
+    """Laurent polynomials over a random subset of NAMES."""
+    exps = st.tuples(*(st.integers(-2, 2) for _ in NAMES))
+    terms = st.dictionaries(exps, st.integers(-3, 3), max_size=5)
+    return st.builds(_over, st.sets(st.sampled_from(NAMES)), terms)
+
+
+def _over(names, terms):
+    names = tuple(sorted(names))
+    out = {}
+    for e, c in terms.items():
+        key = tuple(x for v, x in zip(NAMES, e) if v in names)
+        out[key] = out.get(key, 0) + c
+    return ExactPolynomial(names, out)
+
+
+def _schoolbook(a, b, combine):
+    """Reference sum or product: every pair of terms over the merged symbols,
+    canonicalised by the full constructor."""
+    names = tuple(sorted(set(a.vars) | set(b.vars)))
+
+    def spread(p):
+        return [(tuple(dict(zip(p.vars, e)).get(v, 0) for v in names), c)
+                for e, c in p.terms.items()]
+
+    out = {}
+    if combine == "mul":
+        for e1, c1 in spread(a):
+            for e2, c2 in spread(b):
+                key = tuple(x + y for x, y in zip(e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+    else:
+        for e, c in spread(a) + spread(b):
+            out[e] = out.get(e, 0) + c
+    return ExactPolynomial(names, out)
+
+
+def _same(got, want):
+    assert (got.vars, got.terms) == (want.vars, want.terms)
+    assert hash(got) == hash(want)
+
+
+@given(mixed_polys(), mixed_polys())
+@example(P(1) + T, -T)
+@example(T, ExactPolynomial.monomial({"t": -1}))
+@example(Q * T + T, ExactPolynomial.monomial({"t": -1}) * (P(1) - Q))
+@example(Q + T, Q - T)
+@settings(max_examples=150, deadline=None)
+def test_add_and_mul_match_the_schoolbook_reference(a, b):
+    _same(a + b, _schoolbook(a, b, "add"))
+    _same(a - b, _schoolbook(a, -b, "add"))
+    _same(a * b, _schoolbook(a, b, "mul"))
+    _same(b * a, _schoolbook(a, b, "mul"))
+
+
+def test_cancelled_symbols_are_pruned():
+    for value in ((P(1) + T) - T, T * ExactPolynomial.monomial({"t": -1}),
+                  (Q + T) * (Q - T) - Q * Q + T * T + P(1)):
+        assert value.vars == ()
+        assert value == ONE
+        assert hash(value) == hash(1)
+    mixed = (Q * T + T) * ExactPolynomial.monomial({"t": -1})
+    assert mixed.vars == ("q",) and mixed == Q + P(1)
+
+
+def test_constant_polynomial_hashes_like_its_int():
+    three = P(3)
+    assert three == 3 and hash(three) == hash(3)
+    assert three in {3: "a"} and {three: "a"}[3] == "a"
+    assert P(0) == 0 and hash(P(0)) == hash(0)
+    assert P(-1) in {-1} and P(2) ** 70 in {2 ** 70}
+    # A non-constant polynomial is a different key from every int.
+    assert T != 1 and T not in {1: "a"}
 
 
 @given(small_polys(), small_polys(), small_polys())

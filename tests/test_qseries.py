@@ -1,17 +1,19 @@
 """Gaussian binomials, Pochhammer symbols, hook products, fusion normalizer."""
 
 import itertools
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modmacd.combinat import (Partition, conjugate, inversion_number, n_stat,
                               partitions_of)
 from modmacd.errors import NegativeLambdaZero, NegativeLength
-from modmacd.exactalg import ExactPolynomial, P, RationalFunction, sym
-from modmacd.qseries import (c_functions, factor_product, fusion_normalizer,
-                             gauss_binomial, hook_factors, pochhammer,
-                             pochhammer_qt_partition)
+from modmacd.exactalg import (ExactPolynomial, P, RationalFunction,
+                              poly_divexact, sym)
+from modmacd.qseries import (c_functions, divide_factors, factor_product,
+                             fusion_normalizer, gauss_binomial, hook_factors,
+                             pochhammer, pochhammer_qt_partition)
 
 T = sym("t")
 W = sym("w")
@@ -138,6 +140,58 @@ def test_hook_factors_multiply_to_c():
         assert factor_product(hook_factors(lam)) == c_functions(lam)["c"]
     assert factor_product(hook_factors(Partition((2, 1)))) == \
         (P(1) - T) ** 2 * (P(1) - sym("q") * T ** 2)
+
+
+def laurent_qt_polys():
+    exps = st.tuples(st.integers(-2, 3), st.integers(-2, 3))
+    return st.dictionaries(exps, st.integers(-4, 4), max_size=5).map(
+        lambda d: sum((ExactPolynomial.monomial({"q": e[0], "t": e[1]}, c)
+                       for e, c in d.items()), ExactPolynomial.constant(0)))
+
+
+def factor_multisets():
+    factor = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
+    return st.lists(factor, max_size=4).map(Counter)
+
+
+@given(laurent_qt_polys(), factor_multisets())
+@example(P(1) + T, Counter())
+@example(ExactPolynomial.monomial({"t": -2}) + sym("q"),
+         Counter({(1, 1): 3, (0, 2): 1}))
+@example(sym("x") - sym("q") * T, Counter({(2, 1): 2}))
+@settings(max_examples=80, deadline=None)
+def test_divide_factors_inverts_factor_product(f, factors):
+    assert divide_factors(f * factor_product(factors), factors) == f
+
+
+def _divexact_or_none(f, g):
+    try:
+        return poly_divexact(f, g)
+    except ValueError:
+        return None
+
+
+@given(laurent_qt_polys(), laurent_qt_polys(), factor_multisets(),
+       factor_multisets())
+@example(P(1), P(0), Counter({(0, 1): 1}), Counter())
+@example(T, ExactPolynomial.monomial({"t": -1}), Counter({(1, 0): 2}),
+         Counter({(1, 0): 1}))
+@settings(max_examples=80, deadline=None)
+def test_divide_factors_raises_where_divexact_does(f, g, factors, part):
+    # g * prod(part) is divisible by prod(factors) exactly when part covers
+    # enough of factors and g the rest; both kernels must agree either way.
+    h = g * factor_product(part) + f * factor_product(factors - part)
+    want = _divexact_or_none(h, factor_product(factors))
+    try:
+        got = divide_factors(h, factors)
+    except ValueError:
+        got = None
+    assert got == want
+
+
+def test_divide_factors_rejects_the_zero_factor():
+    with pytest.raises(ZeroDivisionError):
+        divide_factors(P(1), Counter({(0, 0): 1}))
 
 
 def test_b_ratio_conjugation():

@@ -10,12 +10,12 @@ from modmacd.combinat import Partition, conjugate, n_stat, partitions_of
 from modmacd.errors import NonPolynomialCoefficient, TooFewVariables
 from modmacd.exactalg import (ExactPolynomial, P as PC, RationalFunction,
                               RF_ZERO, ratfun_normalize, sym)
-from modmacd.qseries import c_functions
+from modmacd.qseries import c_functions, factor_product
 from modmacd.symoracle import (SymmetricExpr, W_oracle, basis_convert,
                                horizontal_strip, integral_J, kostka_number,
                                macdonald_P, modified_H_oracle,
-                               monomial_expand, psi_coefficient, schur_expand,
-                               schur_function)
+                               monomial_expand, plethysm_eval,
+                               psi_coefficient, schur_expand, schur_function)
 
 Q = sym("q")
 T = sym("t")
@@ -123,6 +123,44 @@ def test_integral_J_rejects_a_wrong_branching_denominator(monkeypatch):
                     integral_J(lam, w)
     finally:
         clear_caches()
+
+
+def test_plethysm_coefficients_share_one_denominator_per_degree():
+    # Every sum of the plethysm and of the basis conversion after it takes
+    # the equal-denominator path, so each coefficient of degree d keeps the
+    # denominator k_d prod_{D_d} (1 - q^a t^b) exactly.
+    for w in range(1, 5):
+        for lam in partitions_of(w):
+            ps = basis_convert(integral_J(lam, w), "powersum")
+            (k, factors), = symoracle._shared_denominators(ps).values()
+            den = factor_product(factors) * k
+            mono = basis_convert(plethysm_eval(ps, "modified"), "monomial")
+            assert all(c.den == den for c in mono.coeffs.values())
+            double = plethysm_eval(ps, "double", nvars=2)
+            assert all(c.den == den for c in double.values())
+
+
+@pytest.mark.parametrize("missing", ["smallest", "largest"])
+def test_oracles_reject_a_plethysm_denominator_missing_a_factor(monkeypatch,
+                                                                missing):
+    shared = symoracle._shared_denominators
+
+    def wrong(ps):
+        out = {}
+        for d, (k, factors) in shared(ps).items():
+            if factors:
+                pick = min if missing == "smallest" else max
+                factors = factors - Counter({pick(factors): 1})
+            out[d] = k, factors
+        return out
+
+    monkeypatch.setattr(symoracle, "_shared_denominators", wrong)
+    for w in range(2, 5):
+        for lam in partitions_of(w):
+            with pytest.raises(NonPolynomialCoefficient):
+                modified_H_oracle(lam)
+            with pytest.raises(NonPolynomialCoefficient):
+                W_oracle(lam, 2)
 
 
 def test_macdonald_P_at_q_equals_t_is_schur():
