@@ -336,7 +336,8 @@ def _mul_packed(f, g):
     of a product of two terms is the sum of their keys (each operand packs
     with its own lows, and the lows add).  The keys are decoded once at the
     end.  Extreme exponents never cancel (the ring is a domain), so a symbol
-    is dropped, and packs with weight 0, exactly when its range is {0}.
+    is dropped, and packs with weight 0, exactly when its range is {0}; with
+    several terms in each operand, at least one symbol is kept.
     """
     merged = f.vars if f.vars == g.vars \
         else tuple(sorted(set(f.vars) | set(g.vars)))
