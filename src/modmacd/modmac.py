@@ -7,12 +7,12 @@ from functools import reduce
 from operator import or_
 
 from .combinat import Partition, conjugate, n_stat, partitions_of
-from .errors import (InsufficientVariables, NegativeCoefficient,
-                     TooFewVariables, TruncationTooSmall)
-from .exactalg import (ExactPolynomial, ONE, P, Q, RationalFunction, RF_ONE,
-                       RF_ZERO, T, sym, ZERO)
+from .errors import (ConsistencyError, InsufficientVariables,
+                     NegativeCoefficient, TooFewVariables, TruncationTooSmall)
+from .exactalg import ExactPolynomial, ONE, P, poly_divexact, Q, T, sym, ZERO
 from .lattice import partition_function_coeffs
-from .qseries import factor_product, hook_factors, pochhammer
+from .qseries import (divide_factors, factor_product, gauss_binomial,
+                      hook_factors, pochhammer)
 from .symoracle import (integral_J, modified_H_oracle, monomial_expand,
                         schur_expand, W_oracle)
 
@@ -55,10 +55,7 @@ def modified_H(lam, N=None, route="lattice_x"):
     if route not in ROUTES:
         raise ValueError("route must be one of %s" % (ROUTES,))
     if route == "oracle":
-        table = modified_H_oracle(lam, nvars=N)
-        coeffs = {}
-        for mu, c in table.coeffs.items():
-            coeffs[mu] = c.as_polynomial()
+        coeffs = modified_H_oracle(lam, nvars=N).coeffs
     else:
         formula = "x" if route == "lattice_x" else "z"
         coeffs = partition_function_coeffs(lam, N, formula=formula)
@@ -78,19 +75,12 @@ def kostka_qt(lam):
     """Two-parameter Kostka coefficients of H_lam, keyed by Partition."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    if lam.weight() == 0:
-        return {Partition(): ONE}
-    table = modified_H_oracle(lam, nvars=lam.weight())
-    sch = schur_expand(table)
-    out = {}
-    for nu, c in sch.coeffs.items():
-        poly = c.as_polynomial()
-        if poly is None or not poly.is_nonnegative():
+    sch = schur_expand(modified_H_oracle(lam, nvars=lam.weight()))
+    for nu, poly in sch.coeffs.items():
+        if not poly.is_nonnegative():
             raise NegativeCoefficient(
                 "Kostka coefficient at %r is not in N[q,t]" % (nu,))
-        if not poly.is_zero():
-            out[nu] = poly
-    return out
+    return sch.coeffs
 
 
 def duality_check(lam):
@@ -149,9 +139,9 @@ def w_reduction_check(lam, N):
 #
 # Truncated series live in a fixed variable frame: group A = x_1..x_nx,
 # z_1..z_nx and group B = y_1..y_ny, w_1..w_ny.  A series is a dict mapping
-# exponent tuples (over the frame) to coefficients in (q,t), RationalFunction
-# on the product side and ExactPolynomial on the sum side; terms whose
-# group-A or group-B degree exceeds the truncation are dropped.
+# exponent tuples (over the frame) to (q, t) numerators over a denominator
+# known per group-A degree (see cauchy_check); terms whose group-A or
+# group-B degree exceeds the truncation are dropped.
 
 class _Frame:
     def __init__(self, nx, ny, degree):
@@ -167,18 +157,20 @@ class _Frame:
         return (sum(exp[:self.na]) <= self.degree
                 and sum(exp[self.na:]) <= self.degree)
 
-    def unit(self):
-        return {(0,) * len(self.names): RF_ONE}
 
-
-def _series_mul(frame, a, b):
+def _series_mul(frame, a, b, scale):
+    """Product of two product-side series: numerators at group-A degrees i
+    and j multiply with scale[i, j] = E_{i+j} / (E_i E_j), a product of
+    Gaussian binomials."""
     out = {}
+    na = frame.na
     for ea, ca in a.items():
+        da = sum(ea[:na])
         for eb, cb in b.items():
             e = tuple(u + v for u, v in zip(ea, eb))
             if not frame.admits(e):
                 continue
-            c = ca * cb
+            c = ca * cb * scale[da, sum(eb[:na])]
             got = out.get(e)
             tot = c if got is None else got + c
             if tot.is_zero():
@@ -208,66 +200,84 @@ def _series_from_poly(frame, poly):
     return {fe: ExactPolynomial(qt, terms) for fe, terms in out.items()}
 
 
-def _factor_coeffs(kind, degree):
-    """Coefficients c_m of the per-pair factor f(u) = sum c_m u^m."""
+# factor kind -> the bases b whose (b; b)_m clears its coefficient c_m
+_BASES = {"one_plus": "", "pq": "q", "inv_q": "q", "neg_q": "q",
+          "inv_t": "t", "neg_t": "t", "inv_qt": "qt", "neg_qt": "qt"}
+
+
+def _qfactorial(bases, m):
+    """prod_{b in bases} (b; b)_m as a multiset of (a, b), each 1 - q^a t^b."""
+    return Counter((r, 0) if b == "q" else (0, r)
+                   for b in bases for r in range(1, m + 1))
+
+
+def _factor_numerators(kind, degree):
+    """Numerators n_m of the per-pair factor f(u) = sum c_m u^m, where
+    c_m = n_m / prod_{b in _BASES[kind]} (b; b)_m."""
     if kind == "one_plus":
-        return [RF_ONE, RF_ONE] + [RationalFunction(ZERO)] * max(
-            0, degree - 1)
-    out = [RF_ONE]
+        return [ONE, ONE] + [ZERO] * (degree - 1)
     if kind == "pq":
         # (t u; q)_inf / (u; q)_inf
-        num, den = ONE, ONE
-        for m in range(1, degree + 1):
-            num = num * (ONE - T * Q ** (m - 1))
-            den = den * (ONE - Q ** m)
-            out.append(RationalFunction(num, den))
-        return out
+        return [pochhammer(T, "q", m) for m in range(degree + 1)]
     if kind in ("inv_q", "inv_t"):
-        base = "q" if kind == "inv_q" else "t"
-        for m in range(1, degree + 1):
-            out.append(RationalFunction(ONE, pochhammer(base, base, m)))
-        return out
+        return [ONE] * (degree + 1)
     if kind in ("neg_q", "neg_t"):
-        base = "q" if kind == "neg_q" else "t"
-        b = sym(base)
-        for m in range(1, degree + 1):
-            out.append(RationalFunction(b ** (m * (m - 1) // 2),
-                                        pochhammer(base, base, m)))
-        return out
+        b = sym(_BASES[kind])
+        return [b ** (m * (m - 1) // 2) for m in range(degree + 1)]
     if kind in ("inv_qt", "neg_qt"):
         # complete homogeneous / elementary functions of {q^a t^b: a,b >= 0}
-        p = [None]
-        for r in range(1, degree + 1):
-            p.append(RationalFunction(
-                ONE, (ONE - Q ** r) * (ONE - T ** r)))
+        # from the power sums 1 / ((1 - q^r)(1 - t^r)) by Newton's identity;
+        # E_m / (E_{m-r} (1 - q^r)(1 - t^r)) is a polynomial because r
+        # divides one of m-r+1..m
         sign = 1 if kind == "inv_qt" else -1
+        E = [_qfactorial("qt", m) for m in range(degree + 1)]
+        out = [ONE]
         for m in range(1, degree + 1):
-            acc = RationalFunction(ZERO)
-            s = 1
+            acc = ZERO
             for r in range(1, m + 1):
-                acc = acc + p[r] * out[m - r] * s
-                s *= sign
-            out.append(acc / m)
+                step = divide_factors(factor_product(E[m] - E[m - r]),
+                                      E[r] - E[r - 1])
+                acc = acc + step * out[m - r] * sign ** (r - 1)
+            try:
+                out.append(poly_divexact(acc, P(m)))
+            except ValueError:
+                raise ConsistencyError("%s numerator at degree %d is not "
+                                       "divisible by %d" % (kind, m, m)) \
+                    from None
         return out
     raise ValueError("unknown factor kind %r" % (kind,))
 
 
-def _product_side(frame, factors, degree):
-    acc = frame.unit()
+def _product_side(frame, factors, bases):
+    """The product side as numerators over E_m = prod_{b in bases} (b; b)_m;
+    E_{i+j} / (E_i E_j) is a Gaussian binomial in each base."""
+    degree = frame.degree
     width = len(frame.names)
+    scale = {}
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            g = gauss_binomial(i + j, i)  # in t; renamed to each base
+            scale[i, j] = ONE
+            for b in bases:
+                scale[i, j] = scale[i, j] * ExactPolynomial(
+                    (b,) * len(g.vars), g.terms)
+    numerators = {}
+    for kind in {kind for _, _, kind in factors}:
+        lacks = bases - set(_BASES[kind])
+        numerators[kind] = [n * factor_product(_qfactorial(lacks, m))
+                            for m, n in enumerate(
+                                _factor_numerators(kind, degree))]
+    acc = {(0,) * width: ONE}
     for va, vb, kind in factors:
-        coeffs = _factor_coeffs(kind, degree)
         fac = {}
-        for m, c in enumerate(coeffs):
-            if c.is_zero():
+        for m, n in enumerate(numerators[kind]):
+            if n.is_zero():
                 continue
             exp = [0] * width
             exp[frame.index[va]] = m
             exp[frame.index[vb]] = m
-            fe = tuple(exp)
-            if frame.admits(fe):
-                fac[fe] = c
-        acc = _series_mul(frame, acc, fac)
+            fac[tuple(exp)] = n
+        acc = _series_mul(frame, acc, fac, scale)
     return acc
 
 
@@ -328,9 +338,12 @@ def _integral_form(kind, lam, alphabet, n):
 def cauchy_check(identity, nx, ny, degree):
     """Verify one of the Cauchy identities at a fixed series truncation.
 
-    The sum side of degree m is one polynomial over D_m, the product of the
-    lcm of the hook multisets of the shapes of weight m, and is compared
-    with the product side by cross-multiplication.
+    A coefficient of group-A degree m is a numerator over prod_{H_m}
+    (1 - q^a t^b) on the sum side, H_m the lcm of the hook multisets of the
+    shapes of weight m, and over E_m = prod_{b in B} (b; b)_m on the product
+    side (divided-power form), B the bases its factor kinds need.  The two
+    are compared over L = H_m | E_m: each numerator is multiplied by the
+    factors of L that its own denominator lacks.
     """
     if degree < 1:
         raise TruncationTooSmall("degree must be at least 1")
@@ -344,19 +357,24 @@ def cauchy_check(identity, nx, ny, degree):
     names = {a: ["%s%d" % (a, i) for i in range(1, n + 1)]
              for a, n in (("x", nx), ("z", nx), ("y", ny), ("w", ny))}
     lhs = ONE
-    dens = [ONE]
+    lhs_dens = [Counter()]
     for m in range(1, degree + 1):
         hooks = {lam: _hooks(lam) for lam in partitions_of(m)
                  if _admits_shape(left, lam, nx)
                  and _admits_shape(right, lam, ny)}
         lcm = reduce(or_, hooks.values(), Counter())
-        dens.append(factor_product(lcm))
+        lhs_dens.append(lcm)
         for lam, h in hooks.items():
             lhs = lhs + (_integral_form(left, lam, "x", nx)
                          * factor_product(lcm - h)
                          * _integral_form(right, lam, alphabet, ny))
     lhs = _series_from_poly(frame, lhs)
+    bases = set("".join(_BASES[kind] for _, _, kind in pairs))
     rhs = _product_side(frame, [(a, b, kind) for pa, pb, kind in pairs
-                                for a in names[pa] for b in names[pb]], degree)
-    return all(RationalFunction(lhs.get(e, ZERO), dens[sum(e[:frame.na])])
-               == rhs.get(e, RF_ZERO) for e in set(lhs) | set(rhs))
+                                for a in names[pa] for b in names[pb]], bases)
+    rhs_dens = [_qfactorial(bases, m) for m in range(degree + 1)]
+    scales = [(factor_product((h | e) - h), factor_product((h | e) - e))
+              for h, e in zip(lhs_dens, rhs_dens)]
+    return all(lhs.get(e, ZERO) * scales[sum(e[:frame.na])][0]
+               == rhs.get(e, ZERO) * scales[sum(e[:frame.na])][1]
+               for e in set(lhs) | set(rhs))

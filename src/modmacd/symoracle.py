@@ -2,15 +2,16 @@
 
 Integral form J by the branching rule over hook-factor multisets (one exact
 division per coefficient), Macdonald P = J / c, plethystic evaluations, and
-triangular basis conversions (monomial / power-sum / Schur).  Rational (q,t)
-coefficients are RationalFunction values; integer linear algebra uses
-fractions.Fraction.
+triangular basis conversions (monomial / power-sum / Schur).  Integer linear
+algebra uses fractions.Fraction.
 
-A plethysm gives all coefficients of one degree the same denominator, an
-integer times a multiset of factors 1 - t^r, so its sums and the basis
-conversions after it never cross-multiply; the oracles then clear that
-known denominator by exact division (qseries.divide_factors), which raises
-when a coefficient is not a polynomial.
+A SymmetricExpr holds polynomial numerators and one known denominator per
+degree d, an integer k_d times a multiset D_d of factors 1 - q^a t^b.  A
+basis conversion acts on the numerators only (from monomials to power sums
+it multiplies an integer into k_d), and a plethysm adds its factors 1 - t^r
+to D_d, so no sum ever cross-multiplies.  _cleared divides a numerator by
+its denominator exactly (qseries.divide_factors) and raises when the
+coefficient is not a polynomial; every oracle result goes through it.
 """
 
 from collections import Counter
@@ -21,8 +22,8 @@ from math import lcm
 from .combinat import Partition, partitions_of
 from .errors import (NegativeCoefficient, NonPolynomialCoefficient,
                      SingularConversion, TooFewVariables)
-from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, RF_ZERO,
-                       ZERO)
+from .exactalg import (ExactPolynomial, ONE, P, poly_divexact,
+                       RationalFunction, RF_ZERO, ZERO)
 from .memo import memoized
 from .qseries import divide_factors, factor_product, hook_factors
 
@@ -141,18 +142,24 @@ def kostka_number(lam, mu):
 
 
 class SymmetricExpr:
-    """Finite combination of basis elements with rational coefficients."""
+    """Finite combination of basis elements: coeffs maps partitions to
+    numerators over k_d prod_{D_d} (1 - q^a t^b) per degree d, where dens
+    maps d to (k_d, D_d); a missing degree means (1, Counter())."""
 
-    __slots__ = ("basis", "coeffs", "nvars")
+    __slots__ = ("basis", "coeffs", "nvars", "dens")
 
-    def __init__(self, basis, coeffs, nvars):
+    def __init__(self, basis, coeffs, nvars, dens=None):
         if basis not in ("monomial", "powersum", "schur"):
             raise ValueError("unknown basis %r" % (basis,))
         self.basis = basis
         self.coeffs = {k if isinstance(k, Partition) else Partition(k): v
-                       for k, v in coeffs.items()
-                       if not (isinstance(v, RationalFunction) and v.is_zero())}
+                       for k, v in coeffs.items() if not v.is_zero()}
         self.nvars = nvars
+        self.dens = dict(dens or {})
+
+    def den(self, d):
+        """(k_d, D_d) of degree d."""
+        return self.dens.get(d, (1, Counter()))
 
     def degree_parts(self):
         out = {}
@@ -167,17 +174,17 @@ def integral_J(lam, nvars):
         lam = Partition(lam)
     if nvars < len(lam):
         raise TooFewVariables("need at least ell(lambda) variables")
-    coeffs = {mu: RationalFunction(_jcoef(lam, mu.parts))
+    coeffs = {mu: _jcoef(lam, mu.parts)
               for mu in partitions_of(lam.weight()) if len(mu) <= nvars}
     return SymmetricExpr("monomial", coeffs, nvars)
 
 
 def macdonald_P(lam, nvars):
     """Macdonald polynomial P_lam = J_lam / c_lam in the monomial basis."""
-    J = integral_J(lam, nvars)
-    c = factor_product(hook_factors(lam))
-    return SymmetricExpr("monomial", {mu: RationalFunction(v.num, c)
-                                      for mu, v in J.coeffs.items()}, nvars)
+    if not isinstance(lam, Partition):
+        lam = Partition(lam)
+    return SymmetricExpr("monomial", integral_J(lam, nvars).coeffs, nvars,
+                         {lam.weight(): (1, hook_factors(lam))})
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +264,13 @@ def _transitions(d):
 
 def monomial_expand(e, nvars):
     """Explicit polynomial over x_1..x_nvars (polynomial coefficients only)."""
-    if e.basis != "monomial":
-        e = basis_convert(e, "monomial")
+    e = basis_convert(e, "monomial")
     names = tuple("x%d" % i for i in range(1, nvars + 1))
     out = ZERO
     for mu, c in e.coeffs.items():
         if len(mu) > nvars:
             raise TooFewVariables("partition %r needs more variables" % (mu,))
-        poly = c.as_polynomial()
-        if poly is None:
-            raise NonPolynomialCoefficient(
-                "coefficient at %r is not polynomial" % (mu,))
+        poly = _cleared(c, e.den(mu.weight()), "coefficient at %r" % (mu,))
         for exp in _expand_monomial(mu, nvars):
             out = out + poly * ExactPolynomial.monomial(
                 dict(zip(names, exp)))
@@ -275,56 +278,49 @@ def monomial_expand(e, nvars):
 
 
 def basis_convert(e, target):
-    """Exact change of basis between monomial, powersum and schur."""
+    """Exact change of basis between monomial, powersum and schur; only the
+    numerators change, and k_d when monomials become power sums."""
     if e.basis == target:
         return e
     if e.basis == "powersum" and target in ("monomial", "schur"):
         coeffs = {}
         for d, part in e.degree_parts().items():
-            if d == 0:
-                for lam, c in part.items():
-                    coeffs[lam] = coeffs.get(lam, RF_ZERO) + c
-                continue
             _, p_in_m, _ = _transitions(d)
             for lam, c in part.items():
                 for mu, k in p_in_m[lam].items():
-                    coeffs[mu] = coeffs.get(mu, RF_ZERO) + c * k
-        mono = SymmetricExpr("monomial", coeffs, e.nvars)
+                    coeffs[mu] = coeffs.get(mu, ZERO) + c * k
+        mono = SymmetricExpr("monomial", coeffs, e.nvars, e.dens)
         return mono if target == "monomial" else basis_convert(mono, "schur")
     if e.basis == "monomial" and target == "powersum":
         coeffs = {}
+        dens = dict(e.dens)
         for d, part in e.degree_parts().items():
-            if d == 0:
-                for lam, c in part.items():
-                    coeffs[lam] = coeffs.get(lam, RF_ZERO) + c
-                continue
             _, _, m_in_p = _transitions(d)
-            # one integer denominator k per degree: equal input denominators
-            # stay equal, and no sum cross-multiplies
+            # the lcm k of the transition denominators joins k_d
             k = lcm(*(f.denominator for row in m_in_p.values()
                       for f in row.values()))
+            k_d, factors = e.den(d)
+            dens[d] = (k_d * k, factors)
             for mu, c in part.items():
-                den = c.den * k
                 for lam, frac in m_in_p[mu].items():
-                    coeffs[lam] = coeffs.get(lam, RF_ZERO) + RationalFunction(
-                        c.num * (frac.numerator * (k // frac.denominator)),
-                        den)
-        return SymmetricExpr("powersum", coeffs, e.nvars)
+                    coeffs[lam] = coeffs.get(lam, ZERO) + c * (
+                        frac.numerator * (k // frac.denominator))
+        return SymmetricExpr("powersum", coeffs, e.nvars, dens)
     if e.basis == "monomial" and target == "schur":
         coeffs = {}
         for d, part in e.degree_parts().items():
             remaining = dict(part)
             for nu in sorted(partitions_of(d), key=lambda p: p.parts,
                              reverse=True):
-                c = remaining.get(nu, RF_ZERO)
-                if isinstance(c, RationalFunction) and c.is_zero():
+                c = remaining.get(nu, ZERO)
+                if c.is_zero():
                     continue
                 coeffs[nu] = c
                 for mu in partitions_of(d):
                     k = kostka_number(nu, mu.parts)
                     if k:
-                        remaining[mu] = remaining.get(mu, RF_ZERO) - c * k
-        return SymmetricExpr("schur", coeffs, e.nvars)
+                        remaining[mu] = remaining.get(mu, ZERO) - c * k
+        return SymmetricExpr("schur", coeffs, e.nvars, e.dens)
     if e.basis == "schur":
         coeffs = {}
         for nu, c in e.coeffs.items():
@@ -332,8 +328,8 @@ def basis_convert(e, target):
             for mu in partitions_of(d):
                 k = kostka_number(nu, mu.parts)
                 if k:
-                    coeffs[mu] = coeffs.get(mu, RF_ZERO) + c * k
-        mono = SymmetricExpr("monomial", coeffs, e.nvars)
+                    coeffs[mu] = coeffs.get(mu, ZERO) + c * k
+        mono = SymmetricExpr("monomial", coeffs, e.nvars, e.dens)
         return mono if target == "monomial" \
             else basis_convert(mono, "powersum")
     raise ValueError("unsupported conversion %s -> %s" % (e.basis, target))
@@ -352,33 +348,23 @@ def _plethysm_factors(lam):
     return Counter((0, r) for r in lam.parts)
 
 
-def _shared_denominators(ps):
-    """Per degree d of a power-sum expression, (k_d, D_d): the lcm of the
-    integer denominators of its degree-d coefficients, and the lcm multiset
-    of _plethysm_factors(lam) over its degree-d terms."""
+def _plethysm_lcm(ps):
+    """Per degree d, the lcm multiset of _plethysm_factors over ps."""
     out = {}
-    for lam, c in ps.coeffs.items():
-        k, factors = out.get(lam.weight(), (1, Counter()))
-        out[lam.weight()] = (lcm(k, c.den.constant_value()),
-                             factors | _plethysm_factors(lam))
+    for lam in ps.coeffs:
+        out[lam.weight()] = out.get(lam.weight(), Counter()) \
+            | _plethysm_factors(lam)
     return out
 
 
-def _cleared(num, shared, what):
-    """num / (k_d prod_{D_d} (1 - q^a t^b)) for shared = (k_d, D_d), which
+def _cleared(num, den, what):
+    """num / (k_d prod_{D_d} (1 - q^a t^b)) for den = (k_d, D_d), which
     must be a polynomial."""
-    k, factors = shared
+    k, factors = den
     try:
-        poly = divide_factors(num, factors)
-        out = {}
-        for e, c in poly.terms.items():
-            q, r = divmod(c, k)
-            if r:
-                raise ValueError("not divisible by %d" % k)
-            out[e] = q
+        return poly_divexact(divide_factors(num, factors), P(k))
     except ValueError:
         raise NonPolynomialCoefficient("%s not polynomial" % what) from None
-    return ExactPolynomial(poly.vars, out, _canonical=True)
 
 
 def plethysm_eval(e, rule, nvars=None):
@@ -386,76 +372,80 @@ def plethysm_eval(e, rule, nvars=None):
 
     rule='modified': p_r -> p_r / (1 - t^r); returns a powersum-basis expr.
     rule='double': p_r -> (p_r(x-alphabet) + (-1)^{r+1} p_r(z-alphabet))
-    / (1 - t^r); returns a dict exponent-tuple -> RationalFunction over the
-    variables x_1..x_N, z_1..z_N (N = nvars).
+    / (1 - t^r); returns (table, dens): table maps exponent tuples over
+    x_1..x_N, z_1..z_N (N = nvars) to numerators, and dens maps each total
+    degree d to its denominator (k_d, D_d).
 
-    Every result coefficient of degree d has the one denominator
-    k_d prod_{D_d} (1 - q^a t^b) of _shared_denominators, so no sum here or
-    in a later basis_convert cross-multiplies.  The power-sum coefficients
-    of e must have integer denominators, as those of any expression with
-    polynomial coefficients do.
+    D_d gains the lcm L_d of the plethysm factors of the degree-d terms, and
+    the numerator of p_lam is scaled by the factors of L_d that p_lam lacks.
     """
     if rule not in ("modified", "double"):
         raise ValueError("unknown rule %r" % (rule,))
     if rule == "double" and nvars is None:
         raise TooFewVariables("rule='double' needs nvars")
     ps = basis_convert(e, "powersum")
-    shared = _shared_denominators(ps)
-    dens = {d: factor_product(factors) * k
-            for d, (k, factors) in shared.items()}
+    lcms = _plethysm_lcm(ps)
+    dens = dict(ps.dens)
+    for d, factors in lcms.items():
+        k, own = ps.den(d)
+        dens[d] = (k, own + factors)
     coeffs = {}
     for lam, c in ps.coeffs.items():
-        k, factors = shared[lam.weight()]
-        num = c.num * (k // c.den.constant_value()) * factor_product(
-            factors - _plethysm_factors(lam))
+        num = c * factor_product(lcms[lam.weight()] - _plethysm_factors(lam))
         if rule == "modified":
-            coeffs[lam] = RationalFunction(num, dens[lam.weight()])
+            coeffs[lam] = num
             continue
         for key, m in _expand_powersum(lam, nvars, nvars).items():
             coeffs[key] = coeffs.get(key, ZERO) + num * m
     if rule == "modified":
-        return SymmetricExpr("powersum", coeffs, ps.nvars)
-    return {key: RationalFunction(v, dens[sum(key)])
-            for key, v in coeffs.items() if not v.is_zero()}
+        return SymmetricExpr("powersum", coeffs, ps.nvars, dens)
+    return coeffs, dens
 
 
-def modified_H_oracle(lam, nvars=None):
-    """Modified Macdonald polynomial via plethysm on the integral form."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    d = lam.weight()
-    if nvars is None:
-        nvars = d
-    if nvars < d and nvars < len(lam):
-        raise TooFewVariables("need nvars >= |lambda| for a faithful oracle")
-    ps = basis_convert(integral_J(lam, max(d, 1)), "powersum")
-    shared = _shared_denominators(ps)
-    mono = basis_convert(plethysm_eval(ps, "modified"), "monomial")
-    coeffs = {}
+_H_TABLE_CACHE = {}
+
+
+@memoized(_H_TABLE_CACHE)
+def _oracle_table(lam):
+    """Every monomial coefficient of H_lam, by plethysm on J_lam."""
+    mono = basis_convert(plethysm_eval(
+        integral_J(lam, max(lam.weight(), 1)), "modified"), "monomial")
+    table = {}
     for mu, c in mono.coeffs.items():
-        poly = _cleared(c.num, shared[mu.weight()],
+        poly = _cleared(c, mono.den(mu.weight()),
                         "H coefficient at %r" % (mu,))
         if not poly.is_nonnegative():
             raise NegativeCoefficient(
                 "H coefficient at %r has a negative term" % (mu,))
-        if len(mu) <= nvars and not poly.is_zero():
-            coeffs[mu] = RationalFunction(poly)
-    return SymmetricExpr("monomial", coeffs, nvars)
+        table[mu] = poly
+    return table
+
+
+def modified_H_oracle(lam, nvars=None):
+    """Modified Macdonald polynomial via plethysm on the integral form:
+    the table at |lambda| variables restricted to ell(mu) <= nvars."""
+    if not isinstance(lam, Partition):
+        lam = Partition(lam)
+    if nvars is None:
+        nvars = lam.weight()
+    if nvars < len(lam):
+        raise TooFewVariables("need nvars >= ell(lambda)")
+    table = _oracle_table(lam)
+    return SymmetricExpr("monomial", {mu: c for mu, c in table.items()
+                                      if len(mu) <= nvars}, nvars)
 
 
 def W_oracle(lam, N):
     """W polynomial over x_1..x_N, z_1..z_N, q, t with positive coefficients."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    ps = basis_convert(integral_J(lam, max(lam.weight(), len(lam), 1)),
-                       "powersum")
-    shared = _shared_denominators(ps)
-    table = plethysm_eval(ps, "double", nvars=N)
+    table, dens = plethysm_eval(
+        integral_J(lam, max(lam.weight(), len(lam), 1)), "double", nvars=N)
     names = tuple(["x%d" % i for i in range(1, N + 1)]
                   + ["z%d" % i for i in range(1, N + 1)])
     out = ZERO
     for exp, c in table.items():
-        poly = _cleared(c.num, shared[sum(exp)], "W coefficient")
+        poly = _cleared(c, dens[sum(exp)], "W coefficient")
         if not poly.is_nonnegative():
             raise NegativeCoefficient("W coefficient has a negative term")
         out = out + poly * ExactPolynomial.monomial(dict(zip(names, exp)))
@@ -472,5 +462,5 @@ def schur_function(lam, nvars):
             continue
         k = kostka_number(lam, mu.parts)
         if k:
-            coeffs[mu] = RationalFunction(P(k))
+            coeffs[mu] = P(k)
     return SymmetricExpr("monomial", coeffs, nvars)

@@ -1,4 +1,4 @@
-"""Acceptance sweep: thirteen end-to-end criteria, one test (and one printed
+"""Acceptance sweep: fourteen end-to-end criteria, one test (and one printed
 pass/fail line) each.  All comparisons are exact."""
 
 import itertools
@@ -228,3 +228,13 @@ def test_criterion_13_weight_7_routes_and_hall_littlewood_collapse():
         at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
         assert at0 == modified_HL(lam, N), lam
     _report(13, 85, t0)
+
+
+def test_criterion_14_cauchy_identities_at_degree_4():
+    t0 = time.time()
+    for name in ("PQ", "dual", "mixedQ", "mixedP"):
+        assert cauchy_check(name, 2, 2, 4), name
+        assert cauchy_check(name, 3, 3, 3), name
+    assert cauchy_check("W", 1, 2, 4)
+    assert cauchy_check("W", 2, 1, 4)
+    _report(14, 30, t0)

@@ -5,12 +5,13 @@ import pytest
 
 from modmacd import clear_caches, exactalg, modmac
 from modmacd.combinat import Partition, partitions_of
-from modmacd.errors import (InsufficientVariables, TooFewVariables,
-                            TruncationTooSmall)
-from modmacd.exactalg import ExactPolynomial, P, sym
+from modmacd.errors import (ConsistencyError, InsufficientVariables,
+                            TooFewVariables, TruncationTooSmall)
+from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction,
+                              ZERO, sym)
 from modmacd.modmac import (cauchy_check, duality_check, kostka_qt,
                             modified_H, modified_HL, w_reduction_check)
-from modmacd.qseries import c_functions, factor_product
+from modmacd.qseries import c_functions, factor_product, pochhammer
 
 Q = sym("q")
 T = sym("t")
@@ -151,11 +152,13 @@ def test_hook_multiset_multiplies_to_c_cprime():
 
 def test_runtime_reaches_no_gcd(monkeypatch):
     # Every oracle, Kostka, reduction, duality and Cauchy result is built by
-    # exact division; none of them may fall back to the general gcd.
-    def reached(f, g):
-        raise AssertionError("gcd reached")
+    # exact division of polynomials over known denominators; none of them
+    # may fall back to the general gcd or build a RationalFunction.
+    def reached(*args):
+        raise AssertionError("gcd or RationalFunction reached")
 
     monkeypatch.setattr(exactalg, "poly_gcd", reached)
+    monkeypatch.setattr(RationalFunction, "__init__", reached)
     clear_caches()
     try:
         modified_H((3, 2, 1), route="oracle")
@@ -164,8 +167,71 @@ def test_runtime_reaches_no_gcd(monkeypatch):
         assert duality_check(Partition((2, 1)))
         for identity in ("PQ", "dual", "W", "mixedQ", "mixedP"):
             assert cauchy_check(identity, 1, 1, 2)
+            assert cauchy_check(identity, 1, 2, 3)
     finally:
         clear_caches()
+
+
+def _ref_factor_coeffs(kind, degree):
+    """Coefficients c_m of the per-pair factor f(u) = sum c_m u^m, as
+    RationalFunction values (the product side's former arithmetic)."""
+    one = RationalFunction(ONE)
+    if kind == "one_plus":
+        return [one, one] + [RationalFunction(ZERO)] * max(0, degree - 1)
+    out = [one]
+    if kind == "pq":
+        # (t u; q)_inf / (u; q)_inf
+        num, den = ONE, ONE
+        for m in range(1, degree + 1):
+            num = num * (ONE - T * Q ** (m - 1))
+            den = den * (ONE - Q ** m)
+            out.append(RationalFunction(num, den))
+        return out
+    if kind in ("inv_q", "inv_t"):
+        base = "q" if kind == "inv_q" else "t"
+        for m in range(1, degree + 1):
+            out.append(RationalFunction(ONE, pochhammer(base, base, m)))
+        return out
+    if kind in ("neg_q", "neg_t"):
+        base = "q" if kind == "neg_q" else "t"
+        b = sym(base)
+        for m in range(1, degree + 1):
+            out.append(RationalFunction(b ** (m * (m - 1) // 2),
+                                        pochhammer(base, base, m)))
+        return out
+    # complete homogeneous / elementary functions of {q^a t^b: a,b >= 0}
+    p = [None]
+    for r in range(1, degree + 1):
+        p.append(RationalFunction(ONE, (ONE - Q ** r) * (ONE - T ** r)))
+    sign = 1 if kind == "inv_qt" else -1
+    for m in range(1, degree + 1):
+        acc = RationalFunction(ZERO)
+        s = 1
+        for r in range(1, m + 1):
+            acc = acc + p[r] * out[m - r] * s
+            s *= sign
+        out.append(acc / m)
+    return out
+
+
+def test_newton_numerators_raise_on_an_inexact_division(monkeypatch):
+    # a wrong Newton step leaves m * n_m with a coefficient that m does
+    # not divide
+    divide = modmac.divide_factors
+    monkeypatch.setattr(modmac, "divide_factors",
+                        lambda f, factors: divide(f, factors) + ONE)
+    with pytest.raises(ConsistencyError):
+        modmac._factor_numerators("inv_qt", 2)
+
+
+@pytest.mark.parametrize("kind", sorted(modmac._BASES))
+def test_factor_numerators_over_q_factorials_match_the_coefficients(kind):
+    nums = modmac._factor_numerators(kind, 6)
+    ref = _ref_factor_coeffs(kind, 6)
+    assert len(nums) == len(ref) == 7
+    for m, (n, c) in enumerate(zip(nums, ref)):
+        den = factor_product(modmac._qfactorial(modmac._BASES[kind], m))
+        assert RationalFunction(n, den) == c, (kind, m)
 
 
 # Each factor kind mapped to one whose series differs by degree 2.

@@ -1,15 +1,16 @@
 """Independent symmetric-function oracles: P, J, H, W, Schur, Kostka."""
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 import pytest
 
-from modmacd import clear_caches, symoracle
+from modmacd import clear_caches, modmac, symoracle
 from modmacd.combinat import Partition, conjugate, n_stat, partitions_of
 from modmacd.errors import NonPolynomialCoefficient, TooFewVariables
 from modmacd.exactalg import (ExactPolynomial, P as PC, RationalFunction,
-                              RF_ZERO, ratfun_normalize, sym)
+                              RF_ONE, RF_ZERO, ZERO, ratfun_normalize, sym)
 from modmacd.qseries import c_functions, factor_product
 from modmacd.symoracle import (SymmetricExpr, W_oracle, basis_convert,
                                horizontal_strip, integral_J, kostka_number,
@@ -22,8 +23,15 @@ T = sym("t")
 ONE = PC(1)
 
 
-def rf(p):
-    return p if isinstance(p, RationalFunction) else RationalFunction(p)
+def _value(e, mu):
+    """Coefficient of mu in e as numerator over its degree's denominator."""
+    k, factors = e.den(mu.weight())
+    return RationalFunction(e.coeffs.get(mu, ZERO),
+                            factor_product(factors) * k)
+
+
+def _values(e):
+    return {mu: _value(e, mu) for mu in e.coeffs}
 
 
 def test_symmetric_expr_rejects_unknown_basis():
@@ -52,12 +60,12 @@ def test_branching_coefficient_trivial_cases():
 def test_macdonald_P_two_boxes():
     e = macdonald_P(Partition((2,)), 2)
     assert e.basis == "monomial"
-    assert e.coeffs[Partition((2,))] == rf(ONE)
-    assert e.coeffs[Partition((1, 1))] == RationalFunction(
+    assert _value(e, Partition((2,))) == RF_ONE
+    assert _value(e, Partition((1, 1))) == RationalFunction(
         (ONE - T) * (ONE + Q), ONE - Q * T)
     # P_(1,1) is the elementary symmetric polynomial.
     e11 = macdonald_P(Partition((1, 1)), 2)
-    assert e11.coeffs == {Partition((1, 1)): rf(ONE)}
+    assert _values(e11) == {Partition((1, 1)): RF_ONE}
 
 
 def _ref_psi(lam, mu):
@@ -84,7 +92,7 @@ def _ref_pcoef(lam, mu):
     """Coefficient of x^mu in P_lam by the branching rule on P itself, with
     every sum reduced by the general gcd."""
     if not mu:
-        return rf(ONE) if not lam.parts else RF_ZERO
+        return RF_ONE if not lam.parts else RF_ZERO
     if sum(mu) != lam.weight() or len(lam) > len(mu):
         return RF_ZERO
     val = RF_ZERO
@@ -97,14 +105,14 @@ def _ref_pcoef(lam, mu):
 def test_P_and_J_match_the_gcd_reduced_branching_rule():
     for w in range(1, 6):
         for lam in partitions_of(w):
-            P_ = macdonald_P(lam, w).coeffs
-            J = integral_J(lam, w).coeffs
+            P_ = macdonald_P(lam, w)
+            J = integral_J(lam, w)
             c = c_functions(lam)["c"]
+            assert J.den(w) == (1, Counter()), lam
             for mu in partitions_of(w):
                 ref = _ref_pcoef(lam, mu.parts)
-                assert P_.get(mu, RF_ZERO) == ref, (lam, mu)
-                assert J.get(mu, RF_ZERO) == ref * c, (lam, mu)
-                assert J.get(mu, RF_ZERO).den.is_one(), (lam, mu)
+                assert _value(P_, mu) == ref, (lam, mu)
+                assert _value(J, mu) == ref * c, (lam, mu)
 
 
 def test_integral_J_rejects_a_wrong_branching_denominator(monkeypatch):
@@ -126,50 +134,66 @@ def test_integral_J_rejects_a_wrong_branching_denominator(monkeypatch):
 
 
 def test_plethysm_coefficients_share_one_denominator_per_degree():
-    # Every sum of the plethysm and of the basis conversion after it takes
-    # the equal-denominator path, so each coefficient of degree d keeps the
-    # denominator k_d prod_{D_d} (1 - q^a t^b) exactly.
+    # The plethysm gives degree d the denominator k_d prod_{D_d} (1 - t^r):
+    # k_d the power-sum expression's integer, D_d the lcm multiset of the
+    # factors (0, r) of its degree-d terms; the basis conversion after it
+    # keeps that denominator, and each term's value is divided by its own
+    # factors.
     for w in range(1, 5):
         for lam in partitions_of(w):
             ps = basis_convert(integral_J(lam, w), "powersum")
-            (k, factors), = symoracle._shared_denominators(ps).values()
-            den = factor_product(factors) * k
-            mono = basis_convert(plethysm_eval(ps, "modified"), "monomial")
-            assert all(c.den == den for c in mono.coeffs.values())
-            double = plethysm_eval(ps, "double", nvars=2)
-            assert all(c.den == den for c in double.values())
+            k, own = ps.den(w)
+            assert own == Counter() and set(ps.dens) == {w}
+            factors = reduce(or_, (Counter((0, r) for r in nu.parts)
+                                   for nu in ps.coeffs))
+            den = (k, factors)
+            pleth = plethysm_eval(ps, "modified")
+            assert pleth.dens == {w: den}
+            for nu, c in ps.coeffs.items():
+                assert _value(pleth, nu) == RationalFunction(
+                    c, factor_product(Counter((0, r) for r in nu.parts)) * k)
+            mono = basis_convert(pleth, "monomial")
+            assert mono.dens == {w: den}
+            double, dens = plethysm_eval(ps, "double", nvars=2)
+            assert dens == {w: den}
+            assert all(sum(e) == w for e in double)
 
 
 @pytest.mark.parametrize("missing", ["smallest", "largest"])
 def test_oracles_reject_a_plethysm_denominator_missing_a_factor(monkeypatch,
                                                                 missing):
-    shared = symoracle._shared_denominators
+    plethysm_lcm = symoracle._plethysm_lcm
 
     def wrong(ps):
         out = {}
-        for d, (k, factors) in shared(ps).items():
-            if factors:
-                pick = min if missing == "smallest" else max
-                factors = factors - Counter({pick(factors): 1})
-            out[d] = k, factors
+        for d, factors in plethysm_lcm(ps).items():
+            pick = min if missing == "smallest" else max
+            out[d] = factors - Counter({pick(factors): 1})
         return out
 
-    monkeypatch.setattr(symoracle, "_shared_denominators", wrong)
-    for w in range(2, 5):
-        for lam in partitions_of(w):
-            with pytest.raises(NonPolynomialCoefficient):
-                modified_H_oracle(lam)
-            with pytest.raises(NonPolynomialCoefficient):
-                W_oracle(lam, 2)
+    clear_caches()
+    monkeypatch.setattr(symoracle, "_plethysm_lcm", wrong)
+    try:
+        for w in range(2, 5):
+            for lam in partitions_of(w):
+                with pytest.raises(NonPolynomialCoefficient):
+                    modified_H_oracle(lam)
+                with pytest.raises(NonPolynomialCoefficient):
+                    W_oracle(lam, 2)
+    finally:
+        clear_caches()
 
 
 def test_macdonald_P_at_q_equals_t_is_schur():
     for lam in partitions_of(3):
         e = macdonald_P(lam, 3)
         at_qt = {mu: c.substitute({"q": T}) for mu, c in e.coeffs.items()}
+        k, factors = e.den(3)
+        dens = {3: (k, Counter({(0, a + b): m
+                                for (a, b), m in factors.items()}))}
         target = schur_expand(basis_convert(
-            type(e)("monomial", at_qt, 3), "monomial"))
-        assert target.coeffs == {lam: rf(ONE)}
+            type(e)("monomial", at_qt, 3, dens), "monomial"))
+        assert _values(target) == {lam: RF_ONE}
 
 
 def test_macdonald_P_needs_enough_variables():
@@ -180,17 +204,52 @@ def test_macdonald_P_needs_enough_variables():
 def test_integral_form_clears_denominators():
     for lam in partitions_of(3):
         e = integral_J(lam, 3)
+        assert e.den(3) == (1, Counter())
         for c in e.coeffs.values():
-            assert rf(c).as_polynomial() is not None
+            assert isinstance(c, ExactPolynomial)
 
 
 def test_modified_H_oracle_known_tables():
     h2 = modified_H_oracle(Partition((2,))).coeffs
-    assert h2[Partition((2,))] == rf(ONE)
-    assert h2[Partition((1, 1))] == rf(ONE + Q)
+    assert h2[Partition((2,))] == ONE
+    assert h2[Partition((1, 1))] == ONE + Q
     h11 = modified_H_oracle(Partition((1, 1))).coeffs
-    assert h11[Partition((2,))] == rf(T)
-    assert h11[Partition((1, 1))] == rf(ONE + T)
+    assert h11[Partition((2,))] == T
+    assert h11[Partition((1, 1))] == ONE + T
+
+
+def test_modified_H_oracle_needs_ell_lambda_variables():
+    lam = Partition((2, 1))
+    with pytest.raises(TooFewVariables):
+        modified_H_oracle(lam, 1)
+    # fewer variables than |lambda| restrict the full table
+    full = modified_H_oracle(lam).coeffs
+    assert modified_H_oracle(lam, 2).coeffs == {
+        mu: c for mu, c in full.items() if len(mu) <= 2}
+
+
+def test_oracle_table_is_computed_once_per_shape(monkeypatch):
+    calls = []
+    pleth = symoracle.plethysm_eval
+
+    def counted(e, rule, nvars=None):
+        calls.append(rule)
+        return pleth(e, rule, nvars)
+
+    clear_caches()
+    monkeypatch.setattr(symoracle, "plethysm_eval", counted)
+    try:
+        lam = Partition((2, 1))
+        modified_H_oracle(lam, 2)
+        modified_H_oracle(lam, 3)
+        modmac.kostka_qt(lam)
+        modmac.modified_H(lam, route="oracle")
+        assert calls == ["modified"]
+        clear_caches()
+        modified_H_oracle(lam)
+        assert calls == ["modified"] * 2
+    finally:
+        clear_caches()
 
 
 def test_modified_H_oracle_specializations():
@@ -198,9 +257,9 @@ def test_modified_H_oracle_specializations():
     # m_mu is the number of distinct rearrangements counted by multinomials.
     h = modified_H_oracle(Partition((2, 1))).coeffs
     vals = {mu: c.substitute({"q": ONE, "t": ONE}) for mu, c in h.items()}
-    assert vals[Partition((3,))] == rf(ONE)
-    assert vals[Partition((2, 1))] == rf(PC(3))
-    assert vals[Partition((1, 1, 1))] == rf(PC(6))
+    assert vals[Partition((3,))] == ONE
+    assert vals[Partition((2, 1))] == PC(3)
+    assert vals[Partition((1, 1, 1))] == PC(6)
 
 
 def test_kostka_numbers():
@@ -224,9 +283,9 @@ def test_basis_conversion_round_trip():
     for lam in partitions_of(4):
         e = macdonald_P(lam, 4)
         back = basis_convert(basis_convert(e, "powersum"), "monomial")
-        assert back.coeffs == e.coeffs
+        assert _values(back) == _values(e)
         back2 = basis_convert(schur_expand(e), "monomial")
-        assert back2.coeffs == e.coeffs
+        assert _values(back2) == _values(e)
 
 
 def test_monomial_expand_gives_symmetric_polynomials():
