@@ -232,13 +232,17 @@ def enumerate_flags(lam, N, mu=None):
         rec(1, [], hi.part(1) if n else 0, 0)
         return results
 
+    steps = {}  # (nu^k, |nu^(k+1)|) -> the candidates for nu^(k+1)
+
     def rec_flag(chain, k):
         if k == N:
             if chain[-1] == target:
                 yield tuple(chain)
             return
-        want = sums[k + 1] if sums else None
-        for nxt in between(chain[-1], target, want):
+        key = (chain[-1], sums[k + 1] if sums else None)
+        if key not in steps:
+            steps[key] = between(chain[-1], target, key[1])
+        for nxt in steps[key]:
             if k + 1 == N and nxt != target:
                 continue
             yield from rec_flag(chain + [nxt], k + 1)

@@ -8,22 +8,29 @@ exponent (chi_column, chi_prime_column, or the one from _hl_column) and one
 factor per cell, or per Gaussian binomial for Hall-Littlewood.  The x and
 dual routes sum by a transfer sweep over columns n, ..., 1 (_column_sweep):
 its state is the current column's chains, each with a map from partial
-composition to polynomial, and each step multiplies in one column weight,
-which reads only that column and the one before it.  The Hall-Littlewood
-route sums over flags.  The formulas stay independent, each with its own
-exponent (x and dual share only the sweep driver and the cached Phi
-evaluation), because their agreement is the evidence that each is right."""
+composition to a packed (q, t) polynomial, and each step multiplies in one
+column weight, which reads only that column and the one before it.  A
+structure pass first finds the live transitions and bounds the l1 norm and
+t-degree of every partial sum, which fixes the packing width, and checks
+each composition's value at q = t = 1 against its multinomial.  The
+Hall-Littlewood route sums over flags, packed the same way.  The formulas
+stay independent, each with its own exponent (x and dual share only the
+sweep driver and the cached Phi evaluation), because their agreement is the
+evidence that each is right; the packed kernel (packed) is shared with the
+Phi routes, not with the oracle."""
 
 from itertools import permutations, product as iproduct
-from operator import add
+from math import factorial, prod
+from operator import add, mul, sub
 
 from .combinat import (Partition, SequencePair, _at, _chains, conjugate,
                        enumerate_flags, inversion_number, multiplicity)
 from .errors import (ConsistencyError, InfeasibleMultiplicities,
                      InsufficientVariables, TopMismatch)
 from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, T,
-                       poly_divexact, sym, ZERO)
+                       _pruned, poly_divexact, sym, ZERO)
 from .memo import memoized
+from .packed import _comb, _digits, _gauss_at, _width
 from .phi import phi_at_one, phi_normalized, phi_prime
 from .qseries import fusion_normalizer, gauss_binomial, pochhammer
 
@@ -352,70 +359,88 @@ _PHI_EVAL_CACHE = {}
 
 @memoized(_PHI_EVAL_CACHE)
 def _phi_eval(nu, nut, qexp, texp, dual):
-    """Phi (or Phi') evaluated at the monomial argument, in (q, t).
+    """Phi (or Phi') at the monomial argument, as a tuple of
+    ((q exponent, t exponent), coefficient).
 
-    At argument 1 (qexp == texp == 0, the diagonal cell) the value depends
-    on nutilde only and is the closed product phi_at_one, in base q when
-    dual.
+    Phi is read off phi_normalized with z -> q^qexp t^texp; Phi' off
+    phi_prime with z -> t^qexp q^texp and t -> q.  At argument 1 (qexp ==
+    texp == 0, the diagonal cell) the value depends on nutilde only and is
+    the closed product phi_at_one, in base q when dual.
     """
     if qexp == texp == 0:
-        poly = phi_at_one(SequencePair(nut, nut))
-        return poly.substitute({"t": sym("q")}) if dual else poly
-    sp = SequencePair(nu, nut)
-    if dual:
-        poly = phi_prime(sp)
-        bindings = {"z": ExactPolynomial.monomial({"t": qexp, "q": texp}),
-                    "t": sym("q")}
+        poly, zq, zt = phi_at_one(SequencePair(nut, nut)), 0, 0
+    elif dual:
+        poly, zq, zt = phi_prime(SequencePair(nu, nut)), texp, qexp
     else:
-        poly = phi_normalized(sp)
-        bindings = {"z": ExactPolynomial.monomial({"q": qexp, "t": texp})}
-    return poly.substitute(bindings)
+        poly, zq, zt = phi_normalized(SequencePair(nu, nut)), qexp, texp
+    terms = {}
+    for e, c in poly.terms.items():
+        powers = dict(zip(poly.vars, e))
+        z, t = powers.get("z", 0), powers.get("t", 0)
+        key = (z * zq + t, z * zt) if dual else (z * zq, z * zt + t)
+        terms[key] = terms.get(key, 0) + c
+    return tuple((key, c) for key, c in terms.items() if c)
 
 
 def _cell_factor(i, j, nu, nut, shape, dual=False):
-    """Phi (Phi' when dual) of cell (i, j) at q^(j-i) t^(shape_i - shape_j).
+    """Phi (Phi' when dual) of cell (i, j) at q^(j-i) t^(shape_i - shape_j),
+    as an ExactPolynomial.
 
     The diagonal cell has argument 1, where _phi_eval reads nutilde only.
     """
-    return _phi_eval(nu, nut, j - i, shape.part(i) - shape.part(j), dual)
+    return ExactPolynomial(("q", "t"), dict(
+        _phi_eval(nu, nut, j - i, shape.part(i) - shape.part(j), dual)))
 
 
 def chi_column(i, pairs):
-    """Single-column exponent chi(nu, nutilde) for column i.
+    """Single-column exponent chi(nu, nutilde) for column i: the sum over
+    k = 1..N and j of d(d - 1)/2 + d * sum_{l > j} (nutilde_l^k - nu_l^(k-1))
+    with d = nutilde_j^k - nutilde_j^(k-1).
 
     pairs: mapping j -> (nu_j, nutilde_j) for j = i..n.
     """
-    total = 0
-    js = sorted(pairs)
-    N = len(pairs[js[0]][0])
-    for k in range(1, N + 1):
-        for j in js:
-            nuj, nutj = pairs[j]
-            d = _at(nutj, k) - _at(nutj, k - 1)
-            total += d * (d - 1) // 2
-            for l in js:
-                if l > j:
-                    nul, nutl = pairs[l]
-                    total += d * (_at(nutl, k) - _at(nul, k - 1))
-    return total
+    return _chi(pairs, False)
 
 
 def chi_prime_column(i, pairs):
-    """Single-column exponent chi'(nu, nutilde) of the dual formula."""
-    total = 0
+    """Single-column exponent chi'(nu, nutilde) of the dual formula: the sum
+    over k and j of d * sum_{l > j} (nutilde_l^(k-1) - nu_l^k), d as in
+    chi_column."""
+    return _chi(pairs, True)
+
+
+def _chi(pairs, dual):
     js = sorted(pairs)
-    N = len(pairs[js[0]][0])
-    for k in range(1, N + 1):
-        for j in js:
-            nuj, nutj = pairs[j]
-            d = _at(nutj, k) - _at(nutj, k - 1)
-            if not d:
-                continue
-            for l in js:
-                if l > j:
-                    nul, nutl = pairs[l]
-                    total += d * (_at(nutl, k - 1) - _at(nul, k))
-    return total
+    a, D = _chi_split([pairs[j][1] for j in js], dual)
+    return a - sum(map(mul, D, _chi_nus([pairs[j][0] for j in js], dual)))
+
+
+def _chi_split(nuts, dual):
+    """chi_column (dual: chi_prime_column) of the pairs (nu_j, nutilde_j)
+    with the nutildes nuts, in order of j, is a - sum D * _chi_nus(nus) with
+    D the sums over j < l of d = nutilde_j^k - nutilde_j^(k-1), flattened
+    over l and k; returns (a, D).  The sweep keeps (a, D) per column-i
+    chain tuple and the nu entries per column-(i+1) one."""
+    later = [0] * len(nuts[0])  # per k: sum over l > j of nutilde_l^k
+    a = 0                       # (dual: nutilde_l^(k-1))
+    for nut in reversed(nuts):
+        d = list(map(sub, nut, (0,) + nut))
+        a += sum(map(mul, d, later))
+        if not dual:
+            a += sum(x * (x - 1) // 2 for x in d)
+        later = list(map(add, later, (0,) + nut if dual else nut))
+    D = []
+    run = [0] * len(nuts[0])
+    for nut in nuts:
+        D += run
+        run = list(map(add, run, map(sub, nut, (0,) + nut)))
+    return a, D
+
+
+def _chi_nus(nus, dual):
+    """The nu entries _chi_split's D pairs with: nu_l^(k-1) (dual: nu_l^k)
+    for k = 1..N, flattened over l."""
+    return [x for nu in nus for x in (nu if dual else ((0,) + nu)[:-1])]
 
 
 def chi(columns, dual=False):
@@ -431,17 +456,16 @@ def chi(columns, dual=False):
 
 
 def _hl_column(nu, nut):
-    """t-exponent and Gaussian binomial factors of one Hall-Littlewood
-    column: sum of d(d-1)/2 over the increments d of nutilde, and
-    [nutilde_{k+1} - nu_k, nutilde_k - nu_k] for k < N."""
+    """t-exponent and Gaussian binomials of one Hall-Littlewood column: sum
+    of d(d-1)/2 over the increments d of nutilde, and the pairs (a, b) of
+    [a, b]_t = [nutilde_{k+1} - nu_k, nutilde_k - nu_k] for k < N."""
     N = len(nut)
     expo = 0
     for k in range(1, N + 1):
         d = nut[k - 1] - _at(nut, k - 1)
         expo += d * (d - 1) // 2
-    binoms = [gauss_binomial(nut[k] - nu[k - 1], nut[k - 1] - nu[k - 1])
-              for k in range(1, N)]
-    return expo, binoms
+    return expo, [(nut[k] - nu[k - 1], nut[k - 1] - nu[k - 1])
+                  for k in range(1, N)]
 
 
 def column_weight(i, lam, pairs, variant="x"):
@@ -466,8 +490,8 @@ def column_weight(i, lam, pairs, variant="x"):
                 "column tops must be the conjugate parts at i, i+1")
         expo, binoms = _hl_column(nu, nut)
         out = T ** expo
-        for b in binoms:
-            out = out * b
+        for a, b in binoms:
+            out = out * gauss_binomial(a, b)
         xs = ExactPolynomial.monomial(
             {"x%d" % k: nut[k - 1] - _at(nut, k - 1)
              for k in range(1, N + 1)})
@@ -503,44 +527,140 @@ def partition_function_coeffs(lam, N, formula="x"):
 
     formula 'x': t-exponent chi with Phi factors; 'z': dual route with Phi'
     in base q; 'hl': Kirillov flag sum (polynomials in t).  Each term is the
-    product over columns of the pieces column_weight is made of.  The x and
-    dual sums run as a column sweep (_column_sweep): the state after column
-    i maps each tuple of column-i chains nu_{i,j}, j = i..n, to its partial
-    compositions and their polynomials; the step to column i multiplies by
-    base^chi_column(i) times column i's cell factors, drops transitions
-    with a zero factor, and adds column i's increments to the composition.
+    product over columns of the pieces column_weight is made of.
+
+    Every sum runs on packed integers (see packed): a polynomial in (q, t)
+    with coefficients of absolute value below 2^(W-1) and t-degree below T
+    is held as its value at t = 2^W, q = 2^(W T), so products and sums of
+    terms are products and sums of ints.  W and T come from bounds on the
+    terms, never from the result: the l1 norm (sum of |c|) of a product is
+    at most the product of the norms and of a sum at most the sum of the
+    norms, and the degrees of a product add.  This does not need Phi to be
+    positive.
+
+    The x and dual sums run as a column sweep (_column_sweep) over columns
+    n, ..., 1: the state after column i maps each tuple of column-i chains
+    nu_{i,j}, j = i..n, to its partial compositions, and the step to column
+    i multiplies by base^chi_column(i) times column i's cell factors and
+    adds column i's increments to the composition.  A structure pass finds
+    the live transitions (no zero cell factor) and carries, as plain ints,
+    the l1 norm and the value at q = t = 1 of every partial sum and a bound
+    on the t-degree per chain tuple; each column's chi is shifted by its
+    least value, and the total shift is put back when decoding.  The value
+    of each composition at q = t = 1 must be the multinomial
+    n! / prod comp_i!, since H(x; 1, 1) = (x_1 + ... + x_N)^n; otherwise
+    ConsistencyError.  The numeric pass then repeats the sweep on the
+    packed weights.  The Hall-Littlewood flag sum packs each column's
+    t^expo prod [a, b]_t the same way, at the width of the flags' l1 norms.
+
     Sums resolved by composition are checked for permutation invariance
-    before collapsing onto partitions.
+    before collapsing onto partitions, on the packed values (two values
+    packed at the same W and T are equal exactly when their polynomials
+    are), and then one value per partition is decoded.
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if N < len(lam):
         raise InsufficientVariables("N must be at least ell(lambda)")
     if formula == "hl":
-        by_comp = {}
-        n = lam.part(1)
-        for flag in enumerate_flags(lam, N):
-            expo = 0
-            factors = []
-            for i in range(1, n + 1):
-                e, binoms = _hl_column(tuple(f.part(i + 1) for f in flag[1:]),
-                                       tuple(f.part(i) for f in flag[1:]))
-                expo += e
-                factors += binoms
-            if any(f.is_zero() for f in factors):
-                continue
-            coef = T ** expo
-            for f in factors:
-                coef = coef * f
-            mu = tuple(flag[k].weight() - flag[k - 1].weight()
-                       for k in range(1, N + 1))
-            by_comp[mu] = by_comp.get(mu, ZERO) + coef
+        by_comp, decode = _hl_flag_sum(lam, N)
     elif formula in ("x", "z"):
         dual = (formula == "z")
-        by_comp = _column_sweep(lam if dual else conjugate(lam), N, dual)
+        by_comp, decode = _column_sweep(lam if dual else conjugate(lam), N,
+                                        dual)
     else:
         raise ValueError("formula must be 'x', 'z' or 'hl'")
-    return _collapse_compositions(by_comp)
+    return {mu: decode(v)
+            for mu, v in _collapse_compositions(by_comp).items()}
+
+
+def _hl_flag_sum(lam, N):
+    """The Hall-Littlewood sum keyed by composition: over flags, the product
+    over columns of t^expo times the column's Gaussian binomials
+    (_hl_column), each column packed once.  Returns the packed sums and
+    their decoder."""
+    n = lam.part(1)
+    columns = {}  # (nu, nutilde) -> (t-exponent, binomial pairs, l1 norm)
+    flags = []
+    norms = {}
+    for flag in enumerate_flags(lam, N):
+        # cols[i - 1] = (nu^1_i, ..., nu^N_i), column i of every partition
+        cols = list(zip(*(f.padded(n + 1) for f in flag[1:])))
+        keys = list(zip(cols[1:], cols))
+        norm = 1
+        for key in keys:
+            if key not in columns:
+                expo, pairs = _hl_column(*key)
+                columns[key] = (expo, pairs,
+                                prod(_comb(a, b) for a, b in pairs))
+            norm *= columns[key][2]
+        if norm:
+            mu = tuple(b.weight() - a.weight() for a, b in zip(flag, flag[1:]))
+            flags.append((mu, keys))
+            norms[mu] = norms.get(mu, 0) + norm
+    W = _width(max(norms.values(), default=0))
+    packed = {key: prod(_gauss_at(a, b, W) for a, b in pairs) << W * expo
+              for key, (expo, pairs, _) in columns.items()}
+    sums = dict.fromkeys(norms, 0)
+    for mu, keys in flags:
+        sums[mu] += prod(packed[key] for key in keys)
+    return sums, lambda v: _pruned(("t",), {(i,): c
+                                           for i, c in _digits(v, W)})
+
+
+def _pack_qt(terms, W, T):
+    """The value at t = 2^W, q = 2^(W T) of the polynomial with terms
+    ((q exponent, t exponent), coefficient), all exponents >= 0, t's < T."""
+    return sum(c << W * (q * T + t) for (q, t), c in terms)
+
+
+def _unpack_qt(value, W, T, qshift=0, tshift=0):
+    """Inverse of _pack_qt, times q^qshift t^tshift."""
+    return _pruned(("q", "t"), {
+        (q + qshift, t + tshift): c
+        for i, c in _digits(value, W) for q, t in (divmod(i, T),)})
+
+
+def _sweep_step(states, moves):
+    """One column of a path sum.  states maps a chain tuple to its partial
+    sums {composition key: int}; a move (below, cur, inc, w) adds each
+    partial sum of below at key k, times w, into cur at key k + inc."""
+    sums = {}
+    for below, cur, inc, w in moves:
+        acc = sums.setdefault(cur, {})
+        for key, v in states[below].items():
+            key += inc
+            acc[key] = acc.get(key, 0) + v * w
+    return sums
+
+
+def _column_moves(shape, N, dual, i, belows):
+    """The live moves into column i: (below, cur, chi, cells) for every
+    tuple below of column-(i+1) chains and cur of column-i chains whose
+    cell factors (tuples from _phi_eval) are all nonzero; chi is
+    chi_column (dual: chi_prime_column) of the column."""
+    js = range(i, len(shape) + 1)
+    args = [(j - i, shape.part(i) - shape.part(j)) for j in js]
+    chain_sets = [_chains(shape.part(j) - shape.part(j + 1), N) for j in js]
+    splits = {}
+    moves = []
+    for below in belows:
+        chains = ((0,) * N,) + below
+        nus = _chi_nus(chains, dual)
+        # per cell, the chains of column i that give a nonzero factor
+        options = [[(nut, cell) for nut in chain_set
+                    for cell in (_phi_eval(nu, nut, qexp, texp, dual),)
+                    if cell]
+                   for (qexp, texp), nu, chain_set
+                   in zip(args, chains, chain_sets)]
+        for picked in iproduct(*options):
+            cur = tuple(nut for nut, _ in picked)
+            if cur not in splits:
+                splits[cur] = _chi_split(cur, dual)
+            a, D = splits[cur]
+            moves.append((below, cur, a - sum(map(mul, D, nus)),
+                          [cell for _, cell in picked]))
+    return moves
 
 
 def _column_sweep(shape, N, dual):
@@ -549,44 +669,95 @@ def _column_sweep(shape, N, dual):
 
     shape is lambda' (dual: lambda) and n = len(shape).  The chains nu_{i,j}
     have length N and end at shape_j - shape_{j+1}; nu_{i+1,i} is the zero
-    chain.
+    chain.  A partial composition c is keyed by the int sum_k c_k B^k,
+    B = |lambda| + 1 > every c_k, so that adding a column's increments is
+    one addition; the last column adds every path into the one state ().
+    Returns the packed sums and their decoder.
     """
-    column_chi = chi_prime_column if dual else chi_column
-    base = "q" if dual else "t"
-    n = len(shape)
-    zero = (0,) * N
-    states = {(): {zero: ONE}}
-    for i in range(n, 0, -1):
-        js = range(i, n + 1)
-        choices = list(iproduct(*(_chains(shape.part(j) - shape.part(j + 1),
-                                          N) for j in js)))
-        sums = {}
-        for below, partial in states.items():
-            below = (zero,) + below
-            for cur in choices:
-                pairs = dict(zip(js, zip(below, cur)))
-                factors = [_cell_factor(i, j, nu, nut, shape, dual)
-                           for j, (nu, nut) in pairs.items()]
-                if any(f.is_zero() for f in factors):
-                    continue
-                weight = ExactPolynomial.monomial(
-                    {base: column_chi(i, pairs)})
-                for f in factors:
-                    weight = weight * f
-                acc = sums.setdefault(cur, {})
-                for comp, poly in partial.items():
-                    acc[comp] = acc.get(comp, ZERO) + poly * weight
-        states = {}
-        for cur, acc in sums.items():
-            inc = [sum(chain[k] - _at(chain, k) for chain in cur)
-                   for k in range(N)]
-            states[cur] = {tuple(map(add, comp, inc)): poly
-                           for comp, poly in acc.items()}
-    by_comp = {}
-    for partial in states.values():
-        for comp, poly in partial.items():
-            by_comp[comp] = by_comp.get(comp, ZERO) + poly
-    return by_comp
+    weight = sum(shape)
+    B = weight + 1
+    start = {(): {0: 1}}
+    # structure pass: per column the live steps (below, cur, increment,
+    # chi - least chi, cells); per chain tuple the l1 norms and values at
+    # q = t = 1 of its partial sums and a bound on their t-degrees
+    columns = []
+    norms, at_one, tdeg = start, start, {(): 0}
+    shift = 0
+    cell_bounds = {}
+    for i in range(len(shape), 0, -1):
+        moves = _column_moves(shape, N, dual, i, norms)
+        low = min((move[2] for move in moves), default=0)
+        shift += low
+        incs = {}
+        steps, l1s, ones, degs = [], [], [], {}
+        for below, cur, chi, cells in moves:
+            if cur not in incs:
+                incs[cur] = sum((b - a) * B ** k for chain in cur for k, (a, b)
+                                in enumerate(zip((0,) + chain, chain)))
+            step = (below, cur if i > 1 else (), incs[cur])
+            l1, one, deg = 1, 1, 0 if dual else chi - low
+            for cell in cells:
+                if id(cell) not in cell_bounds:
+                    if any(q < 0 or t < 0 for (q, t), _ in cell):
+                        raise ConsistencyError(
+                            "negative exponent in a cell factor: %r"
+                            % (cell,))
+                    cell_bounds[id(cell)] = (
+                        sum(abs(c) for _, c in cell),
+                        sum(c for _, c in cell),
+                        max(t for (_, t), _ in cell))
+                norm, value, top = cell_bounds[id(cell)]
+                l1, one, deg = l1 * norm, one * value, deg + top
+            steps.append(step + (chi - low, cells))
+            l1s.append(step + (l1,))
+            ones.append(step + (one,))
+            degs[step[1]] = max(degs.get(step[1], 0), tdeg[below] + deg)
+        # with no negative coefficient so far the norms are the values
+        same = norms is at_one and l1s == ones
+        at_one = _sweep_step(at_one, ones)
+        norms = at_one if same else _sweep_step(norms, l1s)
+        tdeg = degs
+        columns.append(steps)
+    _check_multinomials(_by_tuple(at_one.get((), {}), B, N), weight, N)
+    # numeric pass
+    W = _width(max(norms.get((), {}).values(), default=0))
+    T = max(tdeg.values(), default=0) + 1
+    base = W * T if dual else W
+    packed = {}
+    values = start
+    for steps in columns:
+        weights = []
+        for below, cur, inc, chi, cells in steps:
+            w = 1
+            for cell in cells:
+                if id(cell) not in packed:
+                    packed[id(cell)] = _pack_qt(cell, W, T)
+                w *= packed[id(cell)]
+            weights.append((below, cur, inc, w << base * chi))
+        values = _sweep_step(values, weights)
+    return _by_tuple(values.get((), {}), B, N), \
+        lambda v: _unpack_qt(v, W, T, *((shift, 0) if dual else (0, shift)))
+
+
+def _by_tuple(by_key, B, N):
+    """Re-key by composition: key sum_k c_k B^k becomes (c_1, ..., c_N)."""
+    return {tuple(key // B ** k % B for k in range(N)): v
+            for key, v in by_key.items()}
+
+
+def _check_multinomials(at_one, weight, N):
+    """Each composition's value at q = t = 1 is n! / prod comp_i!, and no
+    composition of n into N parts is missing (their multinomials sum to
+    N^n)."""
+    for comp, value in at_one.items():
+        expect = factorial(weight) // prod(map(factorial, comp))
+        if value != expect:
+            raise ConsistencyError(
+                "value %d at q = t = 1 of the composition %r is not the "
+                "multinomial %d" % (value, comp, expect))
+    if sum(at_one.values()) != N ** weight:
+        raise ConsistencyError(
+            "a composition of %d into %d parts is missing" % (weight, N))
 
 
 def _collapse_compositions(by_comp):

@@ -13,6 +13,9 @@ from .errors import (IndexOutOfRange, NegativeDifference, NegativeInput,
                      TruncationResidual)
 from .exactalg import ExactPolynomial, ONE, ZERO, sym
 from .memo import memoized
+# _BINOM_LIST_CACHE stays readable as phi._BINOM_LIST_CACHE
+from .packed import (_BINOM_LIST_CACHE, _comb, _digits,  # noqa: F401
+                     _gauss_at, _width)
 from .qseries import gauss_binomial, pochhammer
 
 Z = sym("z")
@@ -23,49 +26,10 @@ def _degree_bound(sp):
     return _at(sp.nu, sp.N - 1)
 
 
-_BINOM_LIST_CACHE = {}
-
-
-@memoized(_BINOM_LIST_CACHE)
-def _binom_list(a, b):
-    """Gaussian binomial [a choose b] as a list of integer t-coefficients."""
-    poly = gauss_binomial(a, b)
-    if poly.is_zero():
-        return []
-    got = [0] * (poly.degree("t") + 1)
-    for exp, c in poly.terms.items():
-        got[exp[0] if poly.vars else 0] = c
-    return got
-
-
-# Packed arithmetic at t = 2^W (Kronecker substitution).  A polynomial in t
-# whose coefficients are at most B in absolute value is held as its value at
-# t = 2^W with W = B.bit_length() + 1, one balanced W-bit digit per
-# coefficient: products of polynomials become products of ints, and a value
-# is zero exactly when its polynomial is.  Polynomials in (z, t) or (v, t)
-# are lists of such ints indexed by the other degree.  B comes from the l1
-# norms of the inputs (in phi_series and in _packed_sum, the kernel of the
-# other term-sum routes), never from the result:
-# ||[a, b]_t|| = C(a, b), ||1 - z t^e|| = 2, ||fg|| <= ||f|| ||g|| and
-# ||f + g|| <= ||f|| + ||g||.
-
-def _width(l1):
-    """Digit width W that decodes every value of l1 norm at most l1."""
-    return l1.bit_length() + 1
-
-
-def _comb(a, b):
-    """l1 norm of [a choose b]_t."""
-    return comb(a, b) if a >= b >= 0 else 0
-
-
-def _gauss_at(a, b, W):
-    """[a choose b]_t at t = 2^W; 0 unless a >= b >= 0."""
-    value = 0
-    for c in reversed(_binom_list(a, b)):
-        value = (value << W) + c
-    return value
-
+# The z^d (or v^d) coefficients of a polynomial in (z, t) or (v, t) are
+# packed at t = 2^W (see packed) as a list indexed by d; W bounds the l1
+# norms of the inputs, in phi_series and in _packed_sum, the kernel of the
+# other term-sum routes.
 
 def _pochhammer_at(exponents, W):
     """prod over e of (1 - z t^e) at t = 2^W, as a list indexed by z-degree."""
@@ -77,18 +41,9 @@ def _pochhammer_at(exponents, W):
 
 def _unpack(rows, W, name):
     """Balanced-digit decode of rows[d] = f_d(2^W) into sum_d name^d f_d(t)."""
-    mask, half = (1 << W) - 1, 1 << (W - 1)
-    terms = {}
-    for d, value in enumerate(rows):
-        # A value of L bits has at most L // W + 1 balanced digits.
-        for i in range(value.bit_length() // W + 1):
-            c = value & mask
-            if c >= half:
-                c -= mask + 1
-            if c:
-                terms[(i, d)] = c
-            value = (value - c) >> W
-    return ExactPolynomial(("t", name), terms)
+    return ExactPolynomial(("t", name), {(i, d): c
+                                         for d, value in enumerate(rows)
+                                         for i, c in _digits(value, W)})
 
 
 def _packed_sum(terms, name):
@@ -300,10 +255,8 @@ def phi_prime_series(sp):
 
 def phi_at_one(sp):
     """Phi at z = 1 via the closed product over binomials of nutilde."""
-    out = ONE
-    for j in range(1, sp.N):
-        out = out * gauss_binomial(_at(sp.nutilde, j + 1), _at(sp.nutilde, j))
-    return out
+    return _packed_sum([(0, 0, [(_at(sp.nutilde, j + 1), _at(sp.nutilde, j))
+                                for j in range(1, sp.N)], ())], "z")
 
 
 def g_poly(m, a, b, form="sum"):

@@ -1,4 +1,4 @@
-"""Acceptance sweep: fourteen end-to-end criteria, one test (and one printed
+"""Acceptance sweep: fifteen end-to-end criteria, one test (and one printed
 pass/fail line) each.  All comparisons are exact."""
 
 import itertools
@@ -158,7 +158,7 @@ def test_criterion_07_h_routes_identical():
             assert a == b == c
             for poly in a.values():
                 assert poly.is_nonnegative()
-    _report(7, 15, t0)
+    _report(7, 6, t0)
 
 
 def test_criterion_08_hall_littlewood_collapse():
@@ -170,7 +170,7 @@ def test_criterion_08_hall_littlewood_collapse():
             at0 = {mu: p.substitute({"q": P(0)}) for mu, p in full.items()}
             at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
             assert at0 == modified_HL(lam, N)
-    _report(8, 10, t0)
+    _report(8, 2, t0)
 
 
 def test_criterion_09_reduction_square():
@@ -227,7 +227,7 @@ def test_criterion_13_weight_7_routes_and_hall_littlewood_collapse():
         at0 = {mu: p.substitute({"q": P(0)}) for mu, p in x.items()}
         at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
         assert at0 == modified_HL(lam, N), lam
-    _report(13, 85, t0)
+    _report(13, 25, t0)
 
 
 def test_criterion_14_cauchy_identities_at_degree_4():
@@ -238,3 +238,17 @@ def test_criterion_14_cauchy_identities_at_degree_4():
     assert cauchy_check("W", 1, 2, 4)
     assert cauchy_check("W", 2, 1, 4)
     _report(14, 30, t0)
+
+
+def test_criterion_15_weight_8_routes_and_hall_littlewood_collapse():
+    t0 = time.time()
+    for lam in partitions_of(8):
+        N = max(len(lam), lam.part(1))
+        x = _h_table(lam, "lattice_x")
+        assert x == _h_table(lam, "lattice_dual") == _h_table(lam, "oracle"), \
+            lam
+        assert all(poly.is_nonnegative() for poly in x.values()), lam
+        at0 = {mu: p.substitute({"q": P(0)}) for mu, p in x.items()}
+        at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
+        assert at0 == modified_HL(lam, N), lam
+    _report(15, 100, t0)

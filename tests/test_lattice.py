@@ -5,20 +5,23 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from modmacd.combinat import (Partition, SequencePair, conjugate,
                               enumerate_flags, enumerate_nu_families,
                               partitions_of)
-from modmacd.errors import TopMismatch
+from modmacd.errors import ConsistencyError, TopMismatch
 from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction, sym,
                               ZERO)
-from modmacd.lattice import (FaceState, _phi_eval, chi, chi_column,
-                             column_weight, fundamental_L,
-                             fused_L_recurrence, fused_vertex_bruteforce,
+from modmacd.lattice import (FaceState, _PHI_EVAL_CACHE, _pack_qt, _phi_eval,
+                             _unpack_qt, chi, chi_column, chi_prime_column,
+                             column_weight, fundamental_L, fused_L_recurrence,
+                             fused_vertex_bruteforce,
                              partition_function_coeffs, r_matrix, rll_check,
                              weight_fused, weight_fused_x, weight_fused_z,
                              weight_hl, weight_hl_factorization_check)
+from modmacd.memo import clear_caches
+from modmacd.packed import _width
 from modmacd.phi import phi_at_one, phi_normalized, phi_prime
 from modmacd.qseries import gauss_binomial, pochhammer
 
@@ -204,6 +207,7 @@ def _cell_by_substitution(nu, nut, qexp, texp, dual):
         {"z": ExactPolynomial.monomial({"q": qexp, "t": texp})})
 
 
+@functools.lru_cache(maxsize=None)
 def _flat_partition_function(lam, N, formula):
     """Reference for partition_function_coeffs(lam, N, 'x' | 'z'): the flat
     sum over every nu-family of base^chi times one factor per cell (i, j) at
@@ -239,7 +243,7 @@ def _with_n(lam):
     return st.tuples(st.just(lam), st.integers(least, least + 2))
 
 
-@given(st.sampled_from([lam for w in range(5) for lam in partitions_of(w)])
+@given(st.sampled_from([lam for w in range(6) for lam in partitions_of(w)])
        .flatmap(_with_n), st.sampled_from("xz"))
 @example((Partition(()), 0), "x")
 @example((Partition(()), 1), "z")
@@ -255,16 +259,165 @@ def test_column_sweep_matches_flat_family_sum(case, formula):
         == _flat_partition_function(lam, N, formula)
 
 
+def _chi_by_pairs_of_chains(pairs, dual):
+    """Reference for chi_column (chi_prime_column when dual): the sum over
+    k, j and l > j of each pair's term, with nu^0 = nutilde^0 = 0."""
+    def at(seq, k):
+        return seq[k - 1] if k >= 1 else 0
+
+    total = 0
+    js = sorted(pairs)
+    for k in range(1, len(pairs[js[0]][0]) + 1):
+        for j in js:
+            nutj = pairs[j][1]
+            d = at(nutj, k) - at(nutj, k - 1)
+            if not dual:
+                total += d * (d - 1) // 2
+            for l in js:
+                if l > j:
+                    nul, nutl = pairs[l]
+                    total += d * (at(nutl, k - 1) - at(nul, k) if dual
+                                  else at(nutl, k) - at(nul, k - 1))
+    return total
+
+
+def _nondecreasing_chains(length):
+    return st.lists(st.integers(0, 3), min_size=length, max_size=length) \
+        .map(lambda steps: tuple(itertools.accumulate(steps)))
+
+
+@given(st.integers(1, 4).flatmap(lambda N: st.lists(
+    st.tuples(_nondecreasing_chains(N), _nondecreasing_chains(N)),
+    min_size=1, max_size=4)), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_column_exponents_match_the_pairwise_sum(chains, i):
+    pairs = {j: pair for j, pair in enumerate(chains, start=i)}
+    assert chi_column(i, pairs) == _chi_by_pairs_of_chains(pairs, False)
+    assert chi_prime_column(i, pairs) == _chi_by_pairs_of_chains(pairs, True)
+
+
+def _cell_poly(cell):
+    """The ExactPolynomial of a cell tuple ((q exponent, t exponent), c)."""
+    return ExactPolynomial(("q", "t"), dict(cell))
+
+
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=5).map(sorted)
        .map(tuple))
 @settings(max_examples=60, deadline=None)
 def test_diagonal_cell_is_phi_at_one(nut):
     # argument 1 is q^0 t^0; the dual route reads Phi' with t -> q
     sp = SequencePair(nut, nut)
-    assert _phi_eval(nut, nut, 0, 0, False) \
+    assert _cell_poly(_phi_eval(nut, nut, 0, 0, False)) \
         == phi_normalized(sp).substitute({"z": P(1)})
-    assert _phi_eval(nut, nut, 0, 0, True) \
+    assert _cell_poly(_phi_eval(nut, nut, 0, 0, True)) \
         == phi_prime(sp).substitute({"z": P(1), "t": Q})
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,
+                max_size=4), st.integers(1, 3), st.integers(0, 3),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_cell_tuple_is_phi_at_the_cell_argument(steps, qexp, texp, dual):
+    # nu and nutilde grow by the drawn steps and share their last entry
+    nu = tuple(itertools.accumulate(a for a, _ in steps))
+    nut = tuple(itertools.accumulate(b for _, b in steps))
+    nut = nut[:-1] + (nu[-1],)
+    assume(all(x <= y for x, y in zip(nut, nut[1:])))
+    cell = _phi_eval(nu, nut, qexp, texp, dual)
+    assert all(c for _, c in cell)
+    assert _cell_poly(cell) == _cell_by_substitution(nu, nut, qexp, texp,
+                                                     dual)
+
+
+_LAURENT_QT = st.dictionaries(
+    st.tuples(st.integers(-3, 4), st.integers(-3, 4)), st.integers(-40, 40),
+    max_size=6)
+
+
+@given(_LAURENT_QT, _LAURENT_QT, _LAURENT_QT)
+@example({}, {}, {})
+@example({(0, 0): -1}, {(-3, 4): 40}, {(-6, 8): -40})
+@settings(max_examples=120, deadline=None)
+def test_packed_qt_matches_exact_products_and_sums(f, g, h):
+    # f g + h for Laurent f, g, h with signed coefficients: f and g are
+    # packed times q^-sq t^-st, h times their square, so that every exponent
+    # is >= 0; W and T come from the l1 norms and degrees of the inputs.
+    sq = min([q for q, _ in (*f, *g, *h)] + [0])
+    st_ = min([t for _, t in (*f, *g, *h)] + [0])
+
+    def shifted(p, k):
+        return {(q - k * sq, t - k * st_): c for (q, t), c in p.items()}
+
+    def l1(p):
+        return sum(abs(c) for c in p.values())
+
+    def tdeg(p):
+        return max([t for _, t in p] + [0])
+
+    fs, gs, hs = shifted(f, 1), shifted(g, 1), shifted(h, 2)
+    W = _width(l1(f) * l1(g) + l1(h))
+    T = max(tdeg(fs) + tdeg(gs), tdeg(hs)) + 1
+    value = _pack_qt(fs.items(), W, T) * _pack_qt(gs.items(), W, T) \
+        + _pack_qt(hs.items(), W, T)
+    expect = ExactPolynomial(("q", "t"), f) * ExactPolynomial(("q", "t"), g) \
+        + ExactPolynomial(("q", "t"), h)
+    assert _unpack_qt(value, W, T, 2 * sq, 2 * st_) == expect
+
+
+def _hl_flag_loop(lam, N):
+    """Reference for partition_function_coeffs(lam, N, 'hl'): the flag sum
+    in ExactPolynomial arithmetic.  Column i of a flag contributes t to the
+    sum of d(d-1)/2 over the increments d of nutilde and the binomials
+    [nutilde_{k+1} - nu_k, nutilde_k - nu_k] for k < N."""
+    by_comp = {}
+    for flag in enumerate_flags(lam, N):
+        coef = ONE
+        for i in range(1, lam.part(1) + 1):
+            nu = tuple(f.part(i + 1) for f in flag[1:])
+            nut = tuple(f.part(i) for f in flag[1:])
+            for d in (b - a for a, b in zip((0,) + nut, nut)):
+                coef = coef * T ** (d * (d - 1) // 2)
+            for k in range(1, N):
+                coef = coef * gauss_binomial(nut[k] - nu[k - 1],
+                                             nut[k - 1] - nu[k - 1])
+        if not coef.is_zero():
+            mu = tuple(flag[k].weight() - flag[k - 1].weight()
+                       for k in range(1, N + 1))
+            by_comp[mu] = by_comp.get(mu, ZERO) + coef
+    out = {}
+    for comp, val in by_comp.items():
+        key = Partition(sorted(comp, reverse=True))
+        assert out.setdefault(key, val) == val, comp
+    return out
+
+
+@given(st.sampled_from([lam for w in range(7) for lam in partitions_of(w)])
+       .flatmap(lambda lam: st.tuples(st.just(lam),
+                                      st.integers(len(lam), len(lam) + 2))))
+@example((Partition(()), 0))
+@example((Partition((3, 3)), 2))
+@example((Partition((1, 1, 1, 1, 1, 1)), 6))
+@settings(max_examples=80, deadline=None)
+def test_packed_hl_matches_exact_flag_loop(case):
+    lam, N = case
+    assert partition_function_coeffs(lam, N, "hl") == _hl_flag_loop(lam, N)
+
+
+def test_sweep_checks_the_multinomials(monkeypatch):
+    # Every composition's value at q = t = 1 is a multinomial; one cell
+    # factor with a coefficient raised by 1 breaks that, and the structure
+    # pass refuses before anything is decoded.
+    lam = Partition((2, 1))
+    clear_caches()
+    try:
+        partition_function_coeffs(lam, 3, "x")
+        key = next(k for k in _PHI_EVAL_CACHE if k[2] == 1)
+        (exp, c), *rest = _PHI_EVAL_CACHE[key]
+        monkeypatch.setitem(_PHI_EVAL_CACHE, key, ((exp, c + 1), *rest))
+        with pytest.raises(ConsistencyError, match="multinomial"):
+            partition_function_coeffs(lam, 3, "x")
+    finally:
+        clear_caches()
 
 
 def _symmetrized(table, weight, N):

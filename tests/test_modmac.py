@@ -172,6 +172,25 @@ def test_runtime_reaches_no_gcd(monkeypatch):
         clear_caches()
 
 
+def test_lattice_routes_reach_no_substitute(monkeypatch):
+    # The x and dual sweeps read their cell factors off Phi by exponent
+    # arithmetic and the Hall-Littlewood flag sum packs Gaussian binomials;
+    # none of them substitutes into a polynomial.
+    def reached(*args):
+        raise AssertionError("ExactPolynomial.substitute reached")
+
+    monkeypatch.setattr(ExactPolynomial, "substitute", reached)
+    clear_caches()
+    try:
+        for w in range(6):
+            for lam in partitions_of(w):
+                modified_H(lam, route="lattice_x")
+                modified_H(lam, route="lattice_dual")
+                modified_HL(lam, max(len(lam), lam.part(1), 1))
+    finally:
+        clear_caches()
+
+
 def _ref_factor_coeffs(kind, degree):
     """Coefficients c_m of the per-pair factor f(u) = sum c_m u^m, as
     RationalFunction values (the product side's former arithmetic)."""

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from modmacd import phi
+from modmacd import packed, phi
 from modmacd.combinat import SequencePair
 from modmacd.errors import MismatchedTops, NegativeInput, TruncationResidual
 from modmacd.exactalg import ExactPolynomial, P, render, sym
@@ -166,7 +166,7 @@ def test_truncation_check_fires_below_the_true_degree(monkeypatch):
 @settings(max_examples=80, deadline=None)
 def test_gauss_at_is_gauss_binomial_at_a_power_of_two(a, b, W):
     expect = gauss_binomial(a, b).substitute({"t": P(2 ** W)})
-    assert P(phi._gauss_at(a, b, W)) == expect
+    assert P(packed._gauss_at(a, b, W)) == expect
 
 
 @given(st.lists(st.lists(st.integers(-2 ** 80, 2 ** 80), max_size=8),
