@@ -15,9 +15,11 @@ t-degree of every partial sum, which fixes the packing width, and checks
 each composition's value at q = t = 1 against its multinomial.  The
 Hall-Littlewood route sums over flags, packed the same way.  The formulas
 stay independent, each with its own exponent (x and dual share only the
-sweep driver and the cached Phi evaluation), because their agreement is the
-evidence that each is right; the packed kernel (packed) is shared with the
-Phi routes, not with the oracle."""
+sweep driver, the cached Phi evaluation and the split of a column exponent
+into a part of the column's own chains and a dot product with the next
+column's, _chi_split), because their agreement is the evidence that each is
+right; the packed kernel (packed) is shared with the Phi routes, not with
+the oracle."""
 
 from itertools import permutations, product as iproduct
 from math import factorial, prod
@@ -382,14 +384,14 @@ def _phi_eval(nu, nut, qexp, texp, dual):
     return tuple((key, c) for key, c in terms.items() if c)
 
 
-def _cell_factor(i, j, nu, nut, shape, dual=False):
-    """Phi (Phi' when dual) of cell (i, j) at q^(j-i) t^(shape_i - shape_j),
-    as an ExactPolynomial.
+def _cell_factor(i, j, nu, nut, shape):
+    """Phi of cell (i, j) at q^(j-i) t^(shape_i - shape_j), as an
+    ExactPolynomial.
 
     The diagonal cell has argument 1, where _phi_eval reads nutilde only.
     """
     return ExactPolynomial(("q", "t"), dict(
-        _phi_eval(nu, nut, j - i, shape.part(i) - shape.part(j), dual)))
+        _phi_eval(nu, nut, j - i, shape.part(i) - shape.part(j), False)))
 
 
 def chi_column(i, pairs):
@@ -448,8 +450,9 @@ def chi(columns, dual=False):
     chi_column (chi_prime_column when dual); columns[i - 1] maps
     j -> (nu_{i+1,j}, nu_{i,j}) for column i.
 
-    The flat reference: partition_function_coeffs takes chi_column per
-    column instead; this is kept for the tests and the benchmark tracer."""
+    The flat reference: partition_function_coeffs takes each column's
+    exponent through _chi_split instead; this is kept for the tests and the
+    benchmark tracer."""
     column_chi = chi_prime_column if dual else chi_column
     return sum(column_chi(i, pairs)
                for i, pairs in enumerate(columns, start=1))
@@ -683,7 +686,9 @@ def _column_sweep(shape, N, dual):
     columns = []
     norms, at_one, tdeg = start, start, {(): 0}
     shift = 0
-    cell_bounds = {}
+    # keyed by id: the cells are _phi_eval's cached tuples, which the steps
+    # keep alive for the whole sweep
+    cell_bounds = {}  # id -> (l1 norm, value at q = t = 1, t-degree)
     for i in range(len(shape), 0, -1):
         moves = _column_moves(shape, N, dual, i, norms)
         low = min((move[2] for move in moves), default=0)

@@ -420,6 +420,22 @@ def test_sweep_checks_the_multinomials(monkeypatch):
         clear_caches()
 
 
+def test_sweep_refuses_a_negative_cell_exponent(monkeypatch):
+    # Packing needs every exponent >= 0 once chi is shifted; a cell term
+    # moved to t^-1 must raise, not decode as another term.
+    lam = Partition((2, 1))
+    clear_caches()
+    try:
+        partition_function_coeffs(lam, 3, "x")
+        key = next(k for k in _PHI_EVAL_CACHE if k[2] == 1)
+        ((q, _), c), *rest = _PHI_EVAL_CACHE[key]
+        monkeypatch.setitem(_PHI_EVAL_CACHE, key, (((q, -1), c), *rest))
+        with pytest.raises(ConsistencyError, match="negative exponent"):
+            partition_function_coeffs(lam, 3, "x")
+    finally:
+        clear_caches()
+
+
 def _symmetrized(table, weight, N):
     """sum over compositions c of weight into N parts of table[sort(c)] x^c."""
     out = ZERO
