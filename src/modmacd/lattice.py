@@ -717,10 +717,8 @@ def _column_sweep(shape, N, dual):
             l1s.append(step + (l1,))
             ones.append(step + (one,))
             degs[step[1]] = max(degs.get(step[1], 0), tdeg[below] + deg)
-        # with no negative coefficient so far the norms are the values
-        same = norms is at_one and l1s == ones
         at_one = _sweep_step(at_one, ones)
-        norms = at_one if same else _sweep_step(norms, l1s)
+        norms = _sweep_step(norms, l1s)
         tdeg = degs
         columns.append(steps)
     _check_multinomials(_by_tuple(at_one.get((), {}), B, N), weight, N)

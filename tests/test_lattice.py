@@ -420,6 +420,41 @@ def test_sweep_checks_the_multinomials(monkeypatch):
         clear_caches()
 
 
+@pytest.mark.parametrize("formula", "xz")
+def test_sweep_width_holds_with_negative_cell_terms(monkeypatch, formula):
+    # The packing width comes from l1 norms, not from Phi being positive:
+    # every cached off-diagonal cell gains 100 q^a t^b - 100 q^a t^(b+1) at
+    # a new exponent, which keeps its value at q = t = 1 (so the multinomial
+    # check holds) and puts coefficients into the sum far beyond the
+    # multinomials.  The sweep must match the flat sum with the same cells.
+    lam = Partition((3, 1))
+    clear_caches()
+    try:
+        partition_function_coeffs(lam, 3, formula)
+        extra = {}
+        for key, cell in list(_PHI_EVAL_CACHE.items()):
+            if cell and key[2:4] != (0, 0):
+                q = max(q for (q, _), _ in cell) + 1
+                t = max(t for (_, t), _ in cell) + 1
+                terms = (((q, t), 100), ((q, t + 1), -100))
+                monkeypatch.setitem(_PHI_EVAL_CACHE, key, cell + terms)
+                extra[key] = _cell_poly(terms)
+        assert extra
+
+        exact_cell = _cell_by_substitution
+
+        def mutated_cell(*key):
+            return exact_cell(*key) + extra.get(key, ZERO)
+
+        monkeypatch.setitem(globals(), "_cell_by_substitution", mutated_cell)
+        expect = _flat_partition_function.__wrapped__(lam, 3, formula)
+        assert any(c < -1 for poly in expect.values()
+                   for c in poly.terms.values())
+        assert partition_function_coeffs(lam, 3, formula) == expect
+    finally:
+        clear_caches()
+
+
 def test_sweep_refuses_a_negative_cell_exponent(monkeypatch):
     # Packing needs every exponent >= 0 once chi is shifted; a cell term
     # moved to t^-1 must raise, not decode as another term.
