@@ -200,7 +200,8 @@ def enumerate_flags(lam, N, mu=None):
     """Stream flags of partitions empty = nu^0 <= ... <= nu^N = lambda'.
 
     Each flag is a tuple of N+1 Partitions.  With mu given, only flags with
-    |nu^k| = mu_1 + ... + mu_k are produced.
+    |nu^k| = mu_1 + ... + mu_k are produced.  The flat reference: the
+    Hall-Littlewood sum walks the same columns one at a time.
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
@@ -232,17 +233,12 @@ def enumerate_flags(lam, N, mu=None):
         rec(1, [], hi.part(1) if n else 0, 0)
         return results
 
-    steps = {}  # (nu^k, |nu^(k+1)|) -> the candidates for nu^(k+1)
-
     def rec_flag(chain, k):
         if k == N:
             if chain[-1] == target:
                 yield tuple(chain)
             return
-        key = (chain[-1], sums[k + 1] if sums else None)
-        if key not in steps:
-            steps[key] = between(chain[-1], target, key[1])
-        for nxt in steps[key]:
+        for nxt in between(chain[-1], target, sums[k + 1] if sums else None):
             if k + 1 == N and nxt != target:
                 continue
             yield from rec_flag(chain + [nxt], k + 1)

@@ -4,35 +4,36 @@ and the partition-function coefficient extractors.
 Each formula's weight (x, dual, Hall-Littlewood) is a product of column
 weights, and column_weight is that factor for one column.
 partition_function_coeffs multiplies the same per-column pieces: an
-exponent (chi_column, chi_prime_column, or the one from _hl_column) and one
-factor per cell, or per Gaussian binomial for Hall-Littlewood.  The x and
-dual routes sum by a transfer sweep over columns n, ..., 1 (_column_sweep):
-its state is the current column's chains, each with a map from partial
-composition to a packed (q, t) polynomial, and each step multiplies in one
-column weight, which reads only that column and the one before it.  A
-structure pass first finds the live transitions and bounds the l1 norm and
-t-degree of every partial sum, which fixes the packing width, and checks
-each composition's value at q = t = 1 against its multinomial.  The
-Hall-Littlewood route sums over flags, packed the same way.  The formulas
-stay independent, each with its own exponent (x and dual share only the
-sweep driver, the cached Phi evaluation and the split of a column exponent
-into a part of the column's own chains and a dot product with the next
-column's, _chi_split), because their agreement is the evidence that each is
-right; the packed kernel (packed) is shared with the Phi routes, not with
-the oracle."""
+exponent (a column's term of chi, or the one from _hl_column) and one factor
+per cell, or per Gaussian binomial for Hall-Littlewood.  All three sum by
+one transfer sweep over columns n, ..., 1 (_column_sweep), given each
+column's moves by _column_moves (x, dual) or _hl_moves: its state is the
+current column's chains, each with a map from partial composition to a
+packed (q, t) polynomial, and each step multiplies in one column weight,
+which reads only that column and the one before it.  A structure pass first
+finds the live transitions and bounds the l1 norm and t-degree of every
+partial sum, which fixes the packing width, and gives each composition's
+value at q = t = 1 for the caller to check.  The formulas stay independent,
+each with its own exponent and factors (they share only the sweep driver;
+x and dual also share the cached Phi evaluation and the split of a column
+exponent into a part of the column's own chains and a dot product with the
+next column's, _chi_split), because their agreement is the evidence that
+each is right; the packed kernel (packed) is shared with the Phi routes,
+not with the oracle."""
 
+from functools import partial
 from itertools import permutations, product as iproduct
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import add, mul, sub
 
 from .combinat import (Partition, SequencePair, _at, _chains, conjugate,
-                       enumerate_flags, inversion_number, multiplicity)
+                       inversion_number, multiplicity)
 from .errors import (ConsistencyError, InfeasibleMultiplicities,
                      InsufficientVariables, TopMismatch)
 from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, T,
                        _pruned, poly_divexact, sym, ZERO)
 from .memo import memoized
-from .packed import _comb, _digits, _gauss_at, _width
+from .packed import _binom_list, _digits, _width
 from .phi import phi_at_one, phi_normalized, phi_prime
 from .qseries import fusion_normalizer, gauss_binomial, pochhammer
 
@@ -394,35 +395,12 @@ def _cell_factor(i, j, nu, nut, shape):
         _phi_eval(nu, nut, j - i, shape.part(i) - shape.part(j), False)))
 
 
-def chi_column(i, pairs):
-    """Single-column exponent chi(nu, nutilde) for column i: the sum over
-    k = 1..N and j of d(d - 1)/2 + d * sum_{l > j} (nutilde_l^k - nu_l^(k-1))
-    with d = nutilde_j^k - nutilde_j^(k-1).
-
-    pairs: mapping j -> (nu_j, nutilde_j) for j = i..n.
-    """
-    return _chi(pairs, False)
-
-
-def chi_prime_column(i, pairs):
-    """Single-column exponent chi'(nu, nutilde) of the dual formula: the sum
-    over k and j of d * sum_{l > j} (nutilde_l^(k-1) - nu_l^k), d as in
-    chi_column."""
-    return _chi(pairs, True)
-
-
-def _chi(pairs, dual):
-    js = sorted(pairs)
-    a, D = _chi_split([pairs[j][1] for j in js], dual)
-    return a - sum(map(mul, D, _chi_nus([pairs[j][0] for j in js], dual)))
-
-
 def _chi_split(nuts, dual):
-    """chi_column (dual: chi_prime_column) of the pairs (nu_j, nutilde_j)
-    with the nutildes nuts, in order of j, is a - sum D * _chi_nus(nus) with
-    D the sums over j < l of d = nutilde_j^k - nutilde_j^(k-1), flattened
-    over l and k; returns (a, D).  The sweep keeps (a, D) per column-i
-    chain tuple and the nu entries per column-(i+1) one."""
+    """chi (dual: chi') of one column, the pairs (nu_j, nutilde_j) with the
+    nutildes nuts, in order of j, is a - sum D * _chi_nus(nus) with D the
+    sums over j < l of d = nutilde_j^k - nutilde_j^(k-1), flattened over l
+    and k; returns (a, D).  The sweep keeps (a, D) per column-i chain tuple
+    and the nu entries per column-(i+1) one."""
     later = [0] * len(nuts[0])  # per k: sum over l > j of nutilde_l^k
     a = 0                       # (dual: nutilde_l^(k-1))
     for nut in reversed(nuts):
@@ -446,16 +424,24 @@ def _chi_nus(nus, dual):
 
 
 def chi(columns, dual=False):
-    """Exponent of a whole family: the sum of its column exponents,
-    chi_column (chi_prime_column when dual); columns[i - 1] maps
-    j -> (nu_{i+1,j}, nu_{i,j}) for column i.
+    """Exponent of a family of chains: the sum of its column exponents.
+    columns[i - 1] maps j -> (nu_j, nutilde_j) = (nu_{i+1,j}, nu_{i,j}) for
+    column i, j = i..n.
 
-    The flat reference: partition_function_coeffs takes each column's
-    exponent through _chi_split instead; this is kept for the tests and the
-    benchmark tracer."""
-    column_chi = chi_prime_column if dual else chi_column
-    return sum(column_chi(i, pairs)
-               for i, pairs in enumerate(columns, start=1))
+    The x exponent of a column is the sum over k = 1..N and j of
+    d(d - 1)/2 + d * sum_{l > j} (nutilde_l^k - nu_l^(k-1)) with
+    d = nutilde_j^k - nutilde_j^(k-1); the dual exponent chi' is the sum
+    over k and j of d * sum_{l > j} (nutilde_l^(k-1) - nu_l^k).
+
+    partition_function_coeffs takes each column's exponent through
+    _chi_split; column_weight and the tests read chi."""
+    total = 0
+    for pairs in columns:
+        js = sorted(pairs)
+        a, D = _chi_split([pairs[j][1] for j in js], dual)
+        total += a - sum(map(mul, D, _chi_nus([pairs[j][0] for j in js],
+                                              dual)))
+    return total
 
 
 def _hl_column(nu, nut):
@@ -508,7 +494,7 @@ def column_weight(i, lam, pairs, variant="x"):
         nu, nut = pairs[j]
         if nu[-1] != multiplicity(lam, j) or nut[-1] != multiplicity(lam, j):
             raise TopMismatch("tops must equal the multiplicity of %d" % j)
-    acc = ExactPolynomial.monomial({"t": chi_column(i, pairs)})
+    acc = ExactPolynomial.monomial({"t": chi([pairs])})
     for j in js:
         nu, nut = pairs[j]
         acc = acc * _cell_factor(i, j, tuple(nu), tuple(nut), conj)
@@ -529,8 +515,8 @@ def partition_function_coeffs(lam, N, formula="x"):
     """Monomial coefficients of the partition function, keyed by Partition.
 
     formula 'x': t-exponent chi with Phi factors; 'z': dual route with Phi'
-    in base q; 'hl': Kirillov flag sum (polynomials in t).  Each term is the
-    product over columns of the pieces column_weight is made of.
+    in base q; 'hl': Kirillov's sum over flags (polynomials in t).  Each term
+    is the product over columns of the pieces column_weight is made of.
 
     Every sum runs on packed integers (see packed): a polynomial in (q, t)
     with coefficients of absolute value below 2^(W-1) and t-degree below T
@@ -541,20 +527,21 @@ def partition_function_coeffs(lam, N, formula="x"):
     norms, and the degrees of a product add.  This does not need Phi to be
     positive.
 
-    The x and dual sums run as a column sweep (_column_sweep) over columns
+    All three sums run as a column sweep (_column_sweep) over columns
     n, ..., 1: the state after column i maps each tuple of column-i chains
-    nu_{i,j}, j = i..n, to its partial compositions, and the step to column
-    i multiplies by base^chi_column(i) times column i's cell factors and
-    adds column i's increments to the composition.  A structure pass finds
-    the live transitions (no zero cell factor) and carries, as plain ints,
-    the l1 norm and the value at q = t = 1 of every partial sum and a bound
-    on the t-degree per chain tuple; each column's chi is shifted by its
-    least value, and the total shift is put back when decoding.  The value
-    of each composition at q = t = 1 must be the multinomial
-    n! / prod comp_i!, since H(x; 1, 1) = (x_1 + ... + x_N)^n; otherwise
-    ConsistencyError.  The numeric pass then repeats the sweep on the
-    packed weights.  The Hall-Littlewood flag sum packs each column's
-    t^expo prod [a, b]_t the same way, at the width of the flags' l1 norms.
+    (x and dual: nu_{i,j}, j = i..n; Hall-Littlewood: the flag's column i)
+    to its partial compositions, and the step to column i multiplies by
+    the column's power of t (dual: q) and its cell factors (Hall-Littlewood:
+    Gaussian binomials) and adds column i's increments to the composition.
+    A structure pass finds the live transitions (no zero factor) and
+    carries, as plain ints, the l1 norm and the value at q = t = 1 of every
+    partial sum and a bound on the t-degree per chain tuple; each column's
+    exponent is shifted by its least value, and the total shift is put back
+    when decoding.  The value of each composition at q = t = 1 must be the
+    multinomial n! / prod comp_i!, since H(x; 1, 1) = (x_1 + ... + x_N)^n,
+    and for Hall-Littlewood the values must sum to h_lambda(1^N), since
+    H(x; 0, 1) = h_lambda(x); otherwise ConsistencyError.  The numeric pass
+    then repeats the sweep on the packed weights.
 
     Sums resolved by composition are checked for permutation invariance
     before collapsing onto partitions, on the packed values (two values
@@ -566,49 +553,20 @@ def partition_function_coeffs(lam, N, formula="x"):
     if N < len(lam):
         raise InsufficientVariables("N must be at least ell(lambda)")
     if formula == "hl":
-        by_comp, decode = _hl_flag_sum(lam, N)
+        shape, dual = conjugate(lam), False
+        moves = partial(_hl_moves, shape, N)
+        check = _check_h_at_one
     elif formula in ("x", "z"):
         dual = (formula == "z")
-        by_comp, decode = _column_sweep(lam if dual else conjugate(lam), N,
-                                        dual)
+        shape = lam if dual else conjugate(lam)
+        moves = partial(_column_moves, shape, N, dual)
+        check = _check_multinomials
     else:
         raise ValueError("formula must be 'x', 'z' or 'hl'")
+    by_comp, at_one, decode = _column_sweep(shape, N, dual, moves)
+    check(at_one, lam, N)
     return {mu: decode(v)
             for mu, v in _collapse_compositions(by_comp).items()}
-
-
-def _hl_flag_sum(lam, N):
-    """The Hall-Littlewood sum keyed by composition: over flags, the product
-    over columns of t^expo times the column's Gaussian binomials
-    (_hl_column), each column packed once.  Returns the packed sums and
-    their decoder."""
-    n = lam.part(1)
-    columns = {}  # (nu, nutilde) -> (t-exponent, binomial pairs, l1 norm)
-    flags = []
-    norms = {}
-    for flag in enumerate_flags(lam, N):
-        # cols[i - 1] = (nu^1_i, ..., nu^N_i), column i of every partition
-        cols = list(zip(*(f.padded(n + 1) for f in flag[1:])))
-        keys = list(zip(cols[1:], cols))
-        norm = 1
-        for key in keys:
-            if key not in columns:
-                expo, pairs = _hl_column(*key)
-                columns[key] = (expo, pairs,
-                                prod(_comb(a, b) for a, b in pairs))
-            norm *= columns[key][2]
-        if norm:
-            mu = tuple(b.weight() - a.weight() for a, b in zip(flag, flag[1:]))
-            flags.append((mu, keys))
-            norms[mu] = norms.get(mu, 0) + norm
-    W = _width(max(norms.values(), default=0))
-    packed = {key: prod(_gauss_at(a, b, W) for a, b in pairs) << W * expo
-              for key, (expo, pairs, _) in columns.items()}
-    sums = dict.fromkeys(norms, 0)
-    for mu, keys in flags:
-        sums[mu] += prod(packed[key] for key in keys)
-    return sums, lambda v: _pruned(("t",), {(i,): c
-                                           for i, c in _digits(v, W)})
 
 
 def _pack_qt(terms, W, T):
@@ -640,8 +598,8 @@ def _sweep_step(states, moves):
 def _column_moves(shape, N, dual, i, belows):
     """The live moves into column i: (below, cur, chi, cells) for every
     tuple below of column-(i+1) chains and cur of column-i chains whose
-    cell factors (tuples from _phi_eval) are all nonzero; chi is
-    chi_column (dual: chi_prime_column) of the column."""
+    cell factors (tuples from _phi_eval) are all nonzero; chi is the
+    column's exponent in chi (dual: chi')."""
     js = range(i, len(shape) + 1)
     args = [(j - i, shape.part(i) - shape.part(j)) for j in js]
     chain_sets = [_chains(shape.part(j) - shape.part(j + 1), N) for j in js]
@@ -666,41 +624,71 @@ def _column_moves(shape, N, dual, i, belows):
     return moves
 
 
-def _column_sweep(shape, N, dual):
-    """The x (dual: z) route's sum keyed by composition, column by column
-    as partition_function_coeffs describes.
+_BINOM_CELL_CACHE = {}
 
-    shape is lambda' (dual: lambda) and n = len(shape).  The chains nu_{i,j}
-    have length N and end at shape_j - shape_{j+1}; nu_{i+1,i} is the zero
-    chain.  A partial composition c is keyed by the int sum_k c_k B^k,
-    B = |lambda| + 1 > every c_k, so that adding a column's increments is
-    one addition; the last column adds every path into the one state ().
-    Returns the packed sums and their decoder.
+
+@memoized(_BINOM_CELL_CACHE)
+def _binom_cell(a, b):
+    """[a choose b]_t as a cell tuple of ((0, t exponent), coefficient);
+    empty when it is zero."""
+    return tuple(((0, e), c) for e, c in enumerate(_binom_list(a, b)) if c)
+
+
+def _hl_moves(shape, N, i, belows):
+    """The live Hall-Littlewood moves into column i of shape = lambda':
+    (below, (nutilde,), expo, cells) for each state below = (nu,) (() before
+    column n, nu = 0) and chain nutilde whose binomials from _hl_column,
+    with its t-exponent expo, are all nonzero (nutilde >= nu entrywise)."""
+    chain_set = _chains(shape.part(i), N)
+    moves = []
+    for below in belows:
+        nu = below[0] if below else (0,) * N
+        for nut in chain_set:
+            expo, pairs = _hl_column(nu, nut)
+            cells = [_binom_cell(a, b) for a, b in pairs]
+            if all(cells):
+                moves.append((below, (nut,), expo, cells))
+    return moves
+
+
+def _column_sweep(shape, N, dual, column_moves):
+    """A lattice sum keyed by composition, column by column as
+    partition_function_coeffs describes.
+
+    column_moves(i, belows) lists the live moves (below, cur, exponent,
+    cells) into column i = len(shape), ..., 1 from the chain tuples below
+    of column i + 1 (the one state () before column n): cur is a tuple of
+    column-i chains of length N, the exponent is of t (dual: of q), and
+    each cell a cached tuple of ((q exponent, t exponent), coefficient).  A
+    partial composition c is keyed by the int sum_k c_k B^k, B = |shape| + 1
+    > every c_k, so that adding a column's increments is one addition; the
+    last column adds every path into the one state ().  Returns the packed
+    sums and their values at q = t = 1, keyed by composition, and the
+    decoder.
     """
-    weight = sum(shape)
-    B = weight + 1
+    B = sum(shape) + 1
     start = {(): {0: 1}}
     # structure pass: per column the live steps (below, cur, increment,
-    # chi - least chi, cells); per chain tuple the l1 norms and values at
-    # q = t = 1 of its partial sums and a bound on their t-degrees
+    # exponent - least exponent, cells); per chain tuple the l1 norms and
+    # values at q = t = 1 of its partial sums and a bound on their t-degrees
     columns = []
     norms, at_one, tdeg = start, start, {(): 0}
     shift = 0
-    # keyed by id: the cells are _phi_eval's cached tuples, which the steps
-    # keep alive for the whole sweep
+    # keyed by id: the cells are cached tuples, which the steps keep alive
+    # for the whole sweep
     cell_bounds = {}  # id -> (l1 norm, value at q = t = 1, t-degree)
     for i in range(len(shape), 0, -1):
-        moves = _column_moves(shape, N, dual, i, norms)
+        moves = column_moves(i, norms)
         low = min((move[2] for move in moves), default=0)
         shift += low
         incs = {}
         steps, l1s, ones, degs = [], [], [], {}
-        for below, cur, chi, cells in moves:
+        for below, cur, expo, cells in moves:
             if cur not in incs:
                 incs[cur] = sum((b - a) * B ** k for chain in cur for k, (a, b)
                                 in enumerate(zip((0,) + chain, chain)))
             step = (below, cur if i > 1 else (), incs[cur])
-            l1, one, deg = 1, 1, 0 if dual else chi - low
+            l1, one, deg = 1, 1, 0 if dual else expo - low
             for cell in cells:
                 if id(cell) not in cell_bounds:
                     if any(q < 0 or t < 0 for (q, t), _ in cell):
@@ -713,7 +701,7 @@ def _column_sweep(shape, N, dual):
                         max(t for (_, t), _ in cell))
                 norm, value, top = cell_bounds[id(cell)]
                 l1, one, deg = l1 * norm, one * value, deg + top
-            steps.append(step + (chi - low, cells))
+            steps.append(step + (expo - low, cells))
             l1s.append(step + (l1,))
             ones.append(step + (one,))
             degs[step[1]] = max(degs.get(step[1], 0), tdeg[below] + deg)
@@ -721,7 +709,6 @@ def _column_sweep(shape, N, dual):
         norms = _sweep_step(norms, l1s)
         tdeg = degs
         columns.append(steps)
-    _check_multinomials(_by_tuple(at_one.get((), {}), B, N), weight, N)
     # numeric pass
     W = _width(max(norms.get((), {}).values(), default=0))
     T = max(tdeg.values(), default=0) + 1
@@ -730,15 +717,16 @@ def _column_sweep(shape, N, dual):
     values = start
     for steps in columns:
         weights = []
-        for below, cur, inc, chi, cells in steps:
+        for below, cur, inc, expo, cells in steps:
             w = 1
             for cell in cells:
                 if id(cell) not in packed:
                     packed[id(cell)] = _pack_qt(cell, W, T)
                 w *= packed[id(cell)]
-            weights.append((below, cur, inc, w << base * chi))
+            weights.append((below, cur, inc, w << base * expo))
         values = _sweep_step(values, weights)
     return _by_tuple(values.get((), {}), B, N), \
+        _by_tuple(at_one.get((), {}), B, N), \
         lambda v: _unpack_qt(v, W, T, *((shift, 0) if dual else (0, shift)))
 
 
@@ -748,10 +736,11 @@ def _by_tuple(by_key, B, N):
             for key, v in by_key.items()}
 
 
-def _check_multinomials(at_one, weight, N):
+def _check_multinomials(at_one, lam, N):
     """Each composition's value at q = t = 1 is n! / prod comp_i!, and no
-    composition of n into N parts is missing (their multinomials sum to
-    N^n)."""
+    composition of n = |lambda| into N parts is missing (their multinomials
+    sum to N^n)."""
+    weight = lam.weight()
     for comp, value in at_one.items():
         expect = factorial(weight) // prod(map(factorial, comp))
         if value != expect:
@@ -761,6 +750,17 @@ def _check_multinomials(at_one, weight, N):
     if sum(at_one.values()) != N ** weight:
         raise ConsistencyError(
             "a composition of %d into %d parts is missing" % (weight, N))
+
+
+def _check_h_at_one(at_one, lam, N):
+    """The Hall-Littlewood values at t = 1 sum to h_lambda(1^N) =
+    prod_i C(lambda_i + N - 1, N - 1), since H_lambda(x; 0, 1) = h_lambda."""
+    got = sum(at_one.values())
+    expect = prod(comb(p + N - 1, N - 1) for p in lam)
+    if got != expect:
+        raise ConsistencyError(
+            "the values at t = 1 sum to %d, not h_lambda(1^%d) = %d"
+            % (got, N, expect))
 
 
 def _collapse_compositions(by_comp):

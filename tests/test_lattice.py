@@ -14,7 +14,7 @@ from modmacd.errors import ConsistencyError, TopMismatch
 from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction, sym,
                               ZERO)
 from modmacd.lattice import (FaceState, _PHI_EVAL_CACHE, _pack_qt, _phi_eval,
-                             _unpack_qt, chi, chi_column, chi_prime_column,
+                             _BINOM_CELL_CACHE, _unpack_qt, chi,
                              column_weight, fundamental_L, fused_L_recurrence,
                              fused_vertex_bruteforce,
                              partition_function_coeffs, r_matrix, rll_check,
@@ -163,7 +163,7 @@ def test_column_weight_single_column_shape():
     nut = (1, 2)
     sp = SequencePair(nu, nut)
     w = column_weight(1, lam, {1: (nu, nut)}, variant="x")
-    expo = chi_column(1, {1: (nu, nut)})
+    expo = chi([{1: (nu, nut)}])
     expect = T ** expo * phi_at_one(sp) \
         * sym("x1") ** 1 * sym("x2") ** 1
     assert w == RationalFunction(expect)
@@ -260,7 +260,7 @@ def test_column_sweep_matches_flat_family_sum(case, formula):
 
 
 def _chi_by_pairs_of_chains(pairs, dual):
-    """Reference for chi_column (chi_prime_column when dual): the sum over
+    """Reference for one column's term of chi (chi' when dual): the sum over
     k, j and l > j of each pair's term, with nu^0 = nutilde^0 = 0."""
     def at(seq, k):
         return seq[k - 1] if k >= 1 else 0
@@ -292,8 +292,8 @@ def _nondecreasing_chains(length):
 @settings(max_examples=150, deadline=None)
 def test_column_exponents_match_the_pairwise_sum(chains, i):
     pairs = {j: pair for j, pair in enumerate(chains, start=i)}
-    assert chi_column(i, pairs) == _chi_by_pairs_of_chains(pairs, False)
-    assert chi_prime_column(i, pairs) == _chi_by_pairs_of_chains(pairs, True)
+    assert chi([pairs], False) == _chi_by_pairs_of_chains(pairs, False)
+    assert chi([pairs], True) == _chi_by_pairs_of_chains(pairs, True)
 
 
 def _cell_poly(cell):
@@ -416,6 +416,24 @@ def test_sweep_checks_the_multinomials(monkeypatch):
         monkeypatch.setitem(_PHI_EVAL_CACHE, key, ((exp, c + 1), *rest))
         with pytest.raises(ConsistencyError, match="multinomial"):
             partition_function_coeffs(lam, 3, "x")
+    finally:
+        clear_caches()
+
+
+def test_hl_sweep_checks_h_lambda_at_one(monkeypatch):
+    # H(x; 0, 1) = h_lambda, so the Hall-Littlewood values at t = 1 sum to
+    # h_lambda(1^N); one Gaussian binomial with a coefficient raised by 1
+    # breaks that, and the structure pass's values refuse it.
+    lam = Partition((2, 1))
+    clear_caches()
+    try:
+        partition_function_coeffs(lam, 3, "hl")
+        key = (2, 1)  # [2, 1]_t = 1 + t, on a live move for (2, 1) at N = 3
+        assert _BINOM_CELL_CACHE[key] == (((0, 0), 1), ((0, 1), 1))
+        monkeypatch.setitem(_BINOM_CELL_CACHE, key,
+                            (((0, 0), 2), ((0, 1), 1)))
+        with pytest.raises(ConsistencyError, match="h_lambda"):
+            partition_function_coeffs(lam, 3, "hl")
     finally:
         clear_caches()
 

@@ -1,6 +1,8 @@
 """Headline results: H tables by three routes, Hall-Littlewood collapse,
 Kostka extraction, duality, W reductions, Cauchy identities."""
 
+import sys
+
 import pytest
 
 from modmacd import clear_caches, exactalg, modmac
@@ -173,13 +175,23 @@ def test_runtime_reaches_no_gcd(monkeypatch):
 
 
 def test_lattice_routes_reach_no_substitute(monkeypatch):
-    # The x and dual sweeps read their cell factors off Phi by exponent
-    # arithmetic and the Hall-Littlewood flag sum packs Gaussian binomials;
-    # none of them substitutes into a polynomial.
-    def reached(*args):
-        raise AssertionError("ExactPolynomial.substitute reached")
+    # All three lattice sums run as one column sweep: x and dual read their
+    # cell factors off Phi by exponent arithmetic and Hall-Littlewood packs
+    # Gaussian binomials, so none substitutes into a polynomial; and each
+    # walks its chains column by column, so none enumerates flags or
+    # nu-families (those stay as the tests' flat references).
+    def forbidden(name):
+        def reached(*args, **kwargs):
+            raise AssertionError(name + " reached")
+        return reached
 
-    monkeypatch.setattr(ExactPolynomial, "substitute", reached)
+    monkeypatch.setattr(ExactPolynomial, "substitute",
+                        forbidden("ExactPolynomial.substitute"))
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").partition(".")[0] == "modmacd":
+            for name in ("enumerate_flags", "enumerate_nu_families"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden(name))
     clear_caches()
     try:
         for w in range(6):
