@@ -13,7 +13,10 @@ packed (q, t) polynomial, and each step multiplies in one column weight,
 which reads only that column and the one before it.  A structure pass first
 finds the live transitions and bounds the l1 norm and t-degree of every
 partial sum, which fixes the packing width, and gives each composition's
-value at q = t = 1 for the caller to check.  The formulas stay independent,
+value at q = t = 1 for the caller to check.  A cell factor (_phi_eval) is
+read off phi's term tuples ((z-degree, t-degree), c) of Phi by exponent
+arithmetic: no SequencePair, ExactPolynomial or public Phi function is on
+the cell path.  The formulas stay independent,
 each with its own exponent and factors (they share only the sweep driver;
 x and dual also share the cached Phi evaluation and the split of a column
 exponent into a part of the column's own chains and a dot product with the
@@ -26,15 +29,15 @@ from itertools import permutations, product as iproduct
 from math import comb, factorial, prod
 from operator import add, mul, sub
 
-from .combinat import (Partition, SequencePair, _at, _chains, conjugate,
-                       inversion_number, multiplicity)
+from .combinat import (Partition, _at, _chains, conjugate, inversion_number,
+                       multiplicity)
 from .errors import (ConsistencyError, InfeasibleMultiplicities,
                      InsufficientVariables, TopMismatch)
 from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, T,
                        _pruned, poly_divexact, sym, ZERO)
 from .memo import memoized
 from .packed import _binom_list, _digits, _width
-from .phi import phi_at_one, phi_normalized, phi_prime
+from .phi import _at_one_terms, _phi_terms, _prime_terms
 from .qseries import fusion_normalizer, gauss_binomial, pochhammer
 
 
@@ -365,24 +368,24 @@ def _phi_eval(nu, nut, qexp, texp, dual):
     """Phi (or Phi') at the monomial argument, as a tuple of
     ((q exponent, t exponent), coefficient).
 
-    Phi is read off phi_normalized with z -> q^qexp t^texp; Phi' off
-    phi_prime with z -> t^qexp q^texp and t -> q.  At argument 1 (qexp ==
-    texp == 0, the diagonal cell) the value depends on nutilde only and is
-    the closed product phi_at_one, in base q when dual.
+    The terms ((z-degree, t-degree), c) of Phi come from phi's term cache,
+    and each is mapped by exponent arithmetic: z -> q^qexp t^texp for Phi,
+    and for Phi' (Phi of the rotated nu, shifted by z^{nu^1}) z -> t^qexp
+    q^texp and t -> q.  At argument 1 (qexp == texp == 0, the diagonal
+    cell) the value depends on nutilde only and is the closed product of
+    phi_at_one, in base q when dual.
     """
     if qexp == texp == 0:
-        poly, zq, zt = phi_at_one(SequencePair(nut, nut)), 0, 0
+        terms, zq, zt = _at_one_terms(nut), 0, 0
     elif dual:
-        poly, zq, zt = phi_prime(SequencePair(nu, nut)), texp, qexp
+        terms, zq, zt = _prime_terms(nu, nut), texp, qexp
     else:
-        poly, zq, zt = phi_normalized(SequencePair(nu, nut)), qexp, texp
-    terms = {}
-    for e, c in poly.terms.items():
-        powers = dict(zip(poly.vars, e))
-        z, t = powers.get("z", 0), powers.get("t", 0)
+        terms, zq, zt = _phi_terms(nu, nut), qexp, texp
+    out = {}
+    for (z, t), c in terms:
         key = (z * zq + t, z * zt) if dual else (z * zq, z * zt + t)
-        terms[key] = terms.get(key, 0) + c
-    return tuple((key, c) for key, c in terms.items() if c)
+        out[key] = out.get(key, 0) + c
+    return tuple((key, c) for key, c in out.items() if c)
 
 
 def _cell_factor(i, j, nu, nut, shape):
@@ -767,11 +770,7 @@ def _collapse_compositions(by_comp):
     """Assert permutation invariance and key results by partitions."""
     out = {}
     for comp, val in by_comp.items():
-        key = Partition(tuple(sorted(comp, reverse=True)))
-        if key in out:
-            if out[key] != val:
-                raise ConsistencyError(
-                    "composition-resolved coefficients differ at %r" % (comp,))
-        else:
-            out[key] = val
-    return out
+        if out.setdefault(tuple(sorted(comp, reverse=True)), val) != val:
+            raise ConsistencyError(
+                "composition-resolved coefficients differ at %r" % (comp,))
+    return {Partition(key): val for key, val in out.items()}

@@ -7,11 +7,12 @@ seq[k-1], with nu^0 = 0.  All returned polynomials live in the symbols
 
 from itertools import product as iproduct
 from math import comb, prod
+from operator import sub
 
 from .combinat import SequencePair, _at
 from .errors import (IndexOutOfRange, NegativeDifference, NegativeInput,
                      TruncationResidual)
-from .exactalg import ExactPolynomial, ONE, ZERO, sym
+from .exactalg import ONE, ZERO, _pruned, sym
 from .memo import memoized
 # _BINOM_LIST_CACHE stays readable as phi._BINOM_LIST_CACHE
 from .packed import (_BINOM_LIST_CACHE, _comb, _digits,  # noqa: F401
@@ -28,8 +29,10 @@ def _degree_bound(sp):
 
 # The z^d (or v^d) coefficients of a polynomial in (z, t) or (v, t) are
 # packed at t = 2^W (see packed) as a list indexed by d; W bounds the l1
-# norms of the inputs, in phi_series and in _packed_sum, the kernel of the
-# other term-sum routes.
+# norms of the inputs, in phi_series and in _packed_rows, the kernel of the
+# other term-sum routes.  Decoded, a polynomial is a tuple of terms
+# ((z-degree, t-degree), coefficient), the form _PHI_CACHE holds and the
+# lattice cells read; _poly wraps it for the public functions.
 
 def _pochhammer_at(exponents, W):
     """prod over e of (1 - z t^e) at t = 2^W, as a list indexed by z-degree."""
@@ -39,17 +42,23 @@ def _pochhammer_at(exponents, W):
     return poly
 
 
-def _unpack(rows, W, name):
-    """Balanced-digit decode of rows[d] = f_d(2^W) into sum_d name^d f_d(t)."""
-    return ExactPolynomial(("t", name), {(i, d): c
-                                         for d, value in enumerate(rows)
-                                         for i, c in _digits(value, W)})
+def _unpack(rows, W):
+    """Balanced-digit decode of rows[d] = f_d(2^W) into the terms
+    ((d, i), c) of sum_d z^d f_d(t), in increasing z-degree."""
+    return tuple(((d, i), c) for d, value in enumerate(rows)
+                 for i, c in _digits(value, W))
 
 
-def _packed_sum(terms, name):
+def _poly(terms, name="z"):
+    """The polynomial in (name, t) of terms ((name-degree, t-degree), c)."""
+    return _pruned(("t", name), {(i, d): c for (d, i), c in terms})
+
+
+def _packed_rows(terms):
     """Sum of terms (d, e, pairs, exponents), each standing for
-    name^d t^e prod_{(a, b) in pairs} [a, b]_t prod_{x in exponents}
-    (1 - name t^x), packed at the width of their summed l1 norms."""
+    z^d t^e prod_{(a, b) in pairs} [a, b]_t prod_{x in exponents}
+    (1 - z t^x), packed at the width W of their summed l1 norms: returns
+    (rows, W) with rows[d] the z^d coefficient at t = 2^W."""
     kept = []
     l1 = size = 0
     for term in terms:
@@ -68,7 +77,12 @@ def _packed_sum(terms, name):
                 rows[i] += c * scalar
         else:
             rows[d] += scalar
-    return _unpack(rows, W, name)
+    return rows, W
+
+
+def _zshift(terms, s):
+    """z^s times the terms."""
+    return tuple(((d + s, i), c) for (d, i), c in terms)
 
 
 def phi_series(sp):
@@ -106,7 +120,7 @@ def phi_series(sp):
             raise TruncationResidual(
                 "nonzero z^%d coefficient above degree bound %d for %r"
                 % (d, bound, sp))
-    return _unpack(rows, W, "z")
+    return _poly(_unpack(rows, W))
 
 
 def phi_finite(sp):
@@ -136,22 +150,22 @@ def phi_finite(sp):
                               _at(nut, j) - _at(nu, j) + partial))
             yield sum(lam), tdeg, pairs, exponents
 
-    return _packed_sum(terms(), "z")
+    return _poly(_unpack(*_packed_rows(terms())))
 
 
-def phi_positive(sp):
-    """Manifestly positive evaluation of Phi (requires nu <= nutilde).
+def _positive_terms(nu, nut):
+    """The terms of the manifestly positive form of Phi_{nu|nut} (requires
+    nu <= nut), for _packed_rows.
 
     A term is a choice of nondecreasing chains S_a = (S_a^a, ..., S_a^N)
     with S_a^N = sigma_a; step k reads only columns k and k+1 of them, so
     the chains are chosen one column at a time and a branch stops at the
     first step whose binomial [top, bot] vanishes.
     """
-    N = sp.N
-    nu, nut = sp.nu, sp.nutilde
-    if sp.min_difference() < 0:
+    if min(map(sub, nut, nu)) < 0:
         raise NegativeDifference(
-            "nutilde < nu somewhere; rotate first: %r" % (sp,))
+            "nutilde < nu somewhere; rotate first: %r | %r" % (nu, nut))
+    N = len(nu)
     sigma = [_at(nu, j) - _at(nu, j - 1) for j in range(1, N)]
 
     def terms(k, head, zdeg, eta, pairs):
@@ -176,7 +190,21 @@ def phi_positive(sp):
                                   for b, a, r in zip(nxt, col, rest)),
                         pairs + [(top, bot)] + list(zip(nxt, col)))
 
-    return _packed_sum(terms(1, (), 0, 0, []), "z")
+    return terms(1, (), 0, 0, [])
+
+
+def phi_positive(sp):
+    """Manifestly positive evaluation of Phi (requires nu <= nutilde)."""
+    return _poly(_unpack(*_packed_rows(_positive_terms(sp.nu, sp.nutilde))))
+
+
+def _rotated(nu, nut, k):
+    """k-fold rotation of the pair (nu, nut): (nu', nut', zshift) with
+    Phi_{nu|nut}(z) = z^zshift * Phi_{nu'|nut'}(z)."""
+    zshift = nu[k - 1] - nut[k - 1]
+    for _ in range(k):
+        nu, nut = _rot_once(nu), _rot_once(nut)
+    return nu, nut, zshift
 
 
 def rotate(sp, k):
@@ -184,11 +212,7 @@ def rotate(sp, k):
     Phi_sp(z) = z^zshift * Phi_rotated(z)."""
     if not (1 <= k <= sp.N):
         raise IndexOutOfRange("rotation index must be in 1..N")
-    zshift = sp.nu[k - 1] - sp.nutilde[k - 1]
-    nu, nut = sp.nu, sp.nutilde
-    for _ in range(k):
-        nu = _rot_once(nu)
-        nut = _rot_once(nut)
+    nu, nut, zshift = _rotated(sp.nu, sp.nutilde, k)
     return SequencePair(nu, nut), zshift
 
 
@@ -201,25 +225,38 @@ _PHI_CACHE = {}
 
 
 @memoized(_PHI_CACHE)
+def _phi_terms(nu, nut):
+    """Phi_{nu|nut} as terms ((z-degree, t-degree), c) for any valid pair:
+    the positive form, after the rotation at the least nutilde - nu when
+    that is negative (a z-shift of the rotated pair's terms)."""
+    diffs = list(map(sub, nut, nu))
+    low = min(diffs)
+    if low >= 0:
+        return _unpack(*_packed_rows(_positive_terms(nu, nut)))
+    rnu, rnut, zshift = _rotated(nu, nut, diffs.index(low) + 1)
+    terms = _zshift(_unpack(*_packed_rows(_positive_terms(rnu, rnut))),
+                    zshift)
+    if terms[0][0][0] < 0:
+        raise TruncationResidual(
+            "rotated evaluation left negative z powers for %r | %r"
+            % (nu, nut))
+    return terms
+
+
 def phi_normalized(sp):
     """Phi as a (z,t)-polynomial for an arbitrary pair, rotating if needed."""
-    if sp.min_difference() >= 0:
-        return phi_positive(sp)
-    diffs = [nt - n for n, nt in zip(sp.nu, sp.nutilde)]
-    k = diffs.index(min(diffs)) + 1
-    rotated, zshift = rotate(sp, k)
-    val = ExactPolynomial.monomial({"z": zshift}) * phi_positive(rotated)
-    if val.min_degree("z") < 0:
-        raise TruncationResidual(
-            "rotated evaluation left negative z powers for %r" % (sp,))
-    return val
+    return _poly(_phi_terms(sp.nu, sp.nutilde))
+
+
+def _prime_terms(nu, nut):
+    """Phi'_{nu|nut} = z^{nu^1} Phi_{r(nu)|nut} as terms
+    ((z-degree, t-degree), c)."""
+    return _zshift(_phi_terms(_rot_once(nu), nut), nu[0])
 
 
 def phi_prime(sp):
     """Phi'_{nu|nutilde}(z;t) = z^{nu^1} Phi_{r(nu)|nutilde}(z;t)."""
-    shifted = _rot_once(sp.nu)
-    inner = SequencePair(shifted, sp.nutilde)
-    return Z ** sp.nu[0] * phi_normalized(inner)
+    return _poly(_prime_terms(sp.nu, sp.nutilde))
 
 
 def phi_prime_series(sp):
@@ -253,10 +290,16 @@ def phi_prime_series(sp):
     return out
 
 
+def _at_one_terms(nut):
+    """Phi at z = 1 as terms ((0, t-degree), c): the closed product
+    prod_j [nutilde^{j+1}, nutilde^j]_t, which does not read nu."""
+    return _unpack(*_packed_rows(
+        [(0, 0, [(nut[j], nut[j - 1]) for j in range(1, len(nut))], ())]))
+
+
 def phi_at_one(sp):
     """Phi at z = 1 via the closed product over binomials of nutilde."""
-    return _packed_sum([(0, 0, [(_at(sp.nutilde, j + 1), _at(sp.nutilde, j))
-                                for j in range(1, sp.N)], ())], "z")
+    return _poly(_at_one_terms(sp.nutilde))
 
 
 def g_poly(m, a, b, form="sum"):
@@ -269,9 +312,9 @@ def g_poly(m, a, b, form="sum"):
         raise NegativeInput("a and b must have equal length")
     if form == "sum":
         # sum_k v^k (v; t)_{m-k} [m, k] prod_i [k + a_i, b_i]
-        return _packed_sum(
+        return _poly(_unpack(*_packed_rows(
             [(k, 0, [(m, k)] + [(k + ai, bi) for ai, bi in zip(a, b)],
-              range(m - k)) for k in range(m + 1)], "v")
+              range(m - k)) for k in range(m + 1)])), "v")
     if form != "positive":
         raise ValueError("form must be 'sum' or 'positive'")
     n = len(a)
@@ -288,4 +331,4 @@ def g_poly(m, a, b, form="sum"):
                                   acc_v + prev - p,
                                   acc_t + (prev - p) * (c[i - 1] - p))
 
-    return _packed_sum(leaves(1, m, [], 0, 0), "v")
+    return _poly(_unpack(*_packed_rows(leaves(1, m, [], 0, 0))), "v")

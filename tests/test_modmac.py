@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from modmacd import clear_caches, exactalg, modmac
-from modmacd.combinat import Partition, partitions_of
+from modmacd.combinat import Partition, SequencePair, partitions_of
 from modmacd.errors import (ConsistencyError, InsufficientVariables,
                             TooFewVariables, TruncationTooSmall)
 from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction,
@@ -176,10 +176,12 @@ def test_runtime_reaches_no_gcd(monkeypatch):
 
 def test_lattice_routes_reach_no_substitute(monkeypatch):
     # All three lattice sums run as one column sweep: x and dual read their
-    # cell factors off Phi by exponent arithmetic and Hall-Littlewood packs
-    # Gaussian binomials, so none substitutes into a polynomial; and each
-    # walks its chains column by column, so none enumerates flags or
-    # nu-families (those stay as the tests' flat references).
+    # cell factors off Phi's cached term tuples by exponent arithmetic and
+    # Hall-Littlewood packs Gaussian binomials, so none substitutes into a
+    # polynomial, builds a SequencePair or calls the public Phi functions
+    # (which wrap the terms in an ExactPolynomial); and each walks its chains
+    # column by column, so none enumerates flags or nu-families (those stay
+    # as the tests' flat references).
     def forbidden(name):
         def reached(*args, **kwargs):
             raise AssertionError(name + " reached")
@@ -187,9 +189,12 @@ def test_lattice_routes_reach_no_substitute(monkeypatch):
 
     monkeypatch.setattr(ExactPolynomial, "substitute",
                         forbidden("ExactPolynomial.substitute"))
+    monkeypatch.setattr(SequencePair, "__init__",
+                        forbidden("SequencePair.__init__"))
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").partition(".")[0] == "modmacd":
-            for name in ("enumerate_flags", "enumerate_nu_families"):
+            for name in ("enumerate_flags", "enumerate_nu_families",
+                         "phi_normalized", "phi_prime", "phi_at_one"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden(name))
     clear_caches()

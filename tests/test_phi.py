@@ -178,7 +178,7 @@ def test_unpack_recovers_signed_rows_at_minimal_width(coeffs):
     rows = [sum(c << W * i for i, c in enumerate(row)) for row in coeffs]
     expect = ExactPolynomial(("z", "t"), {
         (d, i): c for d, row in enumerate(coeffs) for i, c in enumerate(row)})
-    assert phi._unpack(rows, W, "z") == expect
+    assert phi._poly(phi._unpack(rows, W)) == expect
 
 
 @given(st.lists(st.tuples(
@@ -200,4 +200,35 @@ def test_packed_product_matches_exact_product(terms):
         for x in exponents:
             term = term * (P(1) - Z * T ** x)
         expect = expect + term
-    assert phi._packed_sum(terms, "z") == expect
+    assert phi._poly(phi._unpack(*phi._packed_rows(terms))) == expect
+
+
+@st.composite
+def sequence_pairs(draw):
+    """A valid pair with N in 1..5 and entries <= 4.  nu and nutilde are
+    drawn independently, so most pairs with N > 1 need a rotation."""
+    N = draw(st.integers(1, 5))
+    top = draw(st.integers(0, 4))
+    nu, nut = (tuple(sorted(draw(st.lists(st.integers(0, top), min_size=N - 1,
+                                          max_size=N - 1)))) + (top,)
+               for _ in range(2))
+    return SequencePair(nu, nut)
+
+
+@given(sequence_pairs())
+@example(SequencePair((2, 2, 2), (0, 1, 2)))
+@example(SequencePair((1, 3, 4, 5), (2, 3, 5, 5)))
+@example(SequencePair((0, 3, 3, 4, 4), (1, 1, 2, 2, 4)))
+@settings(max_examples=80, deadline=None)
+def test_term_cache_matches_the_independent_routes(sp):
+    # phi_normalized, phi_prime and phi_at_one read the term tuples of the
+    # one Phi cache (rotation and Phi' as z-shifts); the series and finite
+    # routes, the ExactPolynomial series for Phi' and the ExactPolynomial
+    # product of Gaussian binomials do not.
+    got = phi_normalized(sp)
+    assert got == phi_finite(sp) == phi_series(sp)
+    assert phi_prime(sp) == phi_prime_series(sp)
+    expect = P(1)
+    for k in range(sp.N - 1):
+        expect = expect * gauss_binomial(sp.nutilde[k + 1], sp.nutilde[k])
+    assert phi_at_one(sp) == expect
