@@ -14,7 +14,8 @@ from modmacd.errors import ConsistencyError, TopMismatch
 from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction, sym,
                               ZERO)
 from modmacd.lattice import (FaceState, _PHI_EVAL_CACHE, _pack_qt, _phi_eval,
-                             _BINOM_CELL_CACHE, _unpack_qt, chi,
+                             _BINOM_CELL_CACHE, _collapse_compositions,
+                             _unpack_qt, chi,
                              column_weight, fundamental_L, fused_L_recurrence,
                              fused_vertex_bruteforce,
                              partition_function_coeffs, r_matrix, rll_check,
@@ -418,6 +419,16 @@ def test_sweep_checks_the_multinomials(monkeypatch):
             partition_function_coeffs(lam, 3, "x")
     finally:
         clear_caches()
+
+
+def test_collapse_checks_permutation_invariance():
+    # Compositions that permute each other must carry equal values; they
+    # collapse onto one partition (trailing zeros dropped).
+    same = {(1, 0, 2): 7, (2, 1, 0): 7, (0, 2, 1): 7, (3, 0, 0): 1}
+    assert _collapse_compositions(same) == {Partition((2, 1)): 7,
+                                            Partition((3,)): 1}
+    with pytest.raises(ConsistencyError, match="differ"):
+        _collapse_compositions({(1, 0, 2): 7, (2, 1, 0): 8})
 
 
 def test_hl_sweep_checks_h_lambda_at_one(monkeypatch):

@@ -221,12 +221,12 @@ def sequence_pairs(draw):
 @example(SequencePair((0, 3, 3, 4, 4), (1, 1, 2, 2, 4)))
 @settings(max_examples=80, deadline=None)
 def test_term_cache_matches_the_independent_routes(sp):
-    # phi_normalized, phi_prime and phi_at_one read the term tuples of the
-    # one Phi cache (rotation and Phi' as z-shifts); the series and finite
-    # routes, the ExactPolynomial series for Phi' and the ExactPolynomial
-    # product of Gaussian binomials do not.
-    got = phi_normalized(sp)
-    assert got == phi_finite(sp) == phi_series(sp)
+    # phi_normalized and phi_prime read the term tuples of the one Phi
+    # cache (rotation and Phi' as z-shifts) and phi_at_one the closed
+    # product off the same kernel; the series and finite routes, the
+    # ExactPolynomial series for Phi' and the ExactPolynomial product of
+    # Gaussian binomials do not.
+    assert phi_normalized(sp) == phi_finite(sp) == phi_series(sp)
     assert phi_prime(sp) == phi_prime_series(sp)
     expect = P(1)
     for k in range(sp.N - 1):
