@@ -285,7 +285,3 @@ def main(argv=None):
     except ModmacdError as exc:
         print("internal assertion failed: %s" % exc, file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -451,13 +451,9 @@ def _hl_column(nu, nut):
     """t-exponent and Gaussian binomials of one Hall-Littlewood column: sum
     of d(d-1)/2 over the increments d of nutilde, and the pairs (a, b) of
     [a, b]_t = [nutilde_{k+1} - nu_k, nutilde_k - nu_k] for k < N."""
-    N = len(nut)
-    expo = 0
-    for k in range(1, N + 1):
-        d = nut[k - 1] - _at(nut, k - 1)
-        expo += d * (d - 1) // 2
+    expo = sum(d * (d - 1) // 2 for d in map(sub, nut, (0,) + nut))
     return expo, [(nut[k] - nu[k - 1], nut[k - 1] - nu[k - 1])
-                  for k in range(1, N)]
+                  for k in range(1, len(nut))]
 
 
 def column_weight(i, lam, pairs, variant="x"):
@@ -566,8 +562,9 @@ def partition_function_coeffs(lam, N, formula="x"):
         check = _check_multinomials
     else:
         raise ValueError("formula must be 'x', 'z' or 'hl'")
-    by_comp, at_one, decode = _column_sweep(shape, N, dual, moves)
-    check(at_one, lam, N)
+    values, at_one, comps, decode = _column_sweep(shape, N, dual, moves)
+    check(at_one, comps, lam, N)
+    by_comp = {comps[key]: v for key, v in values.items()}
     return {mu: decode(v)
             for mu, v in _collapse_compositions(by_comp).items()}
 
@@ -666,10 +663,11 @@ def _column_sweep(shape, N, dual, column_moves):
     partial composition c is keyed by the int sum_k c_k B^k, B = |shape| + 1
     > every c_k, so that adding a column's increments is one addition; the
     last column adds every path into the one state ().  Returns the packed
-    sums and their values at q = t = 1, keyed by composition, and the
-    decoder.
+    sums and their values at q = t = 1 by key, each key's composition
+    (c_1, ..., c_N), and the decoder.
     """
     B = sum(shape) + 1
+    powers = [B ** k for k in range(N)]
     start = {(): {0: 1}}
     # structure pass: per column the live steps (below, cur, increment,
     # exponent - least exponent, cells); per chain tuple the l1 norms and
@@ -688,8 +686,8 @@ def _column_sweep(shape, N, dual, column_moves):
         steps, l1s, ones, degs = [], [], [], {}
         for below, cur, expo, cells in moves:
             if cur not in incs:
-                incs[cur] = sum((b - a) * B ** k for chain in cur for k, (a, b)
-                                in enumerate(zip((0,) + chain, chain)))
+                incs[cur] = sum((b - a) * p for chain in cur for p, a, b
+                                in zip(powers, (0,) + chain, chain))
             step = (below, cur if i > 1 else (), incs[cur])
             l1, one, deg = 1, 1, 0 if dual else expo - low
             for cell in cells:
@@ -728,34 +726,29 @@ def _column_sweep(shape, N, dual, column_moves):
                 w *= packed[id(cell)]
             weights.append((below, cur, inc, w << base * expo))
         values = _sweep_step(values, weights)
-    return _by_tuple(values.get((), {}), B, N), \
-        _by_tuple(at_one.get((), {}), B, N), \
+    values = values.get((), {})
+    return values, at_one.get((), {}), \
+        {key: tuple(key // p % B for p in powers) for key in values}, \
         lambda v: _unpack_qt(v, W, T, *((shift, 0) if dual else (0, shift)))
 
 
-def _by_tuple(by_key, B, N):
-    """Re-key by composition: key sum_k c_k B^k becomes (c_1, ..., c_N)."""
-    return {tuple(key // B ** k % B for k in range(N)): v
-            for key, v in by_key.items()}
-
-
-def _check_multinomials(at_one, lam, N):
+def _check_multinomials(at_one, comps, lam, N):
     """Each composition's value at q = t = 1 is n! / prod comp_i!, and no
     composition of n = |lambda| into N parts is missing (their multinomials
-    sum to N^n)."""
+    sum to N^n); at_one is keyed as comps."""
     weight = lam.weight()
-    for comp, value in at_one.items():
-        expect = factorial(weight) // prod(map(factorial, comp))
+    for key, value in at_one.items():
+        expect = factorial(weight) // prod(map(factorial, comps[key]))
         if value != expect:
             raise ConsistencyError(
                 "value %d at q = t = 1 of the composition %r is not the "
-                "multinomial %d" % (value, comp, expect))
+                "multinomial %d" % (value, comps[key], expect))
     if sum(at_one.values()) != N ** weight:
         raise ConsistencyError(
             "a composition of %d into %d parts is missing" % (weight, N))
 
 
-def _check_h_at_one(at_one, lam, N):
+def _check_h_at_one(at_one, comps, lam, N):
     """The Hall-Littlewood values at t = 1 sum to h_lambda(1^N) =
     prod_i C(lambda_i + N - 1, N - 1), since H_lambda(x; 0, 1) = h_lambda."""
     got = sum(at_one.values())

@@ -15,6 +15,7 @@ from .memo import memoized
 from .qseries import gauss_binomial
 
 _BINOM_LIST_CACHE = {}
+_GAUSS_AT_CACHE = {}
 
 
 @memoized(_BINOM_LIST_CACHE)
@@ -39,6 +40,7 @@ def _comb(a, b):
     return comb(a, b) if a >= b >= 0 else 0
 
 
+@memoized(_GAUSS_AT_CACHE)
 def _gauss_at(a, b, W):
     """[a choose b]_t at t = 2^W; 0 unless a >= b >= 0."""
     value = 0

@@ -63,7 +63,9 @@ def _packed_rows(terms):
     l1 = size = 0
     for term in terms:
         d, _, pairs, exponents = term
-        norm = prod(_comb(a, b) for a, b in pairs) << len(exponents)
+        norm = 1 << len(exponents)
+        for a, b in pairs:
+            norm *= _comb(a, b)
         if norm:
             kept.append(term)
             l1 += norm
@@ -71,7 +73,9 @@ def _packed_rows(terms):
     W = _width(l1)
     rows = [0] * size
     for d, e, pairs, exponents in kept:
-        scalar = prod(_gauss_at(a, b, W) for a, b in pairs) << W * e
+        scalar = 1 << W * e
+        for a, b in pairs:
+            scalar *= _gauss_at(a, b, W)
         if exponents:
             for i, c in enumerate(_pochhammer_at(exponents, W), d):
                 rows[i] += c * scalar
@@ -96,13 +100,12 @@ def phi_series(sp):
     t = 2^W; W bounds every z^d coefficient of the product, so the check
     above the degree bound is exact.
     """
-    N = sp.N
-    nu, nut = sp.nu, sp.nutilde
+    nu, nut = (0,) + sp.nu, (0,) + sp.nutilde
     bound = _degree_bound(sp)
     top = nut[-1]
     D = bound + top + 2
-    pairs = [[(_at(nut, k + 1) - _at(nu, k) + s, _at(nut, k) - _at(nu, k) + s)
-              for k in range(N)] for s in range(D + 1)]
+    pairs = [[(nut[k + 1] - nu[k] + s, nut[k] - nu[k] + s)
+              for k in range(sp.N)] for s in range(D + 1)]
     norms = [prod(_comb(a, b) for a, b in row) for row in pairs]
     l1 = max(sum(comb(top + 1, k) * norms[d - k]
                  for k in range(min(d, top + 1) + 1)) for d in range(D + 1))
@@ -130,8 +133,8 @@ def phi_finite(sp):
     prod_j (z t^{p_j}; t)_{sigma_j - lambda_j}.
     """
     N = sp.N
-    nu, nut = sp.nu, sp.nutilde
-    sigma = [_at(nu, j) - _at(nu, j - 1) for j in range(1, N)]
+    nu, nut = (0,) + sp.nu, (0,) + sp.nutilde
+    sigma = [nu[j] - nu[j - 1] for j in range(1, N)]
 
     def terms():
         for lam in iproduct(*[range(s + 1) for s in sigma]):
@@ -141,13 +144,13 @@ def phi_finite(sp):
             partial = 0  # lambda_{1,j-1}
             for j in range(1, N):
                 lj = lam[j - 1]
-                power = _at(nu, j - 1) - partial
+                power = nu[j - 1] - partial
                 tdeg += power * lj
                 exponents.extend(range(power, power + sigma[j - 1] - lj))
                 partial += lj
                 pairs.append((sigma[j - 1], lj))
-                pairs.append((_at(nut, j + 1) - _at(nu, j) + partial,
-                              _at(nut, j) - _at(nu, j) + partial))
+                pairs.append((nut[j + 1] - nu[j] + partial,
+                              nut[j] - nu[j] + partial))
             yield sum(lam), tdeg, pairs, exponents
 
     return _poly(_unpack(*_packed_rows(terms())))
@@ -166,7 +169,8 @@ def _positive_terms(nu, nut):
         raise NegativeDifference(
             "nutilde < nu somewhere; rotate first: %r | %r" % (nu, nut))
     N = len(nu)
-    sigma = [_at(nu, j) - _at(nu, j - 1) for j in range(1, N)]
+    nu, nut = (0,) + nu, (0,) + nut
+    sigma = [nu[j] - nu[j - 1] for j in range(1, N)]
 
     def terms(k, head, zdeg, eta, pairs):
         # head = (S_1^k, ..., S_{k-1}^k); column k adds S_k^k to it.
@@ -176,13 +180,13 @@ def _positive_terms(nu, nut):
         last = k + 1 == N
         for new in range(sigma[k - 1] + 1):
             col = head + (new,)
-            bot = _at(nut, k) - sum(col)
+            bot = nut[k] - sum(col)
             if bot < 0:
                 break
-            rest = [_at(nut, k) - sum(col[i:]) for i in range(k)]
+            rest = [nut[k] - sum(col[i:]) for i in range(k)]
             for nxt in iproduct(*[range(s if last else c, s + 1)
                                   for c, s in zip(col, sigma)]):
-                top = _at(nut, k + 1) - sum(nxt)
+                top = nut[k + 1] - sum(nxt)
                 if top >= bot:
                     yield from terms(
                         k + 1, nxt, zdeg + sigma[k - 1] - new,

@@ -2,9 +2,13 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import modmacd
 from modmacd import cli, errors
 from modmacd.cli import main
 from modmacd.combinat import Partition
@@ -201,3 +205,20 @@ def test_empty_ranges_exit_two(capsys, argv):
     assert code == 2
     assert "ok" not in out
     assert "invalid input" in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("phi", "--nu", "0,1,3", "--nutilde", "1,2,3", "--form", "finite"), 0),
+    (("hpoly", "--lambda", "2,1", "--vars", "1"), 2),
+])
+def test_python_dash_m_runs_the_cli(capsys, argv, code):
+    # `python -m modmacd` from the directory holding the imported package,
+    # as from a checkout with PYTHONPATH=src; same exit code and output as
+    # main() in process.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modmacd.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    got = subprocess.run([sys.executable, "-m", "modmacd", *argv],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert (got.returncode, got.stdout) == run(capsys, *argv)[:2]
+    assert got.returncode == code

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from modmacd import memo
+from modmacd import memo, packed
 from modmacd.combinat import Partition, SequencePair
 from modmacd.lattice import partition_function_coeffs
 from modmacd.modmac import kostka_qt
@@ -60,6 +60,15 @@ def test_clear_caches_empties_every_cache_and_recomputes_the_same():
     memo.clear_caches()
     assert not any(_cache(key) for key in tracer.CACHES)
     assert _results() == before
+
+
+def test_clear_caches_empties_the_packed_binomial_cache():
+    # The packed Gaussian binomials at t = 2^W are not among the tracer's
+    # CACHES, so the test above does not see them.
+    phi_series(SequencePair((0, 1, 3), (1, 2, 3)))
+    assert packed._GAUSS_AT_CACHE
+    memo.clear_caches()
+    assert not packed._GAUSS_AT_CACHE
 
 
 def test_memoized_keys_by_positional_arguments():

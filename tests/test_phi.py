@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from modmacd import packed, phi
+from modmacd import clear_caches, packed, phi
 from modmacd.combinat import SequencePair
 from modmacd.errors import MismatchedTops, NegativeInput, TruncationResidual
 from modmacd.exactalg import ExactPolynomial, P, render, sym
@@ -167,6 +167,16 @@ def test_truncation_check_fires_below_the_true_degree(monkeypatch):
 def test_gauss_at_is_gauss_binomial_at_a_power_of_two(a, b, W):
     expect = gauss_binomial(a, b).substitute({"t": P(2 ** W)})
     assert P(packed._gauss_at(a, b, W)) == expect
+
+
+@pytest.mark.parametrize("widths", [(3, 9), (9, 3)])
+def test_gauss_at_keeps_each_width_apart(widths):
+    # _gauss_at is memoized; a cache keyed by (a, b) alone would hand the
+    # value at the first width to the second.
+    clear_caches()
+    for W in widths:
+        expect = gauss_binomial(6, 3).substitute({"t": P(2 ** W)})
+        assert P(packed._gauss_at(6, 3, W)) == expect
 
 
 @given(st.lists(st.lists(st.integers(-2 ** 80, 2 ** 80), max_size=8),
