@@ -70,10 +70,6 @@ class TooFewVariables(UsageError):
     """Too few variables for a faithful symmetric-function expansion."""
 
 
-class SingularConversion(ConsistencyError):
-    """Defensive: basis-conversion system unexpectedly singular."""
-
-
 class NonPolynomialCoefficient(ConsistencyError):
     """Integral-form coefficient failed to clear to a polynomial."""
 

@@ -12,6 +12,7 @@ term products on packed integer exponent keys and decodes them once.
 
 import json
 from math import gcd as int_gcd
+from operator import add
 
 from .errors import NonUnitIntoNegativeExponent, ZeroDenominator
 
@@ -221,25 +222,42 @@ class ExactPolynomial:
             bound[name] = val
         if not any(v in bound for v in self.vars):
             return self
-        result = ExactPolynomial.constant(0)
-        pow_cache = {}
+        # each bound power is expanded once over the union of the kept and
+        # the bound symbols, and every term's image is summed into one dict
+        # over that union
+        names = tuple(sorted({v for v in self.vars if v not in bound}.union(
+            *(bound[v].vars for v in self.vars if v in bound))))
+        index = {v: i for i, v in enumerate(names)}
+        powers = {}
+        acc = {}
         for e, c in self.terms.items():
-            term = ExactPolynomial.constant(c)
-            keep = {}
+            kept = [0] * len(names)
+            images = []
             for name, ex in zip(self.vars, e):
-                if not ex:
-                    continue
                 if name not in bound:
-                    keep[name] = keep.get(name, 0) + ex
-                    continue
-                key = (name, ex)
-                if key not in pow_cache:
-                    pow_cache[key] = _monomial_power(bound[name], ex)
-                term = term * pow_cache[key]
-            if keep:
-                term = term * ExactPolynomial.monomial(keep)
-            result = result + term
-        return result
+                    kept[index[name]] = ex
+                elif ex:
+                    if (name, ex) not in powers:
+                        p = _monomial_power(bound[name], ex)
+                        where = [index[v] for v in p.vars]
+                        powers[name, ex] = image = []
+                        for pe, pc in p.terms.items():
+                            key = [0] * len(names)
+                            for i, x in zip(where, pe):
+                                key[i] = x
+                            image.append((tuple(key), pc))
+                    images.append(powers[name, ex])
+            term = {tuple(kept): c}
+            for image in images:
+                out = {}
+                for k1, c1 in term.items():
+                    for k2, c2 in image:
+                        k = tuple(map(add, k1, k2))
+                        out[k] = out.get(k, 0) + c1 * c2
+                term = out
+            for k, x in term.items():
+                acc[k] = acc.get(k, 0) + x
+        return ExactPolynomial(names, acc)
 
     def coefficient(self, partial):
         """Coefficient of the partial monomial given as symbol -> exponent.
@@ -682,17 +700,6 @@ class RationalFunction:
     def substitute(self, bindings):
         return RationalFunction(self.num.substitute(bindings),
                                 self.den.substitute(bindings))
-
-    def as_polynomial(self):
-        """The Laurent polynomial num / den, or None if den does not divide.
-
-        The quotient is unique, so exact division gives the same polynomial
-        as a full gcd reduction without computing a gcd.
-        """
-        try:
-            return poly_divexact(self.num, self.den)
-        except ValueError:
-            return None
 
     def __repr__(self):
         return "RationalFunction(%r, %r)" % (self.num, self.den)

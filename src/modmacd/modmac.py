@@ -14,7 +14,7 @@ from .lattice import partition_function_coeffs
 from .qseries import (divide_factors, factor_product, gauss_binomial,
                       hook_factors, pochhammer)
 from .symoracle import (integral_J, modified_H_oracle, monomial_expand,
-                        schur_expand, W_oracle)
+                        schur_expand, SymmetricExpr, W_oracle)
 
 ROUTES = ("lattice_x", "lattice_dual", "oracle")
 
@@ -123,14 +123,20 @@ def w_reduction_check(lam, N):
     dual_J = monomial_expand(integral_J(conj, N), N).substitute(swap_rename)
     if spec != dual_J:
         return False
-    # z = 0  ->  H_lam(x; q, t)
+    # z = 0  ->  H_lam(x; q, t) and x = 0  ->  H_{lam'}(z; t, q), both from
+    # the lattice (the paper's formula), which shares nothing with W_oracle
     spec = W.substitute({z: P(0) for z in zs})
-    if spec != monomial_expand(modified_H_oracle(lam, nvars=N), N):
+    if spec != _lattice_H(lam, N):
         return False
-    # x = 0  ->  H_{lam'}(z; t, q)
     spec = W.substitute({x: P(0) for x in xs})
-    Hd = monomial_expand(modified_H_oracle(conj, nvars=N), N)
-    return spec == Hd.substitute(swap_rename)
+    return spec == _lattice_H(conj, N).substitute(swap_rename)
+
+
+def _lattice_H(lam, N):
+    """H_lam over x_1..x_N from the lattice_x table; the J corners before it
+    have already required N >= max(ell(lam), lam_1), the lattice's least N."""
+    return monomial_expand(
+        SymmetricExpr("monomial", modified_H(lam, N).coeffs, N), N)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ per coefficient: products of polynomials become products of ints, and a value
 is zero exactly when its polynomial is.  B comes from the l1 norms of the
 inputs, never from the result: ||[a, b]_t|| = C(a, b), ||1 - z t^e|| = 2,
 ||fg|| <= ||f|| ||g|| and ||f + g|| <= ||f|| + ||g||.  The Phi routes (phi)
-and the lattice sums (lattice) use these helpers; the oracle does not.
+and the lattice sums (lattice) use these helpers; the oracle (symoracle)
+takes only _width and _digits.
 """
 
 from math import comb

@@ -2,29 +2,33 @@
 
 Integral form J by the branching rule over hook-factor multisets (one exact
 division per coefficient), Macdonald P = J / c, plethystic evaluations, and
-triangular basis conversions (monomial / power-sum / Schur).  Integer linear
-algebra uses fractions.Fraction.
+triangular basis conversions (monomial / power-sum / Schur).
 
-A SymmetricExpr holds polynomial numerators and one known denominator per
-degree d, an integer k_d times a multiset D_d of factors 1 - q^a t^b.  A
-basis conversion acts on the numerators only (from monomials to power sums
-it multiplies an integer into k_d), and a plethysm adds its factors 1 - t^r
-to D_d, so no sum ever cross-multiplies.  _cleared divides a numerator by
-its denominator exactly (qseries.divide_factors) and raises when the
-coefficient is not a polynomial; every oracle result goes through it.
+A SymmetricExpr holds numerators and one known denominator per degree d, an
+integer k_d times a multiset D_d of factors 1 - q^a t^b.  A basis conversion
+takes integer combinations of the numerators only (from monomials to power
+sums it multiplies an integer into k_d), and a plethysm adds its factors
+1 - t^r to D_d, so no sum ever cross-multiplies.
+
+Numerators are ExactPolynomials, or QRows in a packed expression: each
+q-coefficient a t-polynomial at t = 2^W (packed._width and packed._digits
+are all the oracle shares with Phi and the lattice).  The plethysms run
+packed, from J packed at a W taken from an l1 bound carried through every
+step; _cleared divides a numerator by its denominator with one integer
+divmod per q-row and raises when the coefficient is not a polynomial.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import comb, lcm
 
 from .combinat import Partition, partitions_of
 from .errors import (NegativeCoefficient, NonPolynomialCoefficient,
-                     SingularConversion, TooFewVariables)
-from .exactalg import (ExactPolynomial, ONE, P, poly_divexact,
-                       RationalFunction, RF_ZERO, ZERO)
+                     TooFewVariables)
+from .exactalg import ExactPolynomial, ONE, P, ZERO
 from .memo import memoized
+from .packed import _digits, _width
 from .qseries import divide_factors, factor_product, hook_factors
 
 
@@ -58,18 +62,6 @@ def _psi_factors(lam, mu):
                     up[(k, m + 1)] += 1
                     down[(k + 1, m)] += 1
     return num - den, den - num
-
-
-def psi_coefficient(lam, mu):
-    """Branching coefficient psi_{lam/mu}(q,t); 0 off horizontal strips."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    if not isinstance(mu, Partition):
-        mu = Partition(mu)
-    if not horizontal_strip(lam, mu):
-        return RF_ZERO
-    num, den = _psi_factors(lam, mu)
-    return RationalFunction(factor_product(num), factor_product(den))
 
 
 def _strips_removing(lam, d):
@@ -141,14 +133,37 @@ def kostka_number(lam, mu):
                for kappa in _strips_removing(lam, mu[-1]))
 
 
+class QRows:
+    """A (q, t) polynomial as its q-coefficients, each a t-polynomial at
+    t = 2^W (the SymmetricExpr holding it keeps W)."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __add__(self, other):
+        a, b = sorted((self.rows, other.rows), key=len)
+        return QRows([x + y for x, y in zip(a, b)] + b[len(a):])
+
+    def __mul__(self, k):
+        """Times an integer or a t-polynomial packed at the same W."""
+        return QRows([x * k for x in self.rows])
+
+    def is_zero(self):
+        return not any(self.rows)
+
+
 class SymmetricExpr:
     """Finite combination of basis elements: coeffs maps partitions to
     numerators over k_d prod_{D_d} (1 - q^a t^b) per degree d, where dens
-    maps d to (k_d, D_d); a missing degree means (1, Counter())."""
+    maps d to (k_d, D_d); a missing degree means (1, Counter()).  The
+    numerators are ExactPolynomials when width is None, else QRows at
+    t = 2^width."""
 
-    __slots__ = ("basis", "coeffs", "nvars", "dens")
+    __slots__ = ("basis", "coeffs", "nvars", "dens", "width")
 
-    def __init__(self, basis, coeffs, nvars, dens=None):
+    def __init__(self, basis, coeffs, nvars, dens=None, width=None):
         if basis not in ("monomial", "powersum", "schur"):
             raise ValueError("unknown basis %r" % (basis,))
         self.basis = basis
@@ -156,6 +171,7 @@ class SymmetricExpr:
                        for k, v in coeffs.items() if not v.is_zero()}
         self.nvars = nvars
         self.dens = dict(dens or {})
+        self.width = width
 
     def den(self, d):
         """(k_d, D_d) of degree d."""
@@ -197,20 +213,34 @@ def _expand_monomial(mu, nvars):
     return {e: 1 for e in set(permutations(padded))}
 
 
-def _expand_powersum(lam, nvars, nz=0):
-    """p_lam as an integer dict exponent-tuple -> coefficient over
-    x_1..x_nvars, followed by z_1..z_nz where p_r(z) enters with sign
-    (-1)^(r+1): each p_r becomes p_r(x) + (-1)^(r+1) p_r(z)."""
-    acc = {(0,) * (nvars + nz): 1}
+def _expand_powersum(lam, n):
+    """p_lam with each p_r replaced by p_r(x) + (-1)^(r+1) p_r(z), as an
+    integer dict exponent-tuple -> coefficient over x_1..x_n, z_1..z_n."""
+    acc = {(0,) * (2 * n): 1}
     for r in lam.parts:
         sign = 1 if r % 2 else -1
         new = {}
         for e, c in acc.items():
-            for i in range(nvars + nz):
+            for i in range(2 * n):
                 key = e[:i] + (e[i] + r,) + e[i + 1:]
-                new[key] = new.get(key, 0) + (c if i < nvars else sign * c)
+                new[key] = new.get(key, 0) + (c if i < n else sign * c)
         acc = new
     return {e: c for e, c in acc.items() if c}
+
+
+def _fillings(lam, mu):
+    """Coefficient of m_mu in p_lam: the maps from the parts of lam to the
+    parts of mu that fill each part of mu exactly."""
+    states = {mu.parts: 1}
+    for r in lam.parts:
+        new = {}
+        for rest, c in states.items():
+            for j, x in enumerate(rest):
+                if x >= r:
+                    key = rest[:j] + (x - r,) + rest[j + 1:]
+                    new[key] = new.get(key, 0) + c
+        states = new
+    return states.get((0,) * len(mu), 0)
 
 
 _TRANSITION_CACHE = {}
@@ -220,107 +250,105 @@ _TRANSITION_CACHE = {}
 def _transitions(d):
     """Power-sum <-> monomial transition data at degree d.
 
-    Returns (plist, p_in_m, m_in_p): p_in_m[lam][mu] integer coefficient of
-    m_mu in p_lam; m_in_p[mu][lam] Fraction coefficient of p_lam in m_mu.
+    Returns (plist, p_in_m, m_in_p, k): p_in_m[lam][mu] integer coefficient
+    of m_mu in p_lam; m_in_p[mu][lam] integer coefficient of p_lam in k m_mu,
+    k the lcm of the denominators of the inverse matrix.
     """
     plist = partitions_of(d)
-    p_in_m = {}
-    for lam in plist:
-        expansion = _expand_powersum(lam, d)
-        row = {}
-        for mu in plist:
-            key = mu.padded(d)
-            if key in expansion:
-                row[mu] = expansion[key]
-        p_in_m[lam] = row
-    # invert over the rationals by Gaussian elimination
-    idx = {lam: i for i, lam in enumerate(plist)}
-    n = len(plist)
-    mat = [[Fraction(p_in_m[plist[i]].get(plist[j], 0)) for j in range(n)]
-           for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col]), None)
-        if piv is None:
-            raise SingularConversion("transition matrix singular")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = mat[col][col]
-        mat[col] = [x / f for x in mat[col]]
-        inv[col] = [x / f for x in inv[col]]
-        for r in range(n):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    # p_in_m as matrix A with A[i][j] = coeff of m_j in p_i; m_mu = sum_lam
-    # (A^{-1})[j][i] ... m-vector = A^T p-vector relation handled below.
-    m_in_p = {}
-    for mu in plist:
-        j = idx[mu]
-        m_in_p[mu] = {plist[i]: inv[j][i] for i in range(n) if inv[j][i]}
-    return plist, p_in_m, m_in_p
+    p_in_m = {lam: {mu: c for mu in plist if (c := _fillings(lam, mu))}
+              for lam in plist}
+    # p_mu = sum_nu A[mu][nu] m_nu with every nu != mu shorter than mu, so
+    # m_mu = (p_mu - sum_{nu != mu} A[mu][nu] m_nu) / A[mu][mu], shortest first
+    inv = {}
+    for mu in sorted(plist, key=len):
+        row = {mu: Fraction(1)}
+        for nu, a in p_in_m[mu].items():
+            if nu != mu:
+                for lam, x in inv[nu].items():
+                    row[lam] = row.get(lam, 0) - a * x
+        inv[mu] = {lam: x / p_in_m[mu][mu] for lam, x in row.items() if x}
+    k = lcm(*(x.denominator for row in inv.values() for x in row.values()))
+    m_in_p = {mu: {lam: int(x * k) for lam, x in row.items()}
+              for mu, row in inv.items()}
+    return plist, p_in_m, m_in_p, k
+
+
+def _add(coeffs, key, value):
+    got = coeffs.get(key)
+    coeffs[key] = value if got is None else got + value
+
+
+_QT = ExactPolynomial.monomial({"q": 1, "t": 1})
+
+
+def _qt_terms(c):
+    """The terms of a polynomial in q and t, keyed (q exponent, t exponent)."""
+    names, terms, _ = c._aligned(_QT)
+    if names != ("q", "t"):
+        raise ValueError("%r is not a polynomial in q and t" % (c,))
+    return terms
 
 
 def monomial_expand(e, nvars):
-    """Explicit polynomial over x_1..x_nvars (polynomial coefficients only)."""
+    """Explicit polynomial over x_1..x_nvars; every coefficient must be a
+    polynomial in q and t over the trivial denominator."""
     e = basis_convert(e, "monomial")
-    names = tuple("x%d" % i for i in range(1, nvars + 1))
-    out = ZERO
+    terms = {}
     for mu, c in e.coeffs.items():
         if len(mu) > nvars:
             raise TooFewVariables("partition %r needs more variables" % (mu,))
-        poly = _cleared(c, e.den(mu.weight()), "coefficient at %r" % (mu,))
+        if e.width is not None or e.den(mu.weight()) != (1, Counter()):
+            raise NonPolynomialCoefficient(
+                "coefficient at %r has a denominator" % (mu,))
+        qt = _qt_terms(c)
         for exp in _expand_monomial(mu, nvars):
-            out = out + poly * ExactPolynomial.monomial(
-                dict(zip(names, exp)))
-    return out
+            for e_qt, x in qt.items():
+                terms[exp + e_qt] = x
+    return ExactPolynomial(
+        tuple("x%d" % i for i in range(1, nvars + 1)) + ("q", "t"), terms)
 
 
 def basis_convert(e, target):
-    """Exact change of basis between monomial, powersum and schur; only the
-    numerators change, and k_d when monomials become power sums."""
+    """Exact change of basis between monomial, powersum and schur: integer
+    combinations of the numerators (ExactPolynomials or QRows), which
+    change k_d only when monomials become power sums."""
     if e.basis == target:
         return e
     if e.basis == "powersum" and target in ("monomial", "schur"):
         coeffs = {}
         for d, part in e.degree_parts().items():
-            _, p_in_m, _ = _transitions(d)
+            p_in_m = _transitions(d)[1]
             for lam, c in part.items():
                 for mu, k in p_in_m[lam].items():
-                    coeffs[mu] = coeffs.get(mu, ZERO) + c * k
-        mono = SymmetricExpr("monomial", coeffs, e.nvars, e.dens)
+                    _add(coeffs, mu, c * k)
+        mono = SymmetricExpr("monomial", coeffs, e.nvars, e.dens, e.width)
         return mono if target == "monomial" else basis_convert(mono, "schur")
     if e.basis == "monomial" and target == "powersum":
         coeffs = {}
         dens = dict(e.dens)
         for d, part in e.degree_parts().items():
-            _, _, m_in_p = _transitions(d)
-            # the lcm k of the transition denominators joins k_d
-            k = lcm(*(f.denominator for row in m_in_p.values()
-                      for f in row.values()))
+            _, _, m_in_p, k = _transitions(d)
             k_d, factors = e.den(d)
             dens[d] = (k_d * k, factors)
             for mu, c in part.items():
-                for lam, frac in m_in_p[mu].items():
-                    coeffs[lam] = coeffs.get(lam, ZERO) + c * (
-                        frac.numerator * (k // frac.denominator))
-        return SymmetricExpr("powersum", coeffs, e.nvars, dens)
+                for lam, n in m_in_p[mu].items():
+                    _add(coeffs, lam, c * n)
+        return SymmetricExpr("powersum", coeffs, e.nvars, dens, e.width)
     if e.basis == "monomial" and target == "schur":
         coeffs = {}
         for d, part in e.degree_parts().items():
             remaining = dict(part)
             for nu in sorted(partitions_of(d), key=lambda p: p.parts,
                              reverse=True):
-                c = remaining.get(nu, ZERO)
-                if c.is_zero():
+                c = remaining.get(nu)
+                if c is None or c.is_zero():
                     continue
                 coeffs[nu] = c
                 for mu in partitions_of(d):
                     k = kostka_number(nu, mu.parts)
                     if k:
-                        remaining[mu] = remaining.get(mu, ZERO) - c * k
-        return SymmetricExpr("schur", coeffs, e.nvars, e.dens)
+                        _add(remaining, mu, c * -k)
+        return SymmetricExpr("schur", coeffs, e.nvars, e.dens, e.width)
     if e.basis == "schur":
         coeffs = {}
         for nu, c in e.coeffs.items():
@@ -328,8 +356,8 @@ def basis_convert(e, target):
             for mu in partitions_of(d):
                 k = kostka_number(nu, mu.parts)
                 if k:
-                    coeffs[mu] = coeffs.get(mu, ZERO) + c * k
-        mono = SymmetricExpr("monomial", coeffs, e.nvars, e.dens)
+                    _add(coeffs, mu, c * k)
+        mono = SymmetricExpr("monomial", coeffs, e.nvars, e.dens, e.width)
         return mono if target == "monomial" \
             else basis_convert(mono, "powersum")
     raise ValueError("unsupported conversion %s -> %s" % (e.basis, target))
@@ -340,8 +368,48 @@ def schur_expand(e):
 
 
 # ---------------------------------------------------------------------------
-# plethystic evaluations
+# packed numerators and plethystic evaluations
 # ---------------------------------------------------------------------------
+
+def _packed(e, W):
+    """e with every numerator, a polynomial in q and t, as QRows at
+    t = 2^W."""
+    coeffs = {}
+    for mu, c in e.coeffs.items():
+        rows = [0] * (c.degree("q") + 1)
+        for (i, j), x in _qt_terms(c).items():
+            rows[i] += x << W * j
+        coeffs[mu] = QRows(rows)
+    return SymmetricExpr(e.basis, coeffs, e.nvars, e.dens, W)
+
+
+def _spread(matrix):
+    """The l1 growth of the integer combination {source: {target: n}}."""
+    out = Counter()
+    for row in matrix.values():
+        out.update({key: abs(n) for key, n in row.items()})
+    return max(out.values())
+
+
+def _packed_J(lam, nvars, spread):
+    """J_lam packed at a W where every quotient the oracle takes decodes;
+    spread is the l1 growth of the step after the plethysm.
+
+    A final numerator has ||f|| <= B, the largest ||J_mu|| times each
+    step's growth (to power sums; 2^m for the m factors 1 - t^r of the
+    largest lcm at degree d; spread).  Its quotient g by h = k prod
+    (1 - t^r) has at most J's t-degree T and |g_j| <= ||f|| C(T + m, m) / k
+    (prod 1 / (1 - t^r) counts compositions), and ||h|| <= k 2^m: at
+    W = width(B C(T + m, m) 2^m), f and g h pack faithfully (_cleared).
+    """
+    J = integral_J(lam, nvars)
+    d = lam.weight()
+    m = sum(d // r for r in range(1, d + 1))
+    B = max(sum(map(abs, c.terms.values())) for c in J.coeffs.values()) \
+        * _spread(_transitions(d)[2]) * spread << m
+    T = max(c.degree("t") for c in J.coeffs.values())
+    return _packed(J, _width(B * comb(T + m, m) << m))
+
 
 def _plethysm_factors(lam):
     """p_lam[X / (1 - t)] = p_lam / prod (1 - q^a t^b) over these (a, b)."""
@@ -357,32 +425,56 @@ def _plethysm_lcm(ps):
     return out
 
 
-def _cleared(num, den, what):
-    """num / (k_d prod_{D_d} (1 - q^a t^b)) for den = (k_d, D_d), which
-    must be a polynomial."""
+def _packed_factors(factors, W):
+    """prod (1 - t^b) over a multiset of (0, b), at t = 2^W."""
+    out = 1
+    for a, b in factors.elements():
+        if a:
+            raise ValueError("packed denominators are powers of t only")
+        out -= out << W * b
+    return out
+
+
+def _cleared(num, den, W, what):
+    """num / (k_d prod_{D_d} (1 - t^b)) for QRows num at t = 2^W and
+    den = (k_d, D_d), as terms keyed (q exponent, t exponent).
+
+    One integer divmod per q-row by the packed h; a nonzero remainder or a
+    quotient digit c with |c| ||h|| >= 2^(W-1) raises.  Otherwise g h and
+    num (packed at a width that fits it) both pack faithfully: g h = num.
+    """
     k, factors = den
-    try:
-        return poly_divexact(divide_factors(num, factors), P(k))
-    except ValueError:
-        raise NonPolynomialCoefficient("%s not polynomial" % what) from None
+    h = _packed_factors(factors, W) * k
+    h_l1 = abs(k) << sum(factors.values())
+    out = {}
+    for i, value in enumerate(num.rows):
+        g, r = divmod(value, h)
+        row = {(i, j): c for j, c in _digits(g, W)}
+        if r or any(abs(c) * h_l1 >> W - 1 for c in row.values()):
+            raise NonPolynomialCoefficient("%s not polynomial" % what)
+        out.update(row)
+    return out
 
 
 def plethysm_eval(e, rule, nvars=None):
-    """Apply a power-sum substitution rule.
+    """Apply a power-sum substitution rule to a packed expression.
 
     rule='modified': p_r -> p_r / (1 - t^r); returns a powersum-basis expr.
     rule='double': p_r -> (p_r(x-alphabet) + (-1)^{r+1} p_r(z-alphabet))
     / (1 - t^r); returns (table, dens): table maps exponent tuples over
-    x_1..x_N, z_1..z_N (N = nvars) to numerators, and dens maps each total
-    degree d to its denominator (k_d, D_d).
+    x_1..x_N, z_1..z_N (N = nvars) to QRows numerators, and dens maps each
+    total degree d to its denominator (k_d, D_d).
 
     D_d gains the lcm L_d of the plethysm factors of the degree-d terms, and
-    the numerator of p_lam is scaled by the factors of L_d that p_lam lacks.
+    the numerator of p_lam is multiplied by the packed factors of L_d that
+    p_lam lacks.
     """
     if rule not in ("modified", "double"):
         raise ValueError("unknown rule %r" % (rule,))
     if rule == "double" and nvars is None:
         raise TooFewVariables("rule='double' needs nvars")
+    if e.width is None:
+        raise ValueError("plethysm_eval takes a packed expression")
     ps = basis_convert(e, "powersum")
     lcms = _plethysm_lcm(ps)
     dens = dict(ps.dens)
@@ -391,14 +483,15 @@ def plethysm_eval(e, rule, nvars=None):
         dens[d] = (k, own + factors)
     coeffs = {}
     for lam, c in ps.coeffs.items():
-        num = c * factor_product(lcms[lam.weight()] - _plethysm_factors(lam))
+        num = c * _packed_factors(lcms[lam.weight()] - _plethysm_factors(lam),
+                                  e.width)
         if rule == "modified":
             coeffs[lam] = num
             continue
-        for key, m in _expand_powersum(lam, nvars, nvars).items():
-            coeffs[key] = coeffs.get(key, ZERO) + num * m
+        for key, m in _expand_powersum(lam, nvars).items():
+            _add(coeffs, key, num * m)
     if rule == "modified":
-        return SymmetricExpr("powersum", coeffs, ps.nvars, dens)
+        return SymmetricExpr("powersum", coeffs, ps.nvars, dens, e.width)
     return coeffs, dens
 
 
@@ -408,16 +501,17 @@ _H_TABLE_CACHE = {}
 @memoized(_H_TABLE_CACHE)
 def _oracle_table(lam):
     """Every monomial coefficient of H_lam, by plethysm on J_lam."""
-    mono = basis_convert(plethysm_eval(
-        integral_J(lam, max(lam.weight(), 1)), "modified"), "monomial")
+    d = lam.weight()
+    J = _packed_J(lam, max(d, 1), _spread(_transitions(d)[1]))
+    mono = basis_convert(plethysm_eval(J, "modified"), "monomial")
     table = {}
     for mu, c in mono.coeffs.items():
-        poly = _cleared(c, mono.den(mu.weight()),
-                        "H coefficient at %r" % (mu,))
-        if not poly.is_nonnegative():
+        terms = _cleared(c, mono.den(d), J.width,
+                         "H coefficient at %r" % (mu,))
+        if not all(x > 0 for x in terms.values()):
             raise NegativeCoefficient(
                 "H coefficient at %r has a negative term" % (mu,))
-        table[mu] = poly
+        table[mu] = ExactPolynomial(("q", "t"), terms)
     return table
 
 
@@ -439,17 +533,22 @@ def W_oracle(lam, N):
     """W polynomial over x_1..x_N, z_1..z_N, q, t with positive coefficients."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    table, dens = plethysm_eval(
-        integral_J(lam, max(lam.weight(), len(lam), 1)), "double", nvars=N)
+    d = lam.weight()
+    # p_lam over 2N letters has at most min(d, 2N)^ell(lam) ways to reach a
+    # monomial: each part goes to one letter of its support
+    spread = sum(min(d, 2 * N) ** len(nu) for nu in partitions_of(d))
+    J = _packed_J(lam, max(d, len(lam), 1), spread)
+    table, dens = plethysm_eval(J, "double", nvars=N)
     names = tuple(["x%d" % i for i in range(1, N + 1)]
                   + ["z%d" % i for i in range(1, N + 1)])
-    out = ZERO
+    terms = {}
     for exp, c in table.items():
-        poly = _cleared(c, dens[sum(exp)], "W coefficient")
-        if not poly.is_nonnegative():
-            raise NegativeCoefficient("W coefficient has a negative term")
-        out = out + poly * ExactPolynomial.monomial(dict(zip(names, exp)))
-    return out
+        for qt, x in _cleared(c, dens[sum(exp)], J.width,
+                              "W coefficient").items():
+            if x < 0:
+                raise NegativeCoefficient("W coefficient has a negative term")
+            terms[exp + qt] = x
+    return ExactPolynomial(names + ("q", "t"), terms)
 
 
 def schur_function(lam, nvars):

@@ -117,6 +117,33 @@ def test_w_reductions_small():
             assert w_reduction_check(lam, w)
 
 
+@pytest.mark.parametrize("alphabet", ["x", "z"])
+def test_w_reduction_check_compares_W_with_the_lattice(monkeypatch,
+                                                        alphabet):
+    # The z = 0 and x = 0 corners read the lattice H, not the oracle's: a
+    # doubled coefficient on one monomial in x alone (or z alone) is caught
+    # there, and the oracle H table is never read.
+    W_oracle = modmac.W_oracle
+
+    def wrong(lam, N):
+        w = W_oracle(lam, N)
+        other = [i for i, v in enumerate(w.vars)
+                 if v[0] in "xz" and v[0] != alphabet]
+        terms = dict(w.terms)
+        e = min(e for e in terms if not any(e[i] for i in other))
+        terms[e] *= 2
+        return ExactPolynomial(w.vars, terms)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oracle H table read")
+
+    lam = Partition((2, 1))
+    monkeypatch.setattr(modmac, "modified_H_oracle", forbidden)
+    assert w_reduction_check(lam, 3)
+    monkeypatch.setattr(modmac, "W_oracle", wrong)
+    assert not w_reduction_check(lam, 3)
+
+
 def test_cauchy_identities():
     assert cauchy_check("PQ", 1, 1, 3)
     assert cauchy_check("dual", 2, 2, 3)

@@ -2,21 +2,25 @@
 
 from collections import Counter
 from functools import lru_cache, reduce
+from math import comb
 from operator import or_
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from modmacd import clear_caches, modmac, symoracle
+from modmacd import clear_caches, modmac, qseries, symoracle
 from modmacd.combinat import Partition, conjugate, n_stat, partitions_of
 from modmacd.errors import NonPolynomialCoefficient, TooFewVariables
 from modmacd.exactalg import (ExactPolynomial, P as PC, RationalFunction,
-                              RF_ONE, RF_ZERO, ZERO, ratfun_normalize, sym)
-from modmacd.qseries import c_functions, factor_product
+                              RF_ONE, RF_ZERO, ZERO, poly_divexact,
+                              ratfun_normalize, sym)
+from modmacd.packed import _width
+from modmacd.qseries import c_functions, divide_factors, factor_product
 from modmacd.symoracle import (SymmetricExpr, W_oracle, basis_convert,
                                horizontal_strip, integral_J, kostka_number,
                                macdonald_P, modified_H_oracle,
-                               monomial_expand, plethysm_eval,
-                               psi_coefficient, schur_expand, schur_function)
+                               monomial_expand, plethysm_eval, schur_expand,
+                               schur_function)
 
 Q = sym("q")
 T = sym("t")
@@ -24,10 +28,14 @@ ONE = PC(1)
 
 
 def _value(e, mu):
-    """Coefficient of mu in e as numerator over its degree's denominator."""
+    """Coefficient of mu in e as numerator over its degree's denominator;
+    a packed numerator is decoded first."""
     k, factors = e.den(mu.weight())
-    return RationalFunction(e.coeffs.get(mu, ZERO),
-                            factor_product(factors) * k)
+    num = e.coeffs.get(mu, ZERO)
+    if e.width is not None and mu in e.coeffs:
+        num = ExactPolynomial(("q", "t"), symoracle._cleared(
+            num, (1, Counter()), e.width, "numerator"))
+    return RationalFunction(num, factor_product(factors) * k)
 
 
 def _values(e):
@@ -44,6 +52,15 @@ def test_horizontal_strip_predicate():
     assert horizontal_strip(Partition((2, 1)), Partition((1, 1)))
     assert not horizontal_strip(Partition((2, 2)), Partition((1,)))
     assert not horizontal_strip(Partition((1,)), Partition((2,)))
+
+
+def psi_coefficient(lam, mu):
+    """Branching coefficient psi_{lam/mu}(q,t) as a RationalFunction of the
+    factor products of _psi_factors; 0 off horizontal strips."""
+    if not horizontal_strip(lam, mu):
+        return RF_ZERO
+    num, den = symoracle._psi_factors(lam, mu)
+    return RationalFunction(factor_product(num), factor_product(den))
 
 
 def test_branching_coefficient_single_row():
@@ -147,14 +164,16 @@ def test_plethysm_coefficients_share_one_denominator_per_degree():
             factors = reduce(or_, (Counter((0, r) for r in nu.parts)
                                    for nu in ps.coeffs))
             den = (k, factors)
-            pleth = plethysm_eval(ps, "modified")
+            # the values here stay far below 2^63, so W = 64 decodes them
+            packed = symoracle._packed(ps, 64)
+            pleth = plethysm_eval(packed, "modified")
             assert pleth.dens == {w: den}
             for nu, c in ps.coeffs.items():
                 assert _value(pleth, nu) == RationalFunction(
                     c, factor_product(Counter((0, r) for r in nu.parts)) * k)
             mono = basis_convert(pleth, "monomial")
             assert mono.dens == {w: den}
-            double, dens = plethysm_eval(ps, "double", nvars=2)
+            double, dens = plethysm_eval(packed, "double", nvars=2)
             assert dens == {w: den}
             assert all(sum(e) == w for e in double)
 
@@ -229,10 +248,12 @@ def test_modified_H_oracle_needs_ell_lambda_variables():
 
 
 def test_oracle_table_is_computed_once_per_shape(monkeypatch):
+    # the spy sits on the packed plethysm, the step every oracle table takes
     calls = []
     pleth = symoracle.plethysm_eval
 
     def counted(e, rule, nvars=None):
+        assert isinstance(e.width, int)
         calls.append(rule)
         return pleth(e, rule, nvars)
 
@@ -316,3 +337,114 @@ def test_W_positivity_and_symmetry():
     swapped = w.substitute({"x1": sym("x2"), "x2": sym("x1"),
                             "z1": sym("z2"), "z2": sym("z1")})
     assert swapped == w
+
+
+# -- packed clearing -------------------------------------------------------
+
+def _reference_cleared(num, den):
+    """The former ExactPolynomial clearing: num / (k prod (1 - q^a t^b))
+    by line sums and an integer division; ValueError unless exact."""
+    k, factors = den
+    return poly_divexact(divide_factors(num, factors), PC(k))
+
+
+def _packed_cleared(num, den, W):
+    """_cleared on num packed at t = 2^W, as an ExactPolynomial."""
+    e = symoracle._packed(SymmetricExpr("monomial", {(1,): num}, 1), W)
+    rows = e.coeffs.get(Partition((1,)), symoracle.QRows([0]))
+    return ExactPolynomial(("q", "t"), symoracle._cleared(rows, den, W, "f"))
+
+
+def _l1(p):
+    return sum(abs(c) for c in p.terms.values())
+
+
+def _oracle_width(f, m):
+    """The width _packed_J's bound gives a numerator f over m factors: its
+    quotient has at most f's t-degree."""
+    return _width(_l1(f) * comb(f.degree("t") + m, m) << m)
+
+
+qt_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 5)), st.integers(-9, 9),
+    max_size=6).map(lambda d: ExactPolynomial(("q", "t"), d))
+t_factors = st.lists(st.integers(1, 4), max_size=4).map(
+    lambda rs: Counter((0, r) for r in rs))
+units = st.builds(lambda a, b, s: ExactPolynomial.monomial({"q": a, "t": b}, s),
+                  st.integers(0, 4), st.integers(0, 6), st.sampled_from((1, -1)))
+
+
+def _agree(num, den, W):
+    """The packed clearing raises exactly when the reference does, and
+    otherwise returns the same polynomial."""
+    try:
+        want = _reference_cleared(num, den)
+    except ValueError:
+        with pytest.raises(NonPolynomialCoefficient):
+            _packed_cleared(num, den, W)
+        return None
+    got = _packed_cleared(num, den, W)
+    assert got == want
+    return got
+
+
+@given(qt_polys, t_factors, st.integers(-6, 6).filter(bool), units)
+@example(ONE - T, Counter({(0, 1): 2}), 1, ONE)
+@example(ExactPolynomial(("q", "t"), {(2, 3): 9}), Counter({(0, 4): 1}), -6,
+         T ** 6)
+@settings(max_examples=150, deadline=None)
+def test_packed_clearing_matches_exact_division(g, factors, k, unit):
+    f = g * factor_product(factors) * k
+    m = sum(factors.values())
+    assert _agree(f, (k, factors), _oracle_width(f, m)) == g
+    # a unit monomial more, or one factor 1 - t^r fewer in the numerator,
+    # leaves a coefficient that is not a polynomial (unless h is a unit, or
+    # g happens to hold the factor dropped)
+    if m or abs(k) > 1:
+        bad = f + unit
+        assert _agree(bad, (k, factors), _oracle_width(bad, m)) is None
+    for r in factors:
+        bad = g * factor_product(factors - Counter({r: 1})) * k
+        got = _agree(bad, (k, factors), _oracle_width(bad, m))
+        assert got is None or got * factor_product(Counter({r: 1})) == g
+
+
+@given(qt_polys, t_factors, st.integers(-6, 6).filter(bool), qt_polys)
+@settings(max_examples=150, deadline=None)
+def test_packed_clearing_never_returns_a_wrong_quotient(g, factors, k, noise):
+    # At the narrowest width that still packs the numerator, the quotient may
+    # not fit: the digit check must then raise, never return a wrong answer.
+    for f in (g * factor_product(factors) * k,
+              g * factor_product(factors) * k + noise):
+        W = _width(max(map(abs, f.terms.values()), default=0))
+        try:
+            got = _packed_cleared(f, (k, factors), W)
+        except NonPolynomialCoefficient:
+            continue
+        assert got * factor_product(factors) * k == f
+
+
+def test_oracles_reach_no_generic_division(monkeypatch):
+    # With J's coefficients cached, the H table, Kostka and W run on packed
+    # numerators alone: neither the line-sum division nor the factor product
+    # of qseries is reached.
+    shapes = [Partition(p) for p in ((3, 2, 1), (2, 2), (3, 1), (1, 1, 1))]
+    clear_caches()
+    try:
+        for lam in shapes:
+            integral_J(lam, lam.weight())
+
+        def forbidden(*args):
+            raise AssertionError("divide_factors or factor_product reached")
+
+        for module in (symoracle, modmac, qseries):
+            for name in ("divide_factors", "factor_product"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        for lam in shapes:
+            modmac.modified_H(lam, route="oracle")
+            modmac.kostka_qt(lam)
+            W_oracle(lam, 2)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
