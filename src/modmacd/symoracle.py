@@ -26,10 +26,10 @@ from math import comb, lcm
 from .combinat import Partition, partitions_of
 from .errors import (NegativeCoefficient, NonPolynomialCoefficient,
                      TooFewVariables)
-from .exactalg import ExactPolynomial, ONE, P, ZERO
+from .exactalg import ExactPolynomial, P
 from .memo import memoized
 from .packed import _digits, _width
-from .qseries import divide_factors, factor_product, hook_factors
+from .qseries import hook_factors
 
 
 def horizontal_strip(lam, mu):
@@ -89,34 +89,43 @@ _PCOEF_CACHE = {}
 
 @memoized(_PCOEF_CACHE)
 def _jcoef(lam, mu):
-    """Coefficient of x^mu in J_lam(x_1..x_len(mu)); mu a partition's parts.
+    """Coefficient of x^mu in J_lam(x_1..x_len(mu)) as terms
+    {(q exponent, t exponent): c}; mu a partition's parts.
 
     J_lam = sum_kappa x_n^|lam/kappa| J_kappa c_lam psi_{lam/kappa} / c_kappa,
     each factor a pair of cancelled multisets; the terms are summed over the
-    lcm L of their denominators, and prod(L) divides the sum exactly.
+    lcm L of their denominators on packed integers, and _cleared divides
+    the sum by prod(L).  W fits the sum's l1 bound f times C(D + m, m) 2^m,
+    D the quotient's total degree and m = |L|: the coefficients of
+    prod 1 / (1 - q^a t^b) count compositions, so g and g prod(L) fit too.
     """
     if not mu:
-        return ZERO if lam.parts else ONE
+        return {} if lam.parts else {(0, 0): 1}
     if sum(mu) != lam.weight() or len(lam) > len(mu):
-        return ZERO
+        return {}
     hooks = hook_factors(lam)
     terms = []
     lcm = Counter()
     for kappa in _strips_removing(lam, mu[-1]):
         sub = _jcoef(kappa, mu[:-1])
-        if not sub.is_zero():
+        if sub:
             num, den = _psi_factors(lam, kappa)
             num, den = num + hooks, den + hook_factors(kappa)
             terms.append((sub, num - den, den - num))
             lcm |= den - num
-    total = ZERO
-    for sub, num, den in terms:
-        total = total + sub * factor_product(num + (lcm - den))
-    try:
-        return divide_factors(total, lcm)
-    except ValueError:
-        raise NonPolynomialCoefficient(
-            "J_%r coefficient at %r did not clear" % (lam, mu)) from None
+    terms = [(sub, num + (lcm - den)) for sub, num, den in terms]
+    f = D = 0
+    for sub, extra in terms:
+        f += sum(map(abs, sub.values())) << sum(extra.values())
+        D = max(D, max(map(sum, sub)) + sum(map(sum, extra.elements()))
+                - sum(map(sum, lcm.elements())))
+    m = sum(lcm.values())
+    W = _width(f * comb(D + m, m) << m)
+    total = QRows([0])
+    for sub, extra in terms:
+        total = total + QRows(_times_factors(_rows(sub, W), extra, W))
+    return _cleared(total, (1, lcm), W,
+                    "J_%r coefficient at %r" % (lam, mu))
 
 
 _KOSTKA_CACHE = {}
@@ -190,7 +199,7 @@ def integral_J(lam, nvars):
         lam = Partition(lam)
     if nvars < len(lam):
         raise TooFewVariables("need at least ell(lambda) variables")
-    coeffs = {mu: _jcoef(lam, mu.parts)
+    coeffs = {mu: ExactPolynomial(("q", "t"), _jcoef(lam, mu.parts))
               for mu in partitions_of(lam.weight()) if len(mu) <= nvars}
     return SymmetricExpr("monomial", coeffs, nvars)
 
@@ -371,16 +380,29 @@ def schur_expand(e):
 # packed numerators and plethystic evaluations
 # ---------------------------------------------------------------------------
 
+def _rows(terms, W):
+    """The q-rows at t = 2^W of the terms {(q exponent, t exponent): c}."""
+    rows = [0] * (max((i for i, _ in terms), default=0) + 1)
+    for (i, j), c in terms.items():
+        rows[i] += c << W * j
+    return rows
+
+
+def _times_factors(rows, factors, W):
+    """q-rows at t = 2^W times prod (1 - q^a t^b) over a multiset of
+    (a, b)."""
+    for a, b in factors.elements():
+        rows = [x - (y << W * b)
+                for x, y in zip(rows + [0] * a, [0] * a + rows)]
+    return rows
+
+
 def _packed(e, W):
     """e with every numerator, a polynomial in q and t, as QRows at
     t = 2^W."""
-    coeffs = {}
-    for mu, c in e.coeffs.items():
-        rows = [0] * (c.degree("q") + 1)
-        for (i, j), x in _qt_terms(c).items():
-            rows[i] += x << W * j
-        coeffs[mu] = QRows(rows)
-    return SymmetricExpr(e.basis, coeffs, e.nvars, e.dens, W)
+    return SymmetricExpr(
+        e.basis, {mu: QRows(_rows(_qt_terms(c), W))
+                  for mu, c in e.coeffs.items()}, e.nvars, e.dens, W)
 
 
 def _spread(matrix):
@@ -425,29 +447,32 @@ def _plethysm_lcm(ps):
     return out
 
 
-def _packed_factors(factors, W):
-    """prod (1 - t^b) over a multiset of (0, b), at t = 2^W."""
-    out = 1
-    for a, b in factors.elements():
-        if a:
-            raise ValueError("packed denominators are powers of t only")
-        out -= out << W * b
-    return out
-
-
 def _cleared(num, den, W, what):
-    """num / (k_d prod_{D_d} (1 - t^b)) for QRows num at t = 2^W and
-    den = (k_d, D_d), as terms keyed (q exponent, t exponent).
+    """num / (k prod (1 - q^a t^b)) for QRows num at t = 2^W and
+    den = (k, multiset of (a, b)), as terms keyed (q exponent, t exponent).
 
-    One integer divmod per q-row by the packed h; a nonzero remainder or a
-    quotient digit c with |c| ||h|| >= 2^(W-1) raises.  Otherwise g h and
-    num (packed at a width that fits it) both pack faithfully: g h = num.
+    A factor with a > 0 is divided out by the row recurrence
+    g_i = f_i + t^b g_{i-a}, whose last a rows must vanish; the rest,
+    k prod (1 - t^b), by one integer divmod per row.  A nonzero row or
+    remainder, or a quotient digit c with |c| ||h|| >= 2^(W-1), raises.
+    Otherwise g h and num agree row by row as integers and both pack
+    faithfully (num at a width that fits it), so g h = num.
     """
     k, factors = den
-    h = _packed_factors(factors, W) * k
+    rows = list(num.rows)
+    for a, b in factors.elements():
+        if a:
+            for i in range(a, len(rows)):
+                rows[i] += rows[i - a] << W * b
+            top = max(len(rows) - a, 0)
+            if any(rows[top:]):
+                raise NonPolynomialCoefficient("%s not polynomial" % what)
+            del rows[top:]
+    h, = _times_factors([k], Counter({f: n for f, n in factors.items()
+                                      if not f[0]}), W)
     h_l1 = abs(k) << sum(factors.values())
     out = {}
-    for i, value in enumerate(num.rows):
+    for i, value in enumerate(rows):
         g, r = divmod(value, h)
         row = {(i, j): c for j, c in _digits(g, W)}
         if r or any(abs(c) * h_l1 >> W - 1 for c in row.values()):
@@ -483,8 +508,8 @@ def plethysm_eval(e, rule, nvars=None):
         dens[d] = (k, own + factors)
     coeffs = {}
     for lam, c in ps.coeffs.items():
-        num = c * _packed_factors(lcms[lam.weight()] - _plethysm_factors(lam),
-                                  e.width)
+        num = QRows(_times_factors(
+            c.rows, lcms[lam.weight()] - _plethysm_factors(lam), e.width))
         if rule == "modified":
             coeffs[lam] = num
             continue

@@ -177,6 +177,7 @@ def bindings():
 @example(Q * T + T, {"q": P(0)})
 @example(Q + T, {"q": -T})
 @example(ExactPolynomial.monomial({"q": -1}) + T, {"q": T, "t": Q})
+@example(Q * T * sym("x1") + sym("x1"), {"q": sym("x2")})
 @settings(max_examples=150, deadline=None)
 def test_substitute_matches_the_term_by_term_sum(p, values):
     try:

@@ -360,16 +360,19 @@ def _l1(p):
 
 
 def _oracle_width(f, m):
-    """The width _packed_J's bound gives a numerator f over m factors: its
-    quotient has at most f's t-degree."""
-    return _width(_l1(f) * comb(f.degree("t") + m, m) << m)
+    """The width the oracle's bounds give a numerator f over m factors: its
+    quotient has at most f's total degree D, so C(D + m, m) bounds it."""
+    D = max((sum(e) for e in f.terms), default=0)
+    return _width(_l1(f) * comb(D + m, m) << m)
 
 
 qt_polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 5)), st.integers(-9, 9),
     max_size=6).map(lambda d: ExactPolynomial(("q", "t"), d))
-t_factors = st.lists(st.integers(1, 4), max_size=4).map(
-    lambda rs: Counter((0, r) for r in rs))
+# mostly the plethysm's 1 - t^r; some 1 - q^a t^b as in J's branching rule
+t_factors = st.lists(
+    st.tuples(st.sampled_from((0, 0, 0, 1, 2)), st.integers(0, 4)).filter(
+        any), max_size=4).map(Counter)
 units = st.builds(lambda a, b, s: ExactPolynomial.monomial({"q": a, "t": b}, s),
                   st.integers(0, 4), st.integers(0, 6), st.sampled_from((1, -1)))
 
@@ -397,7 +400,7 @@ def test_packed_clearing_matches_exact_division(g, factors, k, unit):
     f = g * factor_product(factors) * k
     m = sum(factors.values())
     assert _agree(f, (k, factors), _oracle_width(f, m)) == g
-    # a unit monomial more, or one factor 1 - t^r fewer in the numerator,
+    # a unit monomial more, or one factor 1 - q^a t^b fewer in the numerator,
     # leaves a coefficient that is not a polynomial (unless h is a unit, or
     # g happens to hold the factor dropped)
     if m or abs(k) > 1:
@@ -425,26 +428,56 @@ def test_packed_clearing_never_returns_a_wrong_quotient(g, factors, k, noise):
 
 
 def test_oracles_reach_no_generic_division(monkeypatch):
-    # With J's coefficients cached, the H table, Kostka and W run on packed
-    # numerators alone: neither the line-sum division nor the factor product
-    # of qseries is reached.
-    shapes = [Partition(p) for p in ((3, 2, 1), (2, 2), (3, 1), (1, 1, 1))]
+    # J, the H table, Kostka and W run on packed numerators alone, from cold
+    # caches: neither the line-sum division nor the factor product of
+    # qseries is reached.
+    def forbidden(*args):
+        raise AssertionError("divide_factors or factor_product reached")
+
+    for module in (symoracle, modmac, qseries):
+        for name in ("divide_factors", "factor_product"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
     clear_caches()
     try:
-        for lam in shapes:
-            integral_J(lam, lam.weight())
-
-        def forbidden(*args):
-            raise AssertionError("divide_factors or factor_product reached")
-
-        for module in (symoracle, modmac, qseries):
-            for name in ("divide_factors", "factor_product"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, forbidden)
-        for lam in shapes:
+        for parts in ((3, 2, 1), (2, 2), (3, 1), (1, 1, 1)):
+            lam = Partition(parts)
             modmac.modified_H(lam, route="oracle")
             modmac.kostka_qt(lam)
             W_oracle(lam, 2)
     finally:
-        monkeypatch.undo()
         clear_caches()
+
+
+@lru_cache(maxsize=None)
+def _reference_jcoef(lam, mu):
+    """The former ExactPolynomial J coefficient: the branching terms summed
+    over the lcm L of their denominators by polynomial products, then
+    divided by prod(L) along lines."""
+    if not mu:
+        return ZERO if lam.parts else ONE
+    if sum(mu) != lam.weight() or len(lam) > len(mu):
+        return ZERO
+    hooks = qseries.hook_factors(lam)
+    terms = []
+    lcm = Counter()
+    for kappa in symoracle._strips_removing(lam, mu[-1]):
+        sub = _reference_jcoef(kappa, mu[:-1])
+        if not sub.is_zero():
+            num, den = symoracle._psi_factors(lam, kappa)
+            num, den = num + hooks, den + qseries.hook_factors(kappa)
+            terms.append((sub, num - den, den - num))
+            lcm |= den - num
+    total = ZERO
+    for sub, num, den in terms:
+        total = total + sub * factor_product(num + (lcm - den))
+    return divide_factors(total, lcm)
+
+
+def test_packed_J_matches_the_exact_polynomial_branching_rule():
+    for w in range(8):
+        for lam in partitions_of(w):
+            J = integral_J(lam, max(w, 1))
+            for mu in partitions_of(w):
+                assert J.coeffs.get(mu, ZERO) == \
+                    _reference_jcoef(lam, mu.parts), (lam, mu)
