@@ -158,7 +158,7 @@ def test_criterion_07_h_routes_identical():
             assert a == b == c
             for poly in a.values():
                 assert poly.is_nonnegative()
-    _report(7, 2.3, t0)
+    _report(7, 2.2, t0)
 
 
 def test_criterion_08_hall_littlewood_collapse():
@@ -186,7 +186,7 @@ def test_criterion_10_duality():
     for w in range(1, 6):
         for lam in partitions_of(w):
             assert duality_check(lam)
-    _report(10, 0.3, t0)
+    _report(10, 0.2, t0)
 
 
 def test_criterion_11_cauchy_identities():
@@ -213,7 +213,7 @@ def test_criterion_12_kostka_positivity_and_triangularity():
                     raise AssertionError(
                         "unexpected entry at %r for %r" % (nu, lam))
             assert table[lam].substitute(zeros) == P(1)
-    _report(12, 0.8, t0)
+    _report(12, 0.7, t0)
 
 
 def test_criterion_13_weight_7_routes_and_hall_littlewood_collapse():
@@ -227,7 +227,7 @@ def test_criterion_13_weight_7_routes_and_hall_littlewood_collapse():
         at0 = {mu: p.substitute({"q": P(0)}) for mu, p in x.items()}
         at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
         assert at0 == modified_HL(lam, N), lam
-    _report(13, 9.7, t0)
+    _report(13, 9.1, t0)
 
 
 def test_criterion_14_cauchy_identities_at_degree_4():
@@ -237,7 +237,7 @@ def test_criterion_14_cauchy_identities_at_degree_4():
         assert cauchy_check(name, 3, 3, 3), name
     assert cauchy_check("W", 1, 2, 4)
     assert cauchy_check("W", 2, 1, 4)
-    _report(14, 25, t0)
+    _report(14, 21, t0)
 
 
 def test_criterion_15_weight_8_routes_and_hall_littlewood_collapse():
