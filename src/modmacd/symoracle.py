@@ -312,9 +312,10 @@ def monomial_expand(e, nvars):
         qt = _qt_terms(c)
         for exp in _expand_monomial(mu, nvars):
             for e_qt, x in qt.items():
-                terms[exp + e_qt] = x
+                terms[e_qt + exp] = x
+    # q, t first keeps the symbols sorted (for nvars < 10)
     return ExactPolynomial(
-        tuple("x%d" % i for i in range(1, nvars + 1)) + ("q", "t"), terms)
+        ("q", "t") + tuple("x%d" % i for i in range(1, nvars + 1)), terms)
 
 
 def basis_convert(e, target):
@@ -564,7 +565,8 @@ def W_oracle(lam, N):
     spread = sum(min(d, 2 * N) ** len(nu) for nu in partitions_of(d))
     J = _packed_J(lam, max(d, len(lam), 1), spread)
     table, dens = plethysm_eval(J, "double", nvars=N)
-    names = tuple(["x%d" % i for i in range(1, N + 1)]
+    # q, t first keeps the symbols sorted (for N < 10)
+    names = tuple(["q", "t"] + ["x%d" % i for i in range(1, N + 1)]
                   + ["z%d" % i for i in range(1, N + 1)])
     terms = {}
     for exp, c in table.items():
@@ -572,8 +574,8 @@ def W_oracle(lam, N):
                               "W coefficient").items():
             if x < 0:
                 raise NegativeCoefficient("W coefficient has a negative term")
-            terms[exp + qt] = x
-    return ExactPolynomial(names + ("q", "t"), terms)
+            terms[qt + exp] = x
+    return ExactPolynomial(names, terms)
 
 
 def schur_function(lam, nvars):
