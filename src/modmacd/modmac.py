@@ -13,8 +13,9 @@ from .exactalg import ExactPolynomial, ONE, P, poly_divexact, Q, T, sym, ZERO
 from .lattice import partition_function_coeffs
 from .qseries import (divide_factors, factor_product, gauss_binomial,
                       hook_factors, pochhammer)
-from .symoracle import (integral_J, modified_H_oracle, monomial_expand,
-                        schur_expand, SymmetricExpr, W_oracle)
+from .symoracle import (_expand_monomial, integral_J, modified_H_oracle,
+                        monomial_expand, schur_expand, SymmetricExpr,
+                        _W_table, W_oracle)
 
 ROUTES = ("lattice_x", "lattice_dual", "oracle")
 
@@ -30,7 +31,7 @@ class HResult:
         self.route = route
         for mu, poly in self.coeffs.items():
             if mu.weight() != shape.weight():
-                raise NegativeCoefficient(
+                raise ConsistencyError(
                     "table key %r has the wrong weight" % (mu,))
             if not poly.is_nonnegative():
                 raise NegativeCoefficient(
@@ -186,26 +187,6 @@ def _series_mul(frame, a, b, scale):
     return out
 
 
-def _series_from_poly(frame, poly):
-    """Split a polynomial over frame symbols plus (q, t) into a dict mapping
-    each admitted frame exponent tuple to its (q, t) polynomial."""
-    qt = [v for v in poly.vars if v not in frame.index]
-    width = len(frame.names)
-    out = {}
-    for exp, coef in poly.terms.items():
-        frame_exp = [0] * width
-        qt_exp = []
-        for name, e in zip(poly.vars, exp):
-            if name in frame.index:
-                frame_exp[frame.index[name]] = e
-            else:
-                qt_exp.append(e)
-        fe = tuple(frame_exp)
-        if frame.admits(fe):
-            out.setdefault(fe, {})[tuple(qt_exp)] = coef
-    return {fe: ExactPolynomial(qt, terms) for fe, terms in out.items()}
-
-
 # factor kind -> the bases b whose (b; b)_m clears its coefficient c_m
 _BASES = {"one_plus": "", "pq": "q", "inv_q": "q", "neg_q": "q",
           "inv_t": "t", "neg_t": "t", "inv_qt": "qt", "neg_qt": "qt"}
@@ -325,31 +306,53 @@ def _hooks(lam):
     return c + Counter({(a + 1, b - 1): k for (a, b), k in c.items()})
 
 
-def _integral_form(kind, lam, alphabet, n):
-    """One sum-side factor as a polynomial in the first n letters of the
-    alphabet (W's second alphabet is z beside x and w beside y)."""
+def _factor_series(kind, lam, n, second):
+    """One sum-side factor as {exponent tuple over its group: (q, t)
+    numerator}, n letters per alphabet: W fills both alphabets, J and J'
+    (J_{lam'}, q and t swapped) the first, or the second if second is set."""
     if kind == "W":
-        poly = W_oracle(lam, n)
-    else:
-        poly = monomial_expand(
-            integral_J(lam if kind == "J" else conjugate(lam), n), n)
+        return {e: ExactPolynomial(("q", "t"), c)
+                for e, c in _W_table(lam, n).items()}
+    J = integral_J(lam if kind == "J" else conjugate(lam), n)
     rename = {"q": "t", "t": "q"} if kind == "J'" else {}
-    if alphabet != "x":
-        for i in range(1, n + 1):
-            rename["x%d" % i] = "%s%d" % (alphabet, i)
-            rename["z%d" % i] = "w%d" % i
-    return ExactPolynomial([rename.get(v, v) for v in poly.vars], poly.terms)
+    pad = (0,) * n
+    out = {}
+    for mu, c in J.coeffs.items():
+        c = ExactPolynomial([rename.get(v, v) for v in c.vars], c.terms)
+        for e in _expand_monomial(mu, n):
+            out[pad + e if second else e + pad] = c
+    return out
+
+
+def _sum_side(left, right, second, nx, ny, dens):
+    """The sum side as numerators over L_m = H_m | dens[m] at group-A degree
+    m, H_m the lcm of the hook multisets of the shapes of weight m both
+    factors admit: sum_lam A_lam prod(L_m - hooks(lam)) B_lam, keyed by the
+    group-A exponents then the group-B ones.  Returns it and the L_m."""
+    series = {}
+    lcms = []
+    for m, den in enumerate(dens):
+        hooks = {lam: _hooks(lam) for lam in partitions_of(m)
+                 if _admits_shape(left, lam, nx)
+                 and _admits_shape(right, lam, ny)}
+        lcms.append(reduce(or_, hooks.values(), den))
+        for lam, h in hooks.items():
+            scale = factor_product(lcms[m] - h)
+            B = _factor_series(right, lam, ny, second)
+            for ea, a in _factor_series(left, lam, nx, False).items():
+                a = a * scale
+                for eb, b in B.items():
+                    series[ea + eb] = series.get(ea + eb, ZERO) + a * b
+    return series, lcms
 
 
 def cauchy_check(identity, nx, ny, degree):
     """Verify one of the Cauchy identities at a fixed series truncation.
 
-    A coefficient of group-A degree m is a numerator over prod_{H_m}
-    (1 - q^a t^b) on the sum side, H_m the lcm of the hook multisets of the
-    shapes of weight m, and over E_m = prod_{b in B} (b; b)_m on the product
-    side (divided-power form), B the bases its factor kinds need.  The two
-    are compared over L = H_m | E_m: each numerator is multiplied by the
-    factors of L that its own denominator lacks.
+    Two series compared key by key: at group-A degree m the product side
+    holds numerators over E_m = prod_{b in B} (b; b)_m (divided-power form,
+    B the bases its factor kinds need) and the sum side over L_m = H_m | E_m
+    (_sum_side); the former are multiplied by prod(L_m - E_m).
     """
     if degree < 1:
         raise TruncationTooSmall("degree must be at least 1")
@@ -362,25 +365,11 @@ def cauchy_check(identity, nx, ny, degree):
     left, (right, alphabet), pairs = _CAUCHY[identity]
     names = {a: ["%s%d" % (a, i) for i in range(1, n + 1)]
              for a, n in (("x", nx), ("z", nx), ("y", ny), ("w", ny))}
-    lhs = ONE
-    lhs_dens = [Counter()]
-    for m in range(1, degree + 1):
-        hooks = {lam: _hooks(lam) for lam in partitions_of(m)
-                 if _admits_shape(left, lam, nx)
-                 and _admits_shape(right, lam, ny)}
-        lcm = reduce(or_, hooks.values(), Counter())
-        lhs_dens.append(lcm)
-        for lam, h in hooks.items():
-            lhs = lhs + (_integral_form(left, lam, "x", nx)
-                         * factor_product(lcm - h)
-                         * _integral_form(right, lam, alphabet, ny))
-    lhs = _series_from_poly(frame, lhs)
     bases = set("".join(_BASES[kind] for _, _, kind in pairs))
+    dens = [_qfactorial(bases, m) for m in range(degree + 1)]
+    lhs, lcms = _sum_side(left, right, alphabet == "w", nx, ny, dens)
     rhs = _product_side(frame, [(a, b, kind) for pa, pb, kind in pairs
                                 for a in names[pa] for b in names[pb]], bases)
-    rhs_dens = [_qfactorial(bases, m) for m in range(degree + 1)]
-    scales = [(factor_product((h | e) - h), factor_product((h | e) - e))
-              for h, e in zip(lhs_dens, rhs_dens)]
-    return all(lhs.get(e, ZERO) * scales[sum(e[:frame.na])][0]
-               == rhs.get(e, ZERO) * scales[sum(e[:frame.na])][1]
+    scale = [factor_product(L - E) for L, E in zip(lcms, dens)]
+    return all(lhs.get(e, ZERO) == rhs.get(e, ZERO) * scale[sum(e[:frame.na])]
                for e in set(lhs) | set(rhs))

@@ -555,27 +555,34 @@ def modified_H_oracle(lam, nvars=None):
                                       if len(mu) <= nvars}, nvars)
 
 
-def W_oracle(lam, N):
-    """W polynomial over x_1..x_N, z_1..z_N, q, t with positive coefficients."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
+def _W_table(lam, N):
+    """W_lam's coefficients: each exponent tuple over x_1..x_N, z_1..z_N
+    mapped to its terms {(q exponent, t exponent): c}, all positive."""
     d = lam.weight()
     # p_lam over 2N letters has at most min(d, 2N)^ell(lam) ways to reach a
     # monomial: each part goes to one letter of its support
     spread = sum(min(d, 2 * N) ** len(nu) for nu in partitions_of(d))
     J = _packed_J(lam, max(d, len(lam), 1), spread)
     table, dens = plethysm_eval(J, "double", nvars=N)
+    out = {}
+    for exp, c in table.items():
+        terms = _cleared(c, dens[sum(exp)], J.width, "W coefficient")
+        if any(x < 0 for x in terms.values()):
+            raise NegativeCoefficient("W coefficient has a negative term")
+        out[exp] = terms
+    return out
+
+
+def W_oracle(lam, N):
+    """W polynomial over x_1..x_N, z_1..z_N, q, t with positive coefficients."""
+    if not isinstance(lam, Partition):
+        lam = Partition(lam)
     # q, t first keeps the symbols sorted (for N < 10)
     names = tuple(["q", "t"] + ["x%d" % i for i in range(1, N + 1)]
                   + ["z%d" % i for i in range(1, N + 1)])
-    terms = {}
-    for exp, c in table.items():
-        for qt, x in _cleared(c, dens[sum(exp)], J.width,
-                              "W coefficient").items():
-            if x < 0:
-                raise NegativeCoefficient("W coefficient has a negative term")
-            terms[qt + exp] = x
-    return ExactPolynomial(names, terms)
+    return ExactPolynomial(names, {qt + exp: x for exp, terms
+                                   in _W_table(lam, N).items()
+                                   for qt, x in terms.items()})
 
 
 def schur_function(lam, nvars):

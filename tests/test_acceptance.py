@@ -193,7 +193,7 @@ def test_criterion_11_cauchy_identities():
     t0 = time.time()
     for name in ("PQ", "dual", "W", "mixedQ", "mixedP"):
         assert cauchy_check(name, 2, 2, 3)
-    _report(11, 2.8, t0)
+    _report(11, 2.0, t0)
 
 
 def test_criterion_12_kostka_positivity_and_triangularity():
@@ -237,6 +237,7 @@ def test_criterion_14_cauchy_identities_at_degree_4():
         assert cauchy_check(name, 3, 3, 3), name
     assert cauchy_check("W", 1, 2, 4)
     assert cauchy_check("W", 2, 1, 4)
+    assert cauchy_check("W", 2, 2, 4)
     _report(14, 21, t0)
 
 

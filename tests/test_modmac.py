@@ -2,11 +2,15 @@
 Kostka extraction, duality, W reductions, Cauchy identities."""
 
 import sys
+from collections import Counter
+from functools import reduce
+from operator import or_
 
 import pytest
 
 from modmacd import clear_caches, exactalg, modmac
-from modmacd.combinat import Partition, SequencePair, partitions_of
+from modmacd.combinat import (Partition, SequencePair, conjugate,
+                              partitions_of)
 from modmacd.errors import (ConsistencyError, InsufficientVariables,
                             TooFewVariables, TruncationTooSmall)
 from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction,
@@ -313,3 +317,121 @@ def test_cauchy_check_fails_on_a_wrong_product_side(monkeypatch, identity,
         wrong = pairs[:i] + [(a, b, _WRONG_KIND[kind])] + pairs[i + 1:]
         monkeypatch.setitem(modmac._CAUCHY, identity, (left, right, wrong))
         assert not cauchy_check(identity, nx, ny, 2), (a, b, kind)
+
+
+# A left or right factor kind swapped for one that differs by degree 2:
+# J <-> J', W -> J, or the right J factor moved to the group's other alphabet.
+_WRONG_FACTOR = {"J": "J'", "J'": "J", "W": "J"}
+
+
+def _wrong_sum_sides(left, right):
+    kind, alphabet = right
+    yield _WRONG_FACTOR[left], right
+    yield left, (_WRONG_FACTOR[kind], alphabet)
+    if kind != "W":  # W fills both alphabets of its group
+        yield left, (kind, "w" if alphabet == "y" else "y")
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 2)])
+@pytest.mark.parametrize("identity", ["PQ", "dual", "W", "mixedQ", "mixedP"])
+def test_cauchy_check_fails_on_a_wrong_sum_side(monkeypatch, identity,
+                                                nx, ny):
+    left, right, pairs = modmac._CAUCHY[identity]
+    for wrong_left, wrong_right in _wrong_sum_sides(left, right):
+        monkeypatch.setitem(modmac._CAUCHY, identity,
+                            (wrong_left, wrong_right, pairs))
+        assert not cauchy_check(identity, nx, ny, 2), (wrong_left,
+                                                        wrong_right)
+
+
+def _ref_integral_form(kind, lam, alphabet, n):
+    """One sum-side factor as a polynomial in the first n letters of the
+    alphabet (W's second alphabet is z beside x and w beside y)."""
+    if kind == "W":
+        poly = modmac.W_oracle(lam, n)
+    else:
+        poly = modmac.monomial_expand(
+            modmac.integral_J(lam if kind == "J" else conjugate(lam), n), n)
+    rename = {"q": "t", "t": "q"} if kind == "J'" else {}
+    if alphabet != "x":
+        for i in range(1, n + 1):
+            rename["x%d" % i] = "%s%d" % (alphabet, i)
+            rename["z%d" % i] = "w%d" % i
+    return ExactPolynomial([rename.get(v, v) for v in poly.vars], poly.terms)
+
+
+def _ref_series_from_poly(frame, poly):
+    """Split a polynomial over frame symbols plus (q, t) into a dict mapping
+    each admitted frame exponent tuple to its (q, t) polynomial."""
+    qt = [v for v in poly.vars if v not in frame.index]
+    width = len(frame.names)
+    out = {}
+    for exp, coef in poly.terms.items():
+        frame_exp = [0] * width
+        qt_exp = []
+        for name, e in zip(poly.vars, exp):
+            if name in frame.index:
+                frame_exp[frame.index[name]] = e
+            else:
+                qt_exp.append(e)
+        fe = tuple(frame_exp)
+        if frame.admits(fe):
+            out.setdefault(fe, {})[tuple(qt_exp)] = coef
+    return {fe: ExactPolynomial(qt, terms) for fe, terms in out.items()}
+
+
+def _ref_sum_side(identity, nx, ny, degree):
+    """The sum side as one polynomial in every frame symbol plus q and t,
+    over the lcm D_m of the hook multisets at each degree m, split into a
+    series (the former cauchy_check arithmetic); returns it and the D_m."""
+    left, (right, alphabet), _ = modmac._CAUCHY[identity]
+    lhs = ONE
+    dens = [Counter()]
+    for m in range(1, degree + 1):
+        hooks = {lam: modmac._hooks(lam) for lam in partitions_of(m)
+                 if modmac._admits_shape(left, lam, nx)
+                 and modmac._admits_shape(right, lam, ny)}
+        lcm = reduce(or_, hooks.values(), Counter())
+        dens.append(lcm)
+        for lam, h in hooks.items():
+            lhs = lhs + (_ref_integral_form(left, lam, "x", nx)
+                         * factor_product(lcm - h)
+                         * _ref_integral_form(right, lam, alphabet, ny))
+    return _ref_series_from_poly(modmac._Frame(nx, ny, degree), lhs), dens
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("identity", ["PQ", "dual", "W", "mixedQ", "mixedP"])
+def test_sum_side_series_matches_the_expanded_polynomial(identity, nx, ny,
+                                                         degree):
+    left, (right, alphabet), _ = modmac._CAUCHY[identity]
+    series, lcms = modmac._sum_side(left, right, alphabet == "w", nx, ny,
+                                    [Counter()] * (degree + 1))
+    ref, dens = _ref_sum_side(identity, nx, ny, degree)
+    assert lcms == dens
+    for e in set(series) | set(ref):
+        assert series.get(e, ZERO) == ref.get(e, ZERO), e
+
+
+def test_cauchy_check_builds_no_full_frame_polynomial(monkeypatch):
+    # Both sides are series keyed by frame exponent: no factor is expanded
+    # into a polynomial over its letters and q, t, and nothing substitutes.
+    def forbidden(name):
+        def reached(*args, **kwargs):
+            raise AssertionError(name + " reached")
+        return reached
+
+    monkeypatch.setattr(modmac, "monomial_expand",
+                        forbidden("monomial_expand"))
+    monkeypatch.setattr(modmac, "W_oracle", forbidden("W_oracle"))
+    monkeypatch.setattr(ExactPolynomial, "substitute",
+                        forbidden("ExactPolynomial.substitute"))
+    for identity in ("PQ", "dual", "W", "mixedQ", "mixedP"):
+        assert cauchy_check(identity, 1, 2, 3), identity
+
+
+def test_table_key_of_the_wrong_weight_is_a_consistency_failure():
+    with pytest.raises(ConsistencyError) as info:
+        modmac.HResult(Partition((2,)), {Partition((1,)): ONE}, "oracle")
+    assert type(info.value) is ConsistencyError
