@@ -34,9 +34,9 @@ from .combinat import (Partition, _at, _chains, conjugate, inversion_number,
 from .errors import (ConsistencyError, InfeasibleMultiplicities,
                      InsufficientVariables, TopMismatch)
 from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, T,
-                       _pruned, poly_divexact, sym, ZERO)
+                       poly_divexact, sym, ZERO)
 from .memo import memoized
-from .packed import _binom_list, _digits, _width
+from .packed import _binom_list, _pack_qt, _unpack_qt, _width
 from .phi import _at_one_terms, _phi_terms, _prime_terms
 from .qseries import fusion_normalizer, gauss_binomial, pochhammer
 
@@ -567,19 +567,6 @@ def partition_function_coeffs(lam, N, formula="x"):
     by_comp = {comps[key]: v for key, v in values.items()}
     return {mu: decode(v)
             for mu, v in _collapse_compositions(by_comp).items()}
-
-
-def _pack_qt(terms, W, T):
-    """The value at t = 2^W, q = 2^(W T) of the polynomial with terms
-    ((q exponent, t exponent), coefficient), all exponents >= 0, t's < T."""
-    return sum(c << W * (q * T + t) for (q, t), c in terms)
-
-
-def _unpack_qt(value, W, T, qshift=0, tshift=0):
-    """Inverse of _pack_qt, times q^qshift t^tshift."""
-    return _pruned(("q", "t"), {
-        (q + qshift, t + tshift): c
-        for i, c in _digits(value, W) for q, t in (divmod(i, T),)})
 
 
 def _sweep_step(states, moves):

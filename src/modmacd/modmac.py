@@ -4,18 +4,19 @@ Cauchy-identity test harness."""
 
 from collections import Counter
 from functools import reduce
-from operator import or_
+from operator import add, mul, or_
 
 from .combinat import Partition, conjugate, n_stat, partitions_of
 from .errors import (ConsistencyError, InsufficientVariables,
                      NegativeCoefficient, TooFewVariables, TruncationTooSmall)
 from .exactalg import ExactPolynomial, ONE, P, poly_divexact, Q, T, sym, ZERO
 from .lattice import partition_function_coeffs
-from .qseries import (divide_factors, factor_product, gauss_binomial,
-                      hook_factors, pochhammer)
-from .symoracle import (_expand_monomial, integral_J, modified_H_oracle,
-                        monomial_expand, schur_expand, SymmetricExpr,
-                        _W_table, W_oracle)
+from .memo import memoized
+from .packed import _Bound, _qt_terms, QTBounds, QTPacking
+from .qseries import divide_factors, factor_product, hook_factors, pochhammer
+from .symoracle import (_expand_monomial, integral_J, _jcoef,
+                        modified_H_oracle, monomial_expand, schur_expand,
+                        SymmetricExpr, _W_table, W_oracle)
 
 ROUTES = ("lattice_x", "lattice_dual", "oracle")
 
@@ -148,14 +149,14 @@ def _lattice_H(lam, N):
 # z_1..z_nx and group B = y_1..y_ny, w_1..w_ny.  A series is a dict mapping
 # exponent tuples (over the frame) to (q, t) numerators over a denominator
 # known per group-A degree (see cauchy_check); terms whose group-A or
-# group-B degree exceeds the truncation are dropped.
+# group-B degree exceeds the truncation are dropped.  Each numerator is an
+# int (packed.QTPacking), or its packed._Bound in a structure pass.
 
 class _Frame:
     def __init__(self, nx, ny, degree):
-        self.names = tuple(["x%d" % i for i in range(1, nx + 1)]
-                           + ["z%d" % i for i in range(1, nx + 1)]
-                           + ["y%d" % j for j in range(1, ny + 1)]
-                           + ["w%d" % j for j in range(1, ny + 1)])
+        self.names = tuple("%s%d" % (a, i) for a, n in (
+            ("x", nx), ("z", nx), ("y", ny), ("w", ny))
+            for i in range(1, n + 1))
         self.index = {n: i for i, n in enumerate(self.names)}
         self.na = 2 * nx
         self.degree = degree
@@ -174,16 +175,11 @@ def _series_mul(frame, a, b, scale):
     for ea, ca in a.items():
         da = sum(ea[:na])
         for eb, cb in b.items():
-            e = tuple(u + v for u, v in zip(ea, eb))
-            if not frame.admits(e):
-                continue
-            c = ca * cb * scale[da, sum(eb[:na])]
-            got = out.get(e)
-            tot = c if got is None else got + c
-            if tot.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = tot
+            e = tuple(map(add, ea, eb))
+            if frame.admits(e):
+                c = ca * cb * scale[da, sum(eb[:na])]
+                got = out.get(e)
+                out[e] = c if got is None else got + c
     return out
 
 
@@ -198,6 +194,10 @@ def _qfactorial(bases, m):
                    for b in bases for r in range(1, m + 1))
 
 
+_NUMERATOR_CACHE = {}
+
+
+@memoized(_NUMERATOR_CACHE)
 def _factor_numerators(kind, degree):
     """Numerators n_m of the per-pair factor f(u) = sum c_m u^m, where
     c_m = n_m / prod_{b in _BASES[kind]} (b; b)_m."""
@@ -235,31 +235,27 @@ def _factor_numerators(kind, degree):
     raise ValueError("unknown factor kind %r" % (kind,))
 
 
-def _product_side(frame, factors, bases):
+def _product_side(frame, factors, bases, qt):
     """The product side as numerators over E_m = prod_{b in bases} (b; b)_m;
-    E_{i+j} / (E_i E_j) is a Gaussian binomial in each base."""
+    E_{i+j} / (E_i E_j) is a Gaussian binomial in each base.  qt is a
+    packed.QTPacking, or packed.QTBounds for the structure pass."""
     degree = frame.degree
     width = len(frame.names)
-    scale = {}
-    for i in range(degree + 1):
-        for j in range(degree + 1 - i):
-            g = gauss_binomial(i + j, i)  # in t; renamed to each base
-            scale[i, j] = ONE
-            for b in bases:
-                scale[i, j] = scale[i, j] * ExactPolynomial(
-                    (b,) * len(g.vars), g.terms)
+    one = qt.pack({(0, 0): 1})
+    scale = {(i, j): reduce(mul, (qt.binomial(i + j, i, b) for b in bases),
+                            one)
+             for i in range(degree + 1) for j in range(degree + 1 - i)}
     numerators = {}
     for kind in {kind for _, _, kind in factors}:
         lacks = bases - set(_BASES[kind])
-        numerators[kind] = [n * factor_product(_qfactorial(lacks, m))
-                            for m, n in enumerate(
-                                _factor_numerators(kind, degree))]
-    acc = {(0,) * width: ONE}
+        numerators[kind] = [
+            (m, qt.times(qt.pack(_qt_terms(n)), _qfactorial(lacks, m)))
+            for m, n in enumerate(_factor_numerators(kind, degree))
+            if not n.is_zero()]
+    acc = {(0,) * width: one}
     for va, vb, kind in factors:
         fac = {}
-        for m, n in enumerate(numerators[kind]):
-            if n.is_zero():
-                continue
+        for m, n in numerators[kind]:
             exp = [0] * width
             exp[frame.index[va]] = m
             exp[frame.index[vb]] = m
@@ -306,44 +302,66 @@ def _hooks(lam):
     return c + Counter({(a + 1, b - 1): k for (a, b), k in c.items()})
 
 
+_FACTOR_CACHE = {}
+
+
+@memoized(_FACTOR_CACHE)
 def _factor_series(kind, lam, n, second):
-    """One sum-side factor as {exponent tuple over its group: (q, t)
-    numerator}, n letters per alphabet: W fills both alphabets, J and J'
-    (J_{lam'}, q and t swapped) the first, or the second if second is set."""
+    """One sum-side factor as {exponent tuple over its group: terms
+    {(q exponent, t exponent): c}}, n letters per alphabet, and a _Bound of
+    every entry: W fills both alphabets, J and J' (J_{lam'}, q and t
+    swapped) the first, or the second if second is set."""
     if kind == "W":
-        return {e: ExactPolynomial(("q", "t"), c)
-                for e, c in _W_table(lam, n).items()}
-    J = integral_J(lam if kind == "J" else conjugate(lam), n)
-    rename = {"q": "t", "t": "q"} if kind == "J'" else {}
-    pad = (0,) * n
-    out = {}
-    for mu, c in J.coeffs.items():
-        c = ExactPolynomial([rename.get(v, v) for v in c.vars], c.terms)
-        for e in _expand_monomial(mu, n):
-            out[pad + e if second else e + pad] = c
-    return out
+        series = _W_table(lam, n)
+    else:
+        pad = (0,) * n
+        series = {}
+        for mu in partitions_of(lam.weight()):
+            if len(mu) > n:
+                continue
+            c = _jcoef(lam if kind == "J" else conjugate(lam), mu.parts)
+            if kind == "J'":
+                c = {(t, q): x for (q, t), x in c.items()}
+            for e in _expand_monomial(mu, n):
+                series[pad + e if second else e + pad] = c
+    return series, reduce(or_, map(QTBounds.pack, series.values()),
+                          _Bound(0, 0))
 
 
-def _sum_side(left, right, second, nx, ny, dens):
-    """The sum side as numerators over L_m = H_m | dens[m] at group-A degree
-    m, H_m the lcm of the hook multisets of the shapes of weight m both
-    factors admit: sum_lam A_lam prod(L_m - hooks(lam)) B_lam, keyed by the
-    group-A exponents then the group-B ones.  Returns it and the L_m."""
-    series = {}
-    lcms = []
+def _sum_shapes(left, right, second, nx, ny, dens):
+    """Per group-A degree m, each shape lam of weight m that both factors
+    admit as (A_lam, L_m - hooks(lam), B_lam) from _factor_series, where
+    L_m = H_m | dens[m] and H_m is the lcm of those shapes' hook multisets.
+    Returns them, the L_m and per m a _Bound of every sum-side numerator:
+    sum_lam max||A_lam|| ||prod(L_m - hooks(lam))|| max||B_lam||."""
+    groups, lcms, bounds = [], [], []
     for m, den in enumerate(dens):
         hooks = {lam: _hooks(lam) for lam in partitions_of(m)
                  if _admits_shape(left, lam, nx)
                  and _admits_shape(right, lam, ny)}
         lcms.append(reduce(or_, hooks.values(), den))
-        for lam, h in hooks.items():
-            scale = factor_product(lcms[m] - h)
-            B = _factor_series(right, lam, ny, second)
-            for ea, a in _factor_series(left, lam, nx, False).items():
-                a = a * scale
-                for eb, b in B.items():
-                    series[ea + eb] = series.get(ea + eb, ZERO) + a * b
-    return series, lcms
+        groups.append([(_factor_series(left, lam, nx, False), lcms[m] - h,
+                        _factor_series(right, lam, ny, second))
+                       for lam, h in hooks.items()])
+        bounds.append(sum((QTBounds.times(a, h) * b
+                           for (_, a), h, (_, b) in groups[m]), _Bound(0, 0)))
+    return groups, lcms, bounds
+
+
+def _sum_side(groups, qt):
+    """The sum side as numerators over L_m, sum_lam A_lam prod(L_m -
+    hooks(lam)) B_lam, keyed by the group-A exponents then the group-B ones;
+    groups from _sum_shapes, qt a packed.QTPacking."""
+    series = {}
+    for group in groups:
+        for (A, _), h, (B, _) in group:
+            scale = qt.times(1, h)
+            B = [(eb, qt.pack(b)) for eb, b in B.items()]
+            for ea, a in A.items():
+                a = qt.pack(a) * scale
+                for eb, b in B:
+                    series[ea + eb] = series.get(ea + eb, 0) + a * b
+    return series
 
 
 def cauchy_check(identity, nx, ny, degree):
@@ -352,24 +370,42 @@ def cauchy_check(identity, nx, ny, degree):
     Two series compared key by key: at group-A degree m the product side
     holds numerators over E_m = prod_{b in B} (b; b)_m (divided-power form,
     B the bases its factor kinds need) and the sum side over L_m = H_m | E_m
-    (_sum_side); the former are multiplied by prod(L_m - E_m).
+    (_sum_shapes); the former are multiplied by s_m = prod(L_m - E_m).
+
+    Every numerator is an int (packed.QTPacking).  Per m, _Bounds of the
+    sum side (_sum_shapes), of the product side (a structure pass through
+    the same products) and of s_m come first; QTPacking.comparing picks W
+    and T from them, so lhs[e] == rhs[e] s_m holds for the ints exactly
+    when it holds for the polynomials, and no digit is decoded.
     """
     if degree < 1:
         raise TruncationTooSmall("degree must be at least 1")
     if nx < 1 or ny < 1:
         raise TooFewVariables("each alphabet needs at least one variable")
-    frame = _Frame(nx, ny, degree)
     if identity not in _CAUCHY:
         raise ValueError(
             "identity must be one of W, PQ, dual, mixedQ, mixedP")
-    left, (right, alphabet), pairs = _CAUCHY[identity]
-    names = {a: ["%s%d" % (a, i) for i in range(1, n + 1)]
-             for a, n in (("x", nx), ("z", nx), ("y", ny), ("w", ny))}
-    bases = set("".join(_BASES[kind] for _, _, kind in pairs))
-    dens = [_qfactorial(bases, m) for m in range(degree + 1)]
-    lhs, lcms = _sum_side(left, right, alphabet == "w", nx, ny, dens)
-    rhs = _product_side(frame, [(a, b, kind) for pa, pb, kind in pairs
-                                for a in names[pa] for b in names[pb]], bases)
-    scale = [factor_product(L - E) for L, E in zip(lcms, dens)]
-    return all(lhs.get(e, ZERO) == rhs.get(e, ZERO) * scale[sum(e[:frame.na])]
+    frame, lhs, rhs, scale, _ = _cauchy_sides(identity, nx, ny, degree)
+    return all(lhs.get(e, 0) == rhs.get(e, 0) * scale[sum(e[:frame.na])]
                for e in set(lhs) | set(rhs))
+
+
+def _cauchy_sides(identity, nx, ny, degree):
+    """The frame, both sides packed, each s_m packed and the packing."""
+    frame = _Frame(nx, ny, degree)
+    left, (right, alphabet), pairs = _CAUCHY[identity]
+    names = {a: [v for v in frame.names if v[0] == a] for a in "xzyw"}
+    bases = set("".join(_BASES[kind] for _, _, kind in pairs))
+    factors = [(a, b, kind) for pa, pb, kind in pairs
+               for a in names[pa] for b in names[pb]]
+    dens = [_qfactorial(bases, m) for m in range(degree + 1)]
+    groups, lcms, lhs = _sum_shapes(left, right, alphabet == "w", nx, ny,
+                                    dens)
+    rhs = [_Bound(0, 0)] * (degree + 1)
+    for e, b in _product_side(frame, factors, bases, QTBounds).items():
+        rhs[sum(e[:frame.na])] |= b
+    qt = QTPacking.comparing([(a, b, QTBounds.times(_Bound(1, 0), L - E))
+                              for a, b, L, E in zip(lhs, rhs, lcms, dens)])
+    return (frame, _sum_side(groups, qt),
+            _product_side(frame, factors, bases, qt),
+            [qt.times(1, L - E) for L, E in zip(lcms, dens)], qt)

@@ -7,11 +7,17 @@ is zero exactly when its polynomial is.  B comes from the l1 norms of the
 inputs, never from the result: ||[a, b]_t|| = C(a, b), ||1 - z t^e|| = 2,
 ||fg|| <= ||f|| ||g|| and ||f + g|| <= ||f|| + ||g||.  The Phi routes (phi)
 and the lattice sums (lattice) use these helpers; the oracle (symoracle)
-takes only _width and _digits.
+takes only _width, _digits and _qt_terms.
+
+A polynomial in q and t is held at t = 2^W, q = 2^(W T) (_pack_qt): with
+every t-degree below T, the coefficient of q^a t^b is the balanced digit at
+position a T + b.  The lattice sums and the Cauchy check (modmac) pack this
+way; _Bound carries the l1 norm and t-degree that choose W and T.
 """
 
 from math import comb
 
+from .exactalg import ExactPolynomial, _pruned
 from .memo import memoized
 from .qseries import gauss_binomial
 
@@ -62,3 +68,109 @@ def _digits(value, W):
         if c:
             yield i, c
         value = (value - c) >> W
+
+
+_QT = ExactPolynomial.monomial({"q": 1, "t": 1})
+
+
+def _qt_terms(c):
+    """The terms of a polynomial in q and t, keyed (q exponent, t exponent)."""
+    names, terms, _ = c._aligned(_QT)
+    if names != ("q", "t"):
+        raise ValueError("%r is not a polynomial in q and t" % (c,))
+    return terms
+
+
+def _pack_qt(terms, W, T):
+    """The value at t = 2^W, q = 2^(W T) of the polynomial with terms
+    ((q exponent, t exponent), coefficient), all exponents >= 0, t's < T."""
+    return sum(c << W * (q * T + t) for (q, t), c in terms)
+
+
+def _unpack_qt(value, W, T, qshift=0, tshift=0):
+    """Inverse of _pack_qt, times q^qshift t^tshift."""
+    return _pruned(("q", "t"), {
+        (q + qshift, t + tshift): c
+        for i, c in _digits(value, W) for q, t in (divmod(i, T),)})
+
+
+class _Bound:
+    """The l1 norm of a (q, t) polynomial and a bound on its t-degree.
+    Sums and products of bounds bound the sums and products of the
+    polynomials: ||f + g|| <= ||f|| + ||g||, ||fg|| <= ||f|| ||g||."""
+
+    __slots__ = ("l1", "tdeg")
+
+    def __init__(self, l1, tdeg):
+        self.l1, self.tdeg = l1, tdeg
+
+    def __add__(self, other):
+        return _Bound(self.l1 + other.l1, max(self.tdeg, other.tdeg))
+
+    def __mul__(self, other):
+        return _Bound(self.l1 * other.l1, self.tdeg + other.tdeg)
+
+    def __or__(self, other):
+        """A bound for either polynomial."""
+        return _Bound(max(self.l1, other.l1), max(self.tdeg, other.tdeg))
+
+
+class QTBounds:
+    """The _Bound of each value that QTPacking computes, by the same calls."""
+
+    @staticmethod
+    def pack(terms):
+        """terms {(q exponent, t exponent): c}."""
+        return _Bound(sum(map(abs, terms.values())),
+                      max((t for _, t in terms), default=0))
+
+    @staticmethod
+    def binomial(a, b, base):
+        """[a choose b] in base q or t."""
+        return _Bound(_comb(a, b), b * (a - b) if base == "t" else 0)
+
+    @staticmethod
+    def times(value, factors):
+        """value times prod (1 - q^a t^b) over the multiset factors: each
+        factor has l1 norm 2 and t-degree b."""
+        return _Bound(value.l1 << sum(factors.values()),
+                      value.tdeg + sum(b * k for (_, b), k in factors.items()))
+
+
+class QTPacking:
+    """(q, t) polynomials as ints at t = 2^W, q = 2^(W T), as _pack_qt.
+
+    Packing is a ring map, so any sum and product of packed values is the
+    packed value of the same sum and product of polynomials, in whatever
+    order it was built.  If d has every coefficient below 2^(W-1) in
+    absolute value (||d|| < 2^(W-1), which W = _width(B) gives for any
+    bound B >= ||d||) and every t-degree below T, its coefficient of q^a t^b
+    is the balanced W-bit digit at position a T + b alone, so d packs to 0
+    exactly when d = 0: packed values compare as their polynomials do.
+    """
+
+    def __init__(self, W, T):
+        self.W, self.T = W, T
+
+    @classmethod
+    def comparing(cls, bounds):
+        """The packing at which a == b s compares as the polynomials do for
+        every triple (a, b, s) of _Bounds in bounds: d = a - b s has
+        ||d|| <= ||a|| + ||b|| ||s|| and t-degree at most that of a or b s,
+        and a, b and b s alone fit too, since ||s|| >= 1."""
+        return cls(_width(max(a.l1 + b.l1 * s.l1 for a, b, s in bounds)),
+                   1 + max(max(a.tdeg, b.tdeg + s.tdeg) for a, b, s in bounds))
+
+    def pack(self, terms):
+        return _pack_qt(terms.items(), self.W, self.T)
+
+    def binomial(self, a, b, base):
+        return _gauss_at(a, b, self.W * self.T if base == "q" else self.W)
+
+    def times(self, value, factors):
+        """Each factor 1 - q^a t^b is a shift and a subtraction."""
+        for (a, b), k in factors.items():
+            shift = self.W * (a * self.T + b)
+            for _ in range(k):
+                value -= value << shift
+        return value

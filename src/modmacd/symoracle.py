@@ -11,11 +11,12 @@ sums it multiplies an integer into k_d), and a plethysm adds its factors
 1 - t^r to D_d, so no sum ever cross-multiplies.
 
 Numerators are ExactPolynomials, or QRows in a packed expression: each
-q-coefficient a t-polynomial at t = 2^W (packed._width and packed._digits
-are all the oracle shares with Phi and the lattice).  The plethysms run
-packed, from J packed at a W taken from an l1 bound carried through every
-step; _cleared divides a numerator by its denominator with one integer
-divmod per q-row and raises when the coefficient is not a polynomial.
+q-coefficient a t-polynomial at t = 2^W (packed._width, packed._digits and
+packed._qt_terms are all the oracle shares with Phi and the lattice).  The
+plethysms run packed, from J packed at a W taken from an l1 bound carried
+through every step; _cleared divides a numerator by its denominator with one
+integer divmod per q-row and raises when the coefficient is not a
+polynomial.
 """
 
 from collections import Counter
@@ -28,7 +29,7 @@ from .errors import (NegativeCoefficient, NonPolynomialCoefficient,
                      TooFewVariables)
 from .exactalg import ExactPolynomial, P
 from .memo import memoized
-from .packed import _digits, _width
+from .packed import _digits, _qt_terms, _width
 from .qseries import hook_factors
 
 
@@ -285,17 +286,6 @@ def _transitions(d):
 def _add(coeffs, key, value):
     got = coeffs.get(key)
     coeffs[key] = value if got is None else got + value
-
-
-_QT = ExactPolynomial.monomial({"q": 1, "t": 1})
-
-
-def _qt_terms(c):
-    """The terms of a polynomial in q and t, keyed (q exponent, t exponent)."""
-    names, terms, _ = c._aligned(_QT)
-    if names != ("q", "t"):
-        raise ValueError("%r is not a polynomial in q and t" % (c,))
-    return terms
 
 
 def monomial_expand(e, nvars):

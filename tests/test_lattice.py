@@ -13,16 +13,15 @@ from modmacd.combinat import (Partition, SequencePair, conjugate,
 from modmacd.errors import ConsistencyError, TopMismatch
 from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction,
                               poly_divexact, sym, ZERO)
-from modmacd.lattice import (FaceState, _PHI_EVAL_CACHE, _pack_qt, _phi_eval,
-                             _BINOM_CELL_CACHE, _collapse_compositions,
-                             _unpack_qt, chi,
+from modmacd.lattice import (FaceState, _PHI_EVAL_CACHE, _phi_eval,
+                             _BINOM_CELL_CACHE, _collapse_compositions, chi,
                              column_weight, fundamental_L, fused_L_recurrence,
                              fused_vertex_bruteforce,
                              partition_function_coeffs, r_matrix, rll_check,
                              weight_fused, weight_fused_x, weight_fused_z,
                              weight_hl, weight_hl_factorization_check)
 from modmacd.memo import clear_caches
-from modmacd.packed import _width
+from modmacd.packed import _pack_qt, _unpack_qt, _width
 from modmacd.phi import phi_at_one, phi_normalized, phi_prime
 from modmacd.qseries import gauss_binomial, pochhammer
 

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from modmacd import memo, packed
+from modmacd import memo, modmac, packed
 from modmacd.combinat import Partition, SequencePair
 from modmacd.lattice import partition_function_coeffs
 from modmacd.modmac import kostka_qt
@@ -69,6 +69,16 @@ def test_clear_caches_empties_the_packed_binomial_cache():
     assert packed._GAUSS_AT_CACHE
     memo.clear_caches()
     assert not packed._GAUSS_AT_CACHE
+
+
+def test_clear_caches_empties_the_cauchy_caches():
+    # cauchy_check reads each sum-side factor and each product-side
+    # numerator list once per process; neither cache is among the tracer's
+    # CACHES.
+    assert modmac.cauchy_check("W", 1, 1, 2)
+    assert modmac._FACTOR_CACHE and modmac._NUMERATOR_CACHE
+    memo.clear_caches()
+    assert not modmac._FACTOR_CACHE and not modmac._NUMERATOR_CACHE
 
 
 def test_memoized_keys_by_positional_arguments():

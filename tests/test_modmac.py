@@ -17,7 +17,9 @@ from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction,
                               ZERO, sym)
 from modmacd.modmac import (cauchy_check, duality_check, kostka_qt,
                             modified_H, modified_HL, w_reduction_check)
-from modmacd.qseries import c_functions, factor_product, pochhammer
+from modmacd.packed import _unpack_qt, _width, QTPacking
+from modmacd.qseries import (c_functions, factor_product, gauss_binomial,
+                             pochhammer)
 
 Q = sym("q")
 T = sym("t")
@@ -283,7 +285,9 @@ def _ref_factor_coeffs(kind, degree):
 
 def test_newton_numerators_raise_on_an_inexact_division(monkeypatch):
     # a wrong Newton step leaves m * n_m with a coefficient that m does
-    # not divide
+    # not divide; the numerators are memoized, so the cache must not hold
+    # them from an earlier test
+    clear_caches()
     divide = modmac.divide_factors
     monkeypatch.setattr(modmac, "divide_factors",
                         lambda f, factors: divide(f, factors) + ONE)
@@ -405,13 +409,89 @@ def _ref_sum_side(identity, nx, ny, degree):
 @pytest.mark.parametrize("identity", ["PQ", "dual", "W", "mixedQ", "mixedP"])
 def test_sum_side_series_matches_the_expanded_polynomial(identity, nx, ny,
                                                          degree):
+    # packed at the W and T that the sum side's own bounds pick, every
+    # numerator decodes to the reference's
     left, (right, alphabet), _ = modmac._CAUCHY[identity]
-    series, lcms = modmac._sum_side(left, right, alphabet == "w", nx, ny,
-                                    [Counter()] * (degree + 1))
+    groups, lcms, bounds = modmac._sum_shapes(
+        left, right, alphabet == "w", nx, ny, [Counter()] * (degree + 1))
+    qt = QTPacking(_width(max(b.l1 for b in bounds)),
+                   1 + max(b.tdeg for b in bounds))
+    series = modmac._sum_side(groups, qt)
     ref, dens = _ref_sum_side(identity, nx, ny, degree)
     assert lcms == dens
     for e in set(series) | set(ref):
-        assert series.get(e, ZERO) == ref.get(e, ZERO), e
+        got = _unpack_qt(series.get(e, 0), qt.W, qt.T)
+        assert got == ref.get(e, ZERO), e
+
+
+def _ref_series_mul(frame, a, b, scale):
+    """Product of two product-side series of ExactPolynomial numerators at
+    group-A degrees i and j, times scale[i, j] = E_{i+j} / (E_i E_j)."""
+    out = {}
+    na = frame.na
+    for ea, ca in a.items():
+        da = sum(ea[:na])
+        for eb, cb in b.items():
+            e = tuple(u + v for u, v in zip(ea, eb))
+            if not frame.admits(e):
+                continue
+            c = ca * cb * scale[da, sum(eb[:na])]
+            got = out.get(e)
+            tot = c if got is None else got + c
+            if tot.is_zero():
+                out.pop(e, None)
+            else:
+                out[e] = tot
+    return out
+
+
+def _ref_product_side(identity, frame):
+    """The product side as ExactPolynomial numerators over
+    E_m = prod_{b in bases} (b; b)_m (the former cauchy_check arithmetic)."""
+    pairs = modmac._CAUCHY[identity][2]
+    bases = set("".join(modmac._BASES[kind] for _, _, kind in pairs))
+    names = {a: [v for v in frame.names if v[0] == a] for a in "xzyw"}
+    factors = [(a, b, kind) for pa, pb, kind in pairs
+               for a in names[pa] for b in names[pb]]
+    degree = frame.degree
+    width = len(frame.names)
+    scale = {}
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            g = gauss_binomial(i + j, i)  # in t; renamed to each base
+            scale[i, j] = ONE
+            for b in bases:
+                scale[i, j] = scale[i, j] * ExactPolynomial(
+                    (b,) * len(g.vars), g.terms)
+    numerators = {}
+    for kind in {kind for _, _, kind in factors}:
+        lacks = bases - set(modmac._BASES[kind])
+        numerators[kind] = [n * factor_product(modmac._qfactorial(lacks, m))
+                            for m, n in enumerate(
+                                modmac._factor_numerators(kind, degree))]
+    acc = {(0,) * width: ONE}
+    for va, vb, kind in factors:
+        fac = {}
+        for m, n in enumerate(numerators[kind]):
+            if n.is_zero():
+                continue
+            exp = [0] * width
+            exp[frame.index[va]] = m
+            exp[frame.index[vb]] = m
+            fac[tuple(exp)] = n
+        acc = _ref_series_mul(frame, acc, fac, scale)
+    return acc
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("identity", ["PQ", "dual", "W", "mixedQ", "mixedP"])
+def test_packed_product_side_matches_the_exact_series(identity, nx, ny,
+                                                      degree):
+    frame, _, rhs, _, qt = modmac._cauchy_sides(identity, nx, ny, degree)
+    ref = _ref_product_side(identity, frame)
+    for e in set(rhs) | set(ref):
+        assert _unpack_qt(rhs.get(e, 0), qt.W, qt.T) == ref.get(e, ZERO), e
 
 
 def test_cauchy_check_builds_no_full_frame_polynomial(monkeypatch):
