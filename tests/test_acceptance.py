@@ -239,7 +239,7 @@ def test_criterion_14_cauchy_identities_at_degree_4():
     assert cauchy_check("W", 2, 1, 4)
     assert cauchy_check("W", 2, 2, 4)
     assert cauchy_check("W", 2, 2, 5)
-    _report(14, 21, t0)
+    _report(14, 17, t0)
 
 
 def test_criterion_15_weight_8_routes_and_hall_littlewood_collapse():

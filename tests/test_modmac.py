@@ -17,7 +17,7 @@ from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction,
                               ZERO, sym)
 from modmacd.modmac import (cauchy_check, duality_check, kostka_qt,
                             modified_H, modified_HL, w_reduction_check)
-from modmacd.packed import _unpack_qt, _width, QTPacking
+from modmacd.packed import _Bound, _unpack_qt, QTPacking
 from modmacd.qseries import (c_functions, factor_product, gauss_binomial,
                              pochhammer)
 
@@ -414,8 +414,8 @@ def test_sum_side_series_matches_the_expanded_polynomial(identity, nx, ny,
     left, (right, alphabet), _ = modmac._CAUCHY[identity]
     groups, lcms, bounds = modmac._sum_shapes(
         left, right, alphabet == "w", nx, ny, [Counter()] * (degree + 1))
-    qt = QTPacking(_width(max(b.l1 for b in bounds)),
-                   1 + max(b.tdeg for b in bounds))
+    qt = QTPacking.comparing([(b, _Bound(0, 0), _Bound(1, 0))
+                              for b in bounds])
     series = modmac._sum_side(groups, qt)
     ref, dens = _ref_sum_side(identity, nx, ny, degree)
     assert lcms == dens
