@@ -586,7 +586,11 @@ def _column_moves(shape, N, dual, i, belows):
     """The live moves into column i: (below, cur, chi, cells) for every
     tuple below of column-(i+1) chains and cur of column-i chains whose
     cell factors (tuples from _phi_eval) are all nonzero; chi is the
-    column's exponent in chi (dual: chi')."""
+    column's exponent in chi (dual: chi').  The nonzero filter is a guard
+    that never drops a valid chain: each cell is Phi or Phi' of two
+    nondecreasing chains with equal tops (the diagonal cell the closed
+    product of nutilde's binomials), whose coefficients are nonnegative and
+    sum to prod_j C(nutilde^{j+1}, nutilde^j) >= 1."""
     js = range(i, len(shape) + 1)
     args = [(j - i, shape.part(i) - shape.part(j)) for j in js]
     chain_sets = [_chains(shape.part(j) - shape.part(j + 1), N) for j in js]

@@ -169,15 +169,23 @@ class _Frame:
 def _series_mul(frame, a, b, scale):
     """Product of two product-side series: numerators at group-A degrees i
     and j multiply with scale[i, j] = E_{i+j} / (E_i E_j), a product of
-    Gaussian binomials."""
+    Gaussian binomials.  b's keys are grouped by their group-A and group-B
+    degrees, so a pair past the truncation is skipped before its exponent
+    tuple is built."""
     out = {}
-    na = frame.na
+    na, degree = frame.na, frame.degree
+    groups = {}
+    for eb, cb in b.items():
+        groups.setdefault((sum(eb[:na]), sum(eb[na:])), []).append((eb, cb))
     for ea, ca in a.items():
-        da = sum(ea[:na])
-        for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            if frame.admits(e):
-                c = ca * cb * scale[da, sum(eb[:na])]
+        da, ga = sum(ea[:na]), sum(ea[na:])
+        for (db, gb), entries in groups.items():
+            if da + db > degree or ga + gb > degree:
+                continue
+            cs = ca * scale[da, db]
+            for eb, cb in entries:
+                e = tuple(map(add, ea, eb))
+                c = cs * cb
                 got = out.get(e)
                 out[e] = c if got is None else got + c
     return out

@@ -7,7 +7,10 @@ is zero exactly when its polynomial is.  B comes from the l1 norms of the
 inputs, never from the result: ||[a, b]_t|| = C(a, b), ||1 - z t^e|| = 2,
 ||fg|| <= ||f|| ||g|| and ||f + g|| <= ||f|| + ||g||.  The Phi routes (phi)
 and the lattice sums (lattice) use these helpers; the oracle (symoracle)
-takes only _width, _digits and _qt_terms.
+takes only _width, _digits and _qt_terms.  The Gaussian binomials come from
+the Pascal recurrence on integer coefficient lists (_binom_list), with no
+ExactPolynomial arithmetic; qseries.gauss_binomial, the same recurrence on
+ExactPolynomial, is their reference in the tests.
 
 A polynomial in q and t is held at t = 2^W, q = 2^(W T) (_pack_qt): with
 every t-degree below T, the coefficient of q^a t^b is the balanced digit at
@@ -19,7 +22,6 @@ from math import comb
 
 from .exactalg import ExactPolynomial, _pruned
 from .memo import memoized
-from .qseries import gauss_binomial
 
 _BINOM_LIST_CACHE = {}
 _GAUSS_AT_CACHE = {}
@@ -27,14 +29,20 @@ _GAUSS_AT_CACHE = {}
 
 @memoized(_BINOM_LIST_CACHE)
 def _binom_list(a, b):
-    """Gaussian binomial [a choose b] as a list of integer t-coefficients."""
-    poly = gauss_binomial(a, b)
-    if poly.is_zero():
+    """Gaussian binomial [a choose b] as a list of integer t-coefficients
+    (empty unless a >= b >= 0), by the Pascal recurrence
+    [a, b] = [a-1, b-1] + t^b [a-1, b] on lists, with b <= a - b."""
+    if not a >= b >= 0:
         return []
-    got = [0] * (poly.degree("t") + 1)
-    for exp, c in poly.terms.items():
-        got[exp[0] if poly.vars else 0] = c
-    return got
+    b = min(b, a - b)
+    if b == 0:
+        return [1]
+    low, high = _binom_list(a - 1, b - 1), _binom_list(a - 1, b)
+    # [a-1, b] has degree b (a-1-b): t^b times it ends at b (a-b) = deg [a, b]
+    out = low + [0] * (b + len(high) - len(low))
+    for i, c in enumerate(high, b):
+        out[i] += c
+    return out
 
 
 def _width(l1):

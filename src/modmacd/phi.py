@@ -5,9 +5,9 @@ seq[k-1], with nu^0 = 0.  All returned polynomials live in the symbols
 (z, t); callers substitute other symbols as needed.
 """
 
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 from math import comb, prod
-from operator import sub
+from operator import mul, sub
 
 from .combinat import SequencePair, _at
 from .errors import (IndexOutOfRange, NegativeDifference, NegativeInput,
@@ -158,43 +158,65 @@ def phi_finite(sp):
 
 def _positive_terms(nu, nut):
     """The terms of the manifestly positive form of Phi_{nu|nut} (requires
-    nu <= nut), for _packed_rows.
+    nu <= nut), for _packed_rows, as one list.
 
     A term is a choice of nondecreasing chains S_a = (S_a^a, ..., S_a^N)
     with S_a^N = sigma_a; step k reads only columns k and k+1 of them, so
-    the chains are chosen one column at a time and a branch stops at the
-    first step whose binomial [top, bot] vanishes.
+    the chains are chosen one column at a time, by plain recursion that
+    appends each finished term.  Step k has col = (S_1^k, ..., S_k^k),
+    nxt = (S_1^{k+1}, ..., S_k^{k+1}) and the binomial [top, bot] with
+    bot = nutilde^k - sum(col) and top = nutilde^{k+1} - sum(nxt): a branch
+    stops once bot < 0, and only the nxt with
+    sum(nxt) <= nutilde^{k+1} - bot, which is top >= bot, are tried.  In
+    the last column nxt = sigma, so top = nutilde^N - nu^{N-1} is fixed and
+    S_k^k runs over the closed range where 0 <= bot <= top.
     """
     if min(map(sub, nut, nu)) < 0:
         raise NegativeDifference(
             "nutilde < nu somewhere; rotate first: %r | %r" % (nu, nut))
     N = len(nu)
+    if N == 1:
+        return [(0, 0, (), ())]
     nu, nut = (0,) + nu, (0,) + nut
-    sigma = [nu[j] - nu[j - 1] for j in range(1, N)]
+    sigma = tuple(nu[j] - nu[j - 1] for j in range(1, N))
+    last_top = nut[N] - nu[N - 1]
+    out = []
 
-    def terms(k, head, zdeg, eta, pairs):
-        # head = (S_1^k, ..., S_{k-1}^k); column k adds S_k^k to it.
-        if k == N:
-            yield zdeg, eta, pairs, ()
+    def column(k, head, hsum, zdeg, eta, pairs):
+        # head = (S_1^k, ..., S_{k-1}^k) with sum hsum; column k adds
+        # new = S_k^k.  rest_i = nutilde^k - sum(col[i:]) weighs the step
+        # nxt_i - col_i in eta.
+        cap = nut[k] - hsum
+        if k + 1 == N:
+            for new in range(max(0, cap - last_top),
+                             min(sigma[k - 1], cap) + 1):
+                col = head + (new,)
+                bot = cap - new
+                rest = [bot + p for p in accumulate(col, initial=0)]
+                out.append((zdeg + sigma[k - 1] - new,
+                            eta + sum(map(mul, map(sub, sigma, col), rest)),
+                            pairs + ((last_top, bot),)
+                            + tuple(zip(sigma, col)), ()))
             return
-        last = k + 1 == N
-        for new in range(sigma[k - 1] + 1):
+        gap = nut[k + 1] - nut[k]
+        for new in range(min(sigma[k - 1], cap) + 1):
             col = head + (new,)
-            bot = nut[k] - sum(col)
-            if bot < 0:
-                break
-            rest = [nut[k] - sum(col[i:]) for i in range(k)]
-            for nxt in iproduct(*[range(s if last else c, s + 1)
+            bot = cap - new
+            rest = [bot + p for p in accumulate(col, initial=0)]
+            base = eta - sum(map(mul, col, rest))
+            # sum(nxt) <= nutilde^{k+1} - bot = sum(col) + gap
+            limit = hsum + new + gap
+            for nxt in iproduct(*[range(c, min(s, c + gap) + 1)
                                   for c, s in zip(col, sigma)]):
-                top = nut[k + 1] - sum(nxt)
-                if top >= bot:
-                    yield from terms(
-                        k + 1, nxt, zdeg + sigma[k - 1] - new,
-                        eta + sum((b - a) * r
-                                  for b, a, r in zip(nxt, col, rest)),
-                        pairs + [(top, bot)] + list(zip(nxt, col)))
+                nsum = sum(nxt)
+                if nsum <= limit:
+                    column(k + 1, nxt, nsum, zdeg + sigma[k - 1] - new,
+                           base + sum(map(mul, nxt, rest)),
+                           pairs + ((nut[k + 1] - nsum, bot),)
+                           + tuple(zip(nxt, col)))
 
-    return terms(1, (), 0, 0, [])
+    column(1, (), 0, 0, 0, ())
+    return out
 
 
 def phi_positive(sp):

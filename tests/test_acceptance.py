@@ -89,7 +89,7 @@ def test_criterion_02_phi_routes_exhaustive():
         assert a.is_nonnegative()
         count += 1
     assert count > 5000
-    _report(2, 12, t0)
+    _report(2, 11, t0)
 
 
 def test_criterion_03_rotation_and_prime_relation():
@@ -101,7 +101,7 @@ def test_criterion_03_rotation_and_prime_relation():
             assert ExactPolynomial.monomial({"z": shift}) \
                 * phi_normalized(rotated) == base
         assert phi_prime_series(sp) == phi_prime(sp)
-    _report(3, 7, t0)
+    _report(3, 6, t0)
 
 
 def test_criterion_04_g_polynomial():

@@ -2,7 +2,10 @@
 column weights and the partition function."""
 
 import functools
+import importlib.util
 import itertools
+import math
+import os
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -327,6 +330,32 @@ def test_cell_tuple_is_phi_at_the_cell_argument(steps, qexp, texp, dual):
     assert all(c for _, c in cell)
     assert _cell_poly(cell) == _cell_by_substitution(nu, nut, qexp, texp,
                                                      dual)
+
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_workloads", os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench", "workloads.py"))
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+def test_every_h_lattice_cell_is_a_positive_phi():
+    # Each cell the x and dual sweeps cache for the h_lattice items (weights
+    # 4-6, 2,722 cells) is Phi or Phi' of a valid pair, or on the diagonal
+    # the closed product: nonzero, with nonnegative coefficients, and at
+    # q = t = 1 it is prod_j C(nutilde^{j+1}, nutilde^j), phi_at_one at
+    # t = 1.  So _column_moves' nonzero filter drops no valid chain.
+    clear_caches()
+    for lam, N in workloads.h_items(workloads.H_WEIGHTS,
+                                    workloads.H_FAMILY_CAP):
+        for formula in ("x", "z"):
+            partition_function_coeffs(Partition(lam), N, formula)
+    assert _PHI_EVAL_CACHE
+    for (nu, nut, _, _, _), cell in _PHI_EVAL_CACHE.items():
+        assert cell
+        assert all(c > 0 for _, c in cell)
+        assert sum(c for _, c in cell) \
+            == math.prod(map(math.comb, nut[1:], nut[:-1]))
 
 
 _LAURENT_QT = st.dictionaries(

@@ -1,13 +1,16 @@
 """The polynomial Phi: series, finite-sum, and positive-form routes."""
 
 import itertools
+from collections import Counter
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modmacd import clear_caches, packed, phi
 from modmacd.combinat import SequencePair
-from modmacd.errors import MismatchedTops, NegativeInput, TruncationResidual
+from modmacd.errors import (MismatchedTops, NegativeDifference, NegativeInput,
+                            TruncationResidual)
 from modmacd.exactalg import ExactPolynomial, P, render, sym
 from modmacd.phi import (g_poly, phi_at_one, phi_finite, phi_normalized,
                          phi_positive, phi_prime, phi_prime_series,
@@ -169,6 +172,26 @@ def test_gauss_at_is_gauss_binomial_at_a_power_of_two(a, b, W):
     assert P(packed._gauss_at(a, b, W)) == expect
 
 
+def _coefficient_list(poly):
+    """The t-coefficients of a polynomial in t, lowest first; [] for 0."""
+    if poly.is_zero():
+        return []
+    out = [0] * (poly.degree("t") + 1)
+    for exp, c in poly.terms.items():
+        out[exp[0] if poly.vars else 0] = c
+    return out
+
+
+def test_binom_list_is_gauss_binomial():
+    # The Pascal recurrence on integer lists against the ExactPolynomial
+    # one, zero binomials (b < 0, b > a) included.
+    clear_caches()
+    for a in range(31):
+        for b in range(-2, a + 3):
+            assert packed._binom_list(a, b) \
+                == _coefficient_list(gauss_binomial(a, b)), (a, b)
+
+
 @pytest.mark.parametrize("widths", [(3, 9), (9, 3)])
 def test_gauss_at_keeps_each_width_apart(widths):
     # _gauss_at is memoized; a cache keyed by (a, b) alone would hand the
@@ -242,3 +265,80 @@ def test_term_cache_matches_the_independent_routes(sp):
     for k in range(sp.N - 1):
         expect = expect * gauss_binomial(sp.nutilde[k + 1], sp.nutilde[k])
     assert phi_at_one(sp) == expect
+
+
+# -- the positive form's chain enumeration against its generator reference ----
+
+def _ref_positive_terms(nu, nut):
+    """The positive form's terms by a chain of generators, one column per
+    level, every next column tried and kept when top >= bot (the former
+    phi._positive_terms)."""
+    if min(map(sub, nut, nu)) < 0:
+        raise NegativeDifference(
+            "nutilde < nu somewhere; rotate first: %r | %r" % (nu, nut))
+    N = len(nu)
+    nu, nut = (0,) + nu, (0,) + nut
+    sigma = [nu[j] - nu[j - 1] for j in range(1, N)]
+
+    def terms(k, head, zdeg, eta, pairs):
+        # head = (S_1^k, ..., S_{k-1}^k); column k adds S_k^k to it.
+        if k == N:
+            yield zdeg, eta, pairs, ()
+            return
+        last = k + 1 == N
+        for new in range(sigma[k - 1] + 1):
+            col = head + (new,)
+            bot = nut[k] - sum(col)
+            if bot < 0:
+                break
+            rest = [nut[k] - sum(col[i:]) for i in range(k)]
+            for nxt in itertools.product(*[range(s if last else c, s + 1)
+                                           for c, s in zip(col, sigma)]):
+                top = nut[k + 1] - sum(nxt)
+                if top >= bot:
+                    yield from terms(
+                        k + 1, nxt, zdeg + sigma[k - 1] - new,
+                        eta + sum((b - a) * r
+                                  for b, a, r in zip(nxt, col, rest)),
+                        pairs + [(top, bot)] + list(zip(nxt, col)))
+
+    return terms(1, (), 0, 0, [])
+
+
+def _term_counter(terms):
+    return Counter((d, e, tuple(pairs)) for d, e, pairs, _ in terms)
+
+
+@st.composite
+def dominated_sequence_pairs(draw):
+    """(nu, nutilde) with nu <= nutilde entrywise, N in 1..6, entries <= 6."""
+    N = draw(st.integers(1, 6))
+    top = draw(st.integers(0, 6))
+    nu, nut = (sorted(draw(st.lists(st.integers(0, top), min_size=N - 1,
+                                    max_size=N - 1)))
+               for _ in range(2))
+    return (tuple(nu) + (top,),
+            tuple(map(max, nu, nut)) + (top,))
+
+
+@given(dominated_sequence_pairs())
+@example(((0,), (0,)))
+@example(((4,), (4,)))
+@example(((2, 5), (3, 5)))
+@example(((0, 6), (6, 6)))
+@example(((1, 1, 3, 3), (1, 2, 3, 3)))  # sigma_2 = 0
+@example(((0, 0, 2, 2, 4), (1, 2, 3, 4, 4)))  # sigma_1 = sigma_2 = 0
+@example(((1, 3, 4, 5), (2, 3, 5, 5)))
+@example(((1, 2, 3, 4, 5, 6), (2, 3, 4, 5, 6, 6)))
+@settings(max_examples=80, deadline=None)
+def test_positive_terms_match_the_generator_reference(pair):
+    # _packed_rows sums the terms and takes W from their summed l1 norms,
+    # so the whole multiset must agree, not only the polynomial.
+    nu, nut = pair
+    assert _term_counter(phi._positive_terms(nu, nut)) \
+        == _term_counter(_ref_positive_terms(nu, nut))
+
+
+def test_positive_terms_reject_an_undominated_pair():
+    with pytest.raises(NegativeDifference):
+        phi._positive_terms((1, 2), (0, 2))
