@@ -351,7 +351,7 @@ def test_every_h_lattice_cell_is_a_positive_phi():
         for formula in ("x", "z"):
             partition_function_coeffs(Partition(lam), N, formula)
     assert _PHI_EVAL_CACHE
-    for (nu, nut, _, _, _), cell in _PHI_EVAL_CACHE.items():
+    for (_, nut, _, _, _), cell in _PHI_EVAL_CACHE.items():
         assert cell
         assert all(c > 0 for _, c in cell)
         assert sum(c for _, c in cell) \
