@@ -540,7 +540,7 @@ def partition_function_coeffs(lam, N, formula="x"):
     multinomial n! / prod comp_i!, since H(x; 1, 1) = (x_1 + ... + x_N)^n,
     and for Hall-Littlewood the values must sum to h_lambda(1^N), since
     H(x; 0, 1) = h_lambda(x); otherwise ConsistencyError.  The numeric pass
-    then repeats the sweep on the packed weights.
+    then replays the structure pass's moves on the packed weights.
 
     Sums resolved by composition are checked for permutation invariance
     before collapsing onto partitions, on the packed values (two values
@@ -569,21 +569,17 @@ def partition_function_coeffs(lam, N, formula="x"):
             for mu, v in _collapse_compositions(by_comp).items()}
 
 
-def _sweep_step(states, moves):
-    """One column of a path sum.  states maps a chain tuple to its partial
-    sums {composition key: int}; a move (below, cur, inc, w) adds each
-    partial sum of below at key k, times w, into cur at key k + inc."""
-    sums = {}
-    for below, cur, inc, w in moves:
-        acc = sums.setdefault(cur, {})
-        for key, v in states[below].items():
-            key += inc
-            acc[key] = acc.get(key, 0) + v * w
-    return sums
+def _add_move(sums, cur, partials, inc, w):
+    """Add one move of a path sum: each partial sum of its below state,
+    {composition key: int}, times w, into sums[cur] at key + inc."""
+    acc = sums.setdefault(cur, {})
+    for key, v in partials.items():
+        key += inc
+        acc[key] = acc.get(key, 0) + v * w
 
 
 def _column_moves(shape, N, dual, i, belows):
-    """The live moves into column i: (below, cur, chi, cells) for every
+    """Yield the live moves into column i: (below, cur, chi, cells) for every
     tuple below of column-(i+1) chains and cur of column-i chains whose
     cell factors (tuples from _phi_eval) are all nonzero; chi is the
     column's exponent in chi (dual: chi').  The nonzero filter is a guard
@@ -595,7 +591,6 @@ def _column_moves(shape, N, dual, i, belows):
     args = [(j - i, shape.part(i) - shape.part(j)) for j in js]
     chain_sets = [_chains(shape.part(j) - shape.part(j + 1), N) for j in js]
     splits = {}
-    moves = []
     for below in belows:
         chains = ((0,) * N,) + below
         nus = _chi_nus(chains, dual)
@@ -606,13 +601,11 @@ def _column_moves(shape, N, dual, i, belows):
                    for (qexp, texp), nu, chain_set
                    in zip(args, chains, chain_sets)]
         for picked in iproduct(*options):
-            cur = tuple(nut for nut, _ in picked)
+            cur, cells = zip(*picked)
             if cur not in splits:
                 splits[cur] = _chi_split(cur, dual)
             a, D = splits[cur]
-            moves.append((below, cur, a - sum(map(mul, D, nus)),
-                          [cell for _, cell in picked]))
-    return moves
+            yield below, cur, a - sum(map(mul, D, nus)), cells
 
 
 _BINOM_CELL_CACHE = {}
@@ -626,27 +619,25 @@ def _binom_cell(a, b):
 
 
 def _hl_moves(shape, N, i, belows):
-    """The live Hall-Littlewood moves into column i of shape = lambda':
+    """Yield the live Hall-Littlewood moves into column i of shape = lambda':
     (below, (nutilde,), expo, cells) for each state below = (nu,) (() before
     column n, nu = 0) and chain nutilde whose binomials from _hl_column,
     with its t-exponent expo, are all nonzero (nutilde >= nu entrywise)."""
     chain_set = _chains(shape.part(i), N)
-    moves = []
     for below in belows:
         nu = below[0] if below else (0,) * N
         for nut in chain_set:
             expo, pairs = _hl_column(nu, nut)
             cells = [_binom_cell(a, b) for a, b in pairs]
             if all(cells):
-                moves.append((below, (nut,), expo, cells))
-    return moves
+                yield below, (nut,), expo, cells
 
 
 def _column_sweep(shape, N, dual, column_moves):
     """A lattice sum keyed by composition, column by column as
     partition_function_coeffs describes.
 
-    column_moves(i, belows) lists the live moves (below, cur, exponent,
+    column_moves(i, belows) yields the live moves (below, cur, exponent,
     cells) into column i = len(shape), ..., 1 from the chain tuples below
     of column i + 1 (the one state () before column n): cur is a tuple of
     column-i chains of length N, the exponent is of t (dual: of q), and
@@ -660,27 +651,27 @@ def _column_sweep(shape, N, dual, column_moves):
     B = sum(shape) + 1
     powers = [B ** k for k in range(N)]
     start = {(): {0: 1}}
-    # structure pass: per column the live steps (below, cur, increment,
-    # exponent - least exponent, cells); per chain tuple the l1 norms and
-    # values at q = t = 1 of its partial sums and a bound on their t-degrees
+    # structure pass: each move is added, as it is generated, into the l1
+    # norms and values at q = t = 1 of its chain tuple's partial sums and
+    # their t-degree bound, and kept as one record (below, cur, increment,
+    # exponent, cells) for the numeric pass
     columns = []
     norms, at_one, tdeg = start, start, {(): 0}
     shift = 0
-    # keyed by id: the cells are cached tuples, which the steps keep alive
+    # keyed by id: the cells are cached tuples, which the records keep alive
     # for the whole sweep
     cell_bounds = {}  # id -> (l1 norm, value at q = t = 1, t-degree)
     for i in range(len(shape), 0, -1):
-        moves = column_moves(i, norms)
-        low = min((move[2] for move in moves), default=0)
-        shift += low
         incs = {}
-        steps, l1s, ones, degs = [], [], [], {}
-        for below, cur, expo, cells in moves:
+        records, sums, ones, degs = [], {}, {}, {}
+        for below, cur, expo, cells in column_moves(i, norms):
             if cur not in incs:
                 incs[cur] = sum((b - a) * p for chain in cur for p, a, b
                                 in zip(powers, (0,) + chain, chain))
-            step = (below, cur if i > 1 else (), incs[cur])
-            l1, one, deg = 1, 1, 0 if dual else expo - low
+            inc, cur = incs[cur], cur if i > 1 else ()
+            # t-degrees are unshifted until the least exponent is known,
+            # and chi can be negative, so no bound starts from 0
+            l1, one, deg = 1, 1, tdeg[below] + (0 if dual else expo)
             for cell in cells:
                 if id(cell) not in cell_bounds:
                     if any(q < 0 or t < 0 for (q, t), _ in cell):
@@ -693,30 +684,31 @@ def _column_sweep(shape, N, dual, column_moves):
                         max(t for (_, t), _ in cell))
                 norm, value, top = cell_bounds[id(cell)]
                 l1, one, deg = l1 * norm, one * value, deg + top
-            steps.append(step + (expo - low, cells))
-            l1s.append(step + (l1,))
-            ones.append(step + (one,))
-            degs[step[1]] = max(degs.get(step[1], 0), tdeg[below] + deg)
-        at_one = _sweep_step(at_one, ones)
-        norms = _sweep_step(norms, l1s)
-        tdeg = degs
-        columns.append(steps)
+            _add_move(sums, cur, norms[below], inc, l1)
+            _add_move(ones, cur, at_one[below], inc, one)
+            degs[cur] = max(degs.get(cur, deg), deg)
+            records.append((below, cur, inc, expo, cells))
+        low = min((record[3] for record in records), default=0)
+        shift += low
+        norms, at_one = sums, ones
+        tdeg = degs if dual else {cur: d - low for cur, d in degs.items()}
+        columns.append((records, low))
     # numeric pass
     W = _width(max(norms.get((), {}).values(), default=0))
     T = max(tdeg.values(), default=0) + 1
     base = W * T if dual else W
     packed = {}
     values = start
-    for steps in columns:
-        weights = []
-        for below, cur, inc, expo, cells in steps:
+    for records, low in columns:
+        sums = {}
+        for below, cur, inc, expo, cells in records:
             w = 1
             for cell in cells:
                 if id(cell) not in packed:
                     packed[id(cell)] = _pack_qt(cell, W, T)
                 w *= packed[id(cell)]
-            weights.append((below, cur, inc, w << base * expo))
-        values = _sweep_step(values, weights)
+            _add_move(sums, cur, values[below], inc, w << base * (expo - low))
+        values = sums
     values = values.get((), {})
     return values, at_one.get((), {}), \
         {key: tuple(key // p % B for p in powers) for key in values}, \

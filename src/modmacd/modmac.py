@@ -14,9 +14,9 @@ from .lattice import partition_function_coeffs
 from .memo import memoized
 from .packed import _Bound, _qt_terms, QTBounds, QTPacking
 from .qseries import divide_factors, factor_product, hook_factors, pochhammer
-from .symoracle import (_expand_monomial, integral_J, _jcoef,
-                        modified_H_oracle, monomial_expand, schur_expand,
-                        SymmetricExpr, _W_table, W_oracle)
+from .symoracle import (basis_convert, _expand_monomial, integral_J, _jcoef,
+                        modified_H_oracle, monomial_expand, SymmetricExpr,
+                        _W_table, W_oracle)
 
 ROUTES = ("lattice_x", "lattice_dual", "oracle")
 
@@ -77,7 +77,7 @@ def kostka_qt(lam):
     """Two-parameter Kostka coefficients of H_lam, keyed by Partition."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    sch = schur_expand(modified_H_oracle(lam, nvars=lam.weight()))
+    sch = basis_convert(modified_H_oracle(lam, nvars=lam.weight()), "schur")
     for nu, poly in sch.coeffs.items():
         if not poly.is_nonnegative():
             raise NegativeCoefficient(
@@ -138,7 +138,7 @@ def _lattice_H(lam, N):
     """H_lam over x_1..x_N from the lattice_x table; the J corners before it
     have already required N >= max(ell(lam), lam_1), the lattice's least N."""
     return monomial_expand(
-        SymmetricExpr("monomial", modified_H(lam, N).coeffs, N), N)
+        SymmetricExpr("monomial", modified_H(lam, N).coeffs), N)
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +229,15 @@ def _factor_numerators(kind, degree):
         out = [ONE]
         for m in range(1, degree + 1):
             acc = ZERO
-            for r in range(1, m + 1):
-                step = divide_factors(factor_product(E[m] - E[m - r]),
-                                      E[r] - E[r - 1])
-                acc = acc + step * out[m - r] * sign ** (r - 1)
             try:
+                for r in range(1, m + 1):
+                    step = divide_factors(factor_product(E[m] - E[m - r]),
+                                          E[r] - E[r - 1])
+                    acc = acc + step * out[m - r] * sign ** (r - 1)
                 out.append(poly_divexact(acc, P(m)))
             except ValueError:
-                raise ConsistencyError("%s numerator at degree %d is not "
-                                       "divisible by %d" % (kind, m, m)) \
-                    from None
+                raise ConsistencyError("%s numerator at degree %d does not "
+                                       "divide exactly" % (kind, m)) from None
         return out
     raise ValueError("unknown factor kind %r" % (kind,))
 

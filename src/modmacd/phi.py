@@ -316,11 +316,21 @@ def phi_prime_series(sp):
     return out
 
 
+_AT_ONE_CACHE = {}
+
+
+@memoized(_AT_ONE_CACHE)
+def _at_one_rows(nut):
+    """The closed product prod_j [nutilde^{j+1}, nutilde^j]_t, which does
+    not read nu, cached as _packed_rows packs it: the x and dual lattice
+    cells keep its terms in their own exponents, and no third copy."""
+    return _packed_rows(
+        [(0, 0, [(nut[j], nut[j - 1]) for j in range(1, len(nut))], ())])
+
+
 def _at_one_terms(nut):
-    """Phi at z = 1 as terms ((0, t-degree), c): the closed product
-    prod_j [nutilde^{j+1}, nutilde^j]_t, which does not read nu."""
-    return _unpack(*_packed_rows(
-        [(0, 0, [(nut[j], nut[j - 1]) for j in range(1, len(nut))], ())]))
+    """Phi at z = 1 as terms ((0, t-degree), c): the closed product."""
+    return _unpack(*_at_one_rows(nut))
 
 
 def phi_at_one(sp):

@@ -171,15 +171,14 @@ class SymmetricExpr:
     numerators are ExactPolynomials when width is None, else QRows at
     t = 2^width."""
 
-    __slots__ = ("basis", "coeffs", "nvars", "dens", "width")
+    __slots__ = ("basis", "coeffs", "dens", "width")
 
-    def __init__(self, basis, coeffs, nvars, dens=None, width=None):
+    def __init__(self, basis, coeffs, dens=None, width=None):
         if basis not in ("monomial", "powersum", "schur"):
             raise ValueError("unknown basis %r" % (basis,))
         self.basis = basis
         self.coeffs = {k if isinstance(k, Partition) else Partition(k): v
                        for k, v in coeffs.items() if not v.is_zero()}
-        self.nvars = nvars
         self.dens = dict(dens or {})
         self.width = width
 
@@ -202,14 +201,14 @@ def integral_J(lam, nvars):
         raise TooFewVariables("need at least ell(lambda) variables")
     coeffs = {mu: ExactPolynomial(("q", "t"), _jcoef(lam, mu.parts))
               for mu in partitions_of(lam.weight()) if len(mu) <= nvars}
-    return SymmetricExpr("monomial", coeffs, nvars)
+    return SymmetricExpr("monomial", coeffs)
 
 
 def macdonald_P(lam, nvars):
     """Macdonald polynomial P_lam = J_lam / c_lam in the monomial basis."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    return SymmetricExpr("monomial", integral_J(lam, nvars).coeffs, nvars,
+    return SymmetricExpr("monomial", integral_J(lam, nvars).coeffs,
                          {lam.weight(): (1, hook_factors(lam))})
 
 
@@ -321,7 +320,7 @@ def basis_convert(e, target):
             for lam, c in part.items():
                 for mu, k in p_in_m[lam].items():
                     _add(coeffs, mu, c * k)
-        mono = SymmetricExpr("monomial", coeffs, e.nvars, e.dens, e.width)
+        mono = SymmetricExpr("monomial", coeffs, e.dens, e.width)
         return mono if target == "monomial" else basis_convert(mono, "schur")
     if e.basis == "monomial" and target == "powersum":
         coeffs = {}
@@ -333,7 +332,7 @@ def basis_convert(e, target):
             for mu, c in part.items():
                 for lam, n in m_in_p[mu].items():
                     _add(coeffs, lam, c * n)
-        return SymmetricExpr("powersum", coeffs, e.nvars, dens, e.width)
+        return SymmetricExpr("powersum", coeffs, dens, e.width)
     if e.basis == "monomial" and target == "schur":
         coeffs = {}
         for d, part in e.degree_parts().items():
@@ -348,7 +347,7 @@ def basis_convert(e, target):
                     k = kostka_number(nu, mu.parts)
                     if k:
                         _add(remaining, mu, c * -k)
-        return SymmetricExpr("schur", coeffs, e.nvars, e.dens, e.width)
+        return SymmetricExpr("schur", coeffs, e.dens, e.width)
     if e.basis == "schur":
         coeffs = {}
         for nu, c in e.coeffs.items():
@@ -357,14 +356,10 @@ def basis_convert(e, target):
                 k = kostka_number(nu, mu.parts)
                 if k:
                     _add(coeffs, mu, c * k)
-        mono = SymmetricExpr("monomial", coeffs, e.nvars, e.dens, e.width)
+        mono = SymmetricExpr("monomial", coeffs, e.dens, e.width)
         return mono if target == "monomial" \
             else basis_convert(mono, "powersum")
     raise ValueError("unsupported conversion %s -> %s" % (e.basis, target))
-
-
-def schur_expand(e):
-    return basis_convert(e, "schur")
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +388,7 @@ def _packed(e, W):
     t = 2^W."""
     return SymmetricExpr(
         e.basis, {mu: QRows(_rows(_qt_terms(c), W))
-                  for mu, c in e.coeffs.items()}, e.nvars, e.dens, W)
+                  for mu, c in e.coeffs.items()}, e.dens, W)
 
 
 def _spread(matrix):
@@ -507,7 +502,7 @@ def plethysm_eval(e, rule, nvars=None):
         for key, m in _expand_powersum(lam, nvars).items():
             _add(coeffs, key, num * m)
     if rule == "modified":
-        return SymmetricExpr("powersum", coeffs, ps.nvars, dens, e.width)
+        return SymmetricExpr("powersum", coeffs, dens, e.width)
     return coeffs, dens
 
 
@@ -542,7 +537,7 @@ def modified_H_oracle(lam, nvars=None):
         raise TooFewVariables("need nvars >= ell(lambda)")
     table = _oracle_table(lam)
     return SymmetricExpr("monomial", {mu: c for mu, c in table.items()
-                                      if len(mu) <= nvars}, nvars)
+                                      if len(mu) <= nvars})
 
 
 def _W_table(lam, N):
@@ -586,4 +581,4 @@ def schur_function(lam, nvars):
         k = kostka_number(lam, mu.parts)
         if k:
             coeffs[mu] = P(k)
-    return SymmetricExpr("monomial", coeffs, nvars)
+    return SymmetricExpr("monomial", coeffs)

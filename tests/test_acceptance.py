@@ -227,7 +227,7 @@ def test_criterion_13_weight_7_routes_and_hall_littlewood_collapse():
         at0 = {mu: p.substitute({"q": P(0)}) for mu, p in x.items()}
         at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
         assert at0 == modified_HL(lam, N), lam
-    _report(13, 9.1, t0)
+    _report(13, 6.1, t0)
 
 
 def test_criterion_14_cauchy_identities_at_degree_4():
@@ -253,4 +253,4 @@ def test_criterion_15_weight_8_routes_and_hall_littlewood_collapse():
         at0 = {mu: p.substitute({"q": P(0)}) for mu, p in x.items()}
         at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
         assert at0 == modified_HL(lam, N), lam
-    _report(15, 52, t0)
+    _report(15, 40, t0)

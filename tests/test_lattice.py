@@ -6,10 +6,13 @@ import importlib.util
 import itertools
 import math
 import os
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from modmacd import phi
 from modmacd.combinat import (Partition, SequencePair, conjugate,
                               enumerate_flags, enumerate_nu_families,
                               partitions_of)
@@ -510,6 +513,48 @@ def test_sweep_width_holds_with_negative_cell_terms(monkeypatch, formula):
         assert partition_function_coeffs(lam, 3, formula) == expect
     finally:
         clear_caches()
+
+
+def test_diagonal_closed_product_is_built_once_per_nutilde(monkeypatch):
+    # The diagonal cell reads nutilde only, so running x and then dual over
+    # one shape builds each closed product once, whichever route asks.
+    built = []
+    packed_rows = phi._packed_rows
+
+    def counted(terms):
+        if sys._getframe(1).f_code.co_name == "_at_one_rows":
+            built.append(tuple(terms[0][2]))
+        return packed_rows(terms)
+
+    monkeypatch.setattr(phi, "_packed_rows", counted)
+    clear_caches()
+    try:
+        for formula in ("x", "z"):
+            partition_function_coeffs(Partition((3, 2)), 3, formula)
+        diagonal = {nut for _, nut, qexp, texp, _ in _PHI_EVAL_CACHE
+                    if qexp == texp == 0}
+        assert len(built) == len(set(built)) == len(diagonal) > 1
+        clear_caches()
+        assert not phi._AT_ONE_CACHE
+    finally:
+        clear_caches()
+
+
+def test_sweep_memory_stays_bounded():
+    # With the cell caches filled, a sweep holds one record per live move
+    # and the partial sums of two columns: (5, 2) by dual at N = 5 peaks
+    # near 1.2 MB traced.  A sweep that also keeps each column's moves, l1
+    # norms and values at q = t = 1 in lists peaks near 4.9 MB, so the bound
+    # sits at about twice the first.
+    lam = Partition((5, 2))
+    partition_function_coeffs(lam, 5, "z")
+    tracemalloc.start()
+    try:
+        partition_function_coeffs(lam, 5, "z")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20
 
 
 def test_sweep_refuses_a_negative_cell_exponent(monkeypatch):

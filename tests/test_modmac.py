@@ -8,7 +8,7 @@ from operator import or_
 
 import pytest
 
-from modmacd import clear_caches, exactalg, modmac
+from modmacd import clear_caches, cli, exactalg, modmac
 from modmacd.combinat import (Partition, SequencePair, conjugate,
                               partitions_of)
 from modmacd.errors import (ConsistencyError, InsufficientVariables,
@@ -293,6 +293,23 @@ def test_newton_numerators_raise_on_an_inexact_division(monkeypatch):
                         lambda f, factors: divide(f, factors) + ONE)
     with pytest.raises(ConsistencyError):
         modmac._factor_numerators("inv_qt", 2)
+
+
+def test_newton_numerators_report_a_failed_factor_division(monkeypatch):
+    # an inexact division by the q-factorial factors is an internal failure
+    # as well: ConsistencyError, and exit code 1 from the cauchy command
+    def inexact(f, factors):
+        raise ValueError("not divisible")
+
+    clear_caches()
+    monkeypatch.setattr(modmac, "divide_factors", inexact)
+    try:
+        with pytest.raises(ConsistencyError):
+            modmac._factor_numerators("inv_qt", 2)
+        assert cli.main(["cauchy", "--form", "W", "--vars", "1",
+                         "--max-weight", "2"]) == 1
+    finally:
+        clear_caches()
 
 
 @pytest.mark.parametrize("kind", sorted(modmac._BASES))
