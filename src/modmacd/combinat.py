@@ -3,6 +3,7 @@
 from itertools import product
 
 from .errors import MismatchedTops
+from .memo import memoized
 
 
 class Partition:
@@ -266,17 +267,22 @@ def enumerate_nu_families(lam, N, dual=False):
         yield NuFamily(n, N, dict(zip(cells, choice)))
 
 
+_PARTITIONS_CACHE = {}
+
+
 def partitions_of(n, max_part=None):
-    """All partitions of n, decreasing lexicographic order."""
-    if max_part is None:
-        max_part = n
+    """All partitions of n with parts at most max_part (default n), in
+    decreasing lexicographic order, as a shared tuple."""
+    return _partitions(n, n if max_part is None else min(n, max_part))
+
+
+@memoized(_PARTITIONS_CACHE)
+def _partitions(n, max_part):
     if n == 0:
-        return [Partition()]
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first):
-            out.append(Partition((first,) + rest.parts))
-    return out
+        return (Partition(),)
+    return tuple(Partition((first,) + rest.parts)
+                 for first in range(max_part, 0, -1)
+                 for rest in _partitions(n - first, min(n - first, first)))
 
 
 def parse_intlist(text):

@@ -11,12 +11,11 @@ column's moves by _column_moves (x, dual) or _hl_moves: its state is the
 current column's chains, each with a map from partial composition to a
 packed (q, t) polynomial, and each step multiplies in one column weight,
 which reads only that column and the one before it.  A structure pass first
-finds the live transitions and bounds the l1 norm and t-degree of every
-partial sum, which fixes the packing width, and gives each composition's
-value at q = t = 1 for the caller to check.  A cell factor (_phi_eval) is
-read off phi's term tuples ((z-degree, t-degree), c) of Phi by exponent
-arithmetic: no SequencePair, ExactPolynomial or public Phi function is on
-the cell path.  The formulas stay independent,
+finds the live transitions and bounds the summed l1 norm and the t-degree of
+each chain tuple's partial sums, which fixes the packing.  A cell factor
+(_phi_eval) is read off phi's term tuples ((z-degree, t-degree), c) of Phi by
+exponent arithmetic: no SequencePair, ExactPolynomial or public Phi function
+is on the cell path.  The formulas stay independent,
 each with its own exponent and factors (they share only the sweep driver;
 x and dual also share the cached Phi evaluation and the split of a column
 exponent into a part of the column's own chains and a dot product with the
@@ -25,9 +24,9 @@ each is right; the packed kernel (packed) is shared with the Phi routes,
 not with the oracle."""
 
 from functools import partial
-from itertools import permutations, product as iproduct
+from itertools import groupby, permutations, product as iproduct
 from math import comb, factorial, prod
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .combinat import (Partition, _at, _chains, conjugate, inversion_number,
                        multiplicity)
@@ -36,7 +35,7 @@ from .errors import (ConsistencyError, InfeasibleMultiplicities,
 from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, T,
                        poly_divexact, sym, ZERO)
 from .memo import memoized
-from .packed import _binom_list, _pack_qt, _unpack_qt, _width
+from .packed import _at_one, _binom_list, _pack_qt, _unpack_qt, _width
 from .phi import _at_one_terms, _phi_terms, _prime_terms
 from .qseries import fusion_normalizer, gauss_binomial, pochhammer
 
@@ -533,14 +532,15 @@ def partition_function_coeffs(lam, N, formula="x"):
     the column's power of t (dual: q) and its cell factors (Hall-Littlewood:
     Gaussian binomials) and adds column i's increments to the composition.
     A structure pass finds the live transitions (no zero factor) and
-    carries, as plain ints, the l1 norm and the value at q = t = 1 of every
-    partial sum and a bound on the t-degree per chain tuple; each column's
-    exponent is shifted by its least value, and the total shift is put back
-    when decoding.  The value of each composition at q = t = 1 must be the
+    carries two ints per chain tuple, the summed l1 norm of its partial
+    sums and a bound on their t-degree; W comes from the final total, of
+    which every composition's norm is a summand.  Each column's exponent is
+    shifted by its least value, and the total shift is put back when
+    decoding.  The numeric pass replays the moves on packed weights.  Each
+    composition's value at q = t = 1 (packed._at_one) must be the
     multinomial n! / prod comp_i!, since H(x; 1, 1) = (x_1 + ... + x_N)^n,
     and for Hall-Littlewood the values must sum to h_lambda(1^N), since
-    H(x; 0, 1) = h_lambda(x); otherwise ConsistencyError.  The numeric pass
-    then replays the structure pass's moves on the packed weights.
+    H(x; 0, 1) = h_lambda(x); otherwise ConsistencyError, before decoding.
 
     Sums resolved by composition are checked for permutation invariance
     before collapsing onto partitions, on the packed values (two values
@@ -645,72 +645,76 @@ def _column_sweep(shape, N, dual, column_moves):
     partial composition c is keyed by the int sum_k c_k B^k, B = |shape| + 1
     > every c_k, so that adding a column's increments is one addition; the
     last column adds every path into the one state ().  Returns the packed
-    sums and their values at q = t = 1 by key, each key's composition
-    (c_1, ..., c_N), and the decoder.
+    sums and their values at q = t = 1 (packed._at_one) by key, each key's
+    composition (c_1, ..., c_N), and the decoder.
     """
     B = sum(shape) + 1
     powers = [B ** k for k in range(N)]
-    start = {(): {0: 1}}
-    # structure pass: each move is added, as it is generated, into the l1
-    # norms and values at q = t = 1 of its chain tuple's partial sums and
-    # their t-degree bound, and kept as one record (below, cur, increment,
-    # exponent, cells) for the numeric pass
+    # structure pass: per chain tuple, the summed l1 norm of its partial
+    # sums and a bound on their t-degree; each move is added as it comes and
+    # kept as one record (below, cur, increment, exponent, cells)
     columns = []
-    norms, at_one, tdeg = start, start, {(): 0}
+    tot, tdeg = {(): 1}, {(): 0}
     shift = 0
     # keyed by id: the cells are cached tuples, which the records keep alive
     # for the whole sweep
-    cell_bounds = {}  # id -> (l1 norm, value at q = t = 1, t-degree)
+    cell_bounds = {}  # id -> (l1 norm, t-degree)
     for i in range(len(shape), 0, -1):
         incs = {}
-        records, sums, ones, degs = [], {}, {}, {}
-        for below, cur, expo, cells in column_moves(i, norms):
+        records, sums, degs = [], {}, {}
+        for below, cur, expo, cells in column_moves(i, tot):
             if cur not in incs:
                 incs[cur] = sum((b - a) * p for chain in cur for p, a, b
                                 in zip(powers, (0,) + chain, chain))
             inc, cur = incs[cur], cur if i > 1 else ()
             # t-degrees are unshifted until the least exponent is known,
             # and chi can be negative, so no bound starts from 0
-            l1, one, deg = 1, 1, tdeg[below] + (0 if dual else expo)
+            l1, deg = tot[below], tdeg[below] + (0 if dual else expo)
             for cell in cells:
                 if id(cell) not in cell_bounds:
                     if any(q < 0 or t < 0 for (q, t), _ in cell):
                         raise ConsistencyError(
                             "negative exponent in a cell factor: %r"
                             % (cell,))
-                    cell_bounds[id(cell)] = (
-                        sum(abs(c) for _, c in cell),
-                        sum(c for _, c in cell),
-                        max(t for (_, t), _ in cell))
-                norm, value, top = cell_bounds[id(cell)]
-                l1, one, deg = l1 * norm, one * value, deg + top
-            _add_move(sums, cur, norms[below], inc, l1)
-            _add_move(ones, cur, at_one[below], inc, one)
+                    cell_bounds[id(cell)] = (sum(abs(c) for _, c in cell),
+                                             max(t for (_, t), _ in cell))
+                norm, top = cell_bounds[id(cell)]
+                l1, deg = l1 * norm, deg + top
+            sums[cur] = sums.get(cur, 0) + l1
             degs[cur] = max(degs.get(cur, deg), deg)
             records.append((below, cur, inc, expo, cells))
         low = min((record[3] for record in records), default=0)
         shift += low
-        norms, at_one = sums, ones
+        tot = sums
         tdeg = degs if dual else {cur: d - low for cur, d in degs.items()}
         columns.append((records, low))
-    # numeric pass
-    W = _width(max(norms.get((), {}).values(), default=0))
+    # numeric pass: each composition's l1 norm is a summand of tot[()]
+    W = _width(tot.get((), 0))
     T = max(tdeg.values(), default=0) + 1
     base = W * T if dual else W
     packed = {}
-    values = start
+    values = {(): {0: 1}}
     for records, low in columns:
         sums = {}
-        for below, cur, inc, expo, cells in records:
-            w = 1
-            for cell in cells:
-                if id(cell) not in packed:
-                    packed[id(cell)] = _pack_qt(cell, W, T)
-                w *= packed[id(cell)]
-            _add_move(sums, cur, values[below], inc, w << base * (expo - low))
+        # a run of moves from one below state into one cur (in the last
+        # column, all of that state's moves) is summed per increment before
+        # it meets the state's partials; one partial has nothing to share
+        for (below, cur), moves in groupby(records, itemgetter(0, 1)):
+            partials, group = values[below], {}
+            for _, _, inc, expo, cells in moves:
+                w = 1
+                for cell in cells:
+                    if id(cell) not in packed:
+                        packed[id(cell)] = _pack_qt(cell, W, T)
+                    w *= packed[id(cell)]
+                group[inc] = group.get(inc, 0) + (w << base * (expo - low))
+                if len(partials) == 1:
+                    _add_move(sums, cur, partials, inc, group.pop(inc))
+            for inc, w in group.items():
+                _add_move(sums, cur, partials, inc, w)
         values = sums
     values = values.get((), {})
-    return values, at_one.get((), {}), \
+    return values, {key: _at_one(v, W) for key, v in values.items()}, \
         {key: tuple(key // p % B for p in powers) for key in values}, \
         lambda v: _unpack_qt(v, W, T, *((shift, 0) if dual else (0, shift)))
 

@@ -95,6 +95,16 @@ def _pack_qt(terms, W, T):
     return sum(c << W * (q * T + t) for (q, t), c in terms)
 
 
+def _at_one(value, W):
+    """The value at q = t = 1 of the polynomial P packed at width W (any T),
+    if ||P|| < 2^(W-1): t = 2^W and q = 2^(W T) are both 1 mod 2^W - 1, so
+    P(1, 1) is the residue of value, and |P(1, 1)| <= ||P|| makes the
+    balanced residue unique."""
+    m = (1 << W) - 1
+    r = value % m
+    return r - m if r > m >> 1 else r
+
+
 def _unpack_qt(value, W, T, qshift=0, tshift=0):
     """Inverse of _pack_qt, times q^qshift t^tshift."""
     return _pruned(("q", "t"), {

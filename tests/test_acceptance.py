@@ -1,5 +1,5 @@
-"""Acceptance sweep: fifteen end-to-end criteria, one test (and one printed
-pass/fail line) each.  All comparisons are exact."""
+"""Acceptance sweep: end-to-end criteria 1-15, 17 and 18, one test (and one
+printed pass/fail line) each.  All comparisons are exact."""
 
 import itertools
 import time
@@ -196,23 +196,27 @@ def test_criterion_11_cauchy_identities():
     _report(11, 2.0, t0)
 
 
+def _check_kostka(w):
+    zeros = {"q": P(0), "t": P(0)}
+    for lam in partitions_of(w):
+        table = kostka_qt(lam)
+        for nu, poly in table.items():
+            # Positivity is asserted inside the extraction as well; the
+            # explicit check keeps each criterion self-contained.
+            assert poly.is_nonnegative()
+            val = poly.substitute(zeros)
+            assert val.is_zero() or val == P(1)
+            if not val.is_zero() and nu != lam:
+                # Off-diagonal survivors would break triangularity.
+                raise AssertionError(
+                    "unexpected entry at %r for %r" % (nu, lam))
+        assert table[lam].substitute(zeros) == P(1)
+
+
 def test_criterion_12_kostka_positivity_and_triangularity():
     t0 = time.time()
-    zeros = {"q": P(0), "t": P(0)}
     for w in range(1, 7):
-        for lam in partitions_of(w):
-            table = kostka_qt(lam)
-            for nu, poly in table.items():
-                # Positivity is asserted inside the extraction as well; the
-                # explicit check keeps this criterion self-contained.
-                assert poly.is_nonnegative()
-                val = poly.substitute(zeros)
-                assert val.is_zero() or val == P(1)
-                if not val.is_zero() and nu != lam:
-                    # Off-diagonal survivors would break triangularity.
-                    raise AssertionError(
-                        "unexpected entry at %r for %r" % (nu, lam))
-            assert table[lam].substitute(zeros) == P(1)
+        _check_kostka(w)
     _report(12, 0.7, t0)
 
 
@@ -254,3 +258,23 @@ def test_criterion_15_weight_8_routes_and_hall_littlewood_collapse():
         at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
         assert at0 == modified_HL(lam, N), lam
     _report(15, 40, t0)
+
+
+# Criterion 16 is kept for the lattice routes at weight 9.
+
+
+def test_criterion_17_oracle_positivity_at_weight_10():
+    t0 = time.time()
+    count = 0
+    for lam in partitions_of(10):
+        table = modified_H(lam, N=10, route="oracle").coeffs
+        assert all(poly.is_nonnegative() for poly in table.values()), lam
+        count += 1
+    assert count == 42
+    _report(17, 26, t0)
+
+
+def test_criterion_18_kostka_positivity_at_weight_9():
+    t0 = time.time()
+    _check_kostka(9)
+    _report(18, 9.5, t0)

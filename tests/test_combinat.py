@@ -68,6 +68,11 @@ def test_partition_counting():
     ps = partitions_of(4)
     assert ps[0] == Partition((4,))
     assert ps[-1] == Partition((1, 1, 1, 1))
+    # A part bound keeps the order and drops the wider shapes.
+    assert partitions_of(6, 2) == tuple(p for p in partitions_of(6)
+                                        if p.part(1) <= 2)
+    assert partitions_of(0, 0) == (Partition(),)
+    assert partitions_of(3, 0) == ()
 
 
 def test_partition_container_protocol():

@@ -437,8 +437,8 @@ def test_packed_hl_matches_exact_flag_loop(case):
 
 def test_sweep_checks_the_multinomials(monkeypatch):
     # Every composition's value at q = t = 1 is a multinomial; one cell
-    # factor with a coefficient raised by 1 breaks that, and the structure
-    # pass refuses before anything is decoded.
+    # factor with a coefficient raised by 1 breaks that, and the sweep
+    # refuses before anything is decoded.
     lam = Partition((2, 1))
     clear_caches()
     try:
@@ -465,7 +465,7 @@ def test_collapse_checks_permutation_invariance():
 def test_hl_sweep_checks_h_lambda_at_one(monkeypatch):
     # H(x; 0, 1) = h_lambda, so the Hall-Littlewood values at t = 1 sum to
     # h_lambda(1^N); one Gaussian binomial with a coefficient raised by 1
-    # breaks that, and the structure pass's values refuse it.
+    # breaks that, and the sweep refuses it before anything is decoded.
     lam = Partition((2, 1))
     clear_caches()
     try:

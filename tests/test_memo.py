@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from modmacd import memo, modmac, packed
+from modmacd import combinat, memo, modmac, packed
 from modmacd.combinat import Partition, SequencePair
 from modmacd.lattice import partition_function_coeffs
 from modmacd.modmac import kostka_qt
@@ -69,6 +69,16 @@ def test_clear_caches_empties_the_packed_binomial_cache():
     assert packed._GAUSS_AT_CACHE
     memo.clear_caches()
     assert not packed._GAUSS_AT_CACHE
+
+
+def test_clear_caches_empties_the_partitions_cache():
+    # partitions_of hands every caller the same cached tuple, keyed by the
+    # weight and the part bound clipped to it.
+    memo.clear_caches()
+    assert combinat.partitions_of(5, 9) is combinat.partitions_of(5)
+    assert combinat._PARTITIONS_CACHE
+    memo.clear_caches()
+    assert not combinat._PARTITIONS_CACHE
 
 
 def test_clear_caches_empties_the_cauchy_caches():

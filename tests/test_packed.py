@@ -6,8 +6,8 @@ from collections import Counter
 from hypothesis import example, given, settings, strategies as st
 
 from modmacd.exactalg import ExactPolynomial, ZERO
-from modmacd.packed import (_Bound, _qt_terms, _unpack_qt, _width, QTBounds,
-                            QTPacking)
+from modmacd.packed import (_at_one, _Bound, _pack_qt, _qt_terms, _unpack_qt,
+                            _width, QTBounds, QTPacking)
 from modmacd.qseries import factor_product
 
 _POLY = st.dictionaries(
@@ -79,6 +79,24 @@ def test_pack_and_unpack_round_trip(terms):
     bound = QTBounds.pack(terms)
     qt = QTPacking(_width(bound.l1), bound.tdeg + 1)
     assert _unpack_qt(qt.pack(terms), qt.W, qt.T) == _poly(terms)
+
+
+@given(_POLY, st.integers(0, 4), st.integers(0, 3))
+# l1 norm exactly 2^(W-1) - 1 at the least W, of either sign
+@example({(1, 2): 300, (0, 0): 211}, 0, 0)
+@example({(1, 2): -300, (0, 0): -211}, 0, 0)
+# a negative sum, and a value that cancels to 0 at q = t = 1
+@example({(2, 1): -40, (0, 3): 7}, 0, 0)
+@example({(0, 0): 5, (1, 1): -5}, 2, 1)
+@settings(max_examples=150, deadline=None)
+def test_value_at_one_is_the_balanced_residue(terms, wider, taller):
+    # The lattice sweep reads each composition's value at q = t = 1 off its
+    # packed int: at any W with l1 < 2^(W-1) and any T above the t-degree
+    # it is the substituted polynomial's value.
+    W = _width(sum(map(abs, terms.values()))) + wider
+    T = max((t for _, t in terms), default=0) + 1 + taller
+    expect = _poly(terms).substitute({"q": 1, "t": 1}).constant_value()
+    assert _at_one(_pack_qt(terms.items(), W, T), W) == expect
 
 
 def test_bounds_follow_the_packed_binomials_and_factors():
