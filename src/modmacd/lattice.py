@@ -32,7 +32,7 @@ from .combinat import (Partition, _at, _chains, conjugate, inversion_number,
                        multiplicity)
 from .errors import (ConsistencyError, InfeasibleMultiplicities,
                      InsufficientVariables, TopMismatch)
-from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, T,
+from .exactalg import (ExactPolynomial, ONE, RationalFunction, T,
                        poly_divexact, sym, ZERO)
 from .memo import memoized
 from .packed import _at_one, _binom_list, _pack_qt, _unpack_qt, _width
@@ -144,21 +144,6 @@ def weight_fused_z(f, z="z"):
     if expo >= 0:
         return T ** expo * term
     return ExactPolynomial.monomial({"t": expo}) * term
-
-
-def weight_hl_factorization_check(f, x="x"):
-    """Fused weight at z=0 vs prefactor times product of rank-one weights."""
-    lhs = weight_fused(f, x=x, z=P(0))
-    n = len(f.sigma)
-    expo = 0
-    for l in range(n):
-        for j in range(l + 1, n):
-            expo += f.sigmatilde[l] * (f.rhotilde[j] + f.sigmatilde[j])
-    rhs = T ** expo
-    for j in range(n):
-        rhs = rhs * weight_hl(f.sigma[j], f.sigmatilde[j],
-                              f.rho[j], f.rhotilde[j], x=x)
-    return lhs == rhs
 
 
 def fundamental_L(j, i, I, K, x="x"):

@@ -6,20 +6,17 @@ seq[k-1], with nu^0 = 0.  All returned polynomials live in the symbols
 """
 
 from itertools import accumulate, product as iproduct
-from math import comb, prod
+from math import prod
 from operator import mul, sub
 
 from .combinat import SequencePair, _at
 from .errors import (IndexOutOfRange, NegativeDifference, NegativeInput,
                      TruncationResidual)
-from .exactalg import ONE, ZERO, _pruned, sym
+from .exactalg import _pruned
 from .memo import memoized
 # _BINOM_LIST_CACHE stays readable as phi._BINOM_LIST_CACHE
 from .packed import (_BINOM_LIST_CACHE, _comb, _digits,  # noqa: F401
                      _gauss_at, _width)
-from .qseries import gauss_binomial, pochhammer
-
-Z = sym("z")
 
 
 def _degree_bound(sp):
@@ -29,10 +26,12 @@ def _degree_bound(sp):
 
 # The z^d (or v^d) coefficients of a polynomial in (z, t) or (v, t) are
 # packed at t = 2^W (see packed) as a list indexed by d; W bounds the l1
-# norms of the inputs, in phi_series and in _packed_rows, the kernel of the
-# other term-sum routes.  Decoded, a polynomial is a tuple of terms
-# ((z-degree, t-degree), coefficient), the form _PHI_CACHE holds and the
-# lattice cells read; _poly wraps it for the public functions.
+# norms of the inputs, in phi_series (the largest series coefficient times
+# the 2^(top+1) of its prefactor) and in _packed_rows, the kernel of the
+# other term-sum routes.  _decode reads the rows into the polynomial that the
+# public routes return.  The cached form is a tuple of terms
+# ((z-degree, t-degree), coefficient), which _PHI_CACHE holds and the
+# lattice cells read; _unpack makes it and _poly wraps it.
 
 def _pochhammer_at(exponents, W):
     """prod over e of (1 - z t^e) at t = 2^W, as a list indexed by z-degree."""
@@ -47,6 +46,13 @@ def _unpack(rows, W):
     ((d, i), c) of sum_d z^d f_d(t), in increasing z-degree."""
     return tuple(((d, i), c) for d, value in enumerate(rows)
                  for i, c in _digits(value, W))
+
+
+def _decode(rows, W, name="z"):
+    """The polynomial in (name, t) with rows[d] = its name^d coefficient at
+    t = 2^W."""
+    return _pruned(("t", name), {(i, d): c for d, value in enumerate(rows)
+                                 for i, c in _digits(value, W)})
 
 
 def _poly(terms, name="z"):
@@ -96,9 +102,12 @@ def phi_series(sp):
     Pochhammer prefactor and asserts that every coefficient above the proven
     degree bound (and inside the trusted window) vanishes.
 
-    The z^s coefficients of the series and of the prefactor are packed at
-    t = 2^W; W bounds every z^d coefficient of the product, so the check
-    above the degree bound is exact.
+    The z^s coefficients of the series are packed at t = 2^W, and the
+    prefactor (z; t)_{top+1} = prod_{e <= top} (1 - z t^e) is applied as
+    top + 1 passes of a shift and a subtraction.  Each z^d coefficient of
+    the product is a signed sum of at most 2^(top+1) shifted series
+    coefficients, so W = _width(max_s ||series_s|| << (top + 1)) decodes it
+    and the check above the degree bound is exact.
     """
     nu, nut = (0,) + sp.nu, (0,) + sp.nutilde
     bound = _degree_bound(sp)
@@ -106,24 +115,19 @@ def phi_series(sp):
     D = bound + top + 2
     pairs = [[(nut[k + 1] - nu[k] + s, nut[k] - nu[k] + s)
               for k in range(sp.N)] for s in range(D + 1)]
-    norms = [prod(_comb(a, b) for a, b in row) for row in pairs]
-    l1 = max(sum(comb(top + 1, k) * norms[d - k]
-                 for k in range(min(d, top + 1) + 1)) for d in range(D + 1))
-    W = _width(l1)
-    series = [prod(_gauss_at(a, b, W) for a, b in row) for row in pairs]
-    # (z; t)_{top+1} = sum_k (-1)^k t^{k(k-1)/2} [top+1 choose k] z^k.
-    poch = [(-1) ** k * (_gauss_at(top + 1, k, W) << W * (k * (k - 1) // 2))
-            for k in range(top + 2)]
-    rows = []
-    for d in range(D + 1):
-        acc = sum(poch[k] * series[d - k] for k in range(min(d, top + 1) + 1))
-        if d <= bound:
-            rows.append(acc)
-        elif acc:
+    W = _width(max(prod(_comb(a, b) for a, b in row) for row in pairs)
+               << (top + 1))
+    rows = [prod(_gauss_at(a, b, W) for a, b in row) for row in pairs]
+    for e in range(top + 1):
+        shift = W * e
+        for d in range(D, 0, -1):
+            rows[d] -= rows[d - 1] << shift
+    for d in range(bound + 1, D + 1):
+        if rows[d]:
             raise TruncationResidual(
                 "nonzero z^%d coefficient above degree bound %d for %r"
                 % (d, bound, sp))
-    return _poly(_unpack(rows, W))
+    return _decode(rows[:bound + 1], W)
 
 
 def phi_finite(sp):
@@ -153,7 +157,7 @@ def phi_finite(sp):
                               nut[j] - nu[j] + partial))
             yield sum(lam), tdeg, pairs, exponents
 
-    return _poly(_unpack(*_packed_rows(terms())))
+    return _decode(*_packed_rows(terms()))
 
 
 def _positive_terms(nu, nut):
@@ -169,7 +173,9 @@ def _positive_terms(nu, nut):
     stops once bot < 0, and only the nxt with
     sum(nxt) <= nutilde^{k+1} - bot, which is top >= bot, are tried.  In
     the last column nxt = sigma, so top = nutilde^N - nu^{N-1} is fixed and
-    S_k^k runs over the closed range where 0 <= bot <= top.
+    S_k^k runs over the closed range where 0 <= bot <= top; that range is
+    empty when sum(head) < nutilde^{N-1} - top - sigma_{N-1}, so one column
+    before the last only the nxt with at least that sum are tried.
     """
     if min(map(sub, nut, nu)) < 0:
         raise NegativeDifference(
@@ -199,6 +205,7 @@ def _positive_terms(nu, nut):
                             + tuple(zip(sigma, col)), ()))
             return
         gap = nut[k + 1] - nut[k]
+        floor = nut[N - 1] - last_top - sigma[N - 2] if k + 2 == N else 0
         for new in range(min(sigma[k - 1], cap) + 1):
             col = head + (new,)
             bot = cap - new
@@ -209,7 +216,7 @@ def _positive_terms(nu, nut):
             for nxt in iproduct(*[range(c, min(s, c + gap) + 1)
                                   for c, s in zip(col, sigma)]):
                 nsum = sum(nxt)
-                if nsum <= limit:
+                if floor <= nsum <= limit:
                     column(k + 1, nxt, nsum, zdeg + sigma[k - 1] - new,
                            base + sum(map(mul, nxt, rest)),
                            pairs + ((nut[k + 1] - nsum, bot),)
@@ -221,7 +228,7 @@ def _positive_terms(nu, nut):
 
 def phi_positive(sp):
     """Manifestly positive evaluation of Phi (requires nu <= nutilde)."""
-    return _poly(_unpack(*_packed_rows(_positive_terms(sp.nu, sp.nutilde))))
+    return _decode(*_packed_rows(_positive_terms(sp.nu, sp.nutilde)))
 
 
 def _rotated(nu, nut, k):
@@ -285,37 +292,6 @@ def phi_prime(sp):
     return _poly(_prime_terms(sp.nu, sp.nutilde))
 
 
-def phi_prime_series(sp):
-    """Direct truncated series for Phi' (test oracle for phi_prime)."""
-    N = sp.N
-    nu, nut = sp.nu, sp.nutilde
-    bound = nu[-1]
-    D = bound + nut[-1] + 2
-    acc = ZERO
-    for s in range(D + 1):
-        coef = ONE
-        for k in range(1, N + 1):
-            coef = coef * gauss_binomial(
-                _at(nut, k) - _at(nu, k) + s,
-                _at(nut, k - 1) - _at(nu, k) + s)
-            if coef.is_zero():
-                break
-        if not coef.is_zero():
-            acc = acc + Z ** s * coef
-    acc = acc * pochhammer(Z, "t", nut[-1] + 1)
-    out = ZERO
-    for d in range(D + 1):
-        c = acc.coefficient({"z": d})
-        if c.is_zero():
-            continue
-        if d > bound:
-            raise TruncationResidual(
-                "nonzero z^%d coefficient above bound %d for Phi' of %r"
-                % (d, bound, sp))
-        out = out + Z ** d * c
-    return out
-
-
 _AT_ONE_CACHE = {}
 
 
@@ -348,9 +324,9 @@ def g_poly(m, a, b, form="sum"):
         raise NegativeInput("a and b must have equal length")
     if form == "sum":
         # sum_k v^k (v; t)_{m-k} [m, k] prod_i [k + a_i, b_i]
-        return _poly(_unpack(*_packed_rows(
+        return _decode(*_packed_rows(
             [(k, 0, [(m, k)] + [(k + ai, bi) for ai, bi in zip(a, b)],
-              range(m - k)) for k in range(m + 1)])), "v")
+              range(m - k)) for k in range(m + 1)]), "v")
     if form != "positive":
         raise ValueError("form must be 'sum' or 'positive'")
     n = len(a)
@@ -367,4 +343,4 @@ def g_poly(m, a, b, form="sum"):
                                   acc_v + prev - p,
                                   acc_t + (prev - p) * (c[i - 1] - p))
 
-    return _poly(_unpack(*_packed_rows(leaves(1, m, [], 0, 0))), "v")
+    return _decode(*_packed_rows(leaves(1, m, [], 0, 0)), "v")

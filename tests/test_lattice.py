@@ -25,11 +25,13 @@ from modmacd.lattice import (FaceState, _PHI_EVAL_CACHE, _phi_eval,
                              fused_vertex_bruteforce,
                              partition_function_coeffs, r_matrix, rll_check,
                              weight_fused, weight_fused_x, weight_fused_z,
-                             weight_hl, weight_hl_factorization_check)
+                             weight_hl)
 from modmacd.memo import clear_caches
 from modmacd.packed import _pack_qt, _unpack_qt, _width
 from modmacd.phi import phi_at_one, phi_normalized, phi_prime
 from modmacd.qseries import gauss_binomial, pochhammer
+
+from reference import weight_hl_factorization_check
 
 Q = sym("q")
 T = sym("t")

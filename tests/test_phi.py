@@ -5,7 +5,7 @@ from collections import Counter
 from operator import sub
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from modmacd import clear_caches, packed, phi
 from modmacd.combinat import SequencePair
@@ -13,9 +13,10 @@ from modmacd.errors import (MismatchedTops, NegativeDifference, NegativeInput,
                             TruncationResidual)
 from modmacd.exactalg import ExactPolynomial, P, render, sym
 from modmacd.phi import (g_poly, phi_at_one, phi_finite, phi_normalized,
-                         phi_positive, phi_prime, phi_prime_series,
-                         phi_series, rotate)
+                         phi_positive, phi_prime, phi_series, rotate)
 from modmacd.qseries import gauss_binomial
+
+from reference import phi_prime_series
 
 T = sym("t")
 Z = sym("z")
@@ -202,16 +203,35 @@ def test_gauss_at_keeps_each_width_apart(widths):
         assert P(packed._gauss_at(6, 3, W)) == expect
 
 
-@given(st.lists(st.lists(st.integers(-2 ** 80, 2 ** 80), max_size=8),
-                max_size=5))
-@settings(max_examples=80, deadline=None)
-def test_unpack_recovers_signed_rows_at_minimal_width(coeffs):
+signed_rows = st.lists(st.lists(st.integers(-2 ** 80, 2 ** 80), max_size=8),
+                       max_size=5)
+
+
+def _packed_at_minimal_width(coeffs):
+    """(rows, W): rows[d] = sum_i coeffs[d][i] 2^(W i) at the least W that
+    decodes every coefficient."""
     W = max((abs(c) for row in coeffs for c in row), default=0) \
         .bit_length() + 1
-    rows = [sum(c << W * i for i, c in enumerate(row)) for row in coeffs]
+    return [sum(c << W * i for i, c in enumerate(row)) for row in coeffs], W
+
+
+@given(signed_rows)
+@settings(max_examples=80, deadline=None)
+def test_unpack_recovers_signed_rows_at_minimal_width(coeffs):
+    rows, W = _packed_at_minimal_width(coeffs)
     expect = ExactPolynomial(("z", "t"), {
         (d, i): c for d, row in enumerate(coeffs) for i, c in enumerate(row)})
     assert phi._poly(phi._unpack(rows, W)) == expect
+
+
+@pytest.mark.parametrize("name", ["z", "v"])
+@given(signed_rows)
+@settings(max_examples=80, deadline=None)
+def test_decode_is_unpack_then_poly(name, coeffs):
+    # The routes decode straight into a polynomial; the cached term tuples
+    # go through _unpack.  Both must read the same digits.
+    rows, W = _packed_at_minimal_width(coeffs)
+    assert phi._decode(rows, W, name) == phi._poly(phi._unpack(rows, W), name)
 
 
 @given(st.lists(st.tuples(
@@ -337,6 +357,26 @@ def test_positive_terms_match_the_generator_reference(pair):
     nu, nut = pair
     assert _term_counter(phi._positive_terms(nu, nut)) \
         == _term_counter(_ref_positive_terms(nu, nut))
+
+
+@given(dominated_sequence_pairs(), st.integers(0, 5), st.integers(0, 4))
+@example(((1, 3, 4, 5), (2, 3, 5, 5)), 2, 0)
+@settings(max_examples=60, deadline=None)
+def test_series_truncation_check_follows_the_degree_bound(pair, below, above):
+    # Below the true z-degree d the series route must see a nonzero
+    # coefficient in its window and refuse; at or above it, the window is
+    # clean and the decoded rows are Phi.
+    sp = SequencePair(*pair)
+    expect = phi_positive(sp)
+    d = expect.degree("z")
+    assume(d >= 1)
+    low, high = below % d, d + above
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phi, "_degree_bound", lambda _: low)
+        with pytest.raises(TruncationResidual):
+            phi_series(sp)
+        mp.setattr(phi, "_degree_bound", lambda _: high)
+        assert phi_series(sp) == expect
 
 
 def test_positive_terms_reject_an_undominated_pair():
