@@ -35,7 +35,8 @@ class NegativeLambdaZero(UsageError):
 
 
 class MismatchedTops(UsageError):
-    """Sequence pair whose last entries differ."""
+    """Sequence pair whose last entries differ, or column data whose tops
+    disagree with the partition multiplicities."""
 
 
 class TruncationResidual(ConsistencyError):
@@ -58,16 +59,9 @@ class InfeasibleMultiplicities(UsageError):
     """Fusion multiplicities that no word of the given length realizes."""
 
 
-class TopMismatch(UsageError):
-    """Column data whose tops disagree with the partition multiplicities."""
-
-
-class InsufficientVariables(UsageError):
-    """Too few lattice rows for the requested partition."""
-
-
 class TooFewVariables(UsageError):
-    """Too few variables for a faithful symmetric-function expansion."""
+    """Too few variables (or lattice rows) for a faithful expansion of the
+    requested partition."""
 
 
 class NonPolynomialCoefficient(ConsistencyError):

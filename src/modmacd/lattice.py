@@ -13,15 +13,15 @@ packed (q, t) polynomial, and each step multiplies in one column weight,
 which reads only that column and the one before it.  A structure pass first
 finds the live transitions and bounds the summed l1 norm and the t-degree of
 each chain tuple's partial sums, which fixes the packing.  A cell factor
-(_phi_eval) is read off phi's term tuples ((z-degree, t-degree), c) of Phi by
-exponent arithmetic: no SequencePair, ExactPolynomial or public Phi function
-is on the cell path.  The formulas stay independent,
+(_phi_eval) is read off phi's packed rows of Phi (one t-digit per term
+z^d t^i c) by exponent arithmetic: no SequencePair, ExactPolynomial or
+public Phi function is on the cell path.  The formulas stay independent,
 each with its own exponent and factors (they share only the sweep driver;
 x and dual also share the cached Phi evaluation and the split of a column
 exponent into a part of the column's own chains and a dot product with the
 next column's, _chi_split), because their agreement is the evidence that
-each is right; the packed kernel (packed) is shared with the Phi routes,
-not with the oracle."""
+each is right; the oracle shares none of their code but packed's digit
+width and decoder."""
 
 from functools import partial
 from itertools import groupby, permutations, product as iproduct
@@ -31,12 +31,13 @@ from operator import add, itemgetter, mul, sub
 from .combinat import (Partition, _at, _chains, conjugate, inversion_number,
                        multiplicity)
 from .errors import (ConsistencyError, InfeasibleMultiplicities,
-                     InsufficientVariables, TopMismatch)
+                     MismatchedTops, TooFewVariables)
 from .exactalg import (ExactPolynomial, ONE, RationalFunction, T,
                        poly_divexact, sym, ZERO)
 from .memo import memoized
-from .packed import _at_one, _binom_list, _pack_qt, _unpack_qt, _width
-from .phi import _at_one_terms, _phi_terms, _prime_terms
+from .packed import (_at_one, _binom_list, _digits, _pack_qt, _unpack_qt,
+                     _width)
+from .phi import _at_one_rows, _phi_rows, _rot_once
 from .qseries import fusion_normalizer, gauss_binomial, pochhammer
 
 
@@ -352,23 +353,26 @@ def _phi_eval(nu, nut, qexp, texp, dual):
     """Phi (or Phi') at the monomial argument, as a tuple of
     ((q exponent, t exponent), coefficient).
 
-    The terms ((z-degree, t-degree), c) of Phi come from phi's term cache,
-    and each is mapped by exponent arithmetic: z -> q^qexp t^texp for Phi,
-    and for Phi' (Phi of the rotated nu, shifted by z^{nu^1}) z -> t^qexp
-    q^texp and t -> q.  At argument 1 (qexp == texp == 0, the diagonal
-    cell) the value depends on nutilde only and is the closed product of
-    phi_at_one, in base q when dual.
+    The z^d coefficient of Phi is read off phi's cached packed rows (the
+    t-digits of rows[d]), and each term z^d t^i c is mapped by exponent
+    arithmetic: z -> q^qexp t^texp for Phi, and for Phi' (Phi of the
+    rotated nu, shifted by z^{nu^1}) z -> t^qexp q^texp and t -> q.  At
+    argument 1 (qexp == texp == 0, the diagonal cell) the value depends on
+    nutilde only and is the closed product of phi_at_one, in base q when
+    dual.
     """
     if qexp == texp == 0:
-        terms, zq, zt = _at_one_terms(nut), 0, 0
+        (rows, W), first, zq, zt = _at_one_rows(nut), 0, 0, 0
     elif dual:
-        terms, zq, zt = _prime_terms(nu, nut), texp, qexp
+        (rows, W), first, zq, zt = (_phi_rows(_rot_once(nu), nut), nu[0],
+                                    texp, qexp)
     else:
-        terms, zq, zt = _phi_terms(nu, nut), qexp, texp
+        (rows, W), first, zq, zt = _phi_rows(nu, nut), 0, qexp, texp
     out = {}
-    for (z, t), c in terms:
-        key = (z * zq + t, z * zt) if dual else (z * zq, z * zt + t)
-        out[key] = out.get(key, 0) + c
+    for z, value in enumerate(rows, first):
+        for t, c in _digits(value, W):
+            key = (z * zq + t, z * zt) if dual else (z * zq, z * zt + t)
+            out[key] = out.get(key, 0) + c
     return tuple((key, c) for key, c in out.items() if c)
 
 
@@ -458,7 +462,7 @@ def column_weight(i, lam, pairs, variant="x"):
         nu, nut = pairs
         N = len(nu)
         if nut[-1] != conj.part(i) or nu[-1] != conj.part(i + 1):
-            raise TopMismatch(
+            raise MismatchedTops(
                 "column tops must be the conjugate parts at i, i+1")
         expo, binoms = _hl_column(nu, nut)
         out = T ** expo
@@ -476,7 +480,7 @@ def column_weight(i, lam, pairs, variant="x"):
     for j in js:
         nu, nut = pairs[j]
         if nu[-1] != multiplicity(lam, j) or nut[-1] != multiplicity(lam, j):
-            raise TopMismatch("tops must equal the multiplicity of %d" % j)
+            raise MismatchedTops("tops must equal the multiplicity of %d" % j)
     acc = ExactPolynomial.monomial({"t": chi([pairs])})
     for j in js:
         nu, nut = pairs[j]
@@ -535,7 +539,7 @@ def partition_function_coeffs(lam, N, formula="x"):
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if N < len(lam):
-        raise InsufficientVariables("N must be at least ell(lambda)")
+        raise TooFewVariables("N must be at least ell(lambda)")
     if formula == "hl":
         shape, dual = conjugate(lam), False
         moves = partial(_hl_moves, shape, N)

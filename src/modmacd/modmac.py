@@ -7,13 +7,13 @@ from functools import reduce
 from operator import add, mul, or_
 
 from .combinat import Partition, conjugate, n_stat, partitions_of
-from .errors import (ConsistencyError, InsufficientVariables,
-                     NegativeCoefficient, TooFewVariables, TruncationTooSmall)
-from .exactalg import ExactPolynomial, ONE, P, poly_divexact, Q, T, sym, ZERO
+from .errors import (ConsistencyError, NegativeCoefficient, TooFewVariables,
+                     TruncationTooSmall)
+from .exactalg import ExactPolynomial, ONE, P, Q, T, sym, ZERO
 from .lattice import partition_function_coeffs
 from .memo import memoized
-from .packed import _Bound, _qt_terms, QTBounds, QTPacking
-from .qseries import divide_factors, factor_product, hook_factors, pochhammer
+from .packed import _binom_list, _Bound, _qt_terms, QTBounds, QTPacking
+from .qseries import hook_factors, pochhammer
 from .symoracle import (basis_convert, _expand_monomial, integral_J, _jcoef,
                         modified_H_oracle, monomial_expand, SymmetricExpr,
                         _W_table, W_oracle)
@@ -52,7 +52,7 @@ def modified_H(lam, N=None, route="lattice_x"):
     if N is None:
         N = least
     if N < least:
-        raise InsufficientVariables(
+        raise TooFewVariables(
             "N must be at least max(ell(lambda), ell(lambda')) = %d" % least)
     if route not in ROUTES:
         raise ValueError("route must be one of %s" % (ROUTES,))
@@ -69,7 +69,7 @@ def modified_HL(lam, N):
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if N < len(lam):
-        raise InsufficientVariables("N must be at least ell(lambda)")
+        raise TooFewVariables("N must be at least ell(lambda)")
     return partition_function_coeffs(lam, N, formula="hl")
 
 
@@ -220,24 +220,22 @@ def _factor_numerators(kind, degree):
         b = sym(_BASES[kind])
         return [b ** (m * (m - 1) // 2) for m in range(degree + 1)]
     if kind in ("inv_qt", "neg_qt"):
-        # complete homogeneous / elementary functions of {q^a t^b: a,b >= 0}
-        # from the power sums 1 / ((1 - q^r)(1 - t^r)) by Newton's identity;
-        # E_m / (E_{m-r} (1 - q^r)(1 - t^r)) is a polynomial because r
-        # divides one of m-r+1..m
-        sign = 1 if kind == "inv_qt" else -1
-        E = [_qfactorial("qt", m) for m in range(degree + 1)]
+        # f(u) = prod_{a,b >= 0} 1 / (1 - u q^a t^b) (inv_qt) or
+        # prod (1 + u q^a t^b) (neg_qt) is f(t u) sum_k s_k u^k / (q; q)_k,
+        # s_k = 1 or q^(k(k-1)/2); in the numerators n_m that reads
+        # n_m = sum_{k=1..m} s_k t^(m-k) [m, k]_q (t^(m-k+1); t)_(k-1) n_(m-k)
         out = [ONE]
         for m in range(1, degree + 1):
             acc = ZERO
-            try:
-                for r in range(1, m + 1):
-                    step = divide_factors(factor_product(E[m] - E[m - r]),
-                                          E[r] - E[r - 1])
-                    acc = acc + step * out[m - r] * sign ** (r - 1)
-                out.append(poly_divexact(acc, P(m)))
-            except ValueError:
-                raise ConsistencyError("%s numerator at degree %d does not "
-                                       "divide exactly" % (kind, m)) from None
+            tail = ONE  # (t^(m-k+1); t)_(k-1)
+            for k in range(1, m + 1):
+                s = k * (k - 1) // 2 if kind == "neg_qt" else 0
+                head = ExactPolynomial(("q", "t"), {  # s_k t^(m-k) [m, k]_q
+                    (s + i, m - k): c
+                    for i, c in enumerate(_binom_list(m, k))})
+                acc = acc + head * tail * out[m - k]
+                tail = tail * (ONE - ExactPolynomial.monomial({"t": m - k}))
+            out.append(acc)
         return out
     raise ValueError("unknown factor kind %r" % (kind,))
 

@@ -7,10 +7,10 @@ is zero exactly when its polynomial is.  B comes from the l1 norms of the
 inputs, never from the result: ||[a, b]_t|| = C(a, b), ||1 - z t^e|| = 2,
 ||fg|| <= ||f|| ||g|| and ||f + g|| <= ||f|| + ||g||.  The Phi routes (phi)
 and the lattice sums (lattice) use these helpers; the oracle (symoracle)
-takes only _width, _digits and _qt_terms.  The Gaussian binomials come from
-the Pascal recurrence on integer coefficient lists (_binom_list), with no
-ExactPolynomial arithmetic; qseries.gauss_binomial, the same recurrence on
-ExactPolynomial, is their reference in the tests.
+takes only _width, _digits, _rows_times and _qt_terms.  The Gaussian
+binomials come from the Pascal recurrence on integer coefficient lists
+(_binom_list), with no ExactPolynomial arithmetic; qseries.gauss_binomial,
+the same recurrence on ExactPolynomial, is their reference in the tests.
 
 A polynomial in q and t is held at t = 2^W, q = 2^(W T) (_pack_qt): with
 every t-degree below T, the coefficient of q^a t^b is the balanced digit at
@@ -76,6 +76,16 @@ def _digits(value, W):
         if c:
             yield i, c
         value = (value - c) >> W
+
+
+def _rows_times(rows, factors, W):
+    """rows times prod (1 - x^a t^b) over the (a, b) in factors, rows[i]
+    being the x^i coefficient at t = 2^W: each factor shifts the list by a
+    rows and each row by W b bits, and subtracts."""
+    for a, b in factors:
+        rows = [c - (p << W * b)
+                for c, p in zip(rows + [0] * a, [0] * a + rows)]
+    return rows
 
 
 _QT = ExactPolynomial.monomial({"q": 1, "t": 1})

@@ -5,7 +5,7 @@ seq[k-1], with nu^0 = 0.  All returned polynomials live in the symbols
 (z, t); callers substitute other symbols as needed.
 """
 
-from itertools import accumulate, product as iproduct
+from itertools import accumulate, product as iproduct, repeat
 from math import prod
 from operator import mul, sub
 
@@ -16,7 +16,7 @@ from .exactalg import _pruned
 from .memo import memoized
 # _BINOM_LIST_CACHE stays readable as phi._BINOM_LIST_CACHE
 from .packed import (_BINOM_LIST_CACHE, _comb, _digits,  # noqa: F401
-                     _gauss_at, _width)
+                     _gauss_at, _rows_times, _width)
 
 
 def _degree_bound(sp):
@@ -25,28 +25,13 @@ def _degree_bound(sp):
 
 
 # The z^d (or v^d) coefficients of a polynomial in (z, t) or (v, t) are
-# packed at t = 2^W (see packed) as a list indexed by d; W bounds the l1
+# packed at t = 2^W (see packed) as a sequence indexed by d; W bounds the l1
 # norms of the inputs, in phi_series (the largest series coefficient times
 # the 2^(top+1) of its prefactor) and in _packed_rows, the kernel of the
-# other term-sum routes.  _decode reads the rows into the polynomial that the
-# public routes return.  The cached form is a tuple of terms
-# ((z-degree, t-degree), coefficient), which _PHI_CACHE holds and the
-# lattice cells read; _unpack makes it and _poly wraps it.
-
-def _pochhammer_at(exponents, W):
-    """prod over e of (1 - z t^e) at t = 2^W, as a list indexed by z-degree."""
-    poly = [1]
-    for e in exponents:
-        poly = [c - (p << W * e) for c, p in zip(poly + [0], [0] + poly)]
-    return poly
-
-
-def _unpack(rows, W):
-    """Balanced-digit decode of rows[d] = f_d(2^W) into the terms
-    ((d, i), c) of sum_d z^d f_d(t), in increasing z-degree."""
-    return tuple(((d, i), c) for d, value in enumerate(rows)
-                 for i, c in _digits(value, W))
-
+# other term-sum routes.  That (rows, W) is also the one cached form of Phi
+# (_PHI_CACHE, _AT_ONE_CACHE), a z-shift being zero rows in front; _decode
+# reads it into the polynomial that the public functions return, and the
+# lattice cells read its digits.
 
 def _decode(rows, W, name="z"):
     """The polynomial in (name, t) with rows[d] = its name^d coefficient at
@@ -55,16 +40,12 @@ def _decode(rows, W, name="z"):
                                  for i, c in _digits(value, W)})
 
 
-def _poly(terms, name="z"):
-    """The polynomial in (name, t) of terms ((name-degree, t-degree), c)."""
-    return _pruned(("t", name), {(i, d): c for (d, i), c in terms})
-
-
 def _packed_rows(terms):
     """Sum of terms (d, e, pairs, exponents), each standing for
     z^d t^e prod_{(a, b) in pairs} [a, b]_t prod_{x in exponents}
     (1 - z t^x), packed at the width W of their summed l1 norms: returns
-    (rows, W) with rows[d] the z^d coefficient at t = 2^W."""
+    (rows, W) with rows[d] the z^d coefficient at t = 2^W, rows a tuple,
+    since the caches hand it to every caller."""
     kept = []
     l1 = size = 0
     for term in terms:
@@ -83,16 +64,13 @@ def _packed_rows(terms):
         for a, b in pairs:
             scalar *= _gauss_at(a, b, W)
         if exponents:
-            for i, c in enumerate(_pochhammer_at(exponents, W), d):
+            # each x is the factor 1 - z^1 t^x, (a, b) = (1, x)
+            for i, c in enumerate(
+                    _rows_times([1], zip(repeat(1), exponents), W), d):
                 rows[i] += c * scalar
         else:
             rows[d] += scalar
-    return rows, W
-
-
-def _zshift(terms, s):
-    """z^s times the terms."""
-    return tuple(((d + s, i), c) for (d, i), c in terms)
+    return tuple(rows), W
 
 
 def phi_series(sp):
@@ -258,38 +236,33 @@ _PHI_CACHE = {}
 
 
 @memoized(_PHI_CACHE)
-def _phi_terms(nu, nut):
-    """Phi_{nu|nut} as terms ((z-degree, t-degree), c) for any valid pair:
-    the positive form, after the rotation at the least nutilde - nu when
-    that is negative (a z-shift of the rotated pair's terms)."""
+def _phi_rows(nu, nut):
+    """Phi_{nu|nut} as (rows, W), packed as _packed_rows packs it, for any
+    valid pair: the positive form, after the rotation at the least
+    nutilde - nu when that is negative (a z-shift of the rotated pair's
+    rows)."""
     diffs = list(map(sub, nut, nu))
     low = min(diffs)
     if low >= 0:
-        return _unpack(*_packed_rows(_positive_terms(nu, nut)))
+        return _packed_rows(_positive_terms(nu, nut))
     rnu, rnut, zshift = _rotated(nu, nut, diffs.index(low) + 1)
-    terms = _zshift(_unpack(*_packed_rows(_positive_terms(rnu, rnut))),
-                    zshift)
-    if terms[0][0][0] < 0:
+    if zshift < 0:
         raise TruncationResidual(
             "rotated evaluation left negative z powers for %r | %r"
             % (nu, nut))
-    return terms
+    rows, W = _packed_rows(_positive_terms(rnu, rnut))
+    return (0,) * zshift + rows, W
 
 
 def phi_normalized(sp):
     """Phi as a (z,t)-polynomial for an arbitrary pair, rotating if needed."""
-    return _poly(_phi_terms(sp.nu, sp.nutilde))
-
-
-def _prime_terms(nu, nut):
-    """Phi'_{nu|nut} = z^{nu^1} Phi_{r(nu)|nut} as terms
-    ((z-degree, t-degree), c)."""
-    return _zshift(_phi_terms(_rot_once(nu), nut), nu[0])
+    return _decode(*_phi_rows(sp.nu, sp.nutilde))
 
 
 def phi_prime(sp):
     """Phi'_{nu|nutilde}(z;t) = z^{nu^1} Phi_{r(nu)|nutilde}(z;t)."""
-    return _poly(_prime_terms(sp.nu, sp.nutilde))
+    rows, W = _phi_rows(_rot_once(sp.nu), sp.nutilde)
+    return _decode((0,) * sp.nu[0] + rows, W)
 
 
 _AT_ONE_CACHE = {}
@@ -297,21 +270,17 @@ _AT_ONE_CACHE = {}
 
 @memoized(_AT_ONE_CACHE)
 def _at_one_rows(nut):
-    """The closed product prod_j [nutilde^{j+1}, nutilde^j]_t, which does
-    not read nu, cached as _packed_rows packs it: the x and dual lattice
-    cells keep its terms in their own exponents, and no third copy."""
+    """Phi at z = 1, the closed product prod_j [nutilde^{j+1}, nutilde^j]_t,
+    which does not read nu, cached as _packed_rows packs it: the x and dual
+    lattice cells keep its terms in their own exponents, and no third
+    copy."""
     return _packed_rows(
         [(0, 0, [(nut[j], nut[j - 1]) for j in range(1, len(nut))], ())])
 
 
-def _at_one_terms(nut):
-    """Phi at z = 1 as terms ((0, t-degree), c): the closed product."""
-    return _unpack(*_at_one_rows(nut))
-
-
 def phi_at_one(sp):
     """Phi at z = 1 via the closed product over binomials of nutilde."""
-    return _poly(_at_one_terms(sp.nutilde))
+    return _decode(*_at_one_rows(sp.nutilde))
 
 
 def g_poly(m, a, b, form="sum"):

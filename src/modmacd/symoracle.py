@@ -11,12 +11,12 @@ sums it multiplies an integer into k_d), and a plethysm adds its factors
 1 - t^r to D_d, so no sum ever cross-multiplies.
 
 Numerators are ExactPolynomials, or QRows in a packed expression: each
-q-coefficient a t-polynomial at t = 2^W (packed._width, packed._digits and
-packed._qt_terms are all the oracle shares with Phi and the lattice).  The
-plethysms run packed, from J packed at a W taken from an l1 bound carried
-through every step; _cleared divides a numerator by its denominator with one
-integer divmod per q-row and raises when the coefficient is not a
-polynomial.
+q-coefficient a t-polynomial at t = 2^W (packed._width, packed._digits,
+packed._rows_times and packed._qt_terms are all the oracle shares with Phi
+and the lattice).  The plethysms run packed, from J packed at a W taken
+from an l1 bound carried through every step; _cleared divides a numerator
+by its denominator with one integer divmod per q-row and raises when the
+coefficient is not a polynomial.
 """
 
 from collections import Counter
@@ -29,7 +29,7 @@ from .errors import (NegativeCoefficient, NonPolynomialCoefficient,
                      TooFewVariables)
 from .exactalg import ExactPolynomial, P
 from .memo import memoized
-from .packed import _digits, _qt_terms, _width
+from .packed import _digits, _qt_terms, _rows_times, _width
 from .qseries import hook_factors
 
 
@@ -124,7 +124,7 @@ def _jcoef(lam, mu):
     W = _width(f * comb(D + m, m) << m)
     total = QRows([0])
     for sub, extra in terms:
-        total = total + QRows(_times_factors(_rows(sub, W), extra, W))
+        total = total + QRows(_rows_times(_rows(sub, W), extra.elements(), W))
     return _cleared(total, (1, lcm), W,
                     "J_%r coefficient at %r" % (lam, mu))
 
@@ -374,15 +374,6 @@ def _rows(terms, W):
     return rows
 
 
-def _times_factors(rows, factors, W):
-    """q-rows at t = 2^W times prod (1 - q^a t^b) over a multiset of
-    (a, b)."""
-    for a, b in factors.elements():
-        rows = [x - (y << W * b)
-                for x, y in zip(rows + [0] * a, [0] * a + rows)]
-    return rows
-
-
 def _packed(e, W):
     """e with every numerator, a polynomial in q and t, as QRows at
     t = 2^W."""
@@ -454,8 +445,7 @@ def _cleared(num, den, W, what):
             if any(rows[top:]):
                 raise NonPolynomialCoefficient("%s not polynomial" % what)
             del rows[top:]
-    h, = _times_factors([k], Counter({f: n for f, n in factors.items()
-                                      if not f[0]}), W)
+    h, = _rows_times([k], (f for f in factors.elements() if not f[0]), W)
     h_l1 = abs(k) << sum(factors.values())
     out = {}
     for i, value in enumerate(rows):
@@ -494,8 +484,9 @@ def plethysm_eval(e, rule, nvars=None):
         dens[d] = (k, own + factors)
     coeffs = {}
     for lam, c in ps.coeffs.items():
-        num = QRows(_times_factors(
-            c.rows, lcms[lam.weight()] - _plethysm_factors(lam), e.width))
+        num = QRows(_rows_times(
+            c.rows, (lcms[lam.weight()] - _plethysm_factors(lam)).elements(),
+            e.width))
         if rule == "modified":
             coeffs[lam] = num
             continue

@@ -2,9 +2,11 @@
 They use none of the library's packed arithmetic, so agreement with them is
 evidence; nothing under src/ calls them."""
 
+from itertools import accumulate
+
 from modmacd.combinat import _at
 from modmacd.errors import TruncationResidual
-from modmacd.exactalg import ONE, P, T, ZERO, sym
+from modmacd.exactalg import ExactPolynomial, ONE, P, T, ZERO, sym
 from modmacd.lattice import weight_fused, weight_hl
 from modmacd.qseries import gauss_binomial, pochhammer
 
@@ -55,3 +57,62 @@ def weight_hl_factorization_check(f, x="x"):
         rhs = rhs * weight_hl(f.sigma[j], f.sigmatilde[j],
                               f.rho[j], f.rhotilde[j], x=x)
     return lhs == rhs
+
+
+def factor_product(factors):
+    """prod (1 - q^a t^b) over a multiset of (a, b)."""
+    out = ONE
+    for a, b in factors.elements():
+        out = out * (ONE - ExactPolynomial.monomial({"q": a, "t": b}))
+    return out
+
+
+def divide_factors(f, factors):
+    """f / prod (1 - q^a t^b) over a multiset of (a, b), the inverse of
+    factor_product; raises ValueError unless every division is exact.
+
+    Each distinct factor is cleared in one pass along the lines of direction
+    (a, b): if f = g (1 - q^a t^b), then g at a point of a line is the sum
+    of f over the points up to it on that line, and f sums to 0 along every
+    line; a factor of multiplicity m takes m running sums per line.  Terms
+    are keyed (other exponents, q exponent, t exponent) throughout.
+    """
+    if any(not (a or b) for a, b in factors):
+        raise ZeroDivisionError("division by the zero factor 1 - 1")
+    rest = tuple(v for v in f.vars if v not in ("q", "t"))
+    iq = f.vars.index("q") if "q" in f.vars else None
+    it = f.vars.index("t") if "t" in f.vars else None
+    terms = {(tuple(x for v, x in zip(f.vars, e) if v not in ("q", "t")),
+              e[iq] if iq is not None else 0,
+              e[it] if it is not None else 0): c
+             for e, c in f.terms.items()}
+    for (a, b), m in sorted(factors.items()):
+        if m > 0:
+            terms = _divide_factor(terms, a, b, m)
+    return ExactPolynomial(rest + ("q", "t"),
+                           {o + (x, y): c for (o, x, y), c in terms.items()})
+
+
+def _divide_factor(terms, a, b, m):
+    # a line's points are base + s (a, b), base the point whose q (or, when
+    # a = 0, t) exponent lies in [0, a) (or [0, b))
+    lines = {}
+    for (o, x, y), c in terms.items():
+        s = x // a if a else y // b
+        lines.setdefault((o, x - s * a, y - s * b), {})[s] = c
+    out = {}
+    for (o, x, y), line in lines.items():
+        low = min(line)
+        dense = [0] * (max(line) - low + 1)
+        for s, c in line.items():
+            dense[s - low] = c
+        # both ends of a line stay nonzero, so a line of one point is
+        # never divisible and dense never runs empty
+        for _ in range(m):
+            dense = list(accumulate(dense))
+            if dense.pop():
+                raise ValueError("not divisible by 1 - q^%d t^%d" % (a, b))
+        for u, c in enumerate(dense, low):
+            if c:
+                out[(o, x + u * a, y + u * b)] = c
+    return out

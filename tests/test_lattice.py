@@ -16,7 +16,8 @@ from modmacd import phi
 from modmacd.combinat import (Partition, SequencePair, conjugate,
                               enumerate_flags, enumerate_nu_families,
                               partitions_of)
-from modmacd.errors import ConsistencyError, TopMismatch
+from modmacd.errors import (ConsistencyError, InfeasibleMultiplicities,
+                            MismatchedTops)
 from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction,
                               poly_divexact, sym, ZERO)
 from modmacd.lattice import (FaceState, _PHI_EVAL_CACHE, _phi_eval,
@@ -138,6 +139,14 @@ def test_fused_vertex_matches_recurrence_at_fusion_point():
                     assert spec == brute
 
 
+@pytest.mark.parametrize("lam, mu", [((2, 1), (1, 0)), ((0, 1), (3, 0))])
+def test_fused_vertex_rejects_multiplicities_above_the_level(lam, mu):
+    # sum(lam) or sum(mu) > J: no word of length J carries those colours
+    with pytest.raises(InfeasibleMultiplicities) as info:
+        fused_vertex_bruteforce(2, lam, mu, (0, 0), (0, 0))
+    assert type(info.value) is InfeasibleMultiplicities
+
+
 def test_fused_recurrence_matches_kappa_sum():
     for f in small_faces(2, 2):
         if not f.conserves():
@@ -159,7 +168,7 @@ def test_column_weight_hl_variant():
         * gauss_binomial(nut[1] - nu[0], nut[0] - nu[0]) \
         * sym("x1") ** 1 * sym("x2") ** 2
     assert w == RationalFunction(expect)
-    with pytest.raises(TopMismatch):
+    with pytest.raises(MismatchedTops):
         column_weight(1, lam, ((0, 1), (1, 2)), variant="hl")
 
 
@@ -175,7 +184,7 @@ def test_column_weight_single_column_shape():
     expect = T ** expo * phi_at_one(sp) \
         * sym("x1") ** 1 * sym("x2") ** 1
     assert w == RationalFunction(expect)
-    with pytest.raises(TopMismatch):
+    with pytest.raises(MismatchedTops):
         column_weight(1, lam, {1: ((0, 1), (1, 1))}, variant="x")
 
 

@@ -10,9 +10,11 @@ import importlib.util
 import inspect
 import json
 import os
+import pkgutil
 
 import pytest
 
+import modmacd
 from modmacd import combinat, memo, modmac, packed
 from modmacd.combinat import Partition, SequencePair
 from modmacd.lattice import partition_function_coeffs
@@ -45,20 +47,46 @@ def _cache(key):
     return getattr(importlib.import_module("modmacd." + module), attr)
 
 
+def _module_caches():
+    """Every module-level dict named *_CACHE in the package, by
+    module.name (``__main__``, which runs the command, is skipped)."""
+    out = {}
+    for info in pkgutil.iter_modules(modmacd.__path__):
+        if info.name.startswith("__"):
+            continue
+        module = importlib.import_module("modmacd." + info.name)
+        for attr, value in vars(module).items():
+            if attr.endswith("_CACHE") and isinstance(value, dict):
+                out["%s.%s" % (info.name, attr)] = value
+    return out
+
+
 def _results():
     sp = SequencePair((0, 1, 3), (1, 2, 3))
     lam = Partition((2, 1))
     return [gauss_binomial(6, 2), phi_normalized(sp), phi_series(sp),
             partition_function_coeffs(lam, 2, formula="x"),
             partition_function_coeffs(lam, 2, formula="z"),
-            macdonald_P(lam, 3).coeffs, kostka_qt(lam)]
+            partition_function_coeffs(lam, 2, formula="hl"),
+            macdonald_P(lam, 3).coeffs, kostka_qt(lam),
+            modmac.cauchy_check("W", 1, 1, 2)]
 
 
 def test_clear_caches_empties_every_cache_and_recomputes_the_same():
-    before = _results()
-    assert all(_cache(key) for key in tracer.CACHES)
+    # Every *_CACHE dict of every module, the tracer's eight among them, is
+    # filled by these calls, registered with memo and emptied by
+    # clear_caches; a cache that is not would outlive clear_caches.
+    caches = _module_caches()
+    assert all(any(_cache(key) is cache for cache in caches.values())
+               for key in tracer.CACHES)
     memo.clear_caches()
-    assert not any(_cache(key) for key in tracer.CACHES)
+    before = _results()
+    assert [name for name, cache in caches.items() if not cache] == []
+    assert [name for name, cache in caches.items()
+            if not any(cache is registered
+                       for registered in memo._CACHES)] == []
+    memo.clear_caches()
+    assert [name for name, cache in caches.items() if cache] == []
     assert _results() == before
 
 

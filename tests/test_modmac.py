@@ -11,15 +11,16 @@ import pytest
 from modmacd import clear_caches, cli, exactalg, modmac
 from modmacd.combinat import (Partition, SequencePair, conjugate,
                               partitions_of)
-from modmacd.errors import (ConsistencyError, InsufficientVariables,
+from modmacd.errors import (ConsistencyError, NegativeCoefficient,
                             TooFewVariables, TruncationTooSmall)
 from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction,
                               ZERO, sym)
 from modmacd.modmac import (cauchy_check, duality_check, kostka_qt,
                             modified_H, modified_HL, w_reduction_check)
 from modmacd.packed import _Bound, _unpack_qt, QTPacking
-from modmacd.qseries import (c_functions, factor_product, gauss_binomial,
-                             pochhammer)
+from modmacd.qseries import c_functions, gauss_binomial, pochhammer
+
+from reference import factor_product
 
 Q = sym("q")
 T = sym("t")
@@ -59,7 +60,7 @@ def test_specialization_at_one():
 
 
 def test_variable_count_guard():
-    with pytest.raises(InsufficientVariables):
+    with pytest.raises(TooFewVariables):
         modified_H((2, 1), N=1)
     with pytest.raises(ValueError):
         modified_H((2,), route="bogus")
@@ -283,33 +284,16 @@ def _ref_factor_coeffs(kind, degree):
     return out
 
 
-def test_newton_numerators_raise_on_an_inexact_division(monkeypatch):
-    # a wrong Newton step leaves m * n_m with a coefficient that m does
-    # not divide; the numerators are memoized, so the cache must not hold
-    # them from an earlier test
-    clear_caches()
-    divide = modmac.divide_factors
-    monkeypatch.setattr(modmac, "divide_factors",
-                        lambda f, factors: divide(f, factors) + ONE)
-    with pytest.raises(ConsistencyError):
-        modmac._factor_numerators("inv_qt", 2)
+def test_consistency_failure_inside_cauchy_check_exits_1(monkeypatch):
+    # A check that fails inside cauchy_check (here on the product side's
+    # numerators) is an internal failure: exit code 1 from the cauchy
+    # command, not the usage code 2.
+    def inconsistent(kind, degree):
+        raise ConsistencyError("%s numerators do not clear" % kind)
 
-
-def test_newton_numerators_report_a_failed_factor_division(monkeypatch):
-    # an inexact division by the q-factorial factors is an internal failure
-    # as well: ConsistencyError, and exit code 1 from the cauchy command
-    def inexact(f, factors):
-        raise ValueError("not divisible")
-
-    clear_caches()
-    monkeypatch.setattr(modmac, "divide_factors", inexact)
-    try:
-        with pytest.raises(ConsistencyError):
-            modmac._factor_numerators("inv_qt", 2)
-        assert cli.main(["cauchy", "--form", "W", "--vars", "1",
-                         "--max-weight", "2"]) == 1
-    finally:
-        clear_caches()
+    monkeypatch.setattr(modmac, "_factor_numerators", inconsistent)
+    assert cli.main(["cauchy", "--form", "W", "--vars", "1",
+                     "--max-weight", "2"]) == 1
 
 
 @pytest.mark.parametrize("kind", sorted(modmac._BASES))
@@ -532,3 +516,9 @@ def test_table_key_of_the_wrong_weight_is_a_consistency_failure():
     with pytest.raises(ConsistencyError) as info:
         modmac.HResult(Partition((2,)), {Partition((1,)): ONE}, "oracle")
     assert type(info.value) is ConsistencyError
+
+
+def test_table_with_a_negative_term_is_a_negative_coefficient():
+    with pytest.raises(NegativeCoefficient) as info:
+        modmac.HResult(Partition((2,)), {Partition((2,)): ONE - Q}, "oracle")
+    assert type(info.value) is NegativeCoefficient

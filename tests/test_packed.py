@@ -6,9 +6,11 @@ from collections import Counter
 from hypothesis import example, given, settings, strategies as st
 
 from modmacd.exactalg import ExactPolynomial, ZERO
-from modmacd.packed import (_at_one, _Bound, _pack_qt, _qt_terms, _unpack_qt,
-                            _width, QTBounds, QTPacking)
-from modmacd.qseries import factor_product
+from modmacd.packed import (_at_one, _Bound, _digits, _pack_qt, _qt_terms,
+                            _rows_times, _unpack_qt, _width, QTBounds,
+                            QTPacking)
+
+from reference import factor_product
 
 _POLY = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-60, 60),
@@ -116,3 +118,20 @@ def test_bounds_follow_the_packed_binomials_and_factors():
     bound = QTBounds.times(_Bound(1, 0), factors)
     assert bound.l1 >= sum(map(abs, _qt_terms(poly).values()))
     assert bound.tdeg == max(t for _, t in _qt_terms(poly))
+
+
+@given(_POLY, _FACTORS)
+@example({(0, 0): 1}, Counter())
+@example({(0, 0): -3, (2, 4): 5}, Counter({(0, 2): 2, (3, 0): 1}))
+@settings(max_examples=80, deadline=None)
+def test_rows_times_matches_the_exact_factor_product(terms, factors):
+    # rows[i] is the q^i coefficient at t = 2^W; each factor 1 - q^a t^b
+    # at most doubles the l1 norm, so W fits the product.
+    W = _width(sum(map(abs, terms.values())) << sum(factors.values()))
+    rows = [0] * (max((q for q, _ in terms), default=0) + 1)
+    for (q, t), c in terms.items():
+        rows[q] += c << W * t
+    got = _rows_times(rows, factors.elements(), W)
+    assert _poly({(q, t): c for q, value in enumerate(got)
+                  for t, c in _digits(value, W)}) \
+        == _poly(terms) * factor_product(factors)

@@ -9,7 +9,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from modmacd import clear_caches, packed, phi
 from modmacd.combinat import SequencePair
-from modmacd.errors import (MismatchedTops, NegativeDifference, NegativeInput,
+from modmacd.errors import (IndexOutOfRange, MismatchedTops,
+                            NegativeDifference, NegativeInput,
                             TruncationResidual)
 from modmacd.exactalg import ExactPolynomial, P, render, sym
 from modmacd.phi import (g_poly, phi_at_one, phi_finite, phi_normalized,
@@ -146,6 +147,13 @@ def test_mismatched_tops_rejected():
         SequencePair((1, 2), (1, 3))
 
 
+@pytest.mark.parametrize("k", [0, 4])
+def test_rotation_index_outside_1_to_N_rejected(k):
+    with pytest.raises(IndexOutOfRange) as info:
+        rotate(SequencePair((0, 1, 3), (1, 2, 3)), k)
+    assert type(info.value) is IndexOutOfRange
+
+
 def test_single_entry_pair():
     sp = SequencePair((3,), (3,))
     assert phi_positive(sp).is_one()
@@ -215,23 +223,14 @@ def _packed_at_minimal_width(coeffs):
     return [sum(c << W * i for i, c in enumerate(row)) for row in coeffs], W
 
 
-@given(signed_rows)
-@settings(max_examples=80, deadline=None)
-def test_unpack_recovers_signed_rows_at_minimal_width(coeffs):
-    rows, W = _packed_at_minimal_width(coeffs)
-    expect = ExactPolynomial(("z", "t"), {
-        (d, i): c for d, row in enumerate(coeffs) for i, c in enumerate(row)})
-    assert phi._poly(phi._unpack(rows, W)) == expect
-
-
 @pytest.mark.parametrize("name", ["z", "v"])
 @given(signed_rows)
 @settings(max_examples=80, deadline=None)
-def test_decode_is_unpack_then_poly(name, coeffs):
-    # The routes decode straight into a polynomial; the cached term tuples
-    # go through _unpack.  Both must read the same digits.
+def test_decode_recovers_signed_rows_at_minimal_width(name, coeffs):
     rows, W = _packed_at_minimal_width(coeffs)
-    assert phi._decode(rows, W, name) == phi._poly(phi._unpack(rows, W), name)
+    expect = ExactPolynomial((name, "t"), {
+        (d, i): c for d, row in enumerate(coeffs) for i, c in enumerate(row)})
+    assert phi._decode(rows, W, name) == expect
 
 
 @given(st.lists(st.tuples(
@@ -253,7 +252,7 @@ def test_packed_product_matches_exact_product(terms):
         for x in exponents:
             term = term * (P(1) - Z * T ** x)
         expect = expect + term
-    assert phi._poly(phi._unpack(*phi._packed_rows(terms))) == expect
+    assert phi._decode(*phi._packed_rows(terms)) == expect
 
 
 @st.composite
@@ -274,7 +273,7 @@ def sequence_pairs(draw):
 @example(SequencePair((0, 3, 3, 4, 4), (1, 1, 2, 2, 4)))
 @settings(max_examples=80, deadline=None)
 def test_term_cache_matches_the_independent_routes(sp):
-    # phi_normalized and phi_prime read the term tuples of the one Phi
+    # phi_normalized and phi_prime read the packed rows of the one Phi
     # cache (rotation and Phi' as z-shifts) and phi_at_one the closed
     # product off the same kernel; the series and finite routes, the
     # ExactPolynomial series for Phi' and the ExactPolynomial product of

@@ -11,9 +11,10 @@ from modmacd.combinat import (Partition, conjugate, inversion_number, n_stat,
 from modmacd.errors import NegativeLambdaZero, NegativeLength
 from modmacd.exactalg import (ExactPolynomial, P, RationalFunction,
                               poly_divexact, sym)
-from modmacd.qseries import (c_functions, divide_factors, factor_product,
-                             fusion_normalizer, gauss_binomial, hook_factors,
-                             pochhammer, pochhammer_qt_partition)
+from modmacd.qseries import (c_functions, fusion_normalizer, gauss_binomial,
+                             hook_factors, pochhammer, pochhammer_qt_partition)
+
+from reference import divide_factors, factor_product
 
 T = sym("t")
 W = sym("w")

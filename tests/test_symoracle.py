@@ -15,11 +15,13 @@ from modmacd.exactalg import (ExactPolynomial, P as PC, RationalFunction,
                               RF_ONE, RF_ZERO, ZERO, poly_divexact,
                               ratfun_normalize, sym)
 from modmacd.packed import _width
-from modmacd.qseries import c_functions, divide_factors, factor_product
+from modmacd.qseries import c_functions
 from modmacd.symoracle import (SymmetricExpr, W_oracle, basis_convert,
                                horizontal_strip, integral_J, kostka_number,
                                macdonald_P, modified_H_oracle,
                                monomial_expand, plethysm_eval, schur_function)
+
+from reference import divide_factors, factor_product
 
 Q = sym("q")
 T = sym("t")
