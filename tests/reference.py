@@ -67,6 +67,22 @@ def factor_product(factors):
     return out
 
 
+def unpack_rows(rows, W, name="z"):
+    """The polynomial in (name, t) with rows[d] = its name^d coefficient at
+    t = 2^W, read one balanced digit in [-2^(W-1), 2^(W-1)) at a time."""
+    base, half = 1 << W, 1 << (W - 1)
+    terms = {}
+    for d, value in enumerate(rows):
+        i = 0
+        while value:
+            c = (value + half) % base - half
+            if c:
+                terms[(d, i)] = c
+            value = (value - c) // base
+            i += 1
+    return ExactPolynomial((name, "t"), terms)
+
+
 def divide_factors(f, factors):
     """f / prod (1 - q^a t^b) over a multiset of (a, b), the inverse of
     factor_product; raises ValueError unless every division is exact.

@@ -17,7 +17,7 @@ from modmacd.phi import (g_poly, phi_at_one, phi_finite, phi_normalized,
                          phi_positive, phi_prime, phi_series, rotate)
 from modmacd.qseries import gauss_binomial
 
-from reference import phi_prime_series
+from reference import phi_prime_series, unpack_rows
 
 T = sym("t")
 Z = sym("z")
@@ -223,14 +223,23 @@ def _packed_at_minimal_width(coeffs):
     return [sum(c << W * i for i, c in enumerate(row)) for row in coeffs], W
 
 
+@given(signed_rows)
+@settings(max_examples=80, deadline=None)
+def test_unpack_recovers_signed_rows_at_minimal_width(coeffs):
+    rows, W = _packed_at_minimal_width(coeffs)
+    expect = ExactPolynomial(("z", "t"), {
+        (d, i): c for d, row in enumerate(coeffs) for i, c in enumerate(row)})
+    assert phi._decode(rows, W) == expect
+
+
 @pytest.mark.parametrize("name", ["z", "v"])
 @given(signed_rows)
 @settings(max_examples=80, deadline=None)
-def test_decode_recovers_signed_rows_at_minimal_width(name, coeffs):
+def test_decode_is_unpack_then_poly(name, coeffs):
+    # _decode reads the digits with packed._digits; the reference unpacks
+    # them one divmod at a time and builds the polynomial from the terms.
     rows, W = _packed_at_minimal_width(coeffs)
-    expect = ExactPolynomial((name, "t"), {
-        (d, i): c for d, row in enumerate(coeffs) for i, c in enumerate(row)})
-    assert phi._decode(rows, W, name) == expect
+    assert phi._decode(rows, W, name) == unpack_rows(rows, W, name)
 
 
 @given(st.lists(st.tuples(
