@@ -191,7 +191,9 @@ def _cmd_verify(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     items = [(name, mw) for name in names]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at once: no more than the suites
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(items))) \
+                as pool:
             lines = list(pool.map(_run_suite, items))
     else:
         lines = [_run_suite(item) for item in items]

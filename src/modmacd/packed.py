@@ -11,6 +11,9 @@ takes only _width, _digits, _rows_times and _qt_terms.  The Gaussian
 binomials come from the Pascal recurrence on integer coefficient lists
 (_binom_list), with no ExactPolynomial arithmetic; qseries.gauss_binomial,
 the same recurrence on ExactPolynomial, is their reference in the tests.
+Their packed values are kept in one table per width (_gauss_table(W), a
+dict keyed by (a, b) that packs a missing pair on first use), so the Phi
+kernels read each binomial factor with one subscript and no Python call.
 
 A polynomial in q and t is held at t = 2^W, q = 2^(W T) (_pack_qt): with
 every t-degree below T, the coefficient of q^a t^b is the balanced digit at
@@ -55,13 +58,33 @@ def _comb(a, b):
     return comb(a, b) if a >= b >= 0 else 0
 
 
+class _GaussTable(dict):
+    """[a choose b]_t at t = 2^W keyed by (a, b), 0 unless a >= b >= 0:
+    a missing pair is packed from _binom_list and kept, so a hit is one
+    dict subscript."""
+
+    __slots__ = ("W",)
+
+    def __init__(self, W):
+        self.W = W
+
+    def __missing__(self, key):
+        value = 0
+        for c in reversed(_binom_list(*key)):
+            value = (value << self.W) + c
+        self[key] = value
+        return value
+
+
 @memoized(_GAUSS_AT_CACHE)
+def _gauss_table(W):
+    """The one _GaussTable of width W."""
+    return _GaussTable(W)
+
+
 def _gauss_at(a, b, W):
     """[a choose b]_t at t = 2^W; 0 unless a >= b >= 0."""
-    value = 0
-    for c in reversed(_binom_list(a, b)):
-        value = (value << W) + c
-    return value
+    return _gauss_table(W)[a, b]
 
 
 def _digits(value, W):

@@ -6,7 +6,7 @@ seq[k-1], with nu^0 = 0.  All returned polynomials live in the symbols
 """
 
 from itertools import accumulate, product as iproduct, repeat
-from math import prod
+from math import comb, prod
 from operator import mul, sub
 
 from .combinat import SequencePair, _at
@@ -16,7 +16,7 @@ from .exactalg import _pruned
 from .memo import memoized
 # _BINOM_LIST_CACHE stays readable as phi._BINOM_LIST_CACHE
 from .packed import (_BINOM_LIST_CACHE, _comb, _digits,  # noqa: F401
-                     _gauss_at, _rows_times, _width)
+                     _gauss_table, _rows_times, _width)
 
 
 def _degree_bound(sp):
@@ -31,13 +31,27 @@ def _degree_bound(sp):
 # other term-sum routes.  That (rows, W) is also the one cached form of Phi
 # (_PHI_CACHE, _AT_ONE_CACHE), a z-shift being zero rows in front; _decode
 # reads it into the polynomial that the public functions return, and the
-# lattice cells read its digits.
+# lattice cells read its digits.  Both kernels read their binomials from the
+# one packed table of their width (packed._gauss_table), one subscript per
+# factor.  phi_series takes its norm from the last row alone: with c = a - b,
+# C(a + s, b + s) is 0 while b + s < 0 (or c < 0) and C(c + b + s, c)
+# after, nondecreasing in s, so the product at s = D is the largest.
 
 def _decode(rows, W, name="z"):
     """The polynomial in (name, t) with rows[d] = its name^d coefficient at
     t = 2^W."""
     return _pruned(("t", name), {(i, d): c for d, value in enumerate(rows)
                                  for i, c in _digits(value, W)})
+
+
+_FACTOR_ROWS_CACHE = {}
+
+
+@memoized(_FACTOR_ROWS_CACHE)
+def _factor_rows(exponents, W):
+    """prod_{x in exponents} (1 - z t^x) as a tuple of z^i rows at t = 2^W,
+    each x the factor (a, b) = (1, x) of _rows_times."""
+    return tuple(_rows_times([1], zip(repeat(1), exponents), W))
 
 
 def _packed_rows(terms):
@@ -52,21 +66,18 @@ def _packed_rows(terms):
         d, _, pairs, exponents = term
         norm = 1 << len(exponents)
         for a, b in pairs:
-            norm *= _comb(a, b)
+            norm *= comb(a, b) if a >= b >= 0 else 0
         if norm:
             kept.append(term)
             l1 += norm
             size = max(size, d + len(exponents) + 1)
     W = _width(l1)
+    gauss = _gauss_table(W)
     rows = [0] * size
     for d, e, pairs, exponents in kept:
-        scalar = 1 << W * e
-        for a, b in pairs:
-            scalar *= _gauss_at(a, b, W)
+        scalar = prod(map(gauss.__getitem__, pairs), start=1 << W * e)
         if exponents:
-            # each x is the factor 1 - z^1 t^x, (a, b) = (1, x)
-            for i, c in enumerate(
-                    _rows_times([1], zip(repeat(1), exponents), W), d):
+            for i, c in enumerate(_factor_rows(tuple(exponents), W), d):
                 rows[i] += c * scalar
         else:
             rows[d] += scalar
@@ -85,17 +96,23 @@ def phi_series(sp):
     top + 1 passes of a shift and a subtraction.  Each z^d coefficient of
     the product is a signed sum of at most 2^(top+1) shifted series
     coefficients, so W = _width(max_s ||series_s|| << (top + 1)) decodes it
-    and the check above the degree bound is exact.
+    and the check above the degree bound is exact.  Each factor
+    ||[a + s, b + s]_t|| = C(a + s, b + s) is nondecreasing in s, so that
+    maximum is the norm of the last series coefficient, s = D.
     """
     nu, nut = (0,) + sp.nu, (0,) + sp.nutilde
     bound = _degree_bound(sp)
     top = nut[-1]
     D = bound + top + 2
-    pairs = [[(nut[k + 1] - nu[k] + s, nut[k] - nu[k] + s)
-              for k in range(sp.N)] for s in range(D + 1)]
-    W = _width(max(prod(_comb(a, b) for a, b in row) for row in pairs)
-               << (top + 1))
-    rows = [prod(_gauss_at(a, b, W) for a, b in row) for row in pairs]
+    # series_s = prod_k [a_k + s, b_k + s]_t: one column over s per k
+    base = [(nut[k + 1] - nu[k], nut[k] - nu[k]) for k in range(sp.N)]
+    W = _width(prod(comb(a + D, b + D) if a >= b >= -D else 0
+                    for a, b in base) << (top + 1))
+    gauss = _gauss_table(W)
+    columns = [map(gauss.__getitem__,
+                   zip(range(a, a + D + 1), range(b, b + D + 1)))
+               for a, b in base]
+    rows = list(map(prod, zip(*columns)))
     for e in range(top + 1):
         shift = W * e
         for d in range(D, 0, -1):

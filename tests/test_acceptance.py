@@ -92,7 +92,7 @@ def test_criterion_02_phi_routes_exhaustive():
         assert a.is_nonnegative()
         count += 1
     assert count > 5000
-    _report(2, 11, t0)
+    _report(2, 8.1, t0)
 
 
 def test_criterion_03_rotation_and_prime_relation():
@@ -117,7 +117,7 @@ def test_criterion_04_g_polynomial():
                     p = g_poly(m, a, b, form="positive")
                     assert s == p
                     assert p.is_nonnegative()
-    _report(4, 23, t0)
+    _report(4, 20, t0)
 
 
 def test_criterion_05_fusion_identification():

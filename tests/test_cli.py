@@ -133,6 +133,32 @@ def test_verify_parallel(capsys):
     assert "cauchy: ok" in out
 
 
+@pytest.mark.parametrize("suite,workers", [("all", 6), ("cauchy", 1)])
+def test_verify_pool_starts_at_most_one_worker_per_suite(capsys, monkeypatch,
+                                                         suite, workers):
+    # The pool starts every worker it is given at once; a recorder stands
+    # in for it, so no process is started.
+    requested = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return ["%s: ok" % name for name, _ in items]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--jobs", "1000")
+    assert requested == [workers]
+    assert code == 0 and out.count(": ok") == workers
+
+
 def test_verify_names_first_counterexample(capsys, monkeypatch):
     seen = []
 

@@ -19,7 +19,7 @@ from modmacd import combinat, memo, modmac, packed
 from modmacd.combinat import Partition, SequencePair
 from modmacd.lattice import partition_function_coeffs
 from modmacd.modmac import kostka_qt
-from modmacd.phi import phi_normalized, phi_series
+from modmacd.phi import phi_finite, phi_normalized, phi_series
 from modmacd.qseries import gauss_binomial
 from modmacd.symoracle import kostka_number, macdonald_P
 
@@ -65,6 +65,7 @@ def _results():
     sp = SequencePair((0, 1, 3), (1, 2, 3))
     lam = Partition((2, 1))
     return [gauss_binomial(6, 2), phi_normalized(sp), phi_series(sp),
+            phi_finite(sp),
             partition_function_coeffs(lam, 2, formula="x"),
             partition_function_coeffs(lam, 2, formula="z"),
             partition_function_coeffs(lam, 2, formula="hl"),

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from math import prod
 from operator import sub
 
 import pytest
@@ -17,7 +18,7 @@ from modmacd.phi import (g_poly, phi_at_one, phi_finite, phi_normalized,
                          phi_positive, phi_prime, phi_series, rotate)
 from modmacd.qseries import gauss_binomial
 
-from reference import phi_prime_series, unpack_rows
+from reference import factor_product, phi_prime_series, unpack_rows
 
 T = sym("t")
 Z = sym("z")
@@ -179,6 +180,8 @@ def test_truncation_check_fires_below_the_true_degree(monkeypatch):
 def test_gauss_at_is_gauss_binomial_at_a_power_of_two(a, b, W):
     expect = gauss_binomial(a, b).substitute({"t": P(2 ** W)})
     assert P(packed._gauss_at(a, b, W)) == expect
+    # the kernels subscript the width's table, which _gauss_at reads
+    assert P(packed._gauss_table(W)[a, b]) == expect
 
 
 def _coefficient_list(poly):
@@ -203,12 +206,30 @@ def test_binom_list_is_gauss_binomial():
 
 @pytest.mark.parametrize("widths", [(3, 9), (9, 3)])
 def test_gauss_at_keeps_each_width_apart(widths):
-    # _gauss_at is memoized; a cache keyed by (a, b) alone would hand the
-    # value at the first width to the second.
+    # _gauss_at reads a table kept per width; one table keyed by (a, b)
+    # alone would hand the value at the first width to the second.
     clear_caches()
     for W in widths:
         expect = gauss_binomial(6, 3).substitute({"t": P(2 ** W)})
         assert P(packed._gauss_at(6, 3, W)) == expect
+        assert P(packed._gauss_table(W)[6, 3]) == expect
+    first, second = (packed._gauss_table(W) for W in widths)
+    assert first is not second and first[6, 3] != second[6, 3]
+
+
+@given(st.lists(st.tuples(st.integers(-3, 12), st.integers(-3, 12)),
+                min_size=1, max_size=5), st.integers(0, 15))
+@example([(2, 5)], 7)
+@example([(-3, -3), (4, -2)], 0)
+@example([(1, -3), (12, 12), (0, 0)], 15)
+@settings(max_examples=200, deadline=None)
+def test_last_series_row_has_the_largest_norm(pairs, D):
+    # phi_series takes W from the row s = D alone: C(a + s, b + s) is
+    # nondecreasing in s, zero binomials (b > a, b + s < 0) included.
+    def norm(s):
+        return prod(packed._comb(a + s, b + s) for a, b in pairs)
+
+    assert max(map(norm, range(D + 1))) == norm(D)
 
 
 signed_rows = st.lists(st.lists(st.integers(-2 ** 80, 2 ** 80), max_size=8),
@@ -262,6 +283,45 @@ def test_packed_product_matches_exact_product(terms):
             term = term * (P(1) - Z * T ** x)
         expect = expect + term
     assert phi._decode(*phi._packed_rows(terms)) == expect
+
+
+@pytest.mark.parametrize("wider", [3, -3])
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+@example([0])
+@example([0, 2, 2, 5])
+@settings(max_examples=40, deadline=None)
+def test_factor_rows_are_the_exact_factor_product(wider, exponents):
+    # The cached rows of prod (1 - z t^x), from cold caches, at the least
+    # width that decodes them and at one 3 bits wider, in either order: a
+    # cache keyed by the exponents alone would hand the first width's rows
+    # to the second.
+    clear_caches()
+    least = packed._width(1 << len(exponents))
+    expect = factor_product(Counter((1, x) for x in exponents))
+    for W in (least + max(wider, 0), least + max(-wider, 0)):
+        rows = phi._factor_rows(tuple(exponents), W)
+        assert list(rows) == packed._rows_times(
+            [1], zip(itertools.repeat(1), exponents), W)
+        assert unpack_rows(rows, W, "q") == expect
+
+
+def test_series_and_positive_routes_share_no_row_kernel(monkeypatch):
+    # The routes agree as evidence only while each keeps its own
+    # arithmetic: phi_series reaches neither the term-sum kernel nor the
+    # factor rows, and the positive terms carry no (1 - z t^x) factors.
+    def forbidden(*args):
+        raise AssertionError("a shared row kernel was reached")
+
+    pairs = [SequencePair((1, 3, 4, 5), (2, 3, 5, 5)),
+             SequencePair((0, 0, 2, 2, 4), (1, 2, 3, 4, 4)),
+             SequencePair((2, 5), (3, 5))]
+    expect = [phi_finite(sp) for sp in pairs]
+    clear_caches()
+    for name in ("_rows_times", "_factor_rows"):
+        monkeypatch.setattr(phi, name, forbidden)
+    assert [phi_positive(sp) for sp in pairs] == expect
+    monkeypatch.setattr(phi, "_packed_rows", forbidden)
+    assert [phi_series(sp) for sp in pairs] == expect
 
 
 @st.composite
