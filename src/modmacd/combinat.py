@@ -49,9 +49,6 @@ class Partition:
     def weight(self):
         return sum(self.parts)
 
-    def length(self):
-        return len(self.parts)
-
     def part(self, i):
         """1-based part with zero padding beyond the length."""
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
@@ -96,15 +93,6 @@ def n_stat(lam):
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     return sum(p * (i - 1) for i, p in enumerate(lam.parts, start=1))
-
-
-def multiplicity(lam, k):
-    """Number of parts equal to k (k >= 1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    return sum(1 for p in lam.parts if p == k)
 
 
 def inversion_number(comp):

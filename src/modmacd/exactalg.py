@@ -762,7 +762,3 @@ def ratfun_normalize(r):
     if den.terms[max(den.terms)] < 0:
         num, den = -num, -den
     return RationalFunction(num, den)
-
-
-RF_ZERO = RationalFunction(ZERO)
-RF_ONE = RationalFunction(ONE)

@@ -1,9 +1,10 @@
-"""Lattice-model ingredients: face weights, L/R matrices, fusion, columns,
-and the partition-function coefficient extractors.
+"""The vertex model that the lattice suite of verify checks (the
+fundamental L-matrix, its RLL exchange relation and the fused vertex by the
+word sum and by colour peeling), and the partition-function coefficient
+extractors.
 
 Each formula's weight (x, dual, Hall-Littlewood) is a product of column
-weights, and column_weight is that factor for one column.
-partition_function_coeffs multiplies the same per-column pieces: an
+weights, and each column weight is a product of per-column pieces: an
 exponent (a column's term of chi, or the one from _hl_column) and one factor
 per cell, or per Gaussian binomial for Hall-Littlewood.  All three sum by
 one transfer sweep over columns n, ..., 1 (_column_sweep), given each
@@ -28,123 +29,19 @@ from itertools import groupby, permutations, product as iproduct
 from math import comb, factorial, prod
 from operator import add, itemgetter, mul, sub
 
-from .combinat import (Partition, _at, _chains, conjugate, inversion_number,
-                       multiplicity)
+from .combinat import Partition, _chains, conjugate, inversion_number
 from .errors import (ConsistencyError, InfeasibleMultiplicities,
-                     MismatchedTops, TooFewVariables)
-from .exactalg import (ExactPolynomial, ONE, RationalFunction, T,
-                       poly_divexact, sym, ZERO)
+                     TooFewVariables)
+from .exactalg import ExactPolynomial, ONE, T, poly_divexact, sym, ZERO
 from .memo import memoized
 from .packed import (_at_one, _binom_list, _digits, _pack_qt, _unpack_qt,
                      _width)
 from .phi import _at_one_rows, _phi_rows, _rot_once
-from .qseries import fusion_normalizer, gauss_binomial, pochhammer
+from .qseries import fusion_normalizer, gauss_binomial
 
 
 def _as_poly(x):
     return sym(x) if isinstance(x, str) else x
-
-
-class FaceState:
-    """Colour occupation counts on the four edges of a face."""
-
-    __slots__ = ("sigma", "sigmatilde", "rho", "rhotilde")
-
-    def __init__(self, sigma, sigmatilde, rho, rhotilde):
-        self.sigma = tuple(sigma)
-        self.sigmatilde = tuple(sigmatilde)
-        self.rho = tuple(rho)
-        self.rhotilde = tuple(rhotilde)
-        n = len(self.sigma)
-        if not (len(self.sigmatilde) == len(self.rho)
-                == len(self.rhotilde) == n):
-            raise ValueError("edge compositions must share a length")
-
-    def conserves(self):
-        return all(s + r == st + rt for s, st, r, rt in
-                   zip(self.sigma, self.sigmatilde, self.rho, self.rhotilde))
-
-
-def weight_hl(sigma, sigmatilde, rho, rhotilde, x="x"):
-    """Rank-one face weight of the modified Hall-Littlewood lattice."""
-    if sigma + rho != sigmatilde + rhotilde:
-        return ZERO
-    x = _as_poly(x)
-    return T ** (sigmatilde * (sigmatilde - 1) // 2) \
-        * gauss_binomial(rhotilde + sigmatilde, rhotilde) \
-        * x ** sigmatilde
-
-
-def weight_fused(f, x="x", z="z"):
-    """Fused face weight: polynomial in (x, z, t) via the kappa-sum."""
-    if not f.conserves():
-        return ZERO
-    x = _as_poly(x)
-    z = _as_poly(z)
-    n = len(f.sigma)
-    st, rt, rho, sig = f.sigmatilde, f.rhotilde, f.rho, f.sigma
-    out = ZERO
-    for kappa in iproduct(*[range(v + 1) for v in st]):
-        coef = ONE
-        for j in range(n):
-            coef = coef * gauss_binomial(rt[j] + kappa[j], kappa[j]) \
-                * gauss_binomial(rho[j], st[j] - kappa[j])
-            if coef.is_zero():
-                break
-        if coef.is_zero():
-            continue
-        expo = sum(k * k - k for k in kappa) // 2
-        for l in range(n):
-            for j in range(l + 1, n):
-                expo += st[l] * (rt[j] + kappa[j]) \
-                    - (st[l] - kappa[l]) * sig[j]
-        term = coef * x ** sum(kappa) * z ** (sum(st) - sum(kappa))
-        if expo >= 0:
-            term = term * T ** expo
-        else:
-            term = term * ExactPolynomial.monomial({"t": expo})
-        out = out + term
-    return out
-
-
-def weight_fused_x(f, x="x"):
-    """Closed form of the fused weight at z = 0."""
-    if not f.conserves():
-        return ZERO
-    x = _as_poly(x)
-    n = len(f.sigma)
-    st, rt = f.sigmatilde, f.rhotilde
-    tot = sum(st)
-    expo = (tot * tot - tot) // 2
-    for l in range(n):
-        for j in range(l + 1, n):
-            expo += st[l] * rt[j]
-    coef = ONE
-    for j in range(n):
-        coef = coef * gauss_binomial(st[j] + rt[j], st[j])
-    return T ** expo * coef * x ** tot
-
-
-def weight_fused_z(f, z="z"):
-    """Closed form of the fused weight at x = 0."""
-    if not f.conserves():
-        return ZERO
-    z = _as_poly(z)
-    n = len(f.sigma)
-    st, rt, rho, sig = f.sigmatilde, f.rhotilde, f.rho, f.sigma
-    expo = 0
-    for l in range(n):
-        for j in range(l + 1, n):
-            expo += st[l] * (rt[j] - sig[j])
-    coef = ONE
-    for j in range(n):
-        coef = coef * gauss_binomial(rho[j], st[j])
-    if coef.is_zero():
-        return ZERO
-    term = coef * z ** sum(st)
-    if expo >= 0:
-        return T ** expo * term
-    return ExactPolynomial.monomial({"t": expo}) * term
 
 
 def fundamental_L(j, i, I, K, x="x"):
@@ -169,16 +66,6 @@ def fundamental_L(j, i, I, K, x="x"):
     if i > j or j == 0:
         return x * (ONE - T ** I[i - 1]) * T ** tail
     return ZERO
-
-
-def r_matrix(i_a, j_a, i_b, j_b, z="u"):
-    """Fundamental R-matrix component as a rational function of (z, t)."""
-    if i_a + i_b != j_a + j_b:
-        return RationalFunction(ZERO)
-    z = _as_poly(z)
-    num = T ** int(j_a < i_b) * z ** int(j_a < i_a) \
-        * (ONE - T ** int(j_a == i_b) * z ** int(j_a == i_a))
-    return RationalFunction(num, ONE - T * z)
 
 
 def _rcheck_num(i_a, j_a, i_b, j_b, y_over_x_num, x):
@@ -376,16 +263,6 @@ def _phi_eval(nu, nut, qexp, texp, dual):
     return tuple((key, c) for key, c in out.items() if c)
 
 
-def _cell_factor(i, j, nu, nut, shape):
-    """Phi of cell (i, j) at q^(j-i) t^(shape_i - shape_j), as an
-    ExactPolynomial.
-
-    The diagonal cell has argument 1, where _phi_eval reads nutilde only.
-    """
-    return ExactPolynomial(("q", "t"), dict(
-        _phi_eval(nu, nut, j - i, shape.part(i) - shape.part(j), False)))
-
-
 def _chi_split(nuts, dual):
     """chi (dual: chi') of one column, the pairs (nu_j, nutilde_j) with the
     nutildes nuts, in order of j, is a - sum D * _chi_nus(nus) with D the
@@ -425,7 +302,8 @@ def chi(columns, dual=False):
     over k and j of d * sum_{l > j} (nutilde_l^(k-1) - nu_l^k).
 
     partition_function_coeffs takes each column's exponent through
-    _chi_split; column_weight and the tests read chi."""
+    _chi_split; chi is the whole-family sum that the tests check it
+    against."""
     total = 0
     for pairs in columns:
         js = sorted(pairs)
@@ -444,66 +322,13 @@ def _hl_column(nu, nut):
                   for k in range(1, len(nut))]
 
 
-def column_weight(i, lam, pairs, variant="x"):
-    """Weight of column i as a RationalFunction: the factor column i
-    contributes to the partition function of formula 'x' or 'hl', times its
-    x-monomial.
-
-    variant 'x': pairs maps j -> (nu_j, nutilde_j) for j = i..n with tops
-    equal to the multiplicity of j in lambda, and the weight is over the
-    column's normalizer, unreduced (the diagonal factor j = i is read from
-    nutilde_i alone); variant 'hl': pairs is a single (nu, nutilde) tuple
-    for the column itself.
-    """
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    conj = conjugate(lam)
-    if variant == "hl":
-        nu, nut = pairs
-        N = len(nu)
-        if nut[-1] != conj.part(i) or nu[-1] != conj.part(i + 1):
-            raise MismatchedTops(
-                "column tops must be the conjugate parts at i, i+1")
-        expo, binoms = _hl_column(nu, nut)
-        out = T ** expo
-        for a, b in binoms:
-            out = out * gauss_binomial(a, b)
-        xs = ExactPolynomial.monomial(
-            {"x%d" % k: nut[k - 1] - _at(nut, k - 1)
-             for k in range(1, N + 1)})
-        return RationalFunction(out * xs)
-    if variant != "x":
-        raise ValueError("variant must be 'x' or 'hl'")
-    n = lam.part(1)
-    js = sorted(pairs)
-    N = len(pairs[js[0]][0])
-    for j in js:
-        nu, nut = pairs[j]
-        if nu[-1] != multiplicity(lam, j) or nut[-1] != multiplicity(lam, j):
-            raise MismatchedTops("tops must equal the multiplicity of %d" % j)
-    acc = ExactPolynomial.monomial({"t": chi([pairs])})
-    for j in js:
-        nu, nut = pairs[j]
-        acc = acc * _cell_factor(i, j, tuple(nu), tuple(nut), conj)
-    xs = ExactPolynomial.monomial(
-        {"x%d" % k: sum(pairs[j][1][k - 1] - _at(pairs[j][1], k - 1)
-                        for j in js)
-         for k in range(1, N + 1)})
-    normalizer = ONE
-    for j in range(i + 1, n + 1):
-        w = ExactPolynomial.monomial({"q": j - i,
-                                      "t": conj.part(i) - conj.part(j)})
-        normalizer = normalizer * pochhammer(
-            w, "t", conj.part(j) - conj.part(j + 1) + 1)
-    return RationalFunction(acc * xs, normalizer)
-
-
 def partition_function_coeffs(lam, N, formula="x"):
     """Monomial coefficients of the partition function, keyed by Partition.
 
     formula 'x': t-exponent chi with Phi factors; 'z': dual route with Phi'
     in base q; 'hl': Kirillov's sum over flags (polynomials in t).  Each term
-    is the product over columns of the pieces column_weight is made of.
+    is the product over columns of the column's exponent and its cell
+    factors (Hall-Littlewood: Gaussian binomials).
 
     Every sum runs on packed integers (see packed): a polynomial in (q, t)
     with coefficients of absolute value below 2^(W-1) and t-degree below T

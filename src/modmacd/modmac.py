@@ -161,10 +161,6 @@ class _Frame:
         self.na = 2 * nx
         self.degree = degree
 
-    def admits(self, exp):
-        return (sum(exp[:self.na]) <= self.degree
-                and sum(exp[self.na:]) <= self.degree)
-
 
 def _series_mul(frame, a, b, scale):
     """Product of two product-side series: numerators at group-A degrees i

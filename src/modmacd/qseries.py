@@ -1,11 +1,10 @@
-"""Gaussian binomials, Pochhammer symbols, hook products, fusion normalizer."""
+"""Gaussian binomials, Pochhammer symbols, hook factors, fusion normalizer."""
 
 from collections import Counter
 
-from .combinat import Partition, conjugate, stats
+from .combinat import stats
 from .errors import NegativeLambdaZero, NegativeLength
-from .exactalg import (ExactPolynomial, ONE, P, RationalFunction, T, ZERO,
-                       sym)
+from .exactalg import ExactPolynomial, ONE, T, ZERO, sym
 from .memo import memoized
 
 _BINOM_CACHE = {}
@@ -42,36 +41,6 @@ def pochhammer(w, base, k):
         out = out * (ONE - w * shift)
         shift = shift * x
     return out
-
-
-def pochhammer_qt_partition(w, lam, qbase="q", tbase="t"):
-    """(w; q, t)_lambda = prod_i (w t^(1-i); q)_{lambda_i}; Laurent in t."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    if isinstance(w, str):
-        w = sym(w)
-    out = ONE
-    for i, part in enumerate(lam.parts, start=1):
-        tshift = ExactPolynomial.monomial({tbase: 1 - i}) if i > 1 else ONE
-        out = out * pochhammer(w * tshift, qbase, part)
-    return out
-
-
-def c_functions(lam, qbase="q", tbase="t"):
-    """Hook products c, c' and their ratio b = c/c'."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    conj = conjugate(lam)
-    c = ONE
-    cprime = ONE
-    for i, row in enumerate(lam.parts, start=1):
-        for j in range(1, row + 1):
-            a = row - j
-            l = conj.part(j) - i
-            c = c * (ONE - ExactPolynomial.monomial({qbase: a, tbase: l + 1}))
-            cprime = cprime * (
-                ONE - ExactPolynomial.monomial({qbase: a + 1, tbase: l}))
-    return {"c": c, "cprime": cprime, "b": RationalFunction(c, cprime)}
 
 
 def hook_factors(lam):

@@ -27,19 +27,10 @@ from math import comb, lcm
 from .combinat import Partition, partitions_of
 from .errors import (NegativeCoefficient, NonPolynomialCoefficient,
                      TooFewVariables)
-from .exactalg import ExactPolynomial, P
+from .exactalg import ExactPolynomial
 from .memo import memoized
 from .packed import _digits, _qt_terms, _rows_times, _width
 from .qseries import hook_factors
-
-
-def horizontal_strip(lam, mu):
-    """mu <= lam interlacing: lam_1 >= mu_1 >= lam_2 >= mu_2 >= ..."""
-    n = max(len(lam), len(mu))
-    for i in range(1, n + 1):
-        if not (lam.part(i) >= mu.part(i) >= lam.part(i + 1)):
-            return False
-    return True
 
 
 _PSI_CACHE = {}
@@ -559,17 +550,3 @@ def W_oracle(lam, N):
     return ExactPolynomial(names, {qt + exp: x for exp, terms
                                    in _W_table(lam, N).items()
                                    for qt, x in terms.items()})
-
-
-def schur_function(lam, nvars):
-    """Schur polynomial via the Kostka expansion (branching with psi = 1)."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    coeffs = {}
-    for mu in partitions_of(lam.weight()):
-        if len(mu) > nvars:
-            continue
-        k = kostka_number(lam, mu.parts)
-        if k:
-            coeffs[mu] = P(k)
-    return SymmetricExpr("monomial", coeffs)

@@ -1,16 +1,120 @@
-"""ExactPolynomial references that the tests hold the library against.
-They use none of the library's packed arithmetic, so agreement with them is
-evidence; nothing under src/ calls them."""
+"""Exact references that the tests hold the library against: face weights
+of the vertex model, hook products and polynomial helpers.  They use none
+of the library's packed arithmetic, so agreement with them is evidence;
+nothing under src/ calls them."""
 
-from itertools import accumulate
+from itertools import accumulate, product as iproduct
 
-from modmacd.combinat import _at
+from modmacd.combinat import Partition, _at, conjugate
 from modmacd.errors import TruncationResidual
-from modmacd.exactalg import ExactPolynomial, ONE, P, T, ZERO, sym
-from modmacd.lattice import weight_fused, weight_hl
+from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction, T,
+                              ZERO, sym)
+from modmacd.lattice import _as_poly
 from modmacd.qseries import gauss_binomial, pochhammer
 
 Z = sym("z")
+
+
+class FaceState:
+    """Colour occupation counts on the four edges of a face."""
+
+    __slots__ = ("sigma", "sigmatilde", "rho", "rhotilde")
+
+    def __init__(self, sigma, sigmatilde, rho, rhotilde):
+        self.sigma = tuple(sigma)
+        self.sigmatilde = tuple(sigmatilde)
+        self.rho = tuple(rho)
+        self.rhotilde = tuple(rhotilde)
+        n = len(self.sigma)
+        if not (len(self.sigmatilde) == len(self.rho)
+                == len(self.rhotilde) == n):
+            raise ValueError("edge compositions must share a length")
+
+    def conserves(self):
+        return all(s + r == st + rt for s, st, r, rt in
+                   zip(self.sigma, self.sigmatilde, self.rho, self.rhotilde))
+
+
+def weight_hl(sigma, sigmatilde, rho, rhotilde, x="x"):
+    """Rank-one face weight of the modified Hall-Littlewood lattice."""
+    if sigma + rho != sigmatilde + rhotilde:
+        return ZERO
+    x = _as_poly(x)
+    return T ** (sigmatilde * (sigmatilde - 1) // 2) \
+        * gauss_binomial(rhotilde + sigmatilde, rhotilde) \
+        * x ** sigmatilde
+
+
+def weight_fused(f, x="x", z="z"):
+    """Fused face weight: polynomial in (x, z, t) via the kappa-sum."""
+    if not f.conserves():
+        return ZERO
+    x = _as_poly(x)
+    z = _as_poly(z)
+    n = len(f.sigma)
+    st, rt, rho, sig = f.sigmatilde, f.rhotilde, f.rho, f.sigma
+    out = ZERO
+    for kappa in iproduct(*[range(v + 1) for v in st]):
+        coef = ONE
+        for j in range(n):
+            coef = coef * gauss_binomial(rt[j] + kappa[j], kappa[j]) \
+                * gauss_binomial(rho[j], st[j] - kappa[j])
+            if coef.is_zero():
+                break
+        if coef.is_zero():
+            continue
+        expo = sum(k * k - k for k in kappa) // 2
+        for l in range(n):
+            for j in range(l + 1, n):
+                expo += st[l] * (rt[j] + kappa[j]) \
+                    - (st[l] - kappa[l]) * sig[j]
+        term = coef * x ** sum(kappa) * z ** (sum(st) - sum(kappa))
+        if expo >= 0:
+            term = term * T ** expo
+        else:
+            term = term * ExactPolynomial.monomial({"t": expo})
+        out = out + term
+    return out
+
+
+def weight_fused_x(f, x="x"):
+    """Closed form of the fused weight at z = 0."""
+    if not f.conserves():
+        return ZERO
+    x = _as_poly(x)
+    n = len(f.sigma)
+    st, rt = f.sigmatilde, f.rhotilde
+    tot = sum(st)
+    expo = (tot * tot - tot) // 2
+    for l in range(n):
+        for j in range(l + 1, n):
+            expo += st[l] * rt[j]
+    coef = ONE
+    for j in range(n):
+        coef = coef * gauss_binomial(st[j] + rt[j], st[j])
+    return T ** expo * coef * x ** tot
+
+
+def weight_fused_z(f, z="z"):
+    """Closed form of the fused weight at x = 0."""
+    if not f.conserves():
+        return ZERO
+    z = _as_poly(z)
+    n = len(f.sigma)
+    st, rt, rho, sig = f.sigmatilde, f.rhotilde, f.rho, f.sigma
+    expo = 0
+    for l in range(n):
+        for j in range(l + 1, n):
+            expo += st[l] * (rt[j] - sig[j])
+    coef = ONE
+    for j in range(n):
+        coef = coef * gauss_binomial(rho[j], st[j])
+    if coef.is_zero():
+        return ZERO
+    term = coef * z ** sum(st)
+    if expo >= 0:
+        return T ** expo * term
+    return ExactPolynomial.monomial({"t": expo}) * term
 
 
 def phi_prime_series(sp):
@@ -57,6 +161,32 @@ def weight_hl_factorization_check(f, x="x"):
         rhs = rhs * weight_hl(f.sigma[j], f.sigmatilde[j],
                               f.rho[j], f.rhotilde[j], x=x)
     return lhs == rhs
+
+
+def multiplicity(lam, k):
+    """Number of parts equal to k (k >= 1)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not isinstance(lam, Partition):
+        lam = Partition(lam)
+    return sum(1 for p in lam.parts if p == k)
+
+
+def c_functions(lam, qbase="q", tbase="t"):
+    """Hook products c, c' and their ratio b = c/c'."""
+    if not isinstance(lam, Partition):
+        lam = Partition(lam)
+    conj = conjugate(lam)
+    c = ONE
+    cprime = ONE
+    for i, row in enumerate(lam.parts, start=1):
+        for j in range(1, row + 1):
+            a = row - j
+            l = conj.part(j) - i
+            c = c * (ONE - ExactPolynomial.monomial({qbase: a, tbase: l + 1}))
+            cprime = cprime * (
+                ONE - ExactPolynomial.monomial({qbase: a + 1, tbase: l}))
+    return {"c": c, "cprime": cprime, "b": RationalFunction(c, cprime)}
 
 
 def factor_product(factors):

@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from modmacd.combinat import (Partition, SequencePair, conjugate,
                               enumerate_flags, enumerate_nu_families,
-                              inversion_number, multiplicity, n_stat,
-                              parse_intlist, partitions_of, stats)
+                              inversion_number, n_stat, parse_intlist,
+                              partitions_of, stats)
 from modmacd.errors import MismatchedTops
+
+from reference import multiplicity
 
 
 def small_partitions():

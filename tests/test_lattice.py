@@ -13,26 +13,26 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from modmacd import phi
-from modmacd.combinat import (Partition, SequencePair, conjugate,
+from modmacd.combinat import (Partition, SequencePair, _at, conjugate,
                               enumerate_flags, enumerate_nu_families,
                               partitions_of)
 from modmacd.errors import (ConsistencyError, InfeasibleMultiplicities,
                             MismatchedTops)
 from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction,
                               poly_divexact, sym, ZERO)
-from modmacd.lattice import (FaceState, _PHI_EVAL_CACHE, _phi_eval,
-                             _BINOM_CELL_CACHE, _collapse_compositions, chi,
-                             column_weight, fundamental_L, fused_L_recurrence,
-                             fused_vertex_bruteforce,
-                             partition_function_coeffs, r_matrix, rll_check,
-                             weight_fused, weight_fused_x, weight_fused_z,
-                             weight_hl)
+from modmacd.lattice import (_PHI_EVAL_CACHE, _as_poly, _phi_eval,
+                             _BINOM_CELL_CACHE, _collapse_compositions,
+                             _hl_column, chi, fundamental_L,
+                             fused_L_recurrence, fused_vertex_bruteforce,
+                             partition_function_coeffs, rll_check)
 from modmacd.memo import clear_caches
 from modmacd.packed import _pack_qt, _unpack_qt, _width
 from modmacd.phi import phi_at_one, phi_normalized, phi_prime
 from modmacd.qseries import gauss_binomial, pochhammer
 
-from reference import weight_hl_factorization_check
+from reference import (FaceState, multiplicity, weight_fused, weight_fused_x,
+                       weight_fused_z, weight_hl,
+                       weight_hl_factorization_check)
 
 Q = sym("q")
 T = sym("t")
@@ -97,6 +97,16 @@ def test_fundamental_L_values():
     assert fundamental_L(1, 1, I, (2, 2)).is_zero()
 
 
+def r_matrix(i_a, j_a, i_b, j_b, z="u"):
+    """Fundamental R-matrix component as a rational function of (z, t)."""
+    if i_a + i_b != j_a + j_b:
+        return RationalFunction(ZERO)
+    z = _as_poly(z)
+    num = T ** int(j_a < i_b) * z ** int(j_a < i_a) \
+        * (ONE - T ** int(j_a == i_b) * z ** int(j_a == i_a))
+    return RationalFunction(num, ONE - T * z)
+
+
 def test_r_matrix_row_sums_are_one():
     # Summing over outgoing labels at fixed incoming labels gives one.
     one = RationalFunction(P(1))
@@ -154,6 +164,61 @@ def test_fused_recurrence_matches_kappa_sum():
         got = fused_L_recurrence(f.sigma, f.sigmatilde, f.rho, f.rhotilde)
         assert got == weight_fused(
             FaceState(f.sigma, f.sigmatilde, f.rho, f.rhotilde))
+
+
+def column_weight(i, lam, pairs, variant="x"):
+    """Weight of column i as a RationalFunction: the factor column i
+    contributes to the partition function of formula 'x' or 'hl', times its
+    x-monomial.
+
+    variant 'x': pairs maps j -> (nu_j, nutilde_j) for j = i..n with tops
+    equal to the multiplicity of j in lambda, and the weight is over the
+    column's normalizer, unreduced (the diagonal factor j = i, at argument
+    1, is read from nutilde_i alone); variant 'hl': pairs is a single
+    (nu, nutilde) tuple for the column itself.
+    """
+    if not isinstance(lam, Partition):
+        lam = Partition(lam)
+    conj = conjugate(lam)
+    if variant == "hl":
+        nu, nut = pairs
+        N = len(nu)
+        if nut[-1] != conj.part(i) or nu[-1] != conj.part(i + 1):
+            raise MismatchedTops(
+                "column tops must be the conjugate parts at i, i+1")
+        expo, binoms = _hl_column(nu, nut)
+        out = T ** expo
+        for a, b in binoms:
+            out = out * gauss_binomial(a, b)
+        xs = ExactPolynomial.monomial(
+            {"x%d" % k: nut[k - 1] - _at(nut, k - 1)
+             for k in range(1, N + 1)})
+        return RationalFunction(out * xs)
+    if variant != "x":
+        raise ValueError("variant must be 'x' or 'hl'")
+    n = lam.part(1)
+    js = sorted(pairs)
+    N = len(pairs[js[0]][0])
+    for j in js:
+        nu, nut = pairs[j]
+        if nu[-1] != multiplicity(lam, j) or nut[-1] != multiplicity(lam, j):
+            raise MismatchedTops("tops must equal the multiplicity of %d" % j)
+    acc = ExactPolynomial.monomial({"t": chi([pairs])})
+    for j in js:
+        nu, nut = pairs[j]
+        acc = acc * _cell_poly(_phi_eval(tuple(nu), tuple(nut), j - i,
+                                         conj.part(i) - conj.part(j), False))
+    xs = ExactPolynomial.monomial(
+        {"x%d" % k: sum(pairs[j][1][k - 1] - _at(pairs[j][1], k - 1)
+                        for j in js)
+         for k in range(1, N + 1)})
+    normalizer = ONE
+    for j in range(i + 1, n + 1):
+        w = ExactPolynomial.monomial({"q": j - i,
+                                      "t": conj.part(i) - conj.part(j)})
+        normalizer = normalizer * pochhammer(
+            w, "t", conj.part(j) - conj.part(j + 1) + 1)
+    return RationalFunction(acc * xs, normalizer)
 
 
 def test_column_weight_hl_variant():

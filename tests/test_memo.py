@@ -1,10 +1,13 @@
-"""The memo helper, and the module names the benchmark's tracer reads.
+"""The memo helper, the module names the benchmark's tracer reads, and the
+rule that every public name under src/ has a reader outside the tests.
 
 bench/tracer.py wraps library functions and reads the cache dicts by name
 from outside the package; a renamed function or a cache that is no longer a
 module attribute would stop every traced benchmark run.
 """
 
+import ast
+import glob
 import importlib
 import importlib.util
 import inspect
@@ -15,7 +18,7 @@ import pkgutil
 import pytest
 
 import modmacd
-from modmacd import combinat, memo, modmac, packed
+from modmacd import combinat, memo, modmac
 from modmacd.combinat import Partition, SequencePair
 from modmacd.lattice import partition_function_coeffs
 from modmacd.modmac import kostka_qt
@@ -91,15 +94,6 @@ def test_clear_caches_empties_every_cache_and_recomputes_the_same():
     assert _results() == before
 
 
-def test_clear_caches_empties_the_packed_binomial_cache():
-    # The packed Gaussian binomials at t = 2^W are not among the tracer's
-    # CACHES, so the test above does not see them.
-    phi_series(SequencePair((0, 1, 3), (1, 2, 3)))
-    assert packed._GAUSS_AT_CACHE
-    memo.clear_caches()
-    assert not packed._GAUSS_AT_CACHE
-
-
 def test_clear_caches_empties_the_partitions_cache():
     # partitions_of hands every caller the same cached tuple, keyed by the
     # weight and the part bound clipped to it.
@@ -108,16 +102,6 @@ def test_clear_caches_empties_the_partitions_cache():
     assert combinat._PARTITIONS_CACHE
     memo.clear_caches()
     assert not combinat._PARTITIONS_CACHE
-
-
-def test_clear_caches_empties_the_cauchy_caches():
-    # cauchy_check reads each sum-side factor and each product-side
-    # numerator list once per process; neither cache is among the tracer's
-    # CACHES.
-    assert modmac.cauchy_check("W", 1, 1, 2)
-    assert modmac._FACTOR_CACHE and modmac._NUMERATOR_CACHE
-    memo.clear_caches()
-    assert not modmac._FACTOR_CACHE and not modmac._NUMERATOR_CACHE
 
 
 def test_memoized_keys_by_positional_arguments():
@@ -172,3 +156,51 @@ def test_per_layer_metric_names_a_plain_function(name):
     assert found, "no function behind %s" % name
     for attr, fn in found:
         assert inspect.isfunction(fn), "%s is not a plain function" % attr
+
+
+def _names_read(node, skip=None):
+    """Every name that the code of node reads or imports, outside skip:
+    docstrings and comments do not count."""
+    out = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # A public top-level function or class of a modmacd module must be read
+    # by the package's own code (another module, or its own module outside
+    # its definition), exported by __init__, or wrapped by the tracer for a
+    # per-layer metric; a name that only the tests call belongs in tests/.
+    trees = {}
+    for path in glob.glob(os.path.join(os.path.dirname(modmacd.__file__),
+                                       "*.py")):
+        with open(path) as fh:
+            trees[os.path.basename(path)[:-3]] = ast.parse(fh.read())
+    traced = {(name.partition(".")[0], attr)
+              for name in FUNCTION_METRICS
+              for attr, _ in _traced(name.rpartition(".")[0])}
+    unreached = []
+    for module, tree in sorted(trees.items()):
+        read = set().union(*(_names_read(other) for name, other
+                             in trees.items() if name != module))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            if node.name in read | _names_read(tree, skip=node) \
+                    or node.name in modmacd.__all__ \
+                    or (module, node.name) in traced:
+                continue
+            unreached.append("%s.%s" % (module, node.name))
+    assert unreached == []

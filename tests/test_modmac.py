@@ -18,9 +18,9 @@ from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction,
 from modmacd.modmac import (cauchy_check, duality_check, kostka_qt,
                             modified_H, modified_HL, w_reduction_check)
 from modmacd.packed import _Bound, _unpack_qt, QTPacking
-from modmacd.qseries import c_functions, gauss_binomial, pochhammer
+from modmacd.qseries import gauss_binomial, pochhammer
 
-from reference import factor_product
+from reference import c_functions, factor_product
 
 Q = sym("q")
 T = sym("t")
@@ -365,6 +365,12 @@ def _ref_integral_form(kind, lam, alphabet, n):
     return ExactPolynomial([rename.get(v, v) for v in poly.vars], poly.terms)
 
 
+def _admits(frame, exp):
+    """Whether neither group's degree of exp passes the frame's truncation."""
+    return (sum(exp[:frame.na]) <= frame.degree
+            and sum(exp[frame.na:]) <= frame.degree)
+
+
 def _ref_series_from_poly(frame, poly):
     """Split a polynomial over frame symbols plus (q, t) into a dict mapping
     each admitted frame exponent tuple to its (q, t) polynomial."""
@@ -380,7 +386,7 @@ def _ref_series_from_poly(frame, poly):
             else:
                 qt_exp.append(e)
         fe = tuple(frame_exp)
-        if frame.admits(fe):
+        if _admits(frame, fe):
             out.setdefault(fe, {})[tuple(qt_exp)] = coef
     return {fe: ExactPolynomial(qt, terms) for fe, terms in out.items()}
 
@@ -434,7 +440,7 @@ def _ref_series_mul(frame, a, b, scale):
         da = sum(ea[:na])
         for eb, cb in b.items():
             e = tuple(u + v for u, v in zip(ea, eb))
-            if not frame.admits(e):
+            if not _admits(frame, e):
                 continue
             c = ca * cb * scale[da, sum(eb[:na])]
             got = out.get(e)

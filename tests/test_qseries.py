@@ -9,12 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from modmacd.combinat import (Partition, conjugate, inversion_number, n_stat,
                               partitions_of)
 from modmacd.errors import NegativeLambdaZero, NegativeLength
-from modmacd.exactalg import (ExactPolynomial, P, RationalFunction,
+from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction,
                               poly_divexact, sym)
-from modmacd.qseries import (c_functions, fusion_normalizer, gauss_binomial,
-                             hook_factors, pochhammer, pochhammer_qt_partition)
+from modmacd.qseries import (fusion_normalizer, gauss_binomial, hook_factors,
+                             pochhammer)
 
-from reference import divide_factors, factor_product
+from reference import c_functions, divide_factors, factor_product
 
 T = sym("t")
 W = sym("w")
@@ -94,6 +94,19 @@ def test_binomial_generating_series_truncated():
         for d in range(cutoff - a):
             expect = P(1) if d == 0 else ExactPolynomial.constant(0)
             assert prod.coefficient({"w": d}) == expect
+
+
+def pochhammer_qt_partition(w, lam, qbase="q", tbase="t"):
+    """(w; q, t)_lambda = prod_i (w t^(1-i); q)_{lambda_i}; Laurent in t."""
+    if not isinstance(lam, Partition):
+        lam = Partition(lam)
+    if isinstance(w, str):
+        w = sym(w)
+    out = ONE
+    for i, part in enumerate(lam.parts, start=1):
+        tshift = ExactPolynomial.monomial({tbase: 1 - i}) if i > 1 else ONE
+        out = out * pochhammer(w * tshift, qbase, part)
+    return out
 
 
 def test_pochhammer_qt_partition_row_product():

@@ -13,23 +13,23 @@ from hypothesis import example, given, settings, strategies as st
 
 import modmacd
 from modmacd import clear_caches, modmac, qseries, symoracle
-from modmacd.combinat import Partition, conjugate, n_stat, partitions_of
+from modmacd.combinat import Partition, partitions_of
 from modmacd.errors import NonPolynomialCoefficient, TooFewVariables
 from modmacd.exactalg import (ExactPolynomial, P as PC, RationalFunction,
-                              RF_ONE, RF_ZERO, ZERO, poly_divexact,
-                              ratfun_normalize, sym)
+                              ZERO, poly_divexact, ratfun_normalize, sym)
 from modmacd.packed import _width
-from modmacd.qseries import c_functions
 from modmacd.symoracle import (SymmetricExpr, W_oracle, basis_convert,
-                               horizontal_strip, integral_J, kostka_number,
-                               macdonald_P, modified_H_oracle,
-                               monomial_expand, plethysm_eval, schur_function)
+                               integral_J, kostka_number, macdonald_P,
+                               modified_H_oracle, monomial_expand,
+                               plethysm_eval)
 
-from reference import divide_factors, factor_product
+from reference import c_functions, divide_factors, factor_product
 
 Q = sym("q")
 T = sym("t")
 ONE = PC(1)
+RF_ZERO = RationalFunction(ZERO)
+RF_ONE = RationalFunction(ONE)
 
 
 def _value(e, mu):
@@ -50,6 +50,15 @@ def _values(e):
 def test_symmetric_expr_rejects_unknown_basis():
     with pytest.raises(ValueError):
         SymmetricExpr("elementary", {})
+
+
+def horizontal_strip(lam, mu):
+    """mu <= lam interlacing: lam_1 >= mu_1 >= lam_2 >= mu_2 >= ..."""
+    n = max(len(lam), len(mu))
+    for i in range(1, n + 1):
+        if not (lam.part(i) >= mu.part(i) >= lam.part(i + 1)):
+            return False
+    return True
 
 
 def test_horizontal_strip_predicate():
@@ -293,6 +302,20 @@ def test_kostka_numbers():
     assert kostka_number(Partition((2, 1)), Partition((2, 1))) == 1
     assert kostka_number(Partition((2, 1)), Partition((3,))) == 0
     assert kostka_number(Partition((3,)), Partition((1, 1, 1))) == 1
+
+
+def schur_function(lam, nvars):
+    """Schur polynomial via the Kostka expansion (branching with psi = 1)."""
+    if not isinstance(lam, Partition):
+        lam = Partition(lam)
+    coeffs = {}
+    for mu in partitions_of(lam.weight()):
+        if len(mu) > nvars:
+            continue
+        k = kostka_number(lam, mu.parts)
+        if k:
+            coeffs[mu] = PC(k)
+    return SymmetricExpr("monomial", coeffs)
 
 
 def test_schur_function_matches_bialternant_examples():
