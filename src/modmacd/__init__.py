@@ -9,6 +9,7 @@ from .modmac import (HResult, cauchy_check, duality_check, kostka_qt,
                      modified_H, modified_HL, w_reduction_check)
 from .phi import (g_poly, phi_at_one, phi_finite, phi_normalized,
                   phi_positive, phi_prime, phi_series, rotate)
+from .symoracle import W_oracle
 
 __all__ = [
     "Partition", "SequencePair", "conjugate",
@@ -17,6 +18,7 @@ __all__ = [
     "modified_H", "modified_HL", "w_reduction_check",
     "g_poly", "phi_at_one", "phi_finite", "phi_normalized",
     "phi_positive", "phi_prime", "phi_series", "rotate",
+    "W_oracle",
 ]
 
 __version__ = "0.1.0"

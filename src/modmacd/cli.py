@@ -164,7 +164,7 @@ _SUITES = {
     "phi": _phi_cases,
     "lattice": _lattice_cases,
     "reductions": lambda mw: ((w_reduction_check, (lam, lam.weight()))
-                              for lam in _shapes(min(mw, 3))),
+                              for lam in _shapes(min(mw, 5))),
     "hl": lambda mw: ((hl_collapse_check, (lam,)) for lam in _shapes(mw)),
     "duality": lambda mw: ((duality_check, (lam,)) for lam in _shapes(mw)),
     "cauchy": lambda mw: ((cauchy_check, (form, 1, 1, 2))
@@ -256,7 +256,7 @@ def build_parser():
                    choices=["all"] + sorted(_SUITES))
     p.add_argument("--max-weight", type=int, default=None,
                    help="weight cap, default 4: phi entries <= min(mw, 4) "
-                        "with N <= 3, reductions weights <= min(mw, 3), "
+                        "with N <= 3, reductions weights <= min(mw, 5), "
                         "hl and duality weights <= mw; lattice and "
                         "cauchy are fixed")
     p.add_argument("--jobs", type=int, default=1)

@@ -37,18 +37,7 @@ class ExactPolynomial:
             variables = tuple(variables[i] for i in order)
             terms = {tuple(e[i] for i in order): c for e, c in terms.items()}
         # prune symbols with exponent zero in every term
-        if variables:
-            used = [i for i in range(len(variables))
-                    if any(e[i] for e in terms)]
-            if len(used) != len(variables):
-                variables = tuple(variables[i] for i in used)
-                new = {}
-                for e, c in terms.items():
-                    key = tuple(e[i] for i in used)
-                    new[key] = new.get(key, 0) + c
-                terms = {e: c for e, c in new.items() if c}
-        self.vars = variables
-        self.terms = terms
+        self.vars, self.terms = _prune(variables, terms)
 
     # -- constructors -----------------------------------------------------
 
@@ -319,14 +308,20 @@ def _monomial_power(p, ex):
     return inv ** (-ex)
 
 
-def _pruned(variables, terms):
-    """The polynomial of otherwise canonical terms (sorted symbols, nonzero
-    coefficients), without the symbols whose exponent is zero everywhere."""
+def _prune(variables, terms):
+    """The symbols and terms without the symbols whose exponent is zero in
+    every term.  No two terms merge: a dropped exponent is 0 in all."""
     used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
     if len(used) != len(variables):
         variables = tuple(variables[i] for i in used)
         terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
-    return ExactPolynomial(variables, terms, _canonical=True)
+    return variables, terms
+
+
+def _pruned(variables, terms):
+    """The polynomial of otherwise canonical terms (sorted symbols, nonzero
+    coefficients), without the symbols whose exponent is zero everywhere."""
+    return ExactPolynomial(*_prune(variables, terms), _canonical=True)
 
 
 def _mul_monomial(m, p):

@@ -4,19 +4,20 @@ Cauchy-identity test harness."""
 
 from collections import Counter
 from functools import reduce
-from operator import add, mul, or_
+from itertools import product
+from math import factorial
+from operator import add, mul, or_, sub
 
 from .combinat import Partition, conjugate, n_stat, partitions_of
 from .errors import (ConsistencyError, NegativeCoefficient, TooFewVariables,
                      TruncationTooSmall)
-from .exactalg import ExactPolynomial, ONE, P, Q, T, sym, ZERO
+from .exactalg import ExactPolynomial, ONE, T, sym, ZERO
 from .lattice import partition_function_coeffs
 from .memo import memoized
 from .packed import _binom_list, _Bound, _qt_terms, QTBounds, QTPacking
 from .qseries import hook_factors, pochhammer
-from .symoracle import (basis_convert, _expand_monomial, integral_J, _jcoef,
-                        modified_H_oracle, monomial_expand, SymmetricExpr,
-                        _W_table, W_oracle)
+from .symoracle import (basis_convert, _expand_monomial, _jcoef,
+                        modified_H_oracle, _W_table)
 
 ROUTES = ("lattice_x", "lattice_dual", "oracle")
 
@@ -106,39 +107,72 @@ def duality_check(lam):
 
 
 def w_reduction_check(lam, N):
-    """All four corner specializations of the two-alphabet W polynomial."""
+    """All four corner specializations of the two-alphabet W, read from
+    W's coefficient table {x exponents + z exponents: (q, t) terms}.
+
+    W is symmetric in x and in z separately: once every entry equals the
+    entry at its sorted parts and every orbit is complete, each corner is
+    fixed by its coefficient at a partition kappa.  z = 0 and x = 0 keep the
+    entries whose other part is empty, z_i = -t x_i sums W[b + c] (-t)^|c|
+    and x_i = -q z_i sums W[b + c] (-q)^|b| over the splits b + c = kappa.
+    The first two are compared with the lattice H (the paper's formula),
+    which shares nothing with W, the last two with J_lam and
+    J_{lam'}(t, q)."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     conj = conjugate(lam)
-    W = W_oracle(lam, N)
-    xs = ["x%d" % i for i in range(1, N + 1)]
-    zs = ["z%d" % i for i in range(1, N + 1)]
-    swap_rename = {"q": T, "t": Q}
-    swap_rename.update({x: sym(z) for x, z in zip(xs, zs)})
-
-    # z_i = -t x_i  ->  c_lam(q, t) P_lam(x; q, t)
-    spec = W.substitute({z: P(-1) * T * sym(x) for x, z in zip(xs, zs)})
-    if spec != monomial_expand(integral_J(lam, N), N):
+    H = modified_H(lam, N).coeffs
+    H_dual = modified_H(conj, N).coeffs
+    W = {e: terms for e, terms in _W_table(lam, N).items() if terms}
+    orbits = Counter()
+    for e, terms in W.items():
+        rep = _sorted_parts(e[:N]) + _sorted_parts(e[N:])
+        if W.get(rep) != terms:
+            return False
+        orbits[rep] += 1
+    if any(n != _orbit_size(e[:N]) * _orbit_size(e[N:])
+           for e, n in orbits.items()):
         return False
-    # x_i = -q z_i  ->  c_{lam'}(t, q) P_{lam'}(z; t, q)
-    spec = W.substitute({x: P(-1) * Q * sym(z) for x, z in zip(xs, zs)})
-    dual_J = monomial_expand(integral_J(conj, N), N).substitute(swap_rename)
-    if spec != dual_J:
-        return False
-    # z = 0  ->  H_lam(x; q, t) and x = 0  ->  H_{lam'}(z; t, q), both from
-    # the lattice (the paper's formula), which shares nothing with W_oracle
-    spec = W.substitute({z: P(0) for z in zs})
-    if spec != _lattice_H(lam, N):
-        return False
-    spec = W.substitute({x: P(0) for x in xs})
-    return spec == _lattice_H(conj, N).substitute(swap_rename)
+    zero = (0,) * N
+    for kappa in partitions_of(lam.weight()):
+        if len(kappa) > N:
+            continue
+        k = kappa.padded(N)
+        J, J_dual = Counter(), Counter()
+        for b in product(*(range(x + 1) for x in k)):
+            c = tuple(map(sub, k, b))
+            nb, nc = sum(b), sum(c)
+            for (i, j), x in W.get(b + c, {}).items():
+                J[i, j + nc] += (-1) ** nc * x
+                J_dual[i + nb, j] += (-1) ** nb * x
+        if (W.get(k + zero, {}) != _qt_terms(H.get(kappa, ZERO))
+                or W.get(zero + k, {}) != _swapped(
+                    _qt_terms(H_dual.get(kappa, ZERO)))
+                or _nonzero(J) != _jcoef(lam, kappa.parts)
+                or _nonzero(J_dual) != _swapped(_jcoef(conj, kappa.parts))):
+            return False
+    return True
 
 
-def _lattice_H(lam, N):
-    """H_lam over x_1..x_N from the lattice_x table; the J corners before it
-    have already required N >= max(ell(lam), lam_1), the lattice's least N."""
-    return monomial_expand(
-        SymmetricExpr("monomial", modified_H(lam, N).coeffs), N)
+def _sorted_parts(e):
+    return tuple(sorted(e, reverse=True))
+
+
+def _orbit_size(e):
+    """Number of distinct rearrangements of the exponent tuple e."""
+    out = factorial(len(e))
+    for n in Counter(e).values():
+        out //= factorial(n)
+    return out
+
+
+def _swapped(terms):
+    """The (q, t) terms with q and t exchanged."""
+    return {(j, i): x for (i, j), x in terms.items()}
+
+
+def _nonzero(terms):
+    return {e: x for e, x in terms.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +356,7 @@ def _factor_series(kind, lam, n, second):
                 continue
             c = _jcoef(lam if kind == "J" else conjugate(lam), mu.parts)
             if kind == "J'":
-                c = {(t, q): x for (q, t), x in c.items()}
+                c = _swapped(c)
             for e in _expand_monomial(mu, n):
                 series[pad + e if second else e + pad] = c
     return series, reduce(or_, map(QTBounds.pack, series.values()),

@@ -7,13 +7,13 @@ is zero exactly when its polynomial is.  B comes from the l1 norms of the
 inputs, never from the result: ||[a, b]_t|| = C(a, b), ||1 - z t^e|| = 2,
 ||fg|| <= ||f|| ||g|| and ||f + g|| <= ||f|| + ||g||.  The Phi routes (phi)
 and the lattice sums (lattice) use these helpers; the oracle (symoracle)
-takes only _width, _digits, _rows_times and _qt_terms.  The Gaussian
-binomials come from the Pascal recurrence on integer coefficient lists
-(_binom_list), with no ExactPolynomial arithmetic; qseries.gauss_binomial,
-the same recurrence on ExactPolynomial, is their reference in the tests.
-Their packed values are kept in one table per width (_gauss_table(W), a
-dict keyed by (a, b) that packs a missing pair on first use), so the Phi
-kernels read each binomial factor with one subscript and no Python call.
+takes only _width, _digits and _rows_times.  The Gaussian binomials come
+from the Pascal recurrence on integer coefficient lists (_binom_list), with
+no ExactPolynomial arithmetic; qseries.gauss_binomial, the same recurrence
+on ExactPolynomial, is their reference in the tests.  Their packed values
+are kept in one table per width (_gauss_table(W), a dict keyed by (a, b)
+that packs a missing pair on first use), so the Phi kernels read each
+binomial factor with one subscript and no Python call.
 
 A polynomial in q and t is held at t = 2^W, q = 2^(W T) (_pack_qt): with
 every t-degree below T, the coefficient of q^a t^b is the balanced digit at

@@ -4,32 +4,35 @@ Integral form J by the branching rule over hook-factor multisets (one exact
 division per coefficient), Macdonald P = J / c, plethystic evaluations, and
 triangular basis conversions (monomial / power-sum / Schur).
 
-A SymmetricExpr holds numerators and one known denominator per degree d, an
-integer k_d times a multiset D_d of factors 1 - q^a t^b.  A basis conversion
-takes integer combinations of the numerators only (from monomials to power
-sums it multiplies an integer into k_d), and a plethysm adds its factors
-1 - t^r to D_d, so no sum ever cross-multiplies.
+Every expression the oracle builds is homogeneous, so a SymmetricExpr holds
+numerators over one known denominator, an integer k times a multiset D of
+factors 1 - q^a t^b.  A basis conversion takes integer combinations of the
+numerators only (from monomials to power sums it multiplies an integer into
+k), and a plethysm adds its factors 1 - t^r to D, so no sum ever
+cross-multiplies.
 
 Numerators are ExactPolynomials, or QRows in a packed expression: each
-q-coefficient a t-polynomial at t = 2^W (packed._width, packed._digits,
-packed._rows_times and packed._qt_terms are all the oracle shares with Phi
-and the lattice).  The plethysms run packed, from J packed at a W taken
-from an l1 bound carried through every step; _cleared divides a numerator
-by its denominator with one integer divmod per q-row and raises when the
-coefficient is not a polynomial.
+q-coefficient a t-polynomial at t = 2^W (packed._width, packed._digits and
+packed._rows_times are all the oracle shares with Phi and the lattice).
+The plethysms run packed, from J packed straight from its coefficient terms
+at a W taken from an l1 bound carried through every step; _cleared divides
+a numerator by its denominator with one integer divmod per q-row and raises
+when the coefficient is not a polynomial.
 """
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 from math import comb, lcm
+from operator import or_
 
 from .combinat import Partition, partitions_of
 from .errors import (NegativeCoefficient, NonPolynomialCoefficient,
                      TooFewVariables)
 from .exactalg import ExactPolynomial
 from .memo import memoized
-from .packed import _digits, _qt_terms, _rows_times, _width
+from .packed import _digits, _rows_times, _width
 from .qseries import hook_factors
 
 
@@ -156,32 +159,21 @@ class QRows:
 
 
 class SymmetricExpr:
-    """Finite combination of basis elements: coeffs maps partitions to
-    numerators over k_d prod_{D_d} (1 - q^a t^b) per degree d, where dens
-    maps d to (k_d, D_d); a missing degree means (1, Counter()).  The
-    numerators are ExactPolynomials when width is None, else QRows at
+    """Finite homogeneous combination of basis elements: coeffs maps
+    partitions to numerators over k prod_D (1 - q^a t^b), den = (k, D).
+    The numerators are ExactPolynomials when width is None, else QRows at
     t = 2^width."""
 
-    __slots__ = ("basis", "coeffs", "dens", "width")
+    __slots__ = ("basis", "coeffs", "den", "width")
 
-    def __init__(self, basis, coeffs, dens=None, width=None):
+    def __init__(self, basis, coeffs, den=(1, Counter()), width=None):
         if basis not in ("monomial", "powersum", "schur"):
             raise ValueError("unknown basis %r" % (basis,))
         self.basis = basis
         self.coeffs = {k if isinstance(k, Partition) else Partition(k): v
                        for k, v in coeffs.items() if not v.is_zero()}
-        self.dens = dict(dens or {})
+        self.den = den
         self.width = width
-
-    def den(self, d):
-        """(k_d, D_d) of degree d."""
-        return self.dens.get(d, (1, Counter()))
-
-    def degree_parts(self):
-        out = {}
-        for lam, c in self.coeffs.items():
-            out.setdefault(lam.weight(), {})[lam] = c
-        return out
 
 
 def integral_J(lam, nvars):
@@ -200,7 +192,7 @@ def macdonald_P(lam, nvars):
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     return SymmetricExpr("monomial", integral_J(lam, nvars).coeffs,
-                         {lam.weight(): (1, hook_factors(lam))})
+                         (1, hook_factors(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,76 +270,53 @@ def _add(coeffs, key, value):
     coeffs[key] = value if got is None else got + value
 
 
-def monomial_expand(e, nvars):
-    """Explicit polynomial over x_1..x_nvars; every coefficient must be a
-    polynomial in q and t over the trivial denominator."""
-    e = basis_convert(e, "monomial")
-    terms = {}
-    for mu, c in e.coeffs.items():
-        if len(mu) > nvars:
-            raise TooFewVariables("partition %r needs more variables" % (mu,))
-        if e.width is not None or e.den(mu.weight()) != (1, Counter()):
-            raise NonPolynomialCoefficient(
-                "coefficient at %r has a denominator" % (mu,))
-        qt = _qt_terms(c)
-        for exp in _expand_monomial(mu, nvars):
-            for e_qt, x in qt.items():
-                terms[e_qt + exp] = x
-    # q, t first keeps the symbols sorted (for nvars < 10)
-    return ExactPolynomial(
-        ("q", "t") + tuple("x%d" % i for i in range(1, nvars + 1)), terms)
-
-
 def basis_convert(e, target):
     """Exact change of basis between monomial, powersum and schur: integer
     combinations of the numerators (ExactPolynomials or QRows), which
-    change k_d only when monomials become power sums."""
+    change k only when monomials become power sums."""
     if e.basis == target:
         return e
+    if not e.coeffs:  # zero in every basis
+        return SymmetricExpr(target, {}, e.den, e.width)
+    d = next(iter(e.coeffs)).weight()  # e is homogeneous
     if e.basis == "powersum" and target in ("monomial", "schur"):
         coeffs = {}
-        for d, part in e.degree_parts().items():
-            p_in_m = _transitions(d)[1]
-            for lam, c in part.items():
-                for mu, k in p_in_m[lam].items():
-                    _add(coeffs, mu, c * k)
-        mono = SymmetricExpr("monomial", coeffs, e.dens, e.width)
+        p_in_m = _transitions(d)[1]
+        for lam, c in e.coeffs.items():
+            for mu, k in p_in_m[lam].items():
+                _add(coeffs, mu, c * k)
+        mono = SymmetricExpr("monomial", coeffs, e.den, e.width)
         return mono if target == "monomial" else basis_convert(mono, "schur")
     if e.basis == "monomial" and target == "powersum":
         coeffs = {}
-        dens = dict(e.dens)
-        for d, part in e.degree_parts().items():
-            _, _, m_in_p, k = _transitions(d)
-            k_d, factors = e.den(d)
-            dens[d] = (k_d * k, factors)
-            for mu, c in part.items():
-                for lam, n in m_in_p[mu].items():
-                    _add(coeffs, lam, c * n)
-        return SymmetricExpr("powersum", coeffs, dens, e.width)
+        _, _, m_in_p, k = _transitions(d)
+        for mu, c in e.coeffs.items():
+            for lam, n in m_in_p[mu].items():
+                _add(coeffs, lam, c * n)
+        k_e, factors = e.den
+        return SymmetricExpr("powersum", coeffs, (k_e * k, factors), e.width)
     if e.basis == "monomial" and target == "schur":
         coeffs = {}
-        for d, part in e.degree_parts().items():
-            remaining = dict(part)
-            for nu in sorted(partitions_of(d), key=lambda p: p.parts,
-                             reverse=True):
-                c = remaining.get(nu)
-                if c is None or c.is_zero():
-                    continue
-                coeffs[nu] = c
-                for mu in partitions_of(d):
-                    k = kostka_number(nu, mu.parts)
-                    if k:
-                        _add(remaining, mu, c * -k)
-        return SymmetricExpr("schur", coeffs, e.dens, e.width)
+        remaining = dict(e.coeffs)
+        for nu in sorted(partitions_of(d), key=lambda p: p.parts,
+                         reverse=True):
+            c = remaining.get(nu)
+            if c is None or c.is_zero():
+                continue
+            coeffs[nu] = c
+            for mu in partitions_of(d):
+                k = kostka_number(nu, mu.parts)
+                if k:
+                    _add(remaining, mu, c * -k)
+        return SymmetricExpr("schur", coeffs, e.den, e.width)
     if e.basis == "schur":
         coeffs = {}
         for nu, c in e.coeffs.items():
-            d = nu.weight()
             for mu in partitions_of(d):
                 k = kostka_number(nu, mu.parts)
                 if k:
                     _add(coeffs, mu, c * k)
-        mono = SymmetricExpr("monomial", coeffs, e.dens, e.width)
+        mono = SymmetricExpr("monomial", coeffs, e.den, e.width)
         return mono if target == "monomial" \
             else basis_convert(mono, "powersum")
     raise ValueError("unsupported conversion %s -> %s" % (e.basis, target))
@@ -365,14 +334,6 @@ def _rows(terms, W):
     return rows
 
 
-def _packed(e, W):
-    """e with every numerator, a polynomial in q and t, as QRows at
-    t = 2^W."""
-    return SymmetricExpr(
-        e.basis, {mu: QRows(_rows(_qt_terms(c), W))
-                  for mu, c in e.coeffs.items()}, e.dens, W)
-
-
 def _spread(matrix):
     """The l1 growth of the integer combination {source: {target: n}}."""
     out = Counter()
@@ -381,9 +342,10 @@ def _spread(matrix):
     return max(out.values())
 
 
-def _packed_J(lam, nvars, spread):
-    """J_lam packed at a W where every quotient the oracle takes decodes;
-    spread is the l1 growth of the step after the plethysm.
+def _packed_J(lam, spread):
+    """J_lam in the monomial basis, its coefficients _jcoef packed at a W
+    where every quotient the oracle takes decodes; spread is the l1 growth
+    of the step after the plethysm.
 
     A final numerator has ||f|| <= B, the largest ||J_mu|| times each
     step's growth (to power sums; 2^m for the m factors 1 - t^r of the
@@ -392,13 +354,15 @@ def _packed_J(lam, nvars, spread):
     (prod 1 / (1 - t^r) counts compositions), and ||h|| <= k 2^m: at
     W = width(B C(T + m, m) 2^m), f and g h pack faithfully (_cleared).
     """
-    J = integral_J(lam, nvars)
     d = lam.weight()
+    J = {mu: c for mu in partitions_of(d) if (c := _jcoef(lam, mu.parts))}
     m = sum(d // r for r in range(1, d + 1))
-    B = max(sum(map(abs, c.terms.values())) for c in J.coeffs.values()) \
+    B = max(sum(map(abs, c.values())) for c in J.values()) \
         * _spread(_transitions(d)[2]) * spread << m
-    T = max(c.degree("t") for c in J.coeffs.values())
-    return _packed(J, _width(B * comb(T + m, m) << m))
+    T = max(t for c in J.values() for _, t in c)
+    W = _width(B * comb(T + m, m) << m)
+    return SymmetricExpr("monomial", {mu: QRows(_rows(c, W))
+                                      for mu, c in J.items()}, width=W)
 
 
 def _plethysm_factors(lam):
@@ -407,12 +371,8 @@ def _plethysm_factors(lam):
 
 
 def _plethysm_lcm(ps):
-    """Per degree d, the lcm multiset of _plethysm_factors over ps."""
-    out = {}
-    for lam in ps.coeffs:
-        out[lam.weight()] = out.get(lam.weight(), Counter()) \
-            | _plethysm_factors(lam)
-    return out
+    """The lcm multiset of _plethysm_factors over ps."""
+    return reduce(or_, map(_plethysm_factors, ps.coeffs), Counter())
 
 
 def _cleared(num, den, W, what):
@@ -453,13 +413,13 @@ def plethysm_eval(e, rule, nvars=None):
 
     rule='modified': p_r -> p_r / (1 - t^r); returns a powersum-basis expr.
     rule='double': p_r -> (p_r(x-alphabet) + (-1)^{r+1} p_r(z-alphabet))
-    / (1 - t^r); returns (table, dens): table maps exponent tuples over
-    x_1..x_N, z_1..z_N (N = nvars) to QRows numerators, and dens maps each
-    total degree d to its denominator (k_d, D_d).
+    / (1 - t^r); returns (table, den): table maps exponent tuples over
+    x_1..x_N, z_1..z_N (N = nvars) to QRows numerators over the one
+    denominator den = (k, D).
 
-    D_d gains the lcm L_d of the plethysm factors of the degree-d terms, and
-    the numerator of p_lam is multiplied by the packed factors of L_d that
-    p_lam lacks.
+    D gains the lcm L of the plethysm factors of the terms, and the
+    numerator of p_lam is multiplied by the packed factors of L that p_lam
+    lacks.
     """
     if rule not in ("modified", "double"):
         raise ValueError("unknown rule %r" % (rule,))
@@ -468,24 +428,21 @@ def plethysm_eval(e, rule, nvars=None):
     if e.width is None:
         raise ValueError("plethysm_eval takes a packed expression")
     ps = basis_convert(e, "powersum")
-    lcms = _plethysm_lcm(ps)
-    dens = dict(ps.dens)
-    for d, factors in lcms.items():
-        k, own = ps.den(d)
-        dens[d] = (k, own + factors)
+    lcm = _plethysm_lcm(ps)
+    k, own = ps.den
+    den = (k, own + lcm)
     coeffs = {}
     for lam, c in ps.coeffs.items():
         num = QRows(_rows_times(
-            c.rows, (lcms[lam.weight()] - _plethysm_factors(lam)).elements(),
-            e.width))
+            c.rows, (lcm - _plethysm_factors(lam)).elements(), e.width))
         if rule == "modified":
             coeffs[lam] = num
             continue
         for key, m in _expand_powersum(lam, nvars).items():
             _add(coeffs, key, num * m)
     if rule == "modified":
-        return SymmetricExpr("powersum", coeffs, dens, e.width)
-    return coeffs, dens
+        return SymmetricExpr("powersum", coeffs, den, e.width)
+    return coeffs, den
 
 
 _H_TABLE_CACHE = {}
@@ -495,11 +452,11 @@ _H_TABLE_CACHE = {}
 def _oracle_table(lam):
     """Every monomial coefficient of H_lam, by plethysm on J_lam."""
     d = lam.weight()
-    J = _packed_J(lam, max(d, 1), _spread(_transitions(d)[1]))
+    J = _packed_J(lam, _spread(_transitions(d)[1]))
     mono = basis_convert(plethysm_eval(J, "modified"), "monomial")
     table = {}
     for mu, c in mono.coeffs.items():
-        terms = _cleared(c, mono.den(d), J.width,
+        terms = _cleared(c, mono.den, J.width,
                          "H coefficient at %r" % (mu,))
         if not all(x > 0 for x in terms.values()):
             raise NegativeCoefficient(
@@ -529,11 +486,11 @@ def _W_table(lam, N):
     # p_lam over 2N letters has at most min(d, 2N)^ell(lam) ways to reach a
     # monomial: each part goes to one letter of its support
     spread = sum(min(d, 2 * N) ** len(nu) for nu in partitions_of(d))
-    J = _packed_J(lam, max(d, len(lam), 1), spread)
-    table, dens = plethysm_eval(J, "double", nvars=N)
+    J = _packed_J(lam, spread)
+    table, den = plethysm_eval(J, "double", nvars=N)
     out = {}
     for exp, c in table.items():
-        terms = _cleared(c, dens[sum(exp)], J.width, "W coefficient")
+        terms = _cleared(c, den, J.width, "W coefficient")
         if any(x < 0 for x in terms.values()):
             raise NegativeCoefficient("W coefficient has a negative term")
         out[exp] = terms

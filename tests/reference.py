@@ -1,15 +1,21 @@
 """Exact references that the tests hold the library against: face weights
-of the vertex model, hook products and polynomial helpers.  They use none
-of the library's packed arithmetic, so agreement with them is evidence;
-nothing under src/ calls them."""
+of the vertex model, hook products, polynomial helpers, the explicit
+monomial expansion and the W reductions on W expanded in full.  They use
+none of the library's packed arithmetic, so agreement with them is
+evidence; nothing under src/ calls them."""
 
+from collections import Counter
 from itertools import accumulate, product as iproduct
 
+from modmacd import symoracle
 from modmacd.combinat import Partition, _at, conjugate
-from modmacd.errors import TruncationResidual
-from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction, T,
-                              ZERO, sym)
+from modmacd.errors import (NonPolynomialCoefficient, TooFewVariables,
+                            TruncationResidual)
+from modmacd.exactalg import (ExactPolynomial, ONE, P, Q, RationalFunction,
+                              T, ZERO, sym)
 from modmacd.lattice import _as_poly
+from modmacd.modmac import modified_H
+from modmacd.packed import _qt_terms
 from modmacd.qseries import gauss_binomial, pochhammer
 
 Z = sym("z")
@@ -262,3 +268,56 @@ def _divide_factor(terms, a, b, m):
             if c:
                 out[(o, x + u * a, y + u * b)] = c
     return out
+
+
+def monomial_expand(e, nvars):
+    """Explicit polynomial over x_1..x_nvars; every coefficient must be a
+    polynomial in q and t over the trivial denominator."""
+    e = symoracle.basis_convert(e, "monomial")
+    terms = {}
+    for mu, c in e.coeffs.items():
+        if len(mu) > nvars:
+            raise TooFewVariables("partition %r needs more variables" % (mu,))
+        if e.width is not None or e.den != (1, Counter()):
+            raise NonPolynomialCoefficient(
+                "coefficient at %r has a denominator" % (mu,))
+        qt = _qt_terms(c)
+        for exp in symoracle._expand_monomial(mu, nvars):
+            for e_qt, x in qt.items():
+                terms[e_qt + exp] = x
+    # q, t first keeps the symbols sorted (for nvars < 10)
+    return ExactPolynomial(
+        ("q", "t") + tuple("x%d" % i for i in range(1, nvars + 1)), terms)
+
+
+def w_reduction_reference(lam, N):
+    """The four corners of W by substitution into W expanded over every
+    exponent, compared with J, J' and the lattice H expanded in full."""
+    if not isinstance(lam, Partition):
+        lam = Partition(lam)
+    conj = conjugate(lam)
+    W = symoracle.W_oracle(lam, N)
+    xs = ["x%d" % i for i in range(1, N + 1)]
+    zs = ["z%d" % i for i in range(1, N + 1)]
+    swap_rename = {"q": T, "t": Q}
+    swap_rename.update({x: sym(z) for x, z in zip(xs, zs)})
+
+    def lattice_H(shape):
+        return monomial_expand(symoracle.SymmetricExpr(
+            "monomial", modified_H(shape, N).coeffs), N)
+
+    # z_i = -t x_i  ->  c_lam(q, t) P_lam(x; q, t)
+    spec = W.substitute({z: P(-1) * T * sym(x) for x, z in zip(xs, zs)})
+    if spec != monomial_expand(symoracle.integral_J(lam, N), N):
+        return False
+    # x_i = -q z_i  ->  c_{lam'}(t, q) P_{lam'}(z; t, q)
+    spec = W.substitute({x: P(-1) * Q * sym(z) for x, z in zip(xs, zs)})
+    dual_J = monomial_expand(symoracle.integral_J(conj, N), N).substitute(
+        swap_rename)
+    if spec != dual_J:
+        return False
+    # z = 0  ->  H_lam(x; q, t) and x = 0  ->  H_{lam'}(z; t, q)
+    if W.substitute({z: P(0) for z in zs}) != lattice_H(lam):
+        return False
+    spec = W.substitute({x: P(0) for x in xs})
+    return spec == lattice_H(conj).substitute(swap_rename)

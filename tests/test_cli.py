@@ -177,7 +177,7 @@ def test_verify_names_first_counterexample(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("suite,count", [
-    ("phi", 222), ("lattice", 79), ("reductions", 6), ("hl", 11),
+    ("phi", 222), ("lattice", 79), ("reductions", 11), ("hl", 11),
     ("duality", 11), ("cauchy", 5),
 ])
 def test_verify_case_counts(suite, count):

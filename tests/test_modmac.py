@@ -8,7 +8,8 @@ from operator import or_
 
 import pytest
 
-from modmacd import clear_caches, cli, exactalg, modmac
+import reference
+from modmacd import clear_caches, cli, exactalg, modmac, symoracle
 from modmacd.combinat import (Partition, SequencePair, conjugate,
                               partitions_of)
 from modmacd.errors import (ConsistencyError, NegativeCoefficient,
@@ -20,7 +21,8 @@ from modmacd.modmac import (cauchy_check, duality_check, kostka_qt,
 from modmacd.packed import _Bound, _unpack_qt, QTPacking
 from modmacd.qseries import gauss_binomial, pochhammer
 
-from reference import c_functions, factor_product
+from reference import (c_functions, factor_product, monomial_expand,
+                       w_reduction_reference)
 
 Q = sym("q")
 T = sym("t")
@@ -124,31 +126,96 @@ def test_w_reductions_small():
             assert w_reduction_check(lam, w)
 
 
+_W_TABLE = symoracle._W_table
+
+
+def _doubled_entry(alphabet, sort):
+    """A _W_table that doubles its first entry whose other alphabet's part
+    is empty and whose own part is a partition (sort) or is not."""
+    def wrong(lam, N):
+        table = dict(_W_TABLE(lam, N))
+        own, other = slice(0, N), slice(N, 2 * N)
+        if alphabet == "z":
+            own, other = other, own
+        e = min(e for e in table if not any(e[other])
+                and (list(e[own]) == sorted(e[own], reverse=True)) == sort)
+        table[e] = {qt: 2 * x for qt, x in table[e].items()}
+        return table
+
+    return wrong
+
+
 @pytest.mark.parametrize("alphabet", ["x", "z"])
 def test_w_reduction_check_compares_W_with_the_lattice(monkeypatch,
                                                         alphabet):
     # The z = 0 and x = 0 corners read the lattice H, not the oracle's: a
-    # doubled coefficient on one monomial in x alone (or z alone) is caught
-    # there, and the oracle H table is never read.
-    W_oracle = modmac.W_oracle
-
-    def wrong(lam, N):
-        w = W_oracle(lam, N)
-        other = [i for i, v in enumerate(w.vars)
-                 if v[0] in "xz" and v[0] != alphabet]
-        terms = dict(w.terms)
-        e = min(e for e in terms if not any(e[i] for i in other))
-        terms[e] *= 2
-        return ExactPolynomial(w.vars, terms)
-
+    # doubled coefficient at a partition in x alone (or z alone) is caught
+    # there, one at an unsorted exponent by the symmetry check, and the
+    # oracle H table is never read.
     def forbidden(*args, **kwargs):
         raise AssertionError("oracle H table read")
 
     lam = Partition((2, 1))
     monkeypatch.setattr(modmac, "modified_H_oracle", forbidden)
     assert w_reduction_check(lam, 3)
-    monkeypatch.setattr(modmac, "W_oracle", wrong)
-    assert not w_reduction_check(lam, 3)
+    for sort in (True, False):
+        monkeypatch.setattr(modmac, "_W_table", _doubled_entry(alphabet, sort))
+        assert not w_reduction_check(lam, 3), sort
+
+
+def test_w_reduction_check_builds_no_full_polynomial(monkeypatch):
+    # Every corner reads W's coefficient table at partition exponents: W is
+    # never expanded into a polynomial over its letters, and nothing
+    # substitutes.
+    def forbidden(name):
+        def reached(*args, **kwargs):
+            raise AssertionError(name + " reached")
+        return reached
+
+    monkeypatch.setattr(symoracle, "W_oracle", forbidden("W_oracle"))
+    monkeypatch.setattr(ExactPolynomial, "substitute",
+                        forbidden("ExactPolynomial.substitute"))
+    for w in range(1, 4):
+        for lam in partitions_of(w):
+            assert w_reduction_check(lam, w), lam
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("parts", [lam.parts for w in range(1, 5)
+                                   for lam in partitions_of(w)],
+                         ids=lambda parts: ",".join(map(str, parts)))
+def test_w_reduction_check_agrees_with_the_full_expansion(parts, extra):
+    # at N = |lam| and |lam| + 1, on every shape of weight <= 4
+    lam = Partition(parts)
+    N = lam.weight() + extra
+    assert w_reduction_check(lam, N) is True
+    assert w_reduction_reference(lam, N) is True
+
+
+def _doubled_orbit(lam, N):
+    """A _W_table, still symmetric, with every entry of one orbit whose x-
+    and z-parts are both nonempty doubled: only the J corners see it."""
+    table = dict(_W_TABLE(lam, N))
+
+    def rep(e):
+        return (tuple(sorted(e[:N])), tuple(sorted(e[N:])))
+
+    first = rep(min(e for e in table if any(e[:N]) and any(e[N:])))
+    return {e: {qt: 2 * x for qt, x in terms.items()} if rep(e) == first
+            else terms for e, terms in table.items()}
+
+
+@pytest.mark.parametrize("wrong", [
+    _doubled_entry("x", True), _doubled_entry("x", False),
+    _doubled_entry("z", True), _doubled_entry("z", False), _doubled_orbit],
+    ids=["x-partition", "x-unsorted", "z-partition", "z-unsorted", "orbit"])
+def test_w_reduction_check_and_the_full_expansion_reject_a_wrong_table(
+        monkeypatch, wrong):
+    monkeypatch.setattr(modmac, "_W_table", wrong)
+    monkeypatch.setattr(symoracle, "_W_table", wrong)
+    lam = Partition((2, 1))
+    assert w_reduction_check(lam, 3) is False
+    assert w_reduction_reference(lam, 3) is False
 
 
 def test_cauchy_identities():
@@ -353,10 +420,10 @@ def _ref_integral_form(kind, lam, alphabet, n):
     """One sum-side factor as a polynomial in the first n letters of the
     alphabet (W's second alphabet is z beside x and w beside y)."""
     if kind == "W":
-        poly = modmac.W_oracle(lam, n)
+        poly = symoracle.W_oracle(lam, n)
     else:
-        poly = modmac.monomial_expand(
-            modmac.integral_J(lam if kind == "J" else conjugate(lam), n), n)
+        poly = monomial_expand(symoracle.integral_J(
+            lam if kind == "J" else conjugate(lam), n), n)
     rename = {"q": "t", "t": "q"} if kind == "J'" else {}
     if alphabet != "x":
         for i in range(1, n + 1):
@@ -509,9 +576,10 @@ def test_cauchy_check_builds_no_full_frame_polynomial(monkeypatch):
             raise AssertionError(name + " reached")
         return reached
 
-    monkeypatch.setattr(modmac, "monomial_expand",
+    monkeypatch.setattr(reference, "monomial_expand",
                         forbidden("monomial_expand"))
-    monkeypatch.setattr(modmac, "W_oracle", forbidden("W_oracle"))
+    monkeypatch.setattr(symoracle, "W_oracle", forbidden("W_oracle"))
+    monkeypatch.setattr(symoracle, "integral_J", forbidden("integral_J"))
     monkeypatch.setattr(ExactPolynomial, "substitute",
                         forbidden("ExactPolynomial.substitute"))
     for identity in ("PQ", "dual", "W", "mixedQ", "mixedP"):

@@ -17,13 +17,13 @@ from modmacd.combinat import Partition, partitions_of
 from modmacd.errors import NonPolynomialCoefficient, TooFewVariables
 from modmacd.exactalg import (ExactPolynomial, P as PC, RationalFunction,
                               ZERO, poly_divexact, ratfun_normalize, sym)
-from modmacd.packed import _width
+from modmacd.packed import _qt_terms, _width
 from modmacd.symoracle import (SymmetricExpr, W_oracle, basis_convert,
                                integral_J, kostka_number, macdonald_P,
-                               modified_H_oracle, monomial_expand,
-                               plethysm_eval)
+                               modified_H_oracle, plethysm_eval)
 
-from reference import c_functions, divide_factors, factor_product
+from reference import (c_functions, divide_factors, factor_product,
+                       monomial_expand)
 
 Q = sym("q")
 T = sym("t")
@@ -32,10 +32,18 @@ RF_ZERO = RationalFunction(ZERO)
 RF_ONE = RationalFunction(ONE)
 
 
+def _packed(e, W):
+    """e with every numerator, a polynomial in q and t, as QRows at
+    t = 2^W."""
+    return SymmetricExpr(
+        e.basis, {mu: symoracle.QRows(symoracle._rows(_qt_terms(c), W))
+                  for mu, c in e.coeffs.items()}, e.den, W)
+
+
 def _value(e, mu):
-    """Coefficient of mu in e as numerator over its degree's denominator;
-    a packed numerator is decoded first."""
-    k, factors = e.den(mu.weight())
+    """Coefficient of mu in e as numerator over its denominator; a packed
+    numerator is decoded first."""
+    k, factors = e.den
     num = e.coeffs.get(mu, ZERO)
     if e.width is not None and mu in e.coeffs:
         num = ExactPolynomial(("q", "t"), symoracle._cleared(
@@ -139,7 +147,7 @@ def test_P_and_J_match_the_gcd_reduced_branching_rule():
             P_ = macdonald_P(lam, w)
             J = integral_J(lam, w)
             c = c_functions(lam)["c"]
-            assert J.den(w) == (1, Counter()), lam
+            assert J.den == (1, Counter()), lam
             for mu in partitions_of(w):
                 ref = _ref_pcoef(lam, mu.parts)
                 assert _value(P_, mu) == ref, (lam, mu)
@@ -165,30 +173,31 @@ def test_integral_J_rejects_a_wrong_branching_denominator(monkeypatch):
 
 
 def test_plethysm_coefficients_share_one_denominator_per_degree():
-    # The plethysm gives degree d the denominator k_d prod_{D_d} (1 - t^r):
-    # k_d the power-sum expression's integer, D_d the lcm multiset of the
-    # factors (0, r) of its degree-d terms; the basis conversion after it
-    # keeps that denominator, and each term's value is divided by its own
-    # factors.
+    # The plethysm gives the homogeneous expression of degree d the one
+    # denominator k prod_D (1 - t^r): k the power-sum expression's integer,
+    # D the lcm multiset of the factors (0, r) of its terms; the basis
+    # conversion after it keeps that denominator, and each term's value is
+    # divided by its own factors.
     for w in range(1, 5):
         for lam in partitions_of(w):
             ps = basis_convert(integral_J(lam, w), "powersum")
-            k, own = ps.den(w)
-            assert own == Counter() and set(ps.dens) == {w}
+            k, own = ps.den
+            assert own == Counter() and {nu.weight() for nu in ps.coeffs} \
+                == {w}
             factors = reduce(or_, (Counter((0, r) for r in nu.parts)
                                    for nu in ps.coeffs))
             den = (k, factors)
             # the values here stay far below 2^63, so W = 64 decodes them
-            packed = symoracle._packed(ps, 64)
+            packed = _packed(ps, 64)
             pleth = plethysm_eval(packed, "modified")
-            assert pleth.dens == {w: den}
+            assert pleth.den == den
             for nu, c in ps.coeffs.items():
                 assert _value(pleth, nu) == RationalFunction(
                     c, factor_product(Counter((0, r) for r in nu.parts)) * k)
             mono = basis_convert(pleth, "monomial")
-            assert mono.dens == {w: den}
-            double, dens = plethysm_eval(packed, "double", nvars=2)
-            assert dens == {w: den}
+            assert mono.den == den
+            double, double_den = plethysm_eval(packed, "double", nvars=2)
+            assert double_den == den
             assert all(sum(e) == w for e in double)
 
 
@@ -198,11 +207,9 @@ def test_oracles_reject_a_plethysm_denominator_missing_a_factor(monkeypatch,
     plethysm_lcm = symoracle._plethysm_lcm
 
     def wrong(ps):
-        out = {}
-        for d, factors in plethysm_lcm(ps).items():
-            pick = min if missing == "smallest" else max
-            out[d] = factors - Counter({pick(factors): 1})
-        return out
+        factors = plethysm_lcm(ps)
+        pick = min if missing == "smallest" else max
+        return factors - Counter({pick(factors): 1})
 
     clear_caches()
     monkeypatch.setattr(symoracle, "_plethysm_lcm", wrong)
@@ -221,11 +228,10 @@ def test_macdonald_P_at_q_equals_t_is_schur():
     for lam in partitions_of(3):
         e = macdonald_P(lam, 3)
         at_qt = {mu: c.substitute({"q": T}) for mu, c in e.coeffs.items()}
-        k, factors = e.den(3)
-        dens = {3: (k, Counter({(0, a + b): m
-                                for (a, b), m in factors.items()}))}
+        k, factors = e.den
+        den = (k, Counter({(0, a + b): m for (a, b), m in factors.items()}))
         target = basis_convert(basis_convert(
-            type(e)("monomial", at_qt, dens), "monomial"), "schur")
+            type(e)("monomial", at_qt, den), "monomial"), "schur")
         assert _values(target) == {lam: RF_ONE}
 
 
@@ -237,7 +243,7 @@ def test_macdonald_P_needs_enough_variables():
 def test_integral_form_clears_denominators():
     for lam in partitions_of(3):
         e = integral_J(lam, 3)
-        assert e.den(3) == (1, Counter())
+        assert e.den == (1, Counter())
         for c in e.coeffs.values():
             assert isinstance(c, ExactPolynomial)
 
@@ -328,6 +334,16 @@ def test_schur_function_matches_bialternant_examples():
     assert expand((2, 1)) == x1 ** 2 * x2 + x1 * x2 ** 2
 
 
+def test_basis_conversion_keeps_the_zero_expression():
+    # with no coefficient there is no degree to read: the zero expression
+    # keeps its denominator in every basis
+    den = (3, Counter({(0, 1): 1}))
+    for source in ("monomial", "powersum", "schur"):
+        for target in ("monomial", "powersum", "schur"):
+            got = basis_convert(SymmetricExpr(source, {}, den), target)
+            assert (got.basis, got.coeffs, got.den) == (target, {}, den)
+
+
 def test_basis_conversion_round_trip():
     for lam in partitions_of(4):
         e = macdonald_P(lam, 4)
@@ -378,7 +394,7 @@ def _reference_cleared(num, den):
 
 def _packed_cleared(num, den, W):
     """_cleared on num packed at t = 2^W, as an ExactPolynomial."""
-    e = symoracle._packed(SymmetricExpr("monomial", {(1,): num}), W)
+    e = _packed(SymmetricExpr("monomial", {(1,): num}), W)
     rows = e.coeffs.get(Partition((1,)), symoracle.QRows([0]))
     return ExactPolynomial(("q", "t"), symoracle._cleared(rows, den, W, "f"))
 
