@@ -11,14 +11,17 @@ one transfer sweep over columns n, ..., 1 (_column_sweep), given each
 column's moves by _column_moves (x, dual) or _hl_moves: its state is the
 current column's chains, each with a map from partial composition to a
 packed (q, t) polynomial, and each step multiplies in one column weight,
-which reads only that column and the one before it.  A structure pass first
-finds the live transitions and bounds the summed l1 norm and the t-degree of
-each chain tuple's partial sums, which fixes the packing.  A cell factor
-(_phi_eval) is read off phi's packed rows of Phi (one t-digit per term
-z^d t^i c) by exponent arithmetic: no SequencePair, ExactPolynomial or
-public Phi function is on the cell path.  The formulas stay independent,
-each with its own exponent and factors (they share only the sweep driver;
-x and dual also share the cached Phi evaluation and the split of a column
+which reads only that column and the one before it.  Every cell factor is
+built once, by one constructor (_cell), as a record (l1 norm, t-degree,
+terms) that carries its own bounds; the negative-exponent check runs there,
+once per cell.  A structure pass first finds the live transitions and bounds
+the summed l1 norm and the t-degree of each chain tuple's partial sums from
+the carried bounds, which fixes the packing.  A Phi cell (_phi_eval) is read
+off phi's packed rows of Phi (one t-digit per term z^d t^i c) by exponent
+arithmetic: no SequencePair, ExactPolynomial or public Phi function is on
+the cell path.  The formulas stay independent, each with its own exponent
+and factors (they share only the sweep driver and the cell constructor; x
+and dual also share the cached Phi evaluation and the split of a column
 exponent into a part of the column's own chains and a dot product with the
 next column's, _chi_split), because their agreement is the evidence that
 each is right; the oracle shares none of their code but packed's digit
@@ -36,7 +39,7 @@ from .exactalg import ExactPolynomial, ONE, T, poly_divexact, sym, ZERO
 from .memo import memoized
 from .packed import (_at_one, _binom_list, _digits, _pack_qt, _unpack_qt,
                      _width)
-from .phi import _at_one_rows, _phi_rows, _rot_once
+from .phi import _at_one_rows, _phi_rows, _rotation
 from .qseries import fusion_normalizer, gauss_binomial
 
 
@@ -232,13 +235,30 @@ def _b_coef(ln, mn, lpn, mpn, x, z, w):
 # column weights and coefficient extraction
 # ---------------------------------------------------------------------------
 
+def _cell(terms):
+    """The record (l1 norm, t-degree, terms) of a cell factor with the
+    terms ((q exponent, t exponent), coefficient), built once per cell, so
+    that the sweep multiplies carried norms and adds carried degrees; None
+    for a zero factor, which no live move carries.  Packing needs every
+    exponent >= 0 once chi is shifted, so a negative one raises here."""
+    terms = tuple(terms)
+    if not terms:
+        return None
+    keys, coefficients = zip(*terms)
+    qs, ts = zip(*keys)
+    if min(qs) < 0 or min(ts) < 0:
+        raise ConsistencyError(
+            "negative exponent in a cell factor: %r" % (terms,))
+    return sum(map(abs, coefficients)), max(ts), terms
+
+
 _PHI_EVAL_CACHE = {}
 
 
 @memoized(_PHI_EVAL_CACHE)
 def _phi_eval(nu, nut, qexp, texp, dual):
-    """Phi (or Phi') at the monomial argument, as a tuple of
-    ((q exponent, t exponent), coefficient).
+    """Phi (or Phi') at the monomial argument, as a cell record (_cell) of
+    its terms ((q exponent, t exponent), coefficient).
 
     The z^d coefficient of Phi is read off phi's cached packed rows (the
     t-digits of rows[d]), and each term z^d t^i c is mapped by exponent
@@ -251,7 +271,7 @@ def _phi_eval(nu, nut, qexp, texp, dual):
     if qexp == texp == 0:
         (rows, W), first, zq, zt = _at_one_rows(nut), 0, 0, 0
     elif dual:
-        (rows, W), first, zq, zt = (_phi_rows(_rot_once(nu), nut), nu[0],
+        (rows, W), first, zq, zt = (_phi_rows(_rotation(nu, 1), nut), nu[0],
                                     texp, qexp)
     else:
         (rows, W), first, zq, zt = _phi_rows(nu, nut), 0, qexp, texp
@@ -260,7 +280,7 @@ def _phi_eval(nu, nut, qexp, texp, dual):
         for t, c in _digits(value, W):
             key = (z * zq + t, z * zt) if dual else (z * zq, z * zt + t)
             out[key] = out.get(key, 0) + c
-    return tuple((key, c) for key, c in out.items() if c)
+    return _cell((key, c) for key, c in out.items() if c)
 
 
 def _chi_split(nuts, dual):
@@ -395,7 +415,7 @@ def _add_move(sums, cur, partials, inc, w):
 def _column_moves(shape, N, dual, i, belows):
     """Yield the live moves into column i: (below, cur, chi, cells) for every
     tuple below of column-(i+1) chains and cur of column-i chains whose
-    cell factors (tuples from _phi_eval) are all nonzero; chi is the
+    cell factors (records from _phi_eval) are all nonzero; chi is the
     column's exponent in chi (dual: chi').  The nonzero filter is a guard
     that never drops a valid chain: each cell is Phi or Phi' of two
     nondecreasing chains with equal tops (the diagonal cell the closed
@@ -427,9 +447,9 @@ _BINOM_CELL_CACHE = {}
 
 @memoized(_BINOM_CELL_CACHE)
 def _binom_cell(a, b):
-    """[a choose b]_t as a cell tuple of ((0, t exponent), coefficient);
-    empty when it is zero."""
-    return tuple(((0, e), c) for e, c in enumerate(_binom_list(a, b)) if c)
+    """[a choose b]_t as a cell record (_cell) of the terms
+    ((0, t exponent), coefficient); None when it is zero."""
+    return _cell(((0, e), c) for e, c in enumerate(_binom_list(a, b)) if c)
 
 
 def _hl_moves(shape, N, i, belows):
@@ -455,11 +475,14 @@ def _column_sweep(shape, N, dual, column_moves):
     cells) into column i = len(shape), ..., 1 from the chain tuples below
     of column i + 1 (the one state () before column n): cur is a tuple of
     column-i chains of length N, the exponent is of t (dual: of q), and
-    each cell a cached tuple of ((q exponent, t exponent), coefficient).  A
-    partial composition c is keyed by the int sum_k c_k B^k, B = |shape| + 1
-    > every c_k, so that adding a column's increments is one addition; the
-    last column adds every path into the one state ().  Returns the packed
-    sums and their values at q = t = 1 (packed._at_one) by key, each key's
+    each cell a cached record (l1 norm, t-degree, terms) from _cell, whose
+    terms ((q exponent, t exponent), coefficient) have passed the
+    negative-exponent check there; the structure pass multiplies the
+    carried norms and adds the carried degrees.  A partial composition c
+    is keyed by the int sum_k c_k B^k, B = |shape| + 1 > every c_k, so
+    that adding a column's increments is one addition; the last column
+    adds every path into the one state ().  Returns the packed sums and
+    their values at q = t = 1 (packed._at_one) by key, each key's
     composition (c_1, ..., c_N), and the decoder.
     """
     B = sum(shape) + 1
@@ -470,9 +493,6 @@ def _column_sweep(shape, N, dual, column_moves):
     columns = []
     tot, tdeg = {(): 1}, {(): 0}
     shift = 0
-    # keyed by id: the cells are cached tuples, which the records keep alive
-    # for the whole sweep
-    cell_bounds = {}  # id -> (l1 norm, t-degree)
     for i in range(len(shape), 0, -1):
         incs = {}
         records, sums, degs = [], {}, {}
@@ -484,15 +504,7 @@ def _column_sweep(shape, N, dual, column_moves):
             # t-degrees are unshifted until the least exponent is known,
             # and chi can be negative, so no bound starts from 0
             l1, deg = tot[below], tdeg[below] + (0 if dual else expo)
-            for cell in cells:
-                if id(cell) not in cell_bounds:
-                    if any(q < 0 or t < 0 for (q, t), _ in cell):
-                        raise ConsistencyError(
-                            "negative exponent in a cell factor: %r"
-                            % (cell,))
-                    cell_bounds[id(cell)] = (sum(abs(c) for _, c in cell),
-                                             max(t for (_, t), _ in cell))
-                norm, top = cell_bounds[id(cell)]
+            for norm, top, _ in cells:
                 l1, deg = l1 * norm, deg + top
             sums[cur] = sums.get(cur, 0) + l1
             degs[cur] = max(degs.get(cur, deg), deg)
@@ -506,6 +518,8 @@ def _column_sweep(shape, N, dual, column_moves):
     W = _width(tot.get((), 0))
     T = max(tdeg.values(), default=0) + 1
     base = W * T if dual else W
+    # keyed by id: the cells are cached records, which the move records
+    # keep alive for the whole sweep
     packed = {}
     values = {(): {0: 1}}
     for records, low in columns:
@@ -519,7 +533,7 @@ def _column_sweep(shape, N, dual, column_moves):
                 w = 1
                 for cell in cells:
                     if id(cell) not in packed:
-                        packed[id(cell)] = _pack_qt(cell, W, T)
+                        packed[id(cell)] = _pack_qt(cell[2], W, T)
                     w *= packed[id(cell)]
                 group[inc] = group.get(inc, 0) + (w << base * (expo - low))
                 if len(partials) == 1:

@@ -29,7 +29,8 @@ def _degree_bound(sp):
 # norms of the inputs, in phi_series (the largest series coefficient times
 # the 2^(top+1) of its prefactor) and in _packed_rows, the kernel of the
 # other term-sum routes.  That (rows, W) is also the one cached form of Phi
-# (_PHI_CACHE, _AT_ONE_CACHE), a z-shift being zero rows in front; _decode
+# (_POSITIVE_ROWS_CACHE per rotation orbit, _PHI_CACHE per pair,
+# _AT_ONE_CACHE), a z-shift being zero rows in front; _decode
 # reads it into the polynomial that the public functions return, and the
 # lattice cells read its digits.  Both kernels read their binomials from the
 # one packed table of their width (packed._gauss_table), one subscript per
@@ -226,13 +227,13 @@ def phi_positive(sp):
     return _decode(*_packed_rows(_positive_terms(sp.nu, sp.nutilde)))
 
 
-def _rotated(nu, nut, k):
-    """k-fold rotation of the pair (nu, nut): (nu', nut', zshift) with
-    Phi_{nu|nut}(z) = z^zshift * Phi_{nu'|nut'}(z)."""
-    zshift = nu[k - 1] - nut[k - 1]
-    for _ in range(k):
-        nu, nut = _rot_once(nu), _rot_once(nut)
-    return nu, nut, zshift
+def _rotation(seq, k):
+    """The k-fold rotation of one sequence (1 <= k <= N), k one-step
+    rotations (nu^2 - nu^1, ..., nu^N - nu^1, nu^N) in one: the entries
+    after nu^k less nu^k, then the first k plus nu^N - nu^k."""
+    low = seq[k - 1]
+    high = seq[-1] - low
+    return tuple(v - low for v in seq[k:]) + tuple(v + high for v in seq[:k])
 
 
 def rotate(sp, k):
@@ -240,13 +241,19 @@ def rotate(sp, k):
     Phi_sp(z) = z^zshift * Phi_rotated(z)."""
     if not (1 <= k <= sp.N):
         raise IndexOutOfRange("rotation index must be in 1..N")
-    nu, nut, zshift = _rotated(sp.nu, sp.nutilde, k)
-    return SequencePair(nu, nut), zshift
+    return (SequencePair(_rotation(sp.nu, k), _rotation(sp.nutilde, k)),
+            sp.nu[k - 1] - sp.nutilde[k - 1])
 
 
-def _rot_once(seq):
-    first, last = seq[0], seq[-1]
-    return tuple(v - first for v in seq[1:]) + (last,)
+_POSITIVE_ROWS_CACHE = {}
+
+
+@memoized(_POSITIVE_ROWS_CACHE)
+def _positive_rows(nu, nut):
+    """The positive form of Phi_{nu|nut} (requires nu <= nut) as (rows, W),
+    packed by _packed_rows: one entry per rotation orbit, keyed by the
+    orbit's representative (see _phi_rows)."""
+    return _packed_rows(_positive_terms(nu, nut))
 
 
 _PHI_CACHE = {}
@@ -255,20 +262,27 @@ _PHI_CACHE = {}
 @memoized(_PHI_CACHE)
 def _phi_rows(nu, nut):
     """Phi_{nu|nut} as (rows, W), packed as _packed_rows packs it, for any
-    valid pair: the positive form, after the rotation at the least
-    nutilde - nu when that is negative (a z-shift of the rotated pair's
-    rows)."""
+    valid pair.
+
+    The N rotations of the pair form its orbit; the least rotation with
+    nu <= nutilde is the orbit's representative, whose positive-form rows
+    (_positive_rows) every pair of the orbit reads, z-shifted by the
+    rotation's zshift.  With equal tops the k-fold rotation turns
+    nutilde - nu into a cyclic shift of itself less its k-th entry, so it
+    has nu <= nutilde exactly when k is an argmin of nutilde - nu, and then
+    zshift = -min(nutilde - nu) >= 0, the last entry being 0; a negative
+    shift may drop only zero rows."""
     diffs = list(map(sub, nut, nu))
     low = min(diffs)
-    if low >= 0:
-        return _packed_rows(_positive_terms(nu, nut))
-    rnu, rnut, zshift = _rotated(nu, nut, diffs.index(low) + 1)
-    if zshift < 0:
+    rows, W = _positive_rows(*min(
+        (_rotation(nu, k), _rotation(nut, k))
+        for k, diff in enumerate(diffs, 1) if diff == low))
+    zshift = -low
+    if zshift < 0 and any(rows[:-zshift]):
         raise TruncationResidual(
             "rotated evaluation left negative z powers for %r | %r"
             % (nu, nut))
-    rows, W = _packed_rows(_positive_terms(rnu, rnut))
-    return (0,) * zshift + rows, W
+    return (0,) * zshift + rows[max(0, -zshift):], W
 
 
 def phi_normalized(sp):
@@ -278,7 +292,7 @@ def phi_normalized(sp):
 
 def phi_prime(sp):
     """Phi'_{nu|nutilde}(z;t) = z^{nu^1} Phi_{r(nu)|nutilde}(z;t)."""
-    rows, W = _phi_rows(_rot_once(sp.nu), sp.nutilde)
+    rows, W = _phi_rows(_rotation(sp.nu, 1), sp.nutilde)
     return _decode((0,) * sp.nu[0] + rows, W)
 
 

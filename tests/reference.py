@@ -8,7 +8,7 @@ from collections import Counter
 from itertools import accumulate, product as iproduct
 
 from modmacd import symoracle
-from modmacd.combinat import Partition, _at, conjugate
+from modmacd.combinat import Partition, SequencePair, _at, conjugate
 from modmacd.errors import (NonPolynomialCoefficient, TooFewVariables,
                             TruncationResidual)
 from modmacd.exactalg import (ExactPolynomial, ONE, P, Q, RationalFunction,
@@ -16,6 +16,7 @@ from modmacd.exactalg import (ExactPolynomial, ONE, P, Q, RationalFunction,
 from modmacd.lattice import _as_poly
 from modmacd.modmac import modified_H
 from modmacd.packed import _qt_terms
+from modmacd.phi import phi_positive
 from modmacd.qseries import gauss_binomial, pochhammer
 
 Z = sym("z")
@@ -152,6 +153,22 @@ def phi_prime_series(sp):
                 % (d, bound, sp))
         out = out + Z ** d * c
     return out
+
+
+def phi_by_argmin_rotation(sp):
+    """Phi of any valid pair as the positive form of its rotation at the
+    first argmin of nutilde - nu, times z^shift: the rotation taken one
+    step (nu^2 - nu^1, ..., nu^N - nu^1, nu^N) at a time, and the positive
+    form read by phi_positive, which reads no cache."""
+    nu, nut = sp.nu, sp.nutilde
+    diffs = [b - a for a, b in zip(nu, nut)]
+    k = diffs.index(min(diffs)) + 1
+    shift = nu[k - 1] - nut[k - 1]
+    for _ in range(k):
+        nu = tuple(v - nu[0] for v in nu[1:]) + (nu[-1],)
+        nut = tuple(v - nut[0] for v in nut[1:]) + (nut[-1],)
+    return ExactPolynomial.monomial({"z": shift}) \
+        * phi_positive(SequencePair(nu, nut))
 
 
 def weight_hl_factorization_check(f, x="x"):

@@ -20,7 +20,7 @@ from modmacd.errors import (ConsistencyError, InfeasibleMultiplicities,
                             MismatchedTops)
 from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction,
                               poly_divexact, sym, ZERO)
-from modmacd.lattice import (_PHI_EVAL_CACHE, _as_poly, _phi_eval,
+from modmacd.lattice import (_PHI_EVAL_CACHE, _as_poly, _cell, _phi_eval,
                              _BINOM_CELL_CACHE, _collapse_compositions,
                              _hl_column, chi, fundamental_L,
                              fused_L_recurrence, fused_vertex_bruteforce,
@@ -379,8 +379,14 @@ def test_column_exponents_match_the_pairwise_sum(chains, i):
 
 
 def _cell_poly(cell):
-    """The ExactPolynomial of a cell tuple ((q exponent, t exponent), c)."""
-    return ExactPolynomial(("q", "t"), dict(cell))
+    """The ExactPolynomial of a cell record's terms ((q exponent, t
+    exponent), c)."""
+    return ExactPolynomial(("q", "t"), dict(cell[2]))
+
+
+def _bounds_of(terms):
+    """(l1 norm, t-degree) of cell terms, recomputed from the terms."""
+    return sum(abs(c) for _, c in terms), max(t for (_, t), _ in terms)
 
 
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=5).map(sorted)
@@ -406,7 +412,8 @@ def test_cell_tuple_is_phi_at_the_cell_argument(steps, qexp, texp, dual):
     nut = nut[:-1] + (nu[-1],)
     assume(all(x <= y for x, y in zip(nut, nut[1:])))
     cell = _phi_eval(nu, nut, qexp, texp, dual)
-    assert all(c for _, c in cell)
+    assert all(c for _, c in cell[2])
+    assert cell[:2] == _bounds_of(cell[2])
     assert _cell_poly(cell) == _cell_by_substitution(nu, nut, qexp, texp,
                                                      dual)
 
@@ -423,7 +430,9 @@ def test_every_h_lattice_cell_is_a_positive_phi():
     # 4-6, 2,722 cells) is Phi or Phi' of a valid pair, or on the diagonal
     # the closed product: nonzero, with nonnegative coefficients, and at
     # q = t = 1 it is prod_j C(nutilde^{j+1}, nutilde^j), phi_at_one at
-    # t = 1.  So _column_moves' nonzero filter drops no valid chain.
+    # t = 1.  So _column_moves' nonzero filter drops no valid chain.  The
+    # record's carried l1 norm is that product, and its carried bounds are
+    # the ones its terms give.
     clear_caches()
     for lam, N in workloads.h_items(workloads.H_WEIGHTS,
                                     workloads.H_FAMILY_CAP):
@@ -432,9 +441,12 @@ def test_every_h_lattice_cell_is_a_positive_phi():
     assert _PHI_EVAL_CACHE
     for (_, nut, _, _, _), cell in _PHI_EVAL_CACHE.items():
         assert cell
-        assert all(c > 0 for _, c in cell)
-        assert sum(c for _, c in cell) \
+        norm, _, terms = cell
+        assert all(c > 0 for _, c in terms)
+        assert sum(c for _, c in terms) \
             == math.prod(map(math.comb, nut[1:], nut[:-1]))
+        assert norm == math.prod(map(math.comb, nut[1:], nut[:-1]))
+        assert cell[:2] == _bounds_of(terms)
 
 
 _LAURENT_QT = st.dictionaries(
@@ -520,8 +532,9 @@ def test_sweep_checks_the_multinomials(monkeypatch):
     try:
         partition_function_coeffs(lam, 3, "x")
         key = next(k for k in _PHI_EVAL_CACHE if k[2] == 1)
-        (exp, c), *rest = _PHI_EVAL_CACHE[key]
-        monkeypatch.setitem(_PHI_EVAL_CACHE, key, ((exp, c + 1), *rest))
+        (exp, c), *rest = _PHI_EVAL_CACHE[key][2]
+        monkeypatch.setitem(_PHI_EVAL_CACHE, key,
+                            _cell(((exp, c + 1), *rest)))
         with pytest.raises(ConsistencyError, match="multinomial"):
             partition_function_coeffs(lam, 3, "x")
     finally:
@@ -547,9 +560,9 @@ def test_hl_sweep_checks_h_lambda_at_one(monkeypatch):
     try:
         partition_function_coeffs(lam, 3, "hl")
         key = (2, 1)  # [2, 1]_t = 1 + t, on a live move for (2, 1) at N = 3
-        assert _BINOM_CELL_CACHE[key] == (((0, 0), 1), ((0, 1), 1))
+        assert _BINOM_CELL_CACHE[key][2] == (((0, 0), 1), ((0, 1), 1))
         monkeypatch.setitem(_BINOM_CELL_CACHE, key,
-                            (((0, 0), 2), ((0, 1), 1)))
+                            _cell((((0, 0), 2), ((0, 1), 1))))
         with pytest.raises(ConsistencyError, match="h_lambda"):
             partition_function_coeffs(lam, 3, "hl")
     finally:
@@ -570,11 +583,12 @@ def test_sweep_width_holds_with_negative_cell_terms(monkeypatch, formula):
         extra = {}
         for key, cell in list(_PHI_EVAL_CACHE.items()):
             if cell and key[2:4] != (0, 0):
-                q = max(q for (q, _), _ in cell) + 1
-                t = max(t for (_, t), _ in cell) + 1
+                q = max(q for (q, _), _ in cell[2]) + 1
+                t = max(t for (_, t), _ in cell[2]) + 1
                 terms = (((q, t), 100), ((q, t + 1), -100))
-                monkeypatch.setitem(_PHI_EVAL_CACHE, key, cell + terms)
-                extra[key] = _cell_poly(terms)
+                monkeypatch.setitem(_PHI_EVAL_CACHE, key,
+                                    _cell(cell[2] + terms))
+                extra[key] = ExactPolynomial(("q", "t"), dict(terms))
         assert extra
 
         exact_cell = _cell_by_substitution
@@ -633,18 +647,21 @@ def test_sweep_memory_stays_bounded():
     assert peak < 2.5 * 2 ** 20
 
 
-def test_sweep_refuses_a_negative_cell_exponent(monkeypatch):
+def test_sweep_refuses_a_negative_cell_exponent():
     # Packing needs every exponent >= 0 once chi is shifted; a cell term
-    # moved to t^-1 must raise, not decode as another term.
+    # moved to t^-1 must raise, not decode as another term.  Every cell the
+    # sweep reads is built by _cell, which refuses it, and so is a Phi cell
+    # at an argument with a negative exponent.
     lam = Partition((2, 1))
     clear_caches()
     try:
         partition_function_coeffs(lam, 3, "x")
         key = next(k for k in _PHI_EVAL_CACHE if k[2] == 1)
-        ((q, _), c), *rest = _PHI_EVAL_CACHE[key]
-        monkeypatch.setitem(_PHI_EVAL_CACHE, key, (((q, -1), c), *rest))
+        ((q, _), c), *rest = _PHI_EVAL_CACHE[key][2]
         with pytest.raises(ConsistencyError, match="negative exponent"):
-            partition_function_coeffs(lam, 3, "x")
+            _cell((((q, -1), c), *rest))
+        with pytest.raises(ConsistencyError, match="negative exponent"):
+            _phi_eval((1, 3, 4, 5), (2, 3, 5, 5), -1, 0, False)
     finally:
         clear_caches()
 

@@ -114,6 +114,25 @@ def test_kostka_positivity_and_triangularity():
             assert diag == [lam]
 
 
+def test_kostka_hooks_match_the_cell_product():
+    # Macdonald, Symmetric Functions and Hall Polynomials, VI (8): the hook
+    # entries of a Kostka table are the coefficients of u^r in
+    # prod over the cells (i, j) != (1, 1) of mu of (t^(i-1) + q^(j-1) u).
+    U = sym("u")
+    for w in range(1, 9):
+        for mu in partitions_of(w):
+            product = ONE
+            for i, row in enumerate(mu.parts, start=1):
+                for j in range(1, row + 1):
+                    if (i, j) != (1, 1):
+                        product = product * (T ** (i - 1) + Q ** (j - 1) * U)
+            table = kostka_qt(mu)
+            for r in range(w):
+                hook = Partition((w - r,) + (1,) * r)
+                assert table.get(hook, ZERO) \
+                    == product.coefficient({"u": r}), (mu, r)
+
+
 def test_duality_small():
     for w in range(1, 5):
         for lam in partitions_of(w):

@@ -18,7 +18,8 @@ from modmacd.phi import (g_poly, phi_at_one, phi_finite, phi_normalized,
                          phi_positive, phi_prime, phi_series, rotate)
 from modmacd.qseries import gauss_binomial
 
-from reference import factor_product, phi_prime_series, unpack_rows
+from reference import (factor_product, phi_by_argmin_rotation,
+                       phi_prime_series, unpack_rows)
 
 T = sym("t")
 Z = sym("z")
@@ -90,12 +91,18 @@ def test_value_at_one_factorizes():
 
 def test_rotation_recurrence():
     # Phi_{nu|nutilde} = z^{shift} Phi_{rotated} for every rotation offset.
+    # phi_normalized reads one cached representative per rotation orbit, so
+    # each dominated rotation is also held against phi_series, which reads
+    # no cache.
     for sp in dominated_pairs(3, 3):
         for k in range(1, sp.N + 1):
             rotated, shift = rotate(sp, k)
             lhs = ExactPolynomial.monomial({"z": shift}) \
                 * phi_normalized(rotated)
             assert lhs == phi_positive(sp)
+            if all(a <= b for a, b in zip(rotated.nu, rotated.nutilde)):
+                assert ExactPolynomial.monomial({"z": shift}) \
+                    * phi_series(rotated) == phi_normalized(sp)
 
 
 def test_normalized_handles_negative_differences():
@@ -353,6 +360,36 @@ def test_term_cache_matches_the_independent_routes(sp):
     for k in range(sp.N - 1):
         expect = expect * gauss_binomial(sp.nutilde[k + 1], sp.nutilde[k])
     assert phi_at_one(sp) == expect
+
+
+@given(sequence_pairs())
+@example(SequencePair((2, 2, 2), (0, 1, 2)))
+# two argmins of nutilde - nu, the representative at the second, shift >= 1
+@example(SequencePair((1, 2, 2), (0, 1, 2)))
+@example(SequencePair((2, 3, 3), (0, 1, 3)))
+@example(SequencePair((1, 2, 2, 2), (0, 1, 1, 2)))
+@settings(max_examples=80, deadline=None)
+def test_orbit_rows_match_the_argmin_rotation(sp):
+    # _phi_rows reads one positive form per rotation orbit, at the orbit's
+    # least dominated rotation, and z-shifts it.  Its rows, read by the
+    # reference digit reader, must equal the positive form of the rotation
+    # at the first argmin of nutilde - nu, z-shifted, and every rotation of
+    # the pair must read the one orbit entry.
+    clear_caches()
+    assert unpack_rows(*phi._phi_rows(sp.nu, sp.nutilde)) \
+        == phi_by_argmin_rotation(sp)
+    for k in range(1, sp.N + 1):
+        rotated, _ = rotate(sp, k)
+        phi._phi_rows(rotated.nu, rotated.nutilde)
+    assert len(phi._POSITIVE_ROWS_CACHE) == 1
+    clear_caches()
+
+
+def test_orbit_rows_refuse_a_negative_shift_that_drops_a_nonzero_row():
+    # Equal tops keep the shift >= 0; unequal ones (which SequencePair
+    # refuses) give (0, 1) | (1, 2) the shift -1, whose dropped row is not 0.
+    with pytest.raises(TruncationResidual, match="negative z powers"):
+        phi._phi_rows((0, 1), (1, 2))
 
 
 # -- the positive form's chain enumeration against its generator reference ----
