@@ -12,15 +12,20 @@ column's moves by _column_moves (x, dual) or _hl_moves: its state is the
 current column's chains, each with a map from partial composition to a
 packed (q, t) polynomial, and each step multiplies in one column weight,
 which reads only that column and the one before it.  Every cell factor is
-built once, by one constructor (_cell), as a record (l1 norm, t-degree,
-terms) that carries its own bounds; the negative-exponent check runs there,
-once per cell.  A structure pass first finds the live transitions and bounds
-the summed l1 norm and the t-degree of each chain tuple's partial sums from
-the carried bounds, which fixes the packing.  A Phi cell (_phi_eval) is read
-off phi's packed rows of Phi (one t-digit per term z^d t^i c) by exponent
-arithmetic: no SequencePair, ExactPolynomial or public Phi function is on
+built once, as a cached record (l1 bound, t-degree bound, rows, W, first,
+zq, zt, dual) that carries its own bounds: a Phi cell (_phi_eval) is a view
+on the packed rows that phi caches for Phi (one t-digit per term z^d t^i c),
+the rows object itself with their width and the exponent map that reads
+them, and a factor given by its terms (a Gaussian binomial) is packed into
+rows of its own by _cell.  The negative-exponent check runs once per cell,
+on a Phi cell's argument or on the terms.  A structure pass first finds the
+live transitions and bounds the summed l1 norm and the t-degree of each
+chain tuple's partial sums from the carried bounds, which fixes the
+packing; the numeric pass packs each cell at it by re-spacing each row's
+digits (packed._respace) and shifting the row into place.  No
+SequencePair, ExactPolynomial, per-term tuple or public Phi function is on
 the cell path.  The formulas stay independent, each with its own exponent
-and factors (they share only the sweep driver and the cell constructor; x
+and factors (they share only the sweep driver and the cell records; x
 and dual also share the cached Phi evaluation and the split of a column
 exponent into a part of the column's own chains and a dot product with the
 next column's, _chi_split), because their agreement is the evidence that
@@ -37,8 +42,7 @@ from .errors import (ConsistencyError, InfeasibleMultiplicities,
                      TooFewVariables)
 from .exactalg import ExactPolynomial, ONE, T, poly_divexact, sym, ZERO
 from .memo import memoized
-from .packed import (_at_one, _binom_list, _digits, _pack_qt, _unpack_qt,
-                     _width)
+from .packed import _at_one, _binom_list, _respace, _unpack_qt, _width
 from .phi import _at_one_rows, _phi_rows, _rotation
 from .qseries import fusion_normalizer, gauss_binomial
 
@@ -236,11 +240,13 @@ def _b_coef(ln, mn, lpn, mpn, x, z, w):
 # ---------------------------------------------------------------------------
 
 def _cell(terms):
-    """The record (l1 norm, t-degree, terms) of a cell factor with the
-    terms ((q exponent, t exponent), coefficient), built once per cell, so
-    that the sweep multiplies carried norms and adds carried degrees; None
-    for a zero factor, which no live move carries.  Packing needs every
-    exponent >= 0 once chi is shifted, so a negative one raises here."""
+    """The cell record (see _phi_eval) of a factor given by its terms
+    ((q exponent, t exponent), coefficient), or None for a zero factor,
+    which no live move carries: the terms packed into one row per q
+    exponent, row q its t-polynomial at 2^W with W from the terms' l1 norm,
+    read by the exponent map z -> q (first 0, zq 1, zt 0, not dual).
+    Packing needs every exponent >= 0 once chi is shifted, so a negative
+    one raises here, once per cell."""
     terms = tuple(terms)
     if not terms:
         return None
@@ -249,7 +255,12 @@ def _cell(terms):
     if min(qs) < 0 or min(ts) < 0:
         raise ConsistencyError(
             "negative exponent in a cell factor: %r" % (terms,))
-    return sum(map(abs, coefficients)), max(ts), terms
+    l1 = sum(map(abs, coefficients))
+    W = _width(l1)
+    rows = [0] * (max(qs) + 1)
+    for (q, t), c in terms:
+        rows[q] += c << W * t
+    return l1, max(ts), tuple(rows), W, 0, 1, 0, False
 
 
 _PHI_EVAL_CACHE = {}
@@ -257,30 +268,47 @@ _PHI_EVAL_CACHE = {}
 
 @memoized(_PHI_EVAL_CACHE)
 def _phi_eval(nu, nut, qexp, texp, dual):
-    """Phi (or Phi') at the monomial argument, as a cell record (_cell) of
-    its terms ((q exponent, t exponent), coefficient).
+    """Phi (or Phi') at the monomial argument, as a cell record
+    (l1, tdeg, rows, W, first, zq, zt, dual): a view on the packed rows
+    that phi caches for Phi, the rows object itself with their width W,
+    and the exponent map that reads them.  rows[d] holds the z^(first + d)
+    coefficient at t = 2^W; its digit i at row z is the coefficient of
+    q^(z zq) t^(z zt + i), or when dual of q^(z zq + i) t^(z zt).  For Phi,
+    z -> q^qexp t^texp; for Phi' (Phi of the rotated nu, shifted by
+    z^{nu^1}) z -> t^qexp q^texp and t -> q.  At argument 1
+    (qexp == texp == 0, the diagonal cell) the value depends on nutilde
+    only and is the closed product of phi_at_one, in base q when dual.
 
-    The z^d coefficient of Phi is read off phi's cached packed rows (the
-    t-digits of rows[d]), and each term z^d t^i c is mapped by exponent
-    arithmetic: z -> q^qexp t^texp for Phi, and for Phi' (Phi of the
-    rotated nu, shifted by z^{nu^1}) z -> t^qexp q^texp and t -> q.  At
-    argument 1 (qexp == texp == 0, the diagonal cell) the value depends on
-    nutilde only and is the closed product of phi_at_one, in base q when
-    dual.
+    l1 is the summed term norm that chose the rows' W, which bounds the
+    l1 norm of the cell, and tdeg its t-degree, read from the rows: the
+    top balanced digit of a row sits at bit_length // W.  Arguments >= 0
+    give exponents >= 0, so a negative argument raises here, once per
+    cell; None for a zero factor.
     """
+    if qexp < 0 or texp < 0:
+        raise ConsistencyError(
+            "negative exponent in a cell argument: q^%d t^%d" % (qexp, texp))
     if qexp == texp == 0:
-        (rows, W), first, zq, zt = _at_one_rows(nut), 0, 0, 0
+        (rows, W, l1), first, zq, zt = _at_one_rows(nut), 0, 0, 0
     elif dual:
-        (rows, W), first, zq, zt = (_phi_rows(_rotation(nu, 1), nut), nu[0],
-                                    texp, qexp)
+        (rows, W, l1), first, zq, zt = (_phi_rows(_rotation(nu, 1), nut),
+                                        nu[0], texp, qexp)
     else:
-        (rows, W), first, zq, zt = _phi_rows(nu, nut), 0, qexp, texp
-    out = {}
-    for z, value in enumerate(rows, first):
-        for t, c in _digits(value, W):
-            key = (z * zq + t, z * zt) if dual else (z * zq, z * zt + t)
-            out[key] = out.get(key, 0) + c
-    return _cell((key, c) for key, c in out.items() if c)
+        (rows, W, l1), first, zq, zt = _phi_rows(nu, nut), 0, qexp, texp
+    tops = [z * zt + (0 if dual else value.bit_length() // W)
+            for z, value in enumerate(rows, first) if value]
+    return (l1, max(tops), rows, W, first, zq, zt, dual) if tops else None
+
+
+def _pack_cell(cell, W, T):
+    """A cell record at t = 2^W, q = 2^(W T), as _pack_qt packs its
+    terms: each row's digits re-spaced from the rows' width to the step of
+    their variable (W for t, W T for q when dual) and row z shifted by z
+    times the packed exponent of q^zq t^zt."""
+    _, _, rows, width, first, zq, zt, dual = cell
+    spacing, step = W * T if dual else W, W * (zq * T + zt)
+    return sum(_respace(value, width, spacing) << step * z
+               for z, value in enumerate(rows, first) if value)
 
 
 def _chi_split(nuts, dual):
@@ -356,8 +384,10 @@ def partition_function_coeffs(lam, N, formula="x"):
     terms are products and sums of ints.  W and T come from bounds on the
     terms, never from the result: the l1 norm (sum of |c|) of a product is
     at most the product of the norms and of a sum at most the sum of the
-    norms, and the degrees of a product add.  This does not need Phi to be
-    positive.
+    norms, and the degrees of a product add.  Each cell carries its bounds:
+    a Phi cell, a view on phi's packed rows (_phi_eval), the summed term
+    norm that chose the rows' width and the t-degree read from the rows'
+    bit lengths.  This does not need Phi to be positive.
 
     All three sums run as a column sweep (_column_sweep) over columns
     n, ..., 1: the state after column i maps each tuple of column-i chains
@@ -370,7 +400,8 @@ def partition_function_coeffs(lam, N, formula="x"):
     sums and a bound on their t-degree; W comes from the final total, of
     which every composition's norm is a summand.  Each column's exponent is
     shifted by its least value, and the total shift is put back when
-    decoding.  The numeric pass replays the moves on packed weights.  Each
+    decoding.  The numeric pass replays the moves on packed weights, each
+    cell packed once per sweep from its rows (_pack_cell).  Each
     composition's value at q = t = 1 (packed._at_one) must be the
     multinomial n! / prod comp_i!, since H(x; 1, 1) = (x_1 + ... + x_N)^n,
     and for Hall-Littlewood the values must sum to h_lambda(1^N), since
@@ -447,7 +478,7 @@ _BINOM_CELL_CACHE = {}
 
 @memoized(_BINOM_CELL_CACHE)
 def _binom_cell(a, b):
-    """[a choose b]_t as a cell record (_cell) of the terms
+    """[a choose b]_t as a cell record built by _cell from the terms
     ((0, t exponent), coefficient); None when it is zero."""
     return _cell(((0, e), c) for e, c in enumerate(_binom_list(a, b)) if c)
 
@@ -475,10 +506,13 @@ def _column_sweep(shape, N, dual, column_moves):
     cells) into column i = len(shape), ..., 1 from the chain tuples below
     of column i + 1 (the one state () before column n): cur is a tuple of
     column-i chains of length N, the exponent is of t (dual: of q), and
-    each cell a cached record (l1 norm, t-degree, terms) from _cell, whose
-    terms ((q exponent, t exponent), coefficient) have passed the
+    each cell a cached record (l1 bound, t-degree bound, rows, W, first,
+    zq, zt, dual) from _phi_eval or _cell, which has passed the
     negative-exponent check there; the structure pass multiplies the
-    carried norms and adds the carried degrees.  A partial composition c
+    carried norms and adds the carried degrees, and the numeric pass packs
+    each cell once at the sweep's W and T by re-spacing its rows
+    (_pack_cell), keyed by id, since the move records keep the cells
+    alive for the whole sweep.  A partial composition c
     is keyed by the int sum_k c_k B^k, B = |shape| + 1 > every c_k, so
     that adding a column's increments is one addition; the last column
     adds every path into the one state ().  Returns the packed sums and
@@ -504,8 +538,8 @@ def _column_sweep(shape, N, dual, column_moves):
             # t-degrees are unshifted until the least exponent is known,
             # and chi can be negative, so no bound starts from 0
             l1, deg = tot[below], tdeg[below] + (0 if dual else expo)
-            for norm, top, _ in cells:
-                l1, deg = l1 * norm, deg + top
+            for cell in cells:
+                l1, deg = l1 * cell[0], deg + cell[1]
             sums[cur] = sums.get(cur, 0) + l1
             degs[cur] = max(degs.get(cur, deg), deg)
             records.append((below, cur, inc, expo, cells))
@@ -518,8 +552,6 @@ def _column_sweep(shape, N, dual, column_moves):
     W = _width(tot.get((), 0))
     T = max(tdeg.values(), default=0) + 1
     base = W * T if dual else W
-    # keyed by id: the cells are cached records, which the move records
-    # keep alive for the whole sweep
     packed = {}
     values = {(): {0: 1}}
     for records, low in columns:
@@ -533,7 +565,7 @@ def _column_sweep(shape, N, dual, column_moves):
                 w = 1
                 for cell in cells:
                     if id(cell) not in packed:
-                        packed[id(cell)] = _pack_qt(cell[2], W, T)
+                        packed[id(cell)] = _pack_cell(cell, W, T)
                     w *= packed[id(cell)]
                 group[inc] = group.get(inc, 0) + (w << base * (expo - low))
                 if len(partials) == 1:

@@ -28,15 +28,17 @@ def _degree_bound(sp):
 # packed at t = 2^W (see packed) as a sequence indexed by d; W bounds the l1
 # norms of the inputs, in phi_series (the largest series coefficient times
 # the 2^(top+1) of its prefactor) and in _packed_rows, the kernel of the
-# other term-sum routes.  That (rows, W) is also the one cached form of Phi
+# other term-sum routes, which returns (rows, W, l1) with l1 the summed
+# norm that chose W.  That triple is also the one cached form of Phi
 # (_POSITIVE_ROWS_CACHE per rotation orbit, _PHI_CACHE per pair,
-# _AT_ONE_CACHE), a z-shift being zero rows in front; _decode
-# reads it into the polynomial that the public functions return, and the
-# lattice cells read its digits.  Both kernels read their binomials from the
-# one packed table of their width (packed._gauss_table), one subscript per
-# factor.  phi_series takes its norm from the last row alone: with c = a - b,
-# C(a + s, b + s) is 0 while b + s < 0 (or c < 0) and C(c + b + s, c)
-# after, nondecreasing in s, so the product at s = D is the largest.
+# _AT_ONE_CACHE), a z-shift being zero rows in front; _decode reads it into
+# the polynomial that the public functions return, and each lattice cell is
+# a view on it: the rows object itself, W and l1.  Both kernels read their
+# binomials from the one packed table of their width (packed._gauss_table),
+# one subscript per factor.  phi_series takes its norm from the last row
+# alone: with c = a - b, C(a + s, b + s) is 0 while b + s < 0 (or c < 0)
+# and C(c + b + s, c) after, nondecreasing in s, so the product at s = D is
+# the largest.
 
 def _decode(rows, W, name="z"):
     """The polynomial in (name, t) with rows[d] = its name^d coefficient at
@@ -59,8 +61,9 @@ def _packed_rows(terms):
     """Sum of terms (d, e, pairs, exponents), each standing for
     z^d t^e prod_{(a, b) in pairs} [a, b]_t prod_{x in exponents}
     (1 - z t^x), packed at the width W of their summed l1 norms: returns
-    (rows, W) with rows[d] the z^d coefficient at t = 2^W, rows a tuple,
-    since the caches hand it to every caller."""
+    (rows, W, l1) with rows[d] the z^d coefficient at t = 2^W and l1 that
+    sum, which bounds the l1 norm of the sum; rows is a tuple, since the
+    caches hand it to every caller."""
     kept = []
     l1 = size = 0
     for term in terms:
@@ -82,7 +85,7 @@ def _packed_rows(terms):
                 rows[i] += c * scalar
         else:
             rows[d] += scalar
-    return tuple(rows), W
+    return tuple(rows), W, l1
 
 
 def phi_series(sp):
@@ -153,7 +156,8 @@ def phi_finite(sp):
                               nut[j] - nu[j] + partial))
             yield sum(lam), tdeg, pairs, exponents
 
-    return _decode(*_packed_rows(terms()))
+    rows, W, _ = _packed_rows(terms())
+    return _decode(rows, W)
 
 
 def _positive_terms(nu, nut):
@@ -224,7 +228,8 @@ def _positive_terms(nu, nut):
 
 def phi_positive(sp):
     """Manifestly positive evaluation of Phi (requires nu <= nutilde)."""
-    return _decode(*_packed_rows(_positive_terms(sp.nu, sp.nutilde)))
+    rows, W, _ = _packed_rows(_positive_terms(sp.nu, sp.nutilde))
+    return _decode(rows, W)
 
 
 def _rotation(seq, k):
@@ -250,9 +255,9 @@ _POSITIVE_ROWS_CACHE = {}
 
 @memoized(_POSITIVE_ROWS_CACHE)
 def _positive_rows(nu, nut):
-    """The positive form of Phi_{nu|nut} (requires nu <= nut) as (rows, W),
-    packed by _packed_rows: one entry per rotation orbit, keyed by the
-    orbit's representative (see _phi_rows)."""
+    """The positive form of Phi_{nu|nut} (requires nu <= nut) as
+    (rows, W, l1), packed by _packed_rows: one entry per rotation orbit,
+    keyed by the orbit's representative (see _phi_rows)."""
     return _packed_rows(_positive_terms(nu, nut))
 
 
@@ -261,8 +266,8 @@ _PHI_CACHE = {}
 
 @memoized(_PHI_CACHE)
 def _phi_rows(nu, nut):
-    """Phi_{nu|nut} as (rows, W), packed as _packed_rows packs it, for any
-    valid pair.
+    """Phi_{nu|nut} as (rows, W, l1), packed as _packed_rows packs it, for
+    any valid pair.
 
     The N rotations of the pair form its orbit; the least rotation with
     nu <= nutilde is the orbit's representative, whose positive-form rows
@@ -274,7 +279,7 @@ def _phi_rows(nu, nut):
     shift may drop only zero rows."""
     diffs = list(map(sub, nut, nu))
     low = min(diffs)
-    rows, W = _positive_rows(*min(
+    rows, W, l1 = _positive_rows(*min(
         (_rotation(nu, k), _rotation(nut, k))
         for k, diff in enumerate(diffs, 1) if diff == low))
     zshift = -low
@@ -282,17 +287,18 @@ def _phi_rows(nu, nut):
         raise TruncationResidual(
             "rotated evaluation left negative z powers for %r | %r"
             % (nu, nut))
-    return (0,) * zshift + rows[max(0, -zshift):], W
+    return (0,) * zshift + rows[max(0, -zshift):], W, l1
 
 
 def phi_normalized(sp):
     """Phi as a (z,t)-polynomial for an arbitrary pair, rotating if needed."""
-    return _decode(*_phi_rows(sp.nu, sp.nutilde))
+    rows, W, _ = _phi_rows(sp.nu, sp.nutilde)
+    return _decode(rows, W)
 
 
 def phi_prime(sp):
     """Phi'_{nu|nutilde}(z;t) = z^{nu^1} Phi_{r(nu)|nutilde}(z;t)."""
-    rows, W = _phi_rows(_rotation(sp.nu, 1), sp.nutilde)
+    rows, W, _ = _phi_rows(_rotation(sp.nu, 1), sp.nutilde)
     return _decode((0,) * sp.nu[0] + rows, W)
 
 
@@ -303,15 +309,15 @@ _AT_ONE_CACHE = {}
 def _at_one_rows(nut):
     """Phi at z = 1, the closed product prod_j [nutilde^{j+1}, nutilde^j]_t,
     which does not read nu, cached as _packed_rows packs it: the x and dual
-    lattice cells keep its terms in their own exponents, and no third
-    copy."""
+    diagonal lattice cells are views on these rows, and no third copy."""
     return _packed_rows(
         [(0, 0, [(nut[j], nut[j - 1]) for j in range(1, len(nut))], ())])
 
 
 def phi_at_one(sp):
     """Phi at z = 1 via the closed product over binomials of nutilde."""
-    return _decode(*_at_one_rows(sp.nutilde))
+    rows, W, _ = _at_one_rows(sp.nutilde)
+    return _decode(rows, W)
 
 
 def g_poly(m, a, b, form="sum"):
@@ -324,9 +330,10 @@ def g_poly(m, a, b, form="sum"):
         raise NegativeInput("a and b must have equal length")
     if form == "sum":
         # sum_k v^k (v; t)_{m-k} [m, k] prod_i [k + a_i, b_i]
-        return _decode(*_packed_rows(
+        rows, W, _ = _packed_rows(
             [(k, 0, [(m, k)] + [(k + ai, bi) for ai, bi in zip(a, b)],
-              range(m - k)) for k in range(m + 1)]), "v")
+              range(m - k)) for k in range(m + 1)])
+        return _decode(rows, W, "v")
     if form != "positive":
         raise ValueError("form must be 'sum' or 'positive'")
     n = len(a)
@@ -343,4 +350,5 @@ def g_poly(m, a, b, form="sum"):
                                   acc_v + prev - p,
                                   acc_t + (prev - p) * (c[i - 1] - p))
 
-    return _decode(*_packed_rows(leaves(1, m, [], 0, 0)), "v")
+    rows, W, _ = _packed_rows(leaves(1, m, [], 0, 0))
+    return _decode(rows, W, "v")

@@ -1,9 +1,14 @@
-"""Acceptance sweep: end-to-end criteria 1-15, 17 and 18, one test (and one
-printed pass/fail line) each.  All comparisons are exact."""
+"""Acceptance sweep: end-to-end criteria 1-18, one test (and one printed
+pass/fail line) each.  All comparisons are exact."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
 
+import modmacd
 from modmacd import clear_caches
 from modmacd.combinat import Partition, SequencePair, partitions_of
 from modmacd.exactalg import ExactPolynomial, P, sym
@@ -271,7 +276,64 @@ def test_criterion_15_weight_8_routes_and_hall_littlewood_collapse():
     _report(15, 40, t0)
 
 
-# Criterion 16 is kept for the lattice routes at weight 9.
+# One route over every shape of a weight at the least N, in a child process
+# of its own: it prints its tables (for lattice_x also their q = 0
+# collapse), each polynomial in canonical JSON, and its own getrusage peak.
+_ROUTE_CHILD = """
+import json, resource, sys
+from modmacd.combinat import partitions_of
+from modmacd.exactalg import P
+from modmacd.modmac import modified_H, modified_HL
+
+route, weight = sys.argv[1], int(sys.argv[2])
+tables, at0 = {}, {}
+for lam in partitions_of(weight):
+    N = max(len(lam), lam.part(1))
+    if route == "hl":
+        table = modified_HL(lam, N)
+    else:
+        table = modified_H(lam, N=N, route=route).coeffs
+    key = repr(lam.parts)
+    tables[key] = {repr(mu.parts): p.to_json() for mu, p in table.items()}
+    if route == "lattice_x":
+        at0[key] = {repr(mu.parts): p.to_json() for mu, p
+                    in ((mu, p.substitute({"q": P(0)}))
+                        for mu, p in table.items()) if not p.is_zero()}
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"tables": tables, "at0": at0, "peak_mb": peak_mb}))
+"""
+
+
+def _route_child(route, weight):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modmacd.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.Popen(
+        [sys.executable, "-c", _ROUTE_CHILD, route, str(weight)],
+        stdout=subprocess.PIPE, env=env, text=True)
+
+
+def test_criterion_16_weight_9_lattice_routes_in_bounded_memory():
+    # lattice_x, lattice_dual and Hall-Littlewood over every shape of
+    # weight 9 at the least N, each in its own process: x equals dual, the
+    # q = 0 collapse of x equals Hall-Littlewood, and each lattice route
+    # peaks under 150 MB.
+    t0 = time.time()
+    children = {route: _route_child(route, 9)
+                for route in ("lattice_x", "lattice_dual", "hl")}
+    got = {}
+    for route, child in children.items():
+        out, _ = child.communicate()
+        assert child.returncode == 0, route
+        got[route] = json.loads(out)
+    x = got["lattice_x"]
+    assert len(x["tables"]) == 30
+    assert x["tables"] == got["lattice_dual"]["tables"]
+    assert x["at0"] == got["hl"]["tables"]
+    for route in ("lattice_x", "lattice_dual"):
+        assert got[route]["peak_mb"] < 150, (route, got[route]["peak_mb"])
+    _report(16, 96.5, t0)
 
 
 def test_criterion_17_oracle_positivity_at_weight_10():

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from modmacd import phi
+from modmacd import lattice, phi
 from modmacd.combinat import (Partition, SequencePair, _at, conjugate,
                               enumerate_flags, enumerate_nu_families,
                               partitions_of)
@@ -26,7 +26,7 @@ from modmacd.lattice import (_PHI_EVAL_CACHE, _as_poly, _cell, _phi_eval,
                              fused_L_recurrence, fused_vertex_bruteforce,
                              partition_function_coeffs, rll_check)
 from modmacd.memo import clear_caches
-from modmacd.packed import _pack_qt, _unpack_qt, _width
+from modmacd.packed import _digits, _pack_qt, _unpack_qt, _width
 from modmacd.phi import phi_at_one, phi_normalized, phi_prime
 from modmacd.qseries import gauss_binomial, pochhammer
 
@@ -378,10 +378,24 @@ def test_column_exponents_match_the_pairwise_sum(chains, i):
     assert chi([pairs], True) == _chi_by_pairs_of_chains(pairs, True)
 
 
+def _cell_terms(cell):
+    """The terms ((q exponent, t exponent), c) of a cell record, decoded
+    from its rows by its exponent map: the digit i of row z is the
+    coefficient of q^(z zq) t^(z zt + i), or when dual of
+    q^(z zq + i) t^(z zt)."""
+    _, _, rows, W, first, zq, zt, dual = cell
+    out = {}
+    for z, value in enumerate(rows, first):
+        for i, c in _digits(value, W):
+            key = (z * zq + i, z * zt) if dual else (z * zq, z * zt + i)
+            out[key] = out.get(key, 0) + c
+    return tuple((key, c) for key, c in out.items() if c)
+
+
 def _cell_poly(cell):
     """The ExactPolynomial of a cell record's terms ((q exponent, t
     exponent), c)."""
-    return ExactPolynomial(("q", "t"), dict(cell[2]))
+    return ExactPolynomial(("q", "t"), dict(_cell_terms(cell)))
 
 
 def _bounds_of(terms):
@@ -412,10 +426,45 @@ def test_cell_tuple_is_phi_at_the_cell_argument(steps, qexp, texp, dual):
     nut = nut[:-1] + (nu[-1],)
     assume(all(x <= y for x, y in zip(nut, nut[1:])))
     cell = _phi_eval(nu, nut, qexp, texp, dual)
-    assert all(c for _, c in cell[2])
-    assert cell[:2] == _bounds_of(cell[2])
+    terms = _cell_terms(cell)
+    assert all(c for _, c in terms)
+    assert cell[:2] == _bounds_of(terms)
     assert _cell_poly(cell) == _cell_by_substitution(nu, nut, qexp, texp,
                                                      dual)
+
+
+@given(st.integers(2, 8).flatmap(lambda W: st.tuples(
+    st.just(W), st.lists(st.lists(
+        st.integers(1 - (1 << W - 1), (1 << W - 1) - 1), max_size=12),
+        min_size=1, max_size=4))),
+    st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.booleans())
+@example((3, [[-1, 0, 1]]), 1, 0, 0, False)  # 2^(2W) - 1: bit_length 2W
+@example((3, [[-1, 0, 1]]), 0, 0, 0, True)
+@example((4, [[3], [-7, 0, 0, 2]]), 2, 1, 1, True)
+@settings(max_examples=80, deadline=None)
+def test_cell_bounds_hold_for_signed_rows(rows, qexp, texp, first, dual):
+    # The carried bounds read the rows, not the sign of Phi: over rows with
+    # signed digits, the l1 bound is the rows' summed norm and the t-degree
+    # is the top digit's, whatever digits lie below it.  As in a sweep, an
+    # off-diagonal cell has qexp >= 1, and the diagonal one (argument 1)
+    # reads one row.
+    W, digits = rows
+    if qexp == 0:
+        texp, digits = 0, digits[:1]
+    packed = tuple(sum(c << W * i for i, c in enumerate(row))
+                   for row in digits)
+    l1 = sum(abs(c) for row in digits for c in row)
+    nu = (first, first + 1)
+    nut = (first + 1, first + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_phi_rows", lambda *_: (packed, W, l1))
+        mp.setattr(lattice, "_at_one_rows", lambda *_: (packed, W, l1))
+        mp.setattr(lattice, "_rotation", lambda seq, k: seq)
+        cell = _phi_eval.__wrapped__(nu, nut, qexp, texp, dual)
+    terms = _cell_terms(cell) if cell else ()
+    assume(terms)
+    assert cell[0] == l1
+    assert cell[1] == max(t for (_, t), _ in terms)
 
 
 _spec = importlib.util.spec_from_file_location(
@@ -441,7 +490,7 @@ def test_every_h_lattice_cell_is_a_positive_phi():
     assert _PHI_EVAL_CACHE
     for (_, nut, _, _, _), cell in _PHI_EVAL_CACHE.items():
         assert cell
-        norm, _, terms = cell
+        norm, terms = cell[0], _cell_terms(cell)
         assert all(c > 0 for _, c in terms)
         assert sum(c for _, c in terms) \
             == math.prod(map(math.comb, nut[1:], nut[:-1]))
@@ -532,7 +581,7 @@ def test_sweep_checks_the_multinomials(monkeypatch):
     try:
         partition_function_coeffs(lam, 3, "x")
         key = next(k for k in _PHI_EVAL_CACHE if k[2] == 1)
-        (exp, c), *rest = _PHI_EVAL_CACHE[key][2]
+        (exp, c), *rest = _cell_terms(_PHI_EVAL_CACHE[key])
         monkeypatch.setitem(_PHI_EVAL_CACHE, key,
                             _cell(((exp, c + 1), *rest)))
         with pytest.raises(ConsistencyError, match="multinomial"):
@@ -560,7 +609,8 @@ def test_hl_sweep_checks_h_lambda_at_one(monkeypatch):
     try:
         partition_function_coeffs(lam, 3, "hl")
         key = (2, 1)  # [2, 1]_t = 1 + t, on a live move for (2, 1) at N = 3
-        assert _BINOM_CELL_CACHE[key][2] == (((0, 0), 1), ((0, 1), 1))
+        assert _cell_terms(_BINOM_CELL_CACHE[key]) \
+            == (((0, 0), 1), ((0, 1), 1))
         monkeypatch.setitem(_BINOM_CELL_CACHE, key,
                             _cell((((0, 0), 2), ((0, 1), 1))))
         with pytest.raises(ConsistencyError, match="h_lambda"):
@@ -583,11 +633,12 @@ def test_sweep_width_holds_with_negative_cell_terms(monkeypatch, formula):
         extra = {}
         for key, cell in list(_PHI_EVAL_CACHE.items()):
             if cell and key[2:4] != (0, 0):
-                q = max(q for (q, _), _ in cell[2]) + 1
-                t = max(t for (_, t), _ in cell[2]) + 1
+                old = _cell_terms(cell)
+                q = max(q for (q, _), _ in old) + 1
+                t = max(t for (_, t), _ in old) + 1
                 terms = (((q, t), 100), ((q, t + 1), -100))
                 monkeypatch.setitem(_PHI_EVAL_CACHE, key,
-                                    _cell(cell[2] + terms))
+                                    _cell(old + terms))
                 extra[key] = ExactPolynomial(("q", "t"), dict(terms))
         assert extra
 
@@ -649,19 +700,44 @@ def test_sweep_memory_stays_bounded():
 
 def test_sweep_refuses_a_negative_cell_exponent():
     # Packing needs every exponent >= 0 once chi is shifted; a cell term
-    # moved to t^-1 must raise, not decode as another term.  Every cell the
-    # sweep reads is built by _cell, which refuses it, and so is a Phi cell
-    # at an argument with a negative exponent.
+    # moved to t^-1 must raise, not decode as another term.  A cell given
+    # by its terms is built by _cell, which refuses it, and a Phi cell
+    # refuses an argument with a negative exponent.
     lam = Partition((2, 1))
     clear_caches()
     try:
         partition_function_coeffs(lam, 3, "x")
         key = next(k for k in _PHI_EVAL_CACHE if k[2] == 1)
-        ((q, _), c), *rest = _PHI_EVAL_CACHE[key][2]
+        ((q, _), c), *rest = _cell_terms(_PHI_EVAL_CACHE[key])
         with pytest.raises(ConsistencyError, match="negative exponent"):
             _cell((((q, -1), c), *rest))
         with pytest.raises(ConsistencyError, match="negative exponent"):
             _phi_eval((1, 3, 4, 5), (2, 3, 5, 5), -1, 0, False)
+    finally:
+        clear_caches()
+
+
+def test_phi_cells_are_views_on_the_cached_rows():
+    # After an x and a dual sweep every Phi cell holds the very rows object
+    # of its phi cache entry (the closed product on the diagonal, Phi of
+    # the pair for x and of the rotated pair for dual) and, beside it, ints
+    # and a flag only: no cell keeps a per-term container.
+    clear_caches()
+    try:
+        for formula in "xz":
+            partition_function_coeffs(Partition((3, 2, 1)), 3, formula)
+        assert _PHI_EVAL_CACHE
+        for (nu, nut, qexp, texp, dual), cell in _PHI_EVAL_CACHE.items():
+            rows = cell[2]
+            if qexp == texp == 0:
+                assert rows is phi._AT_ONE_CACHE[(nut,)][0]
+            else:
+                key = (phi._rotation(nu, 1), nut) if dual else (nu, nut)
+                assert rows is phi._PHI_CACHE[key][0]
+            assert type(rows) is tuple
+            assert all(type(value) is int for value in rows)
+            assert all(type(field) in (int, bool)
+                       for field in cell[:2] + cell[3:])
     finally:
         clear_caches()
 

@@ -133,6 +133,29 @@ def test_kostka_hooks_match_the_cell_product():
                     == product.coefficient({"u": r}), (mu, r)
 
 
+@pytest.mark.parametrize("route", ["lattice_x", "lattice_dual"])
+def test_lattice_tables_factor_at_q_or_t_one(route):
+    # H_mu(x; 1, t) = prod_j H_(1^mu'_j)(x; t) over the columns of mu and
+    # H_mu(x; q, 1) = prod_i H_(mu_i)(x; q) over its rows, each product
+    # taken in the explicit variables x_1..x_N, N = |mu|.
+    for w in range(1, 6):
+        def expanded(shape):
+            table = modified_H(shape, N=w, route=route).coeffs
+            return monomial_expand(symoracle.SymmetricExpr("monomial", table),
+                                   w)
+
+        for mu in partitions_of(w):
+            H = expanded(mu)
+            columns = ONE
+            for height in conjugate(mu).parts:
+                columns = columns * expanded(Partition((1,) * height))
+            rows = ONE
+            for length in mu.parts:
+                rows = rows * expanded(Partition((length,)))
+            assert H.substitute({"q": P(1)}) == columns, (route, mu)
+            assert H.substitute({"t": P(1)}) == rows, (route, mu)
+
+
 def test_duality_small():
     for w in range(1, 5):
         for lam in partitions_of(w):

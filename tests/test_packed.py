@@ -1,5 +1,6 @@
 """The (q, t) packing kernel behind the Cauchy check: exact comparison of
-sums of products at the W and T that the bound rule picks."""
+sums of products at the W and T that the bound rule picks; and the digit
+re-spacing that packs the lattice cells."""
 
 from collections import Counter
 
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from modmacd.exactalg import ExactPolynomial, ZERO
 from modmacd.packed import (_at_one, _Bound, _digits, _pack_qt, _qt_terms,
-                            _rows_times, _unpack_qt, _width, QTBounds,
-                            QTPacking)
+                            _respace, _RESPACE_SPLIT, _rows_times, _unpack_qt,
+                            _width, QTBounds, QTPacking)
 
 from reference import factor_product
 
@@ -135,3 +136,38 @@ def test_rows_times_matches_the_exact_factor_product(terms, factors):
     assert _poly({(q, t): c for q, value in enumerate(got)
                   for t, c in _digits(value, W)}) \
         == _poly(terms) * factor_product(factors)
+
+
+def _signed_row(W):
+    """Balanced W-bit digits, in [-2^(W-1), 2^(W-1)), up to three times as
+    many as _respace handles in one pass."""
+    half = 1 << (W - 1)
+    return st.lists(st.integers(-half, half - 1), max_size=3 * _RESPACE_SPLIT)
+
+
+@given(st.integers(2, 12).flatmap(lambda W: st.tuples(st.just(W),
+                                                      _signed_row(W))),
+       st.integers(2, 14), st.integers(1, 6), st.sampled_from("tqs"))
+@example((2, []), 5, 3, "t")
+@example((5, [-15, 0, 7] * 20), 9, 4, "q")
+@example((7, [63, -63] * 25), 7, 1, "s")
+@example((3, [0] * 40 + [-3]), 2, 5, "q")
+@example((2, [-2, 1] * 20), 3, 2, "t")
+@example((2, [-2] * 40), 3, 1, "t")
+@example((4, [-1] * 10 + [-8] * 10), 6, 3, "q")
+@settings(max_examples=150, deadline=None)
+def test_respace_matches_the_digit_shift_sum(row, width, T, target):
+    # A row packed at W re-spaced to W' (a t step), W' T (a q step) or W
+    # itself (equal widths) must carry each balanced digit to the new
+    # spacing.  For a packing, whose digits are below 2^(W-1) in absolute
+    # value, that is the reference: the digits _digits reads, shifted and
+    # summed as _pack_qt sums terms.  A digit of -2^(W-1) is still one
+    # balanced digit, which a split of a long row must not carry.
+    W, digits = row
+    spacing = {"t": width, "q": width * T, "s": W}[target]
+    value = sum(c << W * i for i, c in enumerate(digits))
+    got = _respace(value, W, spacing)
+    assert got == sum(c << spacing * i for i, c in enumerate(digits))
+    if all(abs(c) < 1 << (W - 1) for c in digits):
+        assert got == _pack_qt((((0, i), c) for i, c in _digits(value, W)),
+                               spacing, 1)

@@ -280,8 +280,10 @@ def test_decode_is_unpack_then_poly(name, coeffs):
 @settings(max_examples=60, deadline=None)
 def test_packed_product_matches_exact_product(terms):
     # Each term z^d t^e prod [a, b]_t prod (1 - z t^x); those with a zero
-    # binomial are skipped by the kernel and vanish in the exact sum.
+    # binomial are skipped by the kernel and vanish in the exact sum.  The
+    # carried l1 is the summed term norm, which chose W and bounds the sum.
     expect = P(0)
+    l1 = 0
     for d, e, pairs, exponents in terms:
         term = Z ** d * T ** e
         for a, b in pairs:
@@ -289,7 +291,10 @@ def test_packed_product_matches_exact_product(terms):
         for x in exponents:
             term = term * (P(1) - Z * T ** x)
         expect = expect + term
-    assert phi._decode(*phi._packed_rows(terms)) == expect
+        l1 += sum(map(abs, term.terms.values()))
+    rows, W, carried = phi._packed_rows(terms)
+    assert phi._decode(rows, W) == expect
+    assert carried == l1 and W == packed._width(l1)
 
 
 @pytest.mark.parametrize("wider", [3, -3])
@@ -376,7 +381,7 @@ def test_orbit_rows_match_the_argmin_rotation(sp):
     # at the first argmin of nutilde - nu, z-shifted, and every rotation of
     # the pair must read the one orbit entry.
     clear_caches()
-    assert unpack_rows(*phi._phi_rows(sp.nu, sp.nutilde)) \
+    assert unpack_rows(*phi._phi_rows(sp.nu, sp.nutilde)[:2]) \
         == phi_by_argmin_rotation(sp)
     for k in range(1, sp.N + 1):
         rotated, _ = rotate(sp, k)
