@@ -104,33 +104,14 @@ def _digits(value, W):
         value = (value - c) >> W
 
 
-_RESPACE_SPLIT = 16
-
-
 def _respace(value, W, spacing):
     """The value at 2^spacing of the polynomial f with f(2^W) = value,
     W >= 2: f's coefficients are the balanced W-bit digits of value, each
     in [-2^(W-1), 2^(W-1)) (those _digits reads, when value packs a
     polynomial), and each moves from bit W i to bit spacing i, its sign
-    kept.
-
-    Up to _RESPACE_SPLIT digits this is one pass over them.  A longer value
-    splits at k, about half its digits: the low k digits sum to the residue
-    of value mod 2^(W k) in [-H, 2^(W k) - H), H = 2^(W-1) (2^(W k) - 1) /
-    (2^W - 1) (every digit offset by 2^(W-1) is an unsigned W-bit field),
-    and the rest is (value - low) >> W k.  Both halves are re-spaced and
-    joined by one shift, so no digit is added into the whole of a long
-    result."""
+    kept, in one pass over the digits."""
     if W == spacing:
         return value
-    top = value.bit_length() // W  # the top digit's position, or one above
-    if top >= _RESPACE_SPLIT:
-        k = (top + 1) // 2
-        mask = (1 << W * k) - 1
-        H = (1 << W - 1) * mask // ((1 << W) - 1)
-        low = ((value + H) & mask) - H
-        return _respace(low, W, spacing) \
-            + (_respace((value - low) >> W * k, W, spacing) << spacing * k)
     mask, half = (1 << W) - 1, 1 << (W - 1)
     out = shift = 0
     while value:

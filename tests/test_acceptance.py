@@ -320,13 +320,22 @@ def test_criterion_16_weight_9_lattice_routes_in_bounded_memory():
     # q = 0 collapse of x equals Hall-Littlewood, and each lattice route
     # peaks under 150 MB.
     t0 = time.time()
-    children = {route: _route_child(route, 9)
-                for route in ("lattice_x", "lattice_dual", "hl")}
-    got = {}
+    children = {}
+    try:
+        for route in ("lattice_x", "lattice_dual", "hl"):
+            children[route] = _route_child(route, 9)
+        outs = {route: child.communicate()[0]
+                for route, child in children.items()}
+    finally:
+        # A failure here must not leave a weight-9 child running into the
+        # timed criteria that follow.
+        for child in children.values():
+            if child.poll() is None:
+                child.kill()
+                child.wait()
     for route, child in children.items():
-        out, _ = child.communicate()
         assert child.returncode == 0, route
-        got[route] = json.loads(out)
+    got = {route: json.loads(out) for route, out in outs.items()}
     x = got["lattice_x"]
     assert len(x["tables"]) == 30
     assert x["tables"] == got["lattice_dual"]["tables"]
