@@ -94,14 +94,15 @@ def _digits(value, W):
     """The nonzero balanced W-bit digits of value as (position, digit):
     the coefficients of the polynomial f with f(2^W) = value."""
     mask, half = (1 << W) - 1, 1 << (W - 1)
-    # A value of L bits has at most L // W + 1 balanced digits.
-    for i in range(value.bit_length() // W + 1):
+    i = 0
+    while value:
         c = value & mask
         if c >= half:
             c -= mask + 1
         if c:
             yield i, c
         value = (value - c) >> W
+        i += 1
 
 
 def _respace(value, W, spacing):

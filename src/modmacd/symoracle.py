@@ -2,22 +2,24 @@
 
 Integral form J by the branching rule over hook-factor multisets (one exact
 division per coefficient), Macdonald P = J / c, plethystic evaluations, and
-triangular basis conversions (monomial / power-sum / Schur).
+basis conversions (monomial / power-sum / Schur).
 
 Every expression the oracle builds is homogeneous, so a SymmetricExpr holds
 numerators over one known denominator, an integer k times a multiset D of
-factors 1 - q^a t^b.  A basis conversion takes integer combinations of the
-numerators only (from monomials to power sums it multiplies an integer into
-k), and a plethysm adds its factors 1 - t^r to D, so no sum ever
-cross-multiplies.
+factors 1 - q^a t^b.  Every step between bases is one integer matrix
+(_transitions: power sums and Schur functions to and from monomials) that
+_combine applies to the numerators, the matrix's k multiplied into k; the
+plethysm adds its factors 1 - t^r to D, so no sum ever cross-multiplies.
 
 Numerators are ExactPolynomials, or QRows in a packed expression: each
 q-coefficient a t-polynomial at t = 2^W (packed._width, packed._digits and
 packed._rows_times are all the oracle shares with Phi and the lattice).
-The plethysms run packed, from J packed straight from its coefficient terms
-at a W taken from an l1 bound carried through every step; _cleared divides
-a numerator by its denominator with one integer divmod per q-row and raises
-when the coefficient is not a polynomial.
+The H table and W are one pipeline (_plethysm_table): J packed straight
+from its coefficient terms at a W taken from an l1 bound carried through
+every step, the plethysm, one matrix to the final basis (monomials for H,
+the x and z alphabets for W), and _cleared, which divides a numerator by
+its denominator with one integer divmod per q-row and raises when the
+coefficient is not a polynomial.
 """
 
 from collections import Counter
@@ -158,6 +160,9 @@ class QRows:
         return not any(self.rows)
 
 
+BASES = ("monomial", "powersum", "schur")
+
+
 class SymmetricExpr:
     """Finite homogeneous combination of basis elements: coeffs maps
     partitions to numerators over k prod_D (1 - q^a t^b), den = (k, D).
@@ -167,7 +172,7 @@ class SymmetricExpr:
     __slots__ = ("basis", "coeffs", "den", "width")
 
     def __init__(self, basis, coeffs, den=(1, Counter()), width=None):
-        if basis not in ("monomial", "powersum", "schur"):
+        if basis not in BASES:
             raise ValueError("unknown basis %r" % (basis,))
         self.basis = basis
         self.coeffs = {k if isinstance(k, Partition) else Partition(k): v
@@ -235,91 +240,79 @@ def _fillings(lam, mu):
     return states.get((0,) * len(mu), 0)
 
 
+def _inverse(matrix, order):
+    """(k M^-1, k) for M = matrix {a: {b: n}}, k the lcm of the denominators
+    of M^-1, by forward substitution along order, in which every b != a of
+    M[a] comes before a: b_a = sum_c M[a][c] c_c gives
+    c_a = (b_a - sum_{c != a} M[a][c] c_c) / M[a][a]."""
+    inv = {}
+    for a in order:
+        row = {a: Fraction(1)}
+        for b, n in matrix[a].items():
+            if b != a:
+                for c, x in inv[b].items():
+                    row[c] = row.get(c, 0) - n * x
+        inv[a] = {c: x / matrix[a][a] for c, x in row.items() if x}
+    k = lcm(*(x.denominator for row in inv.values() for x in row.values()))
+    return {a: {c: int(x * k) for c, x in row.items()}
+            for a, row in inv.items()}, k
+
+
 _TRANSITION_CACHE = {}
 
 
 @memoized(_TRANSITION_CACHE)
 def _transitions(d):
-    """Power-sum <-> monomial transition data at degree d.
+    """The transition matrices at degree d (Macdonald, ch. I §6), keyed
+    (source basis, target basis): (M, k) with b_a = sum_c M[a][c] c_c / k
+    for b the source basis and c the target basis.
 
-    Returns (plist, p_in_m, m_in_p, k): p_in_m[lam][mu] integer coefficient
-    of m_mu in p_lam; m_in_p[mu][lam] integer coefficient of p_lam in k m_mu,
-    k the lcm of the denominators of the inverse matrix.
+    p_lam = sum_mu _fillings(lam, mu) m_mu, every mu != lam shorter than
+    lam; s_lam = sum_mu K(lam, mu) m_mu (Kostka), every mu != lam below lam
+    in lexicographic order, so its inverse has k = 1.
     """
     plist = partitions_of(d)
     p_in_m = {lam: {mu: c for mu in plist if (c := _fillings(lam, mu))}
               for lam in plist}
-    # p_mu = sum_nu A[mu][nu] m_nu with every nu != mu shorter than mu, so
-    # m_mu = (p_mu - sum_{nu != mu} A[mu][nu] m_nu) / A[mu][mu], shortest first
-    inv = {}
-    for mu in sorted(plist, key=len):
-        row = {mu: Fraction(1)}
-        for nu, a in p_in_m[mu].items():
-            if nu != mu:
-                for lam, x in inv[nu].items():
-                    row[lam] = row.get(lam, 0) - a * x
-        inv[mu] = {lam: x / p_in_m[mu][mu] for lam, x in row.items() if x}
-    k = lcm(*(x.denominator for row in inv.values() for x in row.values()))
-    m_in_p = {mu: {lam: int(x * k) for lam, x in row.items()}
-              for mu, row in inv.items()}
-    return plist, p_in_m, m_in_p, k
+    s_in_m = {lam: {mu: c for mu in plist
+                    if (c := kostka_number(lam, mu.parts))} for lam in plist}
+    return {("powersum", "monomial"): (p_in_m, 1),
+            ("monomial", "powersum"): _inverse(p_in_m,
+                                               sorted(plist, key=len)),
+            ("schur", "monomial"): (s_in_m, 1),
+            ("monomial", "schur"): _inverse(
+                s_in_m, sorted(plist, key=lambda p: p.parts))}
 
 
-def _add(coeffs, key, value):
-    got = coeffs.get(key)
-    coeffs[key] = value if got is None else got + value
+def _combine(coeffs, matrix):
+    """The integer combination {c: sum_a coeffs[a] matrix[a][c]} of the
+    numerators coeffs (ExactPolynomials or QRows)."""
+    out = {}
+    for a, f in coeffs.items():
+        for c, n in matrix[a].items():
+            got = out.get(c)
+            out[c] = f * n if got is None else got + f * n
+    return out
 
 
 def basis_convert(e, target):
-    """Exact change of basis between monomial, powersum and schur: integer
-    combinations of the numerators (ExactPolynomials or QRows), which
-    change k only when monomials become power sums."""
+    """Exact change of basis between monomial, powersum and schur, through
+    the monomials when neither end is: the numerators (ExactPolynomials or
+    QRows) combined by the transition matrix, whose k multiplies into the
+    denominator."""
+    if target not in BASES:
+        raise ValueError("unknown basis %r" % (target,))
     if e.basis == target:
         return e
     if not e.coeffs:  # zero in every basis
         return SymmetricExpr(target, {}, e.den, e.width)
+    if "monomial" not in (e.basis, target):
+        e = basis_convert(e, "monomial")
     d = next(iter(e.coeffs)).weight()  # e is homogeneous
-    if e.basis == "powersum" and target in ("monomial", "schur"):
-        coeffs = {}
-        p_in_m = _transitions(d)[1]
-        for lam, c in e.coeffs.items():
-            for mu, k in p_in_m[lam].items():
-                _add(coeffs, mu, c * k)
-        mono = SymmetricExpr("monomial", coeffs, e.den, e.width)
-        return mono if target == "monomial" else basis_convert(mono, "schur")
-    if e.basis == "monomial" and target == "powersum":
-        coeffs = {}
-        _, _, m_in_p, k = _transitions(d)
-        for mu, c in e.coeffs.items():
-            for lam, n in m_in_p[mu].items():
-                _add(coeffs, lam, c * n)
-        k_e, factors = e.den
-        return SymmetricExpr("powersum", coeffs, (k_e * k, factors), e.width)
-    if e.basis == "monomial" and target == "schur":
-        coeffs = {}
-        remaining = dict(e.coeffs)
-        for nu in sorted(partitions_of(d), key=lambda p: p.parts,
-                         reverse=True):
-            c = remaining.get(nu)
-            if c is None or c.is_zero():
-                continue
-            coeffs[nu] = c
-            for mu in partitions_of(d):
-                k = kostka_number(nu, mu.parts)
-                if k:
-                    _add(remaining, mu, c * -k)
-        return SymmetricExpr("schur", coeffs, e.den, e.width)
-    if e.basis == "schur":
-        coeffs = {}
-        for nu, c in e.coeffs.items():
-            for mu in partitions_of(d):
-                k = kostka_number(nu, mu.parts)
-                if k:
-                    _add(coeffs, mu, c * k)
-        mono = SymmetricExpr("monomial", coeffs, e.den, e.width)
-        return mono if target == "monomial" \
-            else basis_convert(mono, "powersum")
-    raise ValueError("unsupported conversion %s -> %s" % (e.basis, target))
+    matrix, k = _transitions(d)[e.basis, target]
+    k_e, factors = e.den
+    return SymmetricExpr(target, _combine(e.coeffs, matrix),
+                         (k_e * k, factors), e.width)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +338,7 @@ def _spread(matrix):
 def _packed_J(lam, spread):
     """J_lam in the monomial basis, its coefficients _jcoef packed at a W
     where every quotient the oracle takes decodes; spread is the l1 growth
-    of the step after the plethysm.
+    (_spread) of the matrix that follows the plethysm.
 
     A final numerator has ||f|| <= B, the largest ||J_mu|| times each
     step's growth (to power sums; 2^m for the m factors 1 - t^r of the
@@ -358,7 +351,7 @@ def _packed_J(lam, spread):
     J = {mu: c for mu in partitions_of(d) if (c := _jcoef(lam, mu.parts))}
     m = sum(d // r for r in range(1, d + 1))
     B = max(sum(map(abs, c.values())) for c in J.values()) \
-        * _spread(_transitions(d)[2]) * spread << m
+        * _spread(_transitions(d)["monomial", "powersum"][0]) * spread << m
     T = max(t for c in J.values() for _, t in c)
     W = _width(B * comb(T + m, m) << m)
     return SymmetricExpr("monomial", {mu: QRows(_rows(c, W))
@@ -408,41 +401,35 @@ def _cleared(num, den, W, what):
     return out
 
 
-def plethysm_eval(e, rule, nvars=None):
-    """Apply a power-sum substitution rule to a packed expression.
-
-    rule='modified': p_r -> p_r / (1 - t^r); returns a powersum-basis expr.
-    rule='double': p_r -> (p_r(x-alphabet) + (-1)^{r+1} p_r(z-alphabet))
-    / (1 - t^r); returns (table, den): table maps exponent tuples over
-    x_1..x_N, z_1..z_N (N = nvars) to QRows numerators over the one
-    denominator den = (k, D).
-
-    D gains the lcm L of the plethysm factors of the terms, and the
+def plethysm_eval(e):
+    """p_r -> p_r / (1 - t^r) on a packed expression, in the power-sum
+    basis: D gains the lcm L of the plethysm factors of the terms, and the
     numerator of p_lam is multiplied by the packed factors of L that p_lam
-    lacks.
-    """
-    if rule not in ("modified", "double"):
-        raise ValueError("unknown rule %r" % (rule,))
-    if rule == "double" and nvars is None:
-        raise TooFewVariables("rule='double' needs nvars")
+    lacks."""
     if e.width is None:
         raise ValueError("plethysm_eval takes a packed expression")
     ps = basis_convert(e, "powersum")
     lcm = _plethysm_lcm(ps)
     k, own = ps.den
-    den = (k, own + lcm)
-    coeffs = {}
-    for lam, c in ps.coeffs.items():
-        num = QRows(_rows_times(
+    return SymmetricExpr("powersum", {
+        lam: QRows(_rows_times(
             c.rows, (lcm - _plethysm_factors(lam)).elements(), e.width))
-        if rule == "modified":
-            coeffs[lam] = num
-            continue
-        for key, m in _expand_powersum(lam, nvars).items():
-            _add(coeffs, key, num * m)
-    if rule == "modified":
-        return SymmetricExpr("powersum", coeffs, den, e.width)
-    return coeffs, den
+        for lam, c in ps.coeffs.items()}, (k, own + lcm), e.width)
+
+
+def _plethysm_table(lam, after, what):
+    """J_lam packed, p_r -> p_r / (1 - t^r), combined by the matrix after
+    (rows keyed by the power sums) and cleared: each key of after's rows
+    mapped to its terms {(q exponent, t exponent): c}, all positive."""
+    J = _packed_J(lam, _spread(after))
+    pleth = plethysm_eval(J)
+    table = {}
+    for key, c in _combine(pleth.coeffs, after).items():
+        where = "%s coefficient at %r" % (what, key)
+        table[key] = terms = _cleared(c, pleth.den, J.width, where)
+        if any(x < 0 for x in terms.values()):
+            raise NegativeCoefficient(where + " has a negative term")
+    return table
 
 
 _H_TABLE_CACHE = {}
@@ -451,18 +438,9 @@ _H_TABLE_CACHE = {}
 @memoized(_H_TABLE_CACHE)
 def _oracle_table(lam):
     """Every monomial coefficient of H_lam, by plethysm on J_lam."""
-    d = lam.weight()
-    J = _packed_J(lam, _spread(_transitions(d)[1]))
-    mono = basis_convert(plethysm_eval(J, "modified"), "monomial")
-    table = {}
-    for mu, c in mono.coeffs.items():
-        terms = _cleared(c, mono.den, J.width,
-                         "H coefficient at %r" % (mu,))
-        if not all(x > 0 for x in terms.values()):
-            raise NegativeCoefficient(
-                "H coefficient at %r has a negative term" % (mu,))
-        table[mu] = ExactPolynomial(("q", "t"), terms)
-    return table
+    p_in_m, _ = _transitions(lam.weight())["powersum", "monomial"]
+    return {mu: ExactPolynomial(("q", "t"), terms)
+            for mu, terms in _plethysm_table(lam, p_in_m, "H").items()}
 
 
 def modified_H_oracle(lam, nvars=None):
@@ -481,20 +459,10 @@ def modified_H_oracle(lam, nvars=None):
 
 def _W_table(lam, N):
     """W_lam's coefficients: each exponent tuple over x_1..x_N, z_1..z_N
-    mapped to its terms {(q exponent, t exponent): c}, all positive."""
-    d = lam.weight()
-    # p_lam over 2N letters has at most min(d, 2N)^ell(lam) ways to reach a
-    # monomial: each part goes to one letter of its support
-    spread = sum(min(d, 2 * N) ** len(nu) for nu in partitions_of(d))
-    J = _packed_J(lam, spread)
-    table, den = plethysm_eval(J, "double", nvars=N)
-    out = {}
-    for exp, c in table.items():
-        terms = _cleared(c, den, J.width, "W coefficient")
-        if any(x < 0 for x in terms.values()):
-            raise NegativeCoefficient("W coefficient has a negative term")
-        out[exp] = terms
-    return out
+    mapped to its terms {(q exponent, t exponent): c}, all positive; after
+    the plethysm each p_r becomes p_r(x) + (-1)^(r+1) p_r(z)."""
+    return _plethysm_table(lam, {nu: _expand_powersum(nu, N)
+                                 for nu in partitions_of(lam.weight())}, "W")
 
 
 def W_oracle(lam, N):

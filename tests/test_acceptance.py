@@ -202,7 +202,7 @@ def test_criterion_10_duality():
     for w in range(1, 6):
         for lam in partitions_of(w):
             assert duality_check(lam)
-    _report(10, 0.2, t0)
+    _report(10, 0.11, t0)
 
 
 def test_criterion_11_cauchy_identities():
@@ -233,7 +233,7 @@ def test_criterion_12_kostka_positivity_and_triangularity():
     t0 = time.time()
     for w in range(1, 7):
         _check_kostka(w)
-    _report(12, 0.7, t0)
+    _report(12, 0.26, t0)
 
 
 def test_criterion_13_weight_7_routes_and_hall_littlewood_collapse():
@@ -353,10 +353,10 @@ def test_criterion_17_oracle_positivity_at_weight_10():
         assert all(poly.is_nonnegative() for poly in table.values()), lam
         count += 1
     assert count == 42
-    _report(17, 17.4, t0)
+    _report(17, 16.4, t0)
 
 
 def test_criterion_18_kostka_positivity_at_weight_9():
     t0 = time.time()
     _check_kostka(9)
-    _report(18, 9.5, t0)
+    _report(18, 4.41, t0)

@@ -134,6 +134,22 @@ def test_kostka_hooks_match_the_cell_product():
 
 
 @pytest.mark.parametrize("route", ["lattice_x", "lattice_dual"])
+def test_lattice_schur_expansion_is_the_oracle_kostka_table(route):
+    # kostka_qt reads only the oracle H; the Schur expansion of a lattice
+    # table, which shares nothing with the oracle but basis_convert, must
+    # give the same table, with every entry in N[q, t].
+    for w in range(1, 6):
+        for lam in partitions_of(w):
+            table = modified_H(lam, N=w, route=route).coeffs
+            schur = symoracle.basis_convert(
+                symoracle.SymmetricExpr("monomial", table), "schur")
+            assert schur.den == (1, Counter()), (route, lam)
+            assert schur.coeffs == kostka_qt(lam), (route, lam)
+            assert all(poly.is_nonnegative()
+                       for poly in schur.coeffs.values()), (route, lam)
+
+
+@pytest.mark.parametrize("route", ["lattice_x", "lattice_dual"])
 def test_lattice_tables_factor_at_q_or_t_one(route):
     # H_mu(x; 1, t) = prod_j H_(1^mu'_j)(x; t) over the columns of mu and
     # H_mu(x; q, 1) = prod_i H_(mu_i)(x; q) over its rows, each product

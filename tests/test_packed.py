@@ -11,7 +11,7 @@ from modmacd.packed import (_at_one, _Bound, _digits, _pack_qt, _qt_terms,
                             _respace, _rows_times, _unpack_qt, _width,
                             QTBounds, QTPacking)
 
-from reference import factor_product
+from reference import factor_product, unpack_rows
 
 _POLY = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-60, 60),
@@ -165,6 +165,23 @@ def test_respace_matches_the_digit_shift_sum(row, width, T, target):
     value = sum(c << W * i for i, c in enumerate(digits))
     got = _respace(value, W, spacing)
     assert got == sum(c << spacing * i for i, c in enumerate(digits))
-    if all(abs(c) < 1 << (W - 1) for c in digits):
-        assert got == _pack_qt((((0, i), c) for i, c in _digits(value, W)),
-                               spacing, 1)
+    assert got == _pack_qt((((0, i), c) for i, c in _digits(value, W)),
+                           spacing, 1)
+
+
+@given(st.integers(2, 12).flatmap(lambda W: st.tuples(st.just(W),
+                                                      _signed_row(W))))
+@example((2, [-2, -2, 1]))
+@example((3, [-4] * 9))
+@example((4, [7, -8, 0, -8]))
+@settings(max_examples=150, deadline=None)
+def test_digits_read_every_balanced_digit(row):
+    # Every balanced digit in [-2^(W-1), 2^(W-1)) is read, -2^(W-1) too:
+    # 6 = -2 - 2 * 4 + 16 has three digits at W = 2, one more than
+    # bit_length // W + 1.
+    W, digits = row
+    value = sum(c << W * i for i, c in enumerate(digits))
+    assert list(_digits(value, W)) == [(i, c) for i, c in enumerate(digits)
+                                       if c]
+    assert _unpack_qt(value, W, len(digits) + 1) \
+        == unpack_rows([value], W, "q")

@@ -58,6 +58,8 @@ def _values(e):
 def test_symmetric_expr_rejects_unknown_basis():
     with pytest.raises(ValueError):
         SymmetricExpr("elementary", {})
+    with pytest.raises(ValueError):
+        basis_convert(integral_J(Partition((2, 1)), 3), "elementary")
 
 
 def horizontal_strip(lam, mu):
@@ -189,16 +191,19 @@ def test_plethysm_coefficients_share_one_denominator_per_degree():
             den = (k, factors)
             # the values here stay far below 2^63, so W = 64 decodes them
             packed = _packed(ps, 64)
-            pleth = plethysm_eval(packed, "modified")
+            pleth = plethysm_eval(packed)
             assert pleth.den == den
             for nu, c in ps.coeffs.items():
                 assert _value(pleth, nu) == RationalFunction(
                     c, factor_product(Counter((0, r) for r in nu.parts)) * k)
             mono = basis_convert(pleth, "monomial")
             assert mono.den == den
-            double, double_den = plethysm_eval(packed, "double", nvars=2)
-            assert double_den == den
-            assert all(sum(e) == w for e in double)
+            # W's step after the plethysm: p_r(x) + (-1)^(r+1) p_r(z) over
+            # two letters each, every exponent tuple of degree w
+            double = symoracle._combine(pleth.coeffs, {
+                nu: symoracle._expand_powersum(nu, 2)
+                for nu in partitions_of(w)})
+            assert double and all(sum(e) == w for e in double)
 
 
 @pytest.mark.parametrize("missing", ["smallest", "largest"])
@@ -272,10 +277,10 @@ def test_oracle_table_is_computed_once_per_shape(monkeypatch):
     calls = []
     pleth = symoracle.plethysm_eval
 
-    def counted(e, rule, nvars=None):
+    def counted(e):
         assert isinstance(e.width, int)
-        calls.append(rule)
-        return pleth(e, rule, nvars)
+        calls.append(e.basis)
+        return pleth(e)
 
     clear_caches()
     monkeypatch.setattr(symoracle, "plethysm_eval", counted)
@@ -285,10 +290,10 @@ def test_oracle_table_is_computed_once_per_shape(monkeypatch):
         modified_H_oracle(lam, 3)
         modmac.kostka_qt(lam)
         modmac.modified_H(lam, route="oracle")
-        assert calls == ["modified"]
+        assert calls == ["monomial"]
         clear_caches()
         modified_H_oracle(lam)
-        assert calls == ["modified"] * 2
+        assert calls == ["monomial"] * 2
     finally:
         clear_caches()
 
@@ -342,6 +347,66 @@ def test_basis_conversion_keeps_the_zero_expression():
         for target in ("monomial", "powersum", "schur"):
             got = basis_convert(SymmetricExpr(source, {}, den), target)
             assert (got.basis, got.coeffs, got.den) == (target, {}, den)
+
+
+def _product(a, b):
+    """The matrix product of integer matrices {row: {column: n}}."""
+    out = {}
+    for i, row in a.items():
+        acc = Counter()
+        for j, x in row.items():
+            for k, y in b[j].items():
+                acc[k] += x * y
+        out[i] = {k: n for k, n in acc.items() if n}
+    return out
+
+
+def test_transition_matrices_invert_each_other():
+    # M(p, m) M(m, p) = k I and M(m, p) M(p, m) = k I; the Kostka matrix
+    # M(s, m) and its integer inverse M(m, s) multiply to I both ways.
+    for d in range(1, 9):
+        table = symoracle._transitions(d)
+        for source, target in (("powersum", "monomial"),
+                               ("schur", "monomial")):
+            there, k_there = table[source, target]
+            back, k = table[target, source]
+            assert k_there == 1
+            assert k == 1 or source == "powersum"
+            scalar = {lam: {lam: k} for lam in partitions_of(d)}
+            assert _product(there, back) == scalar, (d, source)
+            assert _product(back, there) == scalar, (d, source)
+        kostka = table["schur", "monomial"][0]
+        assert kostka == {
+            nu: {mu: n for mu in partitions_of(d)
+                 if (n := kostka_number(nu, mu.parts))}
+            for nu in partitions_of(d)}
+
+
+_BASIS_PAIRS = [(a, b) for a in symoracle.BASES for b in symoracle.BASES
+                if a != b]
+
+
+@given(st.integers(1, 6).flatmap(lambda d: st.dictionaries(
+           st.sampled_from(partitions_of(d)),
+           st.integers(-50, 50).filter(bool), min_size=1)),
+       st.sampled_from(_BASIS_PAIRS), st.integers(1, 6))
+@example({Partition((2, 1, 1)): 1}, ("monomial", "powersum"), 1)
+@example({Partition((3, 3)): -7, Partition((1,) * 6): 2},
+         ("schur", "powersum"), 4)
+@settings(max_examples=120, deadline=None)
+def test_basis_convert_round_trips_in_every_direction(coeffs, pair, k):
+    # integer numerators over k, in each of the six directions and back
+    source, target = pair
+    d = next(iter(coeffs)).weight()
+    e = SymmetricExpr(source, {mu: PC(c) for mu, c in coeffs.items()},
+                      (k, Counter()))
+    there = basis_convert(e, target)
+    assert there.basis == target
+    assert all(nu.weight() == d for nu in there.coeffs)
+    assert there.coeffs and there.den[1] == Counter()
+    back = basis_convert(there, source)
+    assert back.basis == source
+    assert _values(back) == _values(e)
 
 
 def test_basis_conversion_round_trip():
