@@ -5,37 +5,45 @@ extractors.
 
 Each formula's weight (x, dual, Hall-Littlewood) is a product of column
 weights, and each column weight is a product of per-column pieces: an
-exponent (a column's term of chi, or the one from _hl_column) and one factor
-per cell, or per Gaussian binomial for Hall-Littlewood.  All three sum by
-one transfer sweep over columns n, ..., 1 (_column_sweep), given each
-column's moves by _column_moves (x, dual) or _hl_moves: its state is the
-current column's chains, each with a map from partial composition to a
-packed (q, t) polynomial, and each step multiplies in one column weight,
-which reads only that column and the one before it.  Every cell factor is
-built once, as a cached record (l1 bound, t-degree bound, rows, W, first,
-zq, zt, dual) that carries its own bounds: a Phi cell (_phi_eval) is a view
-on the packed rows that phi caches for Phi (one t-digit per term z^d t^i c),
-the rows object itself with their width and the exponent map that reads
-them, and a factor given by its terms (a Gaussian binomial) is packed into
-rows of its own by _cell.  The negative-exponent check runs once per cell,
-on a Phi cell's argument or on the terms.  A structure pass first finds the
-live transitions and bounds the summed l1 norm and the t-degree of each
-chain tuple's partial sums from the carried bounds, which fixes the
-packing; the numeric pass packs each cell at it by re-spacing each row's
-digits (packed._respace) and shifting the row into place.  No
-SequencePair, ExactPolynomial, per-term tuple or public Phi function is on
-the cell path.  The formulas stay independent, each with its own exponent
-and factors (they share only the sweep driver and the cell records; x
-and dual also share the cached Phi evaluation and the split of a column
-exponent into a part of the column's own chains and a dot product with the
-next column's, _chi_split), because their agreement is the evidence that
-each is right; the oracle shares none of their code but packed's digit
-width and decoder."""
+exponent (a column's term of chi, or Hall-Littlewood's sum of d(d-1)/2 over
+its chain's steps) and one factor per cell, or per Gaussian binomial for
+Hall-Littlewood.  All three sum by one transfer sweep over columns n, ...,
+1 (_column_sweep), given each column's moves by _column_moves (x, dual) or
+_hl_moves: its state is an int id of the current column's chains, with a
+map from partial composition to a packed (q, t) polynomial, and each step
+multiplies in one column weight, which reads only that column and the one
+before it.  The moves come from tables built once per chain per sweep, not
+once per move: a move is a prefix (a pick of every cell but one, its
+fields summed once) extended by one option of the remaining cell, each a
+tuple (state-id share, exponent share, increment share, l1 bound, t-degree
+bound, cells), and the only part of an exponent that reads a whole tuple
+of chains, the pairwise part of chi, is taken once per state.  Every cell
+factor is built once, as a cached record (l1 bound, t-degree bound, rows,
+W, first, zq, zt, dual) that carries its own bounds: a Phi cell
+(_phi_eval) is a view on the packed rows that phi caches for Phi (one
+t-digit per term z^d t^i c), the rows object itself with their width and
+the exponent map that reads them, and a factor given by its terms (a
+Gaussian binomial) is packed into rows of its own by _cell.  The
+negative-exponent check runs once per cell, on a Phi cell's argument or on
+the terms.  A structure pass first finds the live transitions and bounds
+the summed l1 norm and the t-degree of each state's partial sums from the
+carried bounds, which fixes the packing; the numeric pass packs each cell
+at it by re-spacing each row's digits (packed._respace) and shifting the
+row into place.  No SequencePair, ExactPolynomial, per-term tuple or
+public Phi function is on the cell path.  The formulas stay independent,
+each with its own exponent and factors (they share only the sweep driver
+and the cell records; x and dual also share the cached Phi evaluation and
+the split of a column exponent into a pairwise part of the column's own
+chains, _chi_split, and one share per cell from the next column's,
+_chi_later), because their agreement is the evidence that each is right.
+The oracle shares none of their code but packed's digit width, digit
+reader and row product, and the partition conjugate (tests/test_sharing.py
+keeps that list)."""
 
 from functools import partial
 from itertools import groupby, permutations, product as iproduct
 from math import comb, factorial, prod
-from operator import add, itemgetter, mul, sub
+from operator import add, ge, itemgetter, mul, sub
 
 from .combinat import Partition, _chains, conjugate, inversion_number
 from .errors import (ConsistencyError, InfeasibleMultiplicities,
@@ -312,31 +320,40 @@ def _pack_cell(cell, W, T):
 
 
 def _chi_split(nuts, dual):
-    """chi (dual: chi') of one column, the pairs (nu_j, nutilde_j) with the
-    nutildes nuts, in order of j, is a - sum D * _chi_nus(nus) with D the
-    sums over j < l of d = nutilde_j^k - nutilde_j^(k-1), flattened over l
-    and k; returns (a, D).  The sweep keeps (a, D) per column-i chain tuple
-    and the nu entries per column-(i+1) one."""
+    """The pairwise part a of one column's chi (dual: chi'), the pairs
+    (nu_j, nutilde_j) with the nutildes nuts, in order of j: the column's
+    exponent is a - sum_j d_j . R_j, with d_j the steps of nutilde_j
+    (_steps) and R_j from the nus (_chi_later).  Only a reads the whole
+    tuple of nutildes; the sweep takes it once per state."""
     later = [0] * len(nuts[0])  # per k: sum over l > j of nutilde_l^k
     a = 0                       # (dual: nutilde_l^(k-1))
     for nut in reversed(nuts):
-        d = list(map(sub, nut, (0,) + nut))
+        d = _steps(nut)
         a += sum(map(mul, d, later))
         if not dual:
             a += sum(x * (x - 1) // 2 for x in d)
         later = list(map(add, later, (0,) + nut if dual else nut))
-    D = []
-    run = [0] * len(nuts[0])
-    for nut in nuts:
-        D += run
-        run = list(map(add, run, map(sub, nut, (0,) + nut)))
-    return a, D
+    return a
 
 
-def _chi_nus(nus, dual):
-    """The nu entries _chi_split's D pairs with: nu_l^(k-1) (dual: nu_l^k)
-    for k = 1..N, flattened over l."""
-    return [x for nu in nus for x in (nu if dual else ((0,) + nu)[:-1])]
+def _chi_later(nus, dual):
+    """Per position j of the nu chains nus, in order of j, the vector R_j
+    that the steps of nutilde_j pair with in chi (_chi_split): the sum over
+    l > j of nu_l^(k-1) (dual: nu_l^k), k = 1..N.  In the sweep the nus
+    are a below state's chains, so each cell's part of chi is one scalar
+    per chain."""
+    run = [0] * len(nus[0])
+    out = []
+    for nu in reversed(nus):
+        out.append(run)
+        run = list(map(add, run, nu if dual else (0,) + nu))
+    out.reverse()
+    return out
+
+
+def _steps(nut):
+    """The steps nutilde^k - nutilde^(k-1), k = 1..N, of a chain."""
+    return tuple(map(sub, nut, (0,) + nut))
 
 
 def chi(columns, dual=False):
@@ -349,25 +366,18 @@ def chi(columns, dual=False):
     d = nutilde_j^k - nutilde_j^(k-1); the dual exponent chi' is the sum
     over k and j of d * sum_{l > j} (nutilde_l^(k-1) - nu_l^k).
 
-    partition_function_coeffs takes each column's exponent through
-    _chi_split; chi is the whole-family sum that the tests check it
-    against."""
+    partition_function_coeffs takes each column's exponent as the pairwise
+    part of _chi_split plus one share per cell from _chi_later; chi is the
+    whole-family sum of the same pieces that the tests check against the
+    pairwise sum."""
     total = 0
     for pairs in columns:
         js = sorted(pairs)
-        a, D = _chi_split([pairs[j][1] for j in js], dual)
-        total += a - sum(map(mul, D, _chi_nus([pairs[j][0] for j in js],
-                                              dual)))
+        nuts = [pairs[j][1] for j in js]
+        later = _chi_later([pairs[j][0] for j in js], dual)
+        total += _chi_split(nuts, dual) - sum(
+            sum(map(mul, _steps(nut), r)) for nut, r in zip(nuts, later))
     return total
-
-
-def _hl_column(nu, nut):
-    """t-exponent and Gaussian binomials of one Hall-Littlewood column: sum
-    of d(d-1)/2 over the increments d of nutilde, and the pairs (a, b) of
-    [a, b]_t = [nutilde_{k+1} - nu_k, nutilde_k - nu_k] for k < N."""
-    expo = sum(d * (d - 1) // 2 for d in map(sub, nut, (0,) + nut))
-    return expo, [(nut[k] - nu[k - 1], nut[k - 1] - nu[k - 1])
-                  for k in range(1, len(nut))]
 
 
 def partition_function_coeffs(lam, N, formula="x"):
@@ -390,19 +400,19 @@ def partition_function_coeffs(lam, N, formula="x"):
     bit lengths.  This does not need Phi to be positive.
 
     All three sums run as a column sweep (_column_sweep) over columns
-    n, ..., 1: the state after column i maps each tuple of column-i chains
-    (x and dual: nu_{i,j}, j = i..n; Hall-Littlewood: the flag's column i)
-    to its partial compositions, and the step to column i multiplies by
-    the column's power of t (dual: q) and its cell factors (Hall-Littlewood:
-    Gaussian binomials) and adds column i's increments to the composition.
-    A structure pass finds the live transitions (no zero factor) and
-    carries two ints per chain tuple, the summed l1 norm of its partial
-    sums and a bound on their t-degree; W comes from the final total, of
-    which every composition's norm is a summand.  Each column's exponent is
-    shifted by its least value, and the total shift is put back when
-    decoding.  The numeric pass replays the moves on packed weights, each
-    cell packed once per sweep from its rows (_pack_cell).  Each
-    composition's value at q = t = 1 (packed._at_one) must be the
+    n, ..., 1: the state after column i is an int id of a tuple of column-i
+    chains (x and dual: nu_{i,j}, j = i..n; Hall-Littlewood: the flag's
+    column i) and maps to its partial compositions, and the step to column
+    i multiplies by the column's power of t (dual: q) and its cell factors
+    (Hall-Littlewood: Gaussian binomials) and adds column i's increments to
+    the composition.  A structure pass finds the live transitions (no zero
+    factor) and carries two ints per state, the summed l1 norm of its
+    partial sums and a bound on their t-degree; W comes from the final
+    total, of which every composition's norm is a summand.  Each column's
+    exponent is shifted by its least value, and the total shift is put
+    back when decoding.  The numeric pass replays the moves on packed
+    weights, each cell packed once per sweep from its rows (_pack_cell).
+    Each composition's value at q = t = 1 (packed._at_one) must be the
     multinomial n! / prod comp_i!, since H(x; 1, 1) = (x_1 + ... + x_N)^n,
     and for Hall-Littlewood the values must sum to h_lambda(1^N), since
     H(x; 0, 1) = h_lambda(x); otherwise ConsistencyError, before decoding.
@@ -418,16 +428,16 @@ def partition_function_coeffs(lam, N, formula="x"):
         raise TooFewVariables("N must be at least ell(lambda)")
     if formula == "hl":
         shape, dual = conjugate(lam), False
-        moves = partial(_hl_moves, shape, N)
+        tables = partial(_hl_moves, shape, N)
         check = _check_h_at_one
     elif formula in ("x", "z"):
         dual = (formula == "z")
         shape = lam if dual else conjugate(lam)
-        moves = partial(_column_moves, shape, N, dual)
+        tables = partial(_column_moves, shape, N, dual)
         check = _check_multinomials
     else:
         raise ValueError("formula must be 'x', 'z' or 'hl'")
-    values, at_one, comps, decode = _column_sweep(shape, N, dual, moves)
+    values, at_one, comps, decode = _column_sweep(shape, N, dual, tables)
     check(at_one, comps, lam, N)
     by_comp = {comps[key]: v for key, v in values.items()}
     return {mu: decode(v)
@@ -443,35 +453,83 @@ def _add_move(sums, cur, partials, inc, w):
         acc[key] = acc.get(key, 0) + v * w
 
 
-def _column_moves(shape, N, dual, i, belows):
-    """Yield the live moves into column i: (below, cur, chi, cells) for every
-    tuple below of column-(i+1) chains and cur of column-i chains whose
-    cell factors (records from _phi_eval) are all nonzero; chi is the
-    column's exponent in chi (dual: chi').  The nonzero filter is a guard
-    that never drops a valid chain: each cell is Phi or Phi' of two
-    nondecreasing chains with equal tops (the diagonal cell the closed
-    product of nutilde's binomials), whose coefficients are nonnegative and
-    sum to prod_j C(nutilde^{j+1}, nutilde^j) >= 1."""
-    js = range(i, len(shape) + 1)
-    args = [(j - i, shape.part(i) - shape.part(j)) for j in js]
-    chain_sets = [_chains(shape.part(j) - shape.part(j + 1), N) for j in js]
-    splits = {}
-    for below in belows:
-        chains = ((0,) * N,) + below
-        nus = _chi_nus(chains, dual)
-        # per cell, the chains of column i that give a nonzero factor
-        options = [[(nut, cell) for nut in chain_set
-                    for cell in (_phi_eval(nu, nut, qexp, texp, dual),)
-                    if cell]
-                   for (qexp, texp), nu, chain_set
-                   in zip(args, chains, chain_sets)]
-        for picked in iproduct(*options):
-            cur, cells = zip(*picked)
-            if cur not in splits:
-                splits[cur] = _chi_split(cur, dual)
-            a, D = splits[cur]
-            yield below, cur, a - sum(map(mul, D, nus)), cells
+def _column_moves(shape, N, dual, powers):
+    """The live moves of the x (dual) sum, from tables built once per
+    chain per sweep: returns column(i, belows) for the sweep, in the form
+    _column_sweep reads.  Cell j, j = i..n, of column i is Phi (dual:
+    Phi') of the pair (nu_{i+1,j}, nutilde = nu_{i,j}) at q^(j-i)
+    t^(shape_i - shape_j), a record from _phi_eval, with nu_{i+1,i} = 0.
 
+    A state is an int id: the mixed-radix number of its chains' indices in
+    the chain sets of its cells, cell n least significant, so a cell's
+    place value is the same in every column.  Per cell and chain the table
+    holds the chain's steps d (_steps), its composition increment and its
+    id share.  The column's exponent in chi (dual: chi') is the pairwise
+    part a of the state's chains (_chi_split) minus, per cell j, d . R_j,
+    with R_j read from the below state's chains (_chi_later); so a chain's
+    chi share in cell j is one int per below state, and a is taken once
+    per state, by state(id), which returns (a, the state's chains).  Per
+    below state whose every cell has a live chain, the cell with the most
+    live chains is the innermost options list; every pick of the other
+    cells is one prefix, its fields summed (l1: multiplied) and its cells
+    in one tuple, built once and shared by the moves that extend it.
+
+    The nonzero filter is a guard that never drops a valid chain: each
+    cell is Phi or Phi' of two nondecreasing chains with equal tops (the
+    diagonal cell the closed product of nutilde's binomials), whose
+    coefficients are nonnegative and sum to
+    prod_j C(nutilde^{j+1}, nutilde^j) >= 1."""
+    n = len(shape)
+    sets = [_chains(shape.part(j) - shape.part(j + 1), N)
+            for j in range(1, n + 1)]
+    places = [prod(map(len, sets[c + 1:])) for c in range(n)]
+    tables = [[(nut, d, sum(map(mul, d, powers)), k * place)
+               for k, nut in enumerate(chains) for d in (_steps(nut),)]
+              for chains, place in zip(sets, places)]
+    zero = (0,) * N
+
+    def column(i, belows):
+        cells = range(i - 1, n)  # cell j is index j - 1
+
+        def state(sid):
+            cur = tuple(sets[c][sid // places[c] % len(sets[c])]
+                        for c in cells)
+            return _chi_split(cur, dual), cur
+
+        def moves():
+            for below, chains in belows.items():
+                nus = (zero,) + chains
+                options = []
+                for c, nu, r in zip(cells, nus, _chi_later(nus, dual)):
+                    qexp, texp = c + 1 - i, shape.part(i) - shape.part(c + 1)
+                    live = [(share, -sum(map(mul, d, r)), inc, cell[0],
+                             cell[1], (cell,))
+                            for nut, d, inc, share in tables[c]
+                            for cell in (_phi_eval(nu, nut, qexp, texp,
+                                                   dual),)
+                            if cell]
+                    if not live:
+                        break
+                    options.append(live)
+                else:
+                    options.sort(key=len)
+                    inner = options.pop()
+                    prefixes = [_NO_PREFIX]
+                    for live in options:
+                        prefixes = [(s + s2, x + x2, a + a2, l1 * m,
+                                     e + e2, cs + cs2)
+                                    for s, x, a, l1, e, cs in prefixes
+                                    for s2, x2, a2, m, e2, cs2 in live]
+                    for prefix in prefixes:
+                        yield below, prefix, inner
+
+        return moves(), state
+
+    return column
+
+
+# the prefix of a move with no cell outside its options list
+_NO_PREFIX = (0, 0, 0, 1, 0, ())
 
 _BINOM_CELL_CACHE = {}
 
@@ -483,97 +541,144 @@ def _binom_cell(a, b):
     return _cell(((0, e), c) for e, c in enumerate(_binom_list(a, b)) if c)
 
 
-def _hl_moves(shape, N, i, belows):
-    """Yield the live Hall-Littlewood moves into column i of shape = lambda':
-    (below, (nutilde,), expo, cells) for each state below = (nu,) (() before
-    column n, nu = 0) and chain nutilde whose binomials from _hl_column,
-    with its t-exponent expo, are all nonzero (nutilde >= nu entrywise)."""
-    chain_set = _chains(shape.part(i), N)
-    for below in belows:
-        nu = below[0] if below else (0,) * N
-        for nut in chain_set:
-            expo, pairs = _hl_column(nu, nut)
-            cells = [_binom_cell(a, b) for a, b in pairs]
-            if all(cells):
-                yield below, (nut,), expo, cells
+def _hl_moves(shape, N, powers):
+    """The live Hall-Littlewood moves of shape = lambda', in
+    _column_moves' form: returns column(i, belows).  A state is the index
+    of its one chain nutilde in column i's chain set, and every move's
+    prefix is empty.  Per chain, column(i, belows) takes the t-exponent
+    (the sum of d(d-1)/2 over nutilde's steps d) and the composition
+    increment once.  From below nu (0 before column n) the options are the
+    chains with nutilde >= nu entrywise, each with its Gaussian binomials
+    [nutilde_{k+1} - nu_k, nutilde_k - nu_k]_t, k < N, as its cells, which
+    are all nonzero exactly then, since nutilde is nondecreasing; state(id)
+    is (0, (nutilde,))."""
+    zero = (0,) * N
+
+    def column(i, belows):
+        chains = _chains(shape.part(i), N)
+        expos, incs = [], []
+        for d in map(_steps, chains):
+            expos.append(sum(x * (x - 1) // 2 for x in d))
+            incs.append(sum(map(mul, d, powers)))
+
+        def state(sid):
+            return 0, (chains[sid],)
+
+        def options(nu):
+            for k, (expo, inc, nut) in enumerate(zip(expos, incs, chains)):
+                if all(map(ge, nut, nu)):
+                    cells = tuple(map(_binom_cell, map(sub, nut[1:], nu),
+                                      map(sub, nut, nu)))
+                    yield (k, expo, inc, prod(map(itemgetter(0), cells)),
+                           sum(map(itemgetter(1), cells)), cells)
+
+        def moves():
+            for below, nus in belows.items():
+                yield below, _NO_PREFIX, options(nus[0] if nus else zero)
+
+        return moves(), state
+
+    return column
 
 
-def _column_sweep(shape, N, dual, column_moves):
+def _column_sweep(shape, N, dual, tables):
     """A lattice sum keyed by composition, column by column as
-    partition_function_coeffs describes.
+    partition_function_coeffs describes.  A partial composition c is keyed
+    by the int sum_k c_k B^k, B = |shape| + 1 > every c_k, so that adding a
+    column's increments is one addition.
 
-    column_moves(i, belows) yields the live moves (below, cur, exponent,
-    cells) into column i = len(shape), ..., 1 from the chain tuples below
-    of column i + 1 (the one state () before column n): cur is a tuple of
-    column-i chains of length N, the exponent is of t (dual: of q), and
-    each cell a cached record (l1 bound, t-degree bound, rows, W, first,
-    zq, zt, dual) from _phi_eval or _cell, which has passed the
-    negative-exponent check there; the structure pass multiplies the
-    carried norms and adds the carried degrees, and the numeric pass packs
-    each cell once at the sweep's W and T by re-spacing its rows
-    (_pack_cell), keyed by id, since the move records keep the cells
-    alive for the whole sweep.  A partial composition c
-    is keyed by the int sum_k c_k B^k, B = |shape| + 1 > every c_k, so
-    that adding a column's increments is one addition; the last column
-    adds every path into the one state ().  Returns the packed sums and
-    their values at q = t = 1 (packed._at_one) by key, each key's
-    composition (c_1, ..., c_N), and the decoder.
+    tables(powers), powers the B^k, gives column(i, belows) for i =
+    len(shape), ..., 1; belows maps each state id of column i + 1 to its
+    tuple of chains (before column n, the one state 0 with none).  column
+    returns (moves, state): moves yields (below, prefix, options), and
+    each move, the prefix extended by one option, is the sum of the two
+    tuples (state-id share, exponent share, increment share, l1 bound,
+    t-degree bound, cells), l1 the product and cells the concatenation;
+    its exponent of t (dual: of q) adds its state's a, where state(id) is
+    (a, the state's chains).  A cell is a cached record (l1 bound,
+    t-degree bound, rows, W, first, zq, zt, dual) from _phi_eval or _cell,
+    which has passed the negative-exponent check there.
+
+    The structure pass folds each move into the carried norm and degree of
+    its state (in the last column, of the one state 0) and keeps one record
+    (below, cur, increment, exponent, prefix cells, option cells); a
+    state's a and increment are taken at its first move, and its records
+    share that increment.  The numeric pass packs each cell once at the
+    sweep's W and T (_pack_cell), keyed by id, since the records keep the
+    cells alive, and multiplies each prefix's cells once.  Returns the
+    packed sums and their values at q = t = 1 (packed._at_one) by key,
+    each key's composition (c_1, ..., c_N), and the decoder.
     """
     B = sum(shape) + 1
     powers = [B ** k for k in range(N)]
-    # structure pass: per chain tuple, the summed l1 norm of its partial
-    # sums and a bound on their t-degree; each move is added as it comes and
-    # kept as one record (below, cur, increment, exponent, cells)
+    column_moves = tables(powers)
+    # structure pass: per state, the summed l1 norm of its partial sums and
+    # a bound on their t-degree
     columns = []
-    tot, tdeg = {(): 1}, {(): 0}
+    tot, tdeg, belows = {0: 1}, {0: 0}, {0: ()}
     shift = 0
     for i in range(len(shape), 0, -1):
-        incs = {}
-        records, sums, degs = [], {}, {}
-        for below, cur, expo, cells in column_moves(i, tot):
-            if cur not in incs:
-                incs[cur] = sum((b - a) * p for chain in cur for p, a, b
-                                in zip(powers, (0,) + chain, chain))
-            inc, cur = incs[cur], cur if i > 1 else ()
-            # t-degrees are unshifted until the least exponent is known,
-            # and chi can be negative, so no bound starts from 0
-            l1, deg = tot[below], tdeg[below] + (0 if dual else expo)
-            for cell in cells:
-                l1, deg = l1 * cell[0], deg + cell[1]
-            sums[cur] = sums.get(cur, 0) + l1
-            degs[cur] = max(degs.get(cur, deg), deg)
-            records.append((below, cur, inc, expo, cells))
-        low = min((record[3] for record in records), default=0)
+        moves, state = column_moves(i, belows)
+        seen, records, sums, degs, belows = {}, [], {}, {}, {}
+        for below, (psid, pexpo, pinc, pl1, pdeg, pcells), options in moves:
+            l1b, degb = tot[below] * pl1, tdeg[below] + pdeg
+            for sid, expo, inc, l1, deg, cells in options:
+                sid += psid
+                known = seen.get(sid)
+                if known is None:
+                    a, chains = state(sid)
+                    known = seen[sid] = a, pinc + inc, sid if i > 1 else 0
+                    if i > 1:
+                        belows[sid] = chains
+                a, inc, cur = known
+                # t-degrees are unshifted until the least exponent is
+                # known, and chi can be negative, so no bound starts from 0
+                expo += pexpo + a
+                l1 *= l1b
+                deg += degb if dual else degb + expo
+                sums[cur] = sums.get(cur, 0) + l1
+                degs[cur] = max(degs.get(cur, deg), deg)
+                records.append((below, cur, inc, expo, pcells, cells))
+        low = min(map(itemgetter(3), records), default=0)
         shift += low
         tot = sums
         tdeg = degs if dual else {cur: d - low for cur, d in degs.items()}
-        columns.append((records, low))
-    # numeric pass: each composition's l1 norm is a summand of tot[()]
-    W = _width(tot.get((), 0))
+        columns.append((records, low, i == 1))
+    # numeric pass: each composition's l1 norm is a summand of tot[0]
+    W = _width(tot.get(0, 0))
     T = max(tdeg.values(), default=0) + 1
     base = W * T if dual else W
     packed = {}
-    values = {(): {0: 1}}
-    for records, low in columns:
-        sums = {}
-        # a run of moves from one below state into one cur (in the last
-        # column, all of that state's moves) is summed per increment before
-        # it meets the state's partials; one partial has nothing to share
-        for (below, cur), moves in groupby(records, itemgetter(0, 1)):
-            partials, group = values[below], {}
-            for _, _, inc, expo, cells in moves:
-                w = 1
+
+    def pack(cell):
+        # a nonzero cell packs to a nonzero int
+        return packed.get(id(cell)) or packed.setdefault(
+            id(cell), _pack_cell(cell, W, T))
+
+    values = {0: {0: 1}}
+    for records, low, last in columns:
+        sums, group, prefix = {}, {}, None
+        # in the last column, where every move lands in state 0, a below
+        # state's moves are summed per increment before they meet its
+        # partial sums
+        for below, moves in groupby(records, itemgetter(0)):
+            partials = values[below]
+            for _, cur, inc, expo, pcells, cells in moves:
+                if pcells is not prefix:
+                    prefix, w0 = pcells, prod(map(pack, pcells))
+                w = w0
                 for cell in cells:
-                    if id(cell) not in packed:
-                        packed[id(cell)] = _pack_cell(cell, W, T)
-                    w *= packed[id(cell)]
-                group[inc] = group.get(inc, 0) + (w << base * (expo - low))
-                if len(partials) == 1:
-                    _add_move(sums, cur, partials, inc, group.pop(inc))
+                    w *= packed.get(id(cell)) or pack(cell)
+                w <<= base * (expo - low)
+                if last:
+                    group[inc] = group.get(inc, 0) + w
+                else:
+                    _add_move(sums, cur, partials, inc, w)
             for inc, w in group.items():
-                _add_move(sums, cur, partials, inc, w)
+                _add_move(sums, 0, partials, inc, w)
+            group.clear()
         values = sums
-    values = values.get((), {})
+    values = values.get(0, {})
     return values, {key: _at_one(v, W) for key, v in values.items()}, \
         {key: tuple(key // p % B for p in powers) for key in values}, \
         lambda v: _unpack_qt(v, W, T, *((shift, 0) if dual else (0, shift)))

@@ -13,7 +13,8 @@ plethysm adds its factors 1 - t^r to D, so no sum ever cross-multiplies.
 
 Numerators are ExactPolynomials, or QRows in a packed expression: each
 q-coefficient a t-polynomial at t = 2^W (packed._width, packed._digits and
-packed._rows_times are all the oracle shares with Phi and the lattice).
+packed._rows_times are all of packed that the oracle shares with Phi and
+the lattice; tests/test_sharing.py lists every shared function).
 The H table and W are one pipeline (_plethysm_table): J packed straight
 from its coefficient terms at a W taken from an l1 bound carried through
 every step, the plethysm, one matrix to the final basis (monomials for H,

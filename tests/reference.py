@@ -1,19 +1,23 @@
 """Exact references that the tests hold the library against: face weights
 of the vertex model, hook products, polynomial helpers, the explicit
-monomial expansion and the W reductions on W expanded in full.  They use
-none of the library's packed arithmetic, so agreement with them is
-evidence; nothing under src/ calls them."""
+monomial expansion, the W reductions on W expanded in full and the lattice
+sweep's moves generated one at a time.  Apart from the moves, which read
+the library's cached cells, they use none of the library's packed
+arithmetic, so agreement with them is evidence; nothing under src/ calls
+them."""
 
 from collections import Counter
 from itertools import accumulate, product as iproduct
+from operator import add, mul, sub
 
 from modmacd import symoracle
-from modmacd.combinat import Partition, SequencePair, _at, conjugate
+from modmacd.combinat import (Partition, SequencePair, _at, _chains,
+                              conjugate)
 from modmacd.errors import (NonPolynomialCoefficient, TooFewVariables,
                             TruncationResidual)
 from modmacd.exactalg import (ExactPolynomial, ONE, P, Q, RationalFunction,
                               T, ZERO, sym)
-from modmacd.lattice import _as_poly
+from modmacd.lattice import _as_poly, _binom_cell, _phi_eval
 from modmacd.modmac import modified_H
 from modmacd.packed import _qt_terms
 from modmacd.phi import phi_positive
@@ -338,3 +342,95 @@ def w_reduction_reference(lam, N):
         return False
     spec = W.substitute({x: P(0) for x in xs})
     return spec == lattice_H(conj).substitute(swap_rename)
+
+
+# -- the lattice sweep's moves, one at a time -------------------------------
+#
+# The lattice routes once generated each column's moves one by one, with a
+# column's exponent split per chain tuple; the library now reads them from
+# per-chain tables.  These generators keep the old form as the reference
+# the tables are checked against, move by move.
+
+def _chi_split(nuts, dual):
+    """chi (dual: chi') of one column, the pairs (nu_j, nutilde_j) with the
+    nutildes nuts, in order of j, is a - sum D * _chi_nus(nus) with D the
+    sums over j < l of d = nutilde_j^k - nutilde_j^(k-1), flattened over l
+    and k; returns (a, D)."""
+    later = [0] * len(nuts[0])  # per k: sum over l > j of nutilde_l^k
+    a = 0                       # (dual: nutilde_l^(k-1))
+    for nut in reversed(nuts):
+        d = list(map(sub, nut, (0,) + nut))
+        a += sum(map(mul, d, later))
+        if not dual:
+            a += sum(x * (x - 1) // 2 for x in d)
+        later = list(map(add, later, (0,) + nut if dual else nut))
+    D = []
+    run = [0] * len(nuts[0])
+    for nut in nuts:
+        D += run
+        run = list(map(add, run, map(sub, nut, (0,) + nut)))
+    return a, D
+
+
+def _chi_nus(nus, dual):
+    """The nu entries _chi_split's D pairs with: nu_l^(k-1) (dual: nu_l^k)
+    for k = 1..N, flattened over l."""
+    return [x for nu in nus for x in (nu if dual else ((0,) + nu)[:-1])]
+
+
+def hl_column(nu, nut):
+    """t-exponent and Gaussian binomials of one Hall-Littlewood column: sum
+    of d(d-1)/2 over the increments d of nutilde, and the pairs (a, b) of
+    [a, b]_t = [nutilde_{k+1} - nu_k, nutilde_k - nu_k] for k < N."""
+    expo = sum(d * (d - 1) // 2 for d in map(sub, nut, (0,) + nut))
+    return expo, [(nut[k] - nu[k - 1], nut[k - 1] - nu[k - 1])
+                  for k in range(1, len(nut))]
+
+
+def column_moves(shape, N, dual, i, belows):
+    """Yield the live moves into column i: (below, cur, chi, cells) for every
+    tuple below of column-(i+1) chains and cur of column-i chains whose
+    cell factors (records from _phi_eval) are all nonzero; chi is the
+    column's exponent in chi (dual: chi')."""
+    js = range(i, len(shape) + 1)
+    args = [(j - i, shape.part(i) - shape.part(j)) for j in js]
+    chain_sets = [_chains(shape.part(j) - shape.part(j + 1), N) for j in js]
+    splits = {}
+    for below in belows:
+        chains = ((0,) * N,) + below
+        nus = _chi_nus(chains, dual)
+        # per cell, the chains of column i that give a nonzero factor
+        options = [[(nut, cell) for nut in chain_set
+                    for cell in (_phi_eval(nu, nut, qexp, texp, dual),)
+                    if cell]
+                   for (qexp, texp), nu, chain_set
+                   in zip(args, chains, chain_sets)]
+        for picked in iproduct(*options):
+            cur, cells = zip(*picked)
+            if cur not in splits:
+                splits[cur] = _chi_split(cur, dual)
+            a, D = splits[cur]
+            yield below, cur, a - sum(map(mul, D, nus)), cells
+
+
+def hl_moves(shape, N, i, belows):
+    """Yield the live Hall-Littlewood moves into column i of shape = lambda':
+    (below, (nutilde,), expo, cells) for each state below = (nu,) (() before
+    column n, nu = 0) and chain nutilde whose binomials from hl_column,
+    with its t-exponent expo, are all nonzero (nutilde >= nu entrywise)."""
+    chain_set = _chains(shape.part(i), N)
+    for below in belows:
+        nu = below[0] if below else (0,) * N
+        for nut in chain_set:
+            expo, pairs = hl_column(nu, nut)
+            cells = [_binom_cell(a, b) for a, b in pairs]
+            if all(cells):
+                yield below, (nut,), expo, cells
+
+
+def move_increment(cur, powers):
+    """The composition increment of a move into the chains cur, keyed as
+    the sweep keys partial compositions: sum_k c_k B^k with powers the
+    B^k."""
+    return sum((b - a) * p for chain in cur for p, a, b
+               in zip(powers, (0,) + chain, chain))

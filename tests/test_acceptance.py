@@ -273,7 +273,7 @@ def test_criterion_15_weight_8_routes_and_hall_littlewood_collapse():
         at0 = {mu: p.substitute({"q": P(0)}) for mu, p in x.items()}
         at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
         assert at0 == modified_HL(lam, N), lam
-    _report(15, 40, t0)
+    _report(15, 14.1, t0)
 
 
 # One route over every shape of a weight at the least N, in a child process
@@ -315,14 +315,16 @@ def _route_child(route, weight):
 
 
 def test_criterion_16_weight_9_lattice_routes_in_bounded_memory():
-    # lattice_x, lattice_dual and Hall-Littlewood over every shape of
-    # weight 9 at the least N, each in its own process: x equals dual, the
-    # q = 0 collapse of x equals Hall-Littlewood, and each lattice route
-    # peaks under 150 MB.
+    # lattice_x, lattice_dual, Hall-Littlewood and the oracle over every
+    # shape of weight 9 at the least N, each in its own process: x equals
+    # dual and the oracle, the q = 0 collapse of x equals Hall-Littlewood,
+    # and each lattice route peaks under 150 MB.  The three lattice tables
+    # come out of one sweep driver, so only the oracle, which shares none
+    # of it, can see a fault there that moves them alike.
     t0 = time.time()
     children = {}
     try:
-        for route in ("lattice_x", "lattice_dual", "hl"):
+        for route in ("lattice_x", "lattice_dual", "hl", "oracle"):
             children[route] = _route_child(route, 9)
         outs = {route: child.communicate()[0]
                 for route, child in children.items()}
@@ -339,10 +341,11 @@ def test_criterion_16_weight_9_lattice_routes_in_bounded_memory():
     x = got["lattice_x"]
     assert len(x["tables"]) == 30
     assert x["tables"] == got["lattice_dual"]["tables"]
+    assert x["tables"] == got["oracle"]["tables"]
     assert x["at0"] == got["hl"]["tables"]
     for route in ("lattice_x", "lattice_dual"):
         assert got[route]["peak_mb"] < 150, (route, got[route]["peak_mb"])
-    _report(16, 96.5, t0)
+    _report(16, 52.3, t0)
 
 
 def test_criterion_17_oracle_positivity_at_weight_10():

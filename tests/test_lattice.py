@@ -13,16 +13,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from modmacd import lattice, phi
-from modmacd.combinat import (Partition, SequencePair, _at, conjugate,
-                              enumerate_flags, enumerate_nu_families,
-                              partitions_of)
+from modmacd.combinat import (Partition, SequencePair, _at, _chains,
+                              conjugate, enumerate_flags,
+                              enumerate_nu_families, partitions_of)
 from modmacd.errors import (ConsistencyError, InfeasibleMultiplicities,
                             MismatchedTops)
 from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction,
                               poly_divexact, sym, ZERO)
 from modmacd.lattice import (_PHI_EVAL_CACHE, _as_poly, _cell, _phi_eval,
                              _BINOM_CELL_CACHE, _collapse_compositions,
-                             _hl_column, chi, fundamental_L,
+                             _column_moves, _hl_moves, chi, fundamental_L,
                              fused_L_recurrence, fused_vertex_bruteforce,
                              partition_function_coeffs, rll_check)
 from modmacd.memo import clear_caches
@@ -30,9 +30,10 @@ from modmacd.packed import _digits, _pack_qt, _unpack_qt, _width
 from modmacd.phi import phi_at_one, phi_normalized, phi_prime
 from modmacd.qseries import gauss_binomial, pochhammer
 
-from reference import (FaceState, multiplicity, weight_fused, weight_fused_x,
-                       weight_fused_z, weight_hl,
-                       weight_hl_factorization_check)
+import reference
+from reference import (FaceState, hl_column, move_increment, multiplicity,
+                       weight_fused, weight_fused_x, weight_fused_z,
+                       weight_hl, weight_hl_factorization_check)
 
 Q = sym("q")
 T = sym("t")
@@ -186,7 +187,7 @@ def column_weight(i, lam, pairs, variant="x"):
         if nut[-1] != conj.part(i) or nu[-1] != conj.part(i + 1):
             raise MismatchedTops(
                 "column tops must be the conjugate parts at i, i+1")
-        expo, binoms = _hl_column(nu, nut)
+        expo, binoms = hl_column(nu, nut)
         out = T ** expo
         for a, b in binoms:
             out = out * gauss_binomial(a, b)
@@ -339,6 +340,62 @@ def test_column_sweep_matches_flat_family_sum(case, formula):
     lam, N = case
     assert partition_function_coeffs(lam, N, formula) \
         == _flat_partition_function(lam, N, formula)
+
+
+def _table_moves(moves, state, belows):
+    """The moves of one column from _column_moves' or _hl_moves' tables,
+    each as (below chains, cur chains, increment, exponent, cell ids in
+    order), with each move's carried l1 and t-degree checked against its
+    cells."""
+    out = []
+    for below, prefix, options in moves:
+        for option in options:
+            sid, expo, inc, deg = (prefix[k] + option[k] for k in (0, 1, 2, 4))
+            l1, cells = prefix[3] * option[3], prefix[5] + option[5]
+            assert l1 == math.prod(cell[0] for cell in cells)
+            assert deg == sum(cell[1] for cell in cells)
+            a, cur = state(sid)
+            out.append((belows[below], cur, inc, expo + a,
+                        tuple(sorted(map(id, cells)))))
+    return sorted(out)
+
+
+@given(st.sampled_from([lam for w in range(7) for lam in partitions_of(w)])
+       .flatmap(_with_n), st.sampled_from(["x", "z", "hl"]))
+@example((Partition((3, 2, 1)), 5), "x")
+@example((Partition((2, 2, 1, 1)), 6), "z")
+@example((Partition((1, 1, 1, 1, 1, 1)), 8), "hl")
+@settings(max_examples=60, deadline=None)
+def test_move_tables_yield_the_reference_moves(case, formula):
+    # Every column, from every below state (not only the live ones), yields
+    # the same multiset of moves as the reference generators.
+    lam, N = case
+    dual = formula == "z"
+    shape = lam if dual else conjugate(lam)
+    n = len(shape)
+    B = sum(shape) + 1
+    powers = [B ** k for k in range(N)]
+    if formula == "hl":
+        column = _hl_moves(shape, N, powers)
+        sets = [[(nut,) for nut in _chains(shape.part(j), N)]
+                for j in range(2, n + 2)]
+    else:
+        column = _column_moves(shape, N, dual, powers)
+        sets = [list(itertools.product(*(
+            _chains(shape.part(j) - shape.part(j + 1), N)
+            for j in range(i + 1, n + 1)))) for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        tuples = sets[i - 1] if i < n else [()]
+        belows = dict(enumerate(tuples))
+        got = _table_moves(*column(i, belows), belows)
+        if formula == "hl":
+            ref = reference.hl_moves(shape, N, i, tuples)
+        else:
+            ref = reference.column_moves(shape, N, dual, i, tuples)
+        assert got == sorted(
+            (below, cur, move_increment(cur, powers), expo,
+             tuple(sorted(map(id, cells))))
+            for below, cur, expo, cells in ref), (i, formula)
 
 
 def _chi_by_pairs_of_chains(pairs, dual):
