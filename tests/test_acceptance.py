@@ -19,6 +19,7 @@ from modmacd.modmac import (cauchy_check, duality_check, kostka_qt,
 from modmacd.phi import (g_poly, phi_finite, phi_normalized, phi_positive,
                          phi_prime, phi_series, rotate)
 
+import frontier
 from reference import phi_prime_series
 
 Q = sym("q")
@@ -320,7 +321,9 @@ def test_criterion_16_weight_9_lattice_routes_in_bounded_memory():
     # dual and the oracle, the q = 0 collapse of x equals Hall-Littlewood,
     # and each lattice route peaks under 150 MB.  The three lattice tables
     # come out of one sweep driver, so only the oracle, which shares none
-    # of it, can see a fault there that moves them alike.
+    # of it, can see a fault there that moves them alike; the x and
+    # Hall-Littlewood tables must also give the recorded frontier digests
+    # (tests/frontier.py).
     t0 = time.time()
     children = {}
     try:
@@ -343,19 +346,28 @@ def test_criterion_16_weight_9_lattice_routes_in_bounded_memory():
     assert x["tables"] == got["lattice_dual"]["tables"]
     assert x["tables"] == got["oracle"]["tables"]
     assert x["at0"] == got["hl"]["tables"]
+    recorded = frontier.recorded()
+    assert frontier.digest(x["tables"]) == recorded["weight_9_x"]
+    assert frontier.digest(got["hl"]["tables"]) == recorded["weight_9_hl"]
     for route in ("lattice_x", "lattice_dual"):
         assert got[route]["peak_mb"] < 150, (route, got[route]["peak_mb"])
     _report(16, 52.3, t0)
 
 
 def test_criterion_17_oracle_positivity_at_weight_10():
+    # The oracle tables at N = 10 and kostka_qt over every shape of weight
+    # 10 are nonnegative and give the recorded frontier digests.
     t0 = time.time()
-    count = 0
+    oracle, kostka = {}, {}
     for lam in partitions_of(10):
         table = modified_H(lam, N=10, route="oracle").coeffs
         assert all(poly.is_nonnegative() for poly in table.values()), lam
-        count += 1
-    assert count == 42
+        oracle[repr(lam.parts)] = frontier.as_json(table)
+        kostka[repr(lam.parts)] = frontier.as_json(kostka_qt(lam))
+    assert len(oracle) == 42
+    recorded = frontier.recorded()
+    assert frontier.digest(oracle) == recorded["weight_10_oracle"]
+    assert frontier.digest(kostka) == recorded["weight_10_kostka"]
     _report(17, 16.4, t0)
 
 
