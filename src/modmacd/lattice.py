@@ -4,54 +4,50 @@ word sum and by colour peeling), and the partition-function coefficient
 extractors.
 
 Each formula's weight (x, dual, Hall-Littlewood) is a product of column
-weights, and each column weight is a product of per-column pieces: an
-exponent (a column's term of chi, or Hall-Littlewood's sum of d(d-1)/2 over
-its chain's steps) and one factor per cell, or per Gaussian binomial for
-Hall-Littlewood.  All three sum by one transfer sweep over columns n, ...,
-1 (_column_sweep), given each column's moves by _column_moves (x, dual) or
-_hl_moves: its state is an int id of the current column's chains, with a
-map from partial composition to a packed (q, t) polynomial, and each step
-multiplies in one column weight, which reads only that column and the one
-before it.  The moves come from tables built once per chain per sweep, not
-once per move: a move is a prefix (a pick of every cell but one, its
-fields summed once) extended by one option of the remaining cell, each a
-tuple (state-id share, exponent share, increment share, l1 bound, t-degree
-bound, cells), and the only part of an exponent that reads a whole tuple
-of chains, the pairwise part of chi, is taken once per state.  Every cell
-factor is built once, as a cached record (l1 bound, t-degree bound, rows,
-W, first, zq, zt, dual) that carries its own bounds: a Phi cell
-(_phi_eval) is a view on the packed rows that phi caches for Phi (one
-t-digit per term z^d t^i c), the rows object itself with their width and
-the exponent map that reads them, and a factor given by its terms (a
-Gaussian binomial) is packed into rows of its own by _cell.  The
-negative-exponent check runs once per cell, on a Phi cell's argument or on
-the terms.  A structure pass first finds the live transitions and bounds
-the summed l1 norm and the t-degree of each state's partial sums from the
-carried bounds, which fixes the packing; the numeric pass packs each cell
-at it by re-spacing each row's digits (packed._respace) and shifting the
-row into place.  No SequencePair, ExactPolynomial, per-term tuple or
-public Phi function is on the cell path.  The formulas stay independent,
-each with its own exponent and factors (they share only the sweep driver
-and the cell records; x and dual also share the cached Phi evaluation and
-the split of a column exponent into a pairwise part of the column's own
-chains, _chi_split, and one share per cell from the next column's,
-_chi_later), because their agreement is the evidence that each is right.
+weights, each a column exponent (a column's term of chi, or
+Hall-Littlewood's sum of d(d-1)/2 over its chain's steps) times one factor
+per cell, or per Gaussian binomial for Hall-Littlewood.  All three sum by
+one transfer sweep over columns n, ..., 1 (_column_sweep), given each
+column's moves by _column_moves (x, dual) or _hl_moves: a state is an int
+id of the current column's chains, mapped to its partial compositions'
+packed (q, t) polynomials, and each step multiplies in one column weight.
+The moves come from tables built once per chain per sweep: a move is a
+prefix (a pick of every cell but one, its fields summed once) extended by
+one option of the remaining cell, and the pairwise part of chi is taken
+once per state.  Every cell factor is a cached record (l1 bound, t-degree
+bound, rows, W, first, zq, zt, dual): a Phi cell (_phi_eval) is a view on
+the packed rows that phi caches per rotation orbit, at the pair's z-shift,
+and a factor given by its terms (a Gaussian binomial) is packed into rows
+of its own by _cell.  A structure pass finds the live transitions and
+bounds the sums' l1 norm and t-degree, which fixes the packing; the numeric
+pass packs each cell by re-spacing its rows' digits (packed._respace).  No
+SequencePair, ExactPolynomial, per-term tuple or public Phi function is on
+the cell path.  The sums, keyed by composition, are checked and collapsed
+onto partitions through one composition index per (n, N)
+(_composition_index).  The formulas stay independent, each with its own
+exponent and factors, because their agreement is the evidence that each is
+right: they share only the sweep driver, the cell records and the index
+and collapse; x and dual also share the cached Phi evaluation and the split
+of a column exponent into a pairwise part of the column's own chains,
+_chi_split, and one share per cell from the next column's, _chi_later.
 The oracle shares none of their code but packed's digit width, digit
-reader and row product, and the partition conjugate (tests/test_sharing.py
-keeps that list)."""
+reader and row product, the partition conjugate and the partitions of a
+weight (tests/test_sharing.py keeps that list)."""
 
 from functools import partial
-from itertools import groupby, permutations, product as iproduct
+from itertools import (combinations_with_replacement, groupby,
+                       permutations, product as iproduct)
 from math import comb, factorial, prod
 from operator import add, ge, itemgetter, mul, sub
 
-from .combinat import Partition, _chains, conjugate, inversion_number
+from .combinat import (Partition, _chains, conjugate, inversion_number,
+                       partitions_of)
 from .errors import (ConsistencyError, InfeasibleMultiplicities,
                      TooFewVariables)
 from .exactalg import ExactPolynomial, ONE, T, poly_divexact, sym, ZERO
 from .memo import memoized
 from .packed import _at_one, _binom_list, _respace, _unpack_qt, _width
-from .phi import _at_one_rows, _phi_rows, _rotation
+from .phi import _at_one_rows, _phi_view, _rotation
 from .qseries import fusion_normalizer, gauss_binomial
 
 
@@ -249,12 +245,10 @@ def _b_coef(ln, mn, lpn, mpn, x, z, w):
 
 def _cell(terms):
     """The cell record (see _phi_eval) of a factor given by its terms
-    ((q exponent, t exponent), coefficient), or None for a zero factor,
-    which no live move carries: the terms packed into one row per q
-    exponent, row q its t-polynomial at 2^W with W from the terms' l1 norm,
-    read by the exponent map z -> q (first 0, zq 1, zt 0, not dual).
-    Packing needs every exponent >= 0 once chi is shifted, so a negative
-    one raises here, once per cell."""
+    ((q exponent, t exponent), coefficient), or None for a zero factor:
+    one row per q exponent, its t-polynomial at 2^W, W from the terms' l1
+    norm, read by the exponent map z -> q (first 0, zq 1, zt 0, not dual).
+    Packing needs exponents >= 0, so a negative one raises here."""
     terms = tuple(terms)
     if not terms:
         return None
@@ -277,21 +271,19 @@ _PHI_EVAL_CACHE = {}
 @memoized(_PHI_EVAL_CACHE)
 def _phi_eval(nu, nut, qexp, texp, dual):
     """Phi (or Phi') at the monomial argument, as a cell record
-    (l1, tdeg, rows, W, first, zq, zt, dual): a view on the packed rows
-    that phi caches for Phi, the rows object itself with their width W,
-    and the exponent map that reads them.  rows[d] holds the z^(first + d)
-    coefficient at t = 2^W; its digit i at row z is the coefficient of
+    (l1, tdeg, rows, W, first, zq, zt, dual): a view on phi's cached rows
+    of the pair's rotation orbit (phi._phi_view), the rows object itself
+    with their width W, and the exponent map that reads them.  rows[d]
+    holds the z^(first + d) coefficient at t = 2^W, first the pair's
+    z-shift (Phi': plus nu^1); its digit i at row z is the coefficient of
     q^(z zq) t^(z zt + i), or when dual of q^(z zq + i) t^(z zt).  For Phi,
-    z -> q^qexp t^texp; for Phi' (Phi of the rotated nu, shifted by
-    z^{nu^1}) z -> t^qexp q^texp and t -> q.  At argument 1
-    (qexp == texp == 0, the diagonal cell) the value depends on nutilde
-    only and is the closed product of phi_at_one, in base q when dual.
-
-    l1 is the summed term norm that chose the rows' W, which bounds the
-    l1 norm of the cell, and tdeg its t-degree, read from the rows: the
-    top balanced digit of a row sits at bit_length // W.  Arguments >= 0
-    give exponents >= 0, so a negative argument raises here, once per
-    cell; None for a zero factor.
+    z -> q^qexp t^texp; for Phi' (Phi of the rotated nu) z -> t^qexp q^texp
+    and t -> q.  At argument 1 (the diagonal cell) the value depends on
+    nutilde only and is the closed product of phi_at_one, in base q when
+    dual.  l1 is the summed term norm that chose W, which bounds the
+    cell's l1 norm, and tdeg its t-degree, read from the rows: a row's top
+    balanced digit sits at bit_length // W.  A negative argument raises
+    here, once per cell; None for a zero factor.
     """
     if qexp < 0 or texp < 0:
         raise ConsistencyError(
@@ -299,10 +291,10 @@ def _phi_eval(nu, nut, qexp, texp, dual):
     if qexp == texp == 0:
         (rows, W, l1), first, zq, zt = _at_one_rows(nut), 0, 0, 0
     elif dual:
-        (rows, W, l1), first, zq, zt = (_phi_rows(_rotation(nu, 1), nut),
-                                        nu[0], texp, qexp)
+        rows, W, l1, first = _phi_view(_rotation(nu, 1), nut)
+        first, zq, zt = first + nu[0], texp, qexp
     else:
-        (rows, W, l1), first, zq, zt = _phi_rows(nu, nut), 0, qexp, texp
+        (rows, W, l1, first), zq, zt = _phi_view(nu, nut), qexp, texp
     tops = [z * zt + (0 if dual else value.bit_length() // W)
             for z, value in enumerate(rows, first) if value]
     return (l1, max(tops), rows, W, first, zq, zt, dual) if tops else None
@@ -390,37 +382,27 @@ def partition_function_coeffs(lam, N, formula="x"):
 
     Every sum runs on packed integers (see packed): a polynomial in (q, t)
     with coefficients of absolute value below 2^(W-1) and t-degree below T
-    is held as its value at t = 2^W, q = 2^(W T), so products and sums of
-    terms are products and sums of ints.  W and T come from bounds on the
-    terms, never from the result: the l1 norm (sum of |c|) of a product is
-    at most the product of the norms and of a sum at most the sum of the
-    norms, and the degrees of a product add.  Each cell carries its bounds:
-    a Phi cell, a view on phi's packed rows (_phi_eval), the summed term
-    norm that chose the rows' width and the t-degree read from the rows'
-    bit lengths.  This does not need Phi to be positive.
+    is held as its value at t = 2^W, q = 2^(W T).  W and T come from bounds
+    on the terms, never from the result: the l1 norm (sum of |c|) of a
+    product is at most the product of the norms and of a sum at most the
+    sum of the norms, and the degrees of a product add.  Each cell carries
+    its bounds (_phi_eval, _cell), so Phi need not be positive.
 
     All three sums run as a column sweep (_column_sweep) over columns
     n, ..., 1: the state after column i is an int id of a tuple of column-i
     chains (x and dual: nu_{i,j}, j = i..n; Hall-Littlewood: the flag's
     column i) and maps to its partial compositions, and the step to column
     i multiplies by the column's power of t (dual: q) and its cell factors
-    (Hall-Littlewood: Gaussian binomials) and adds column i's increments to
-    the composition.  A structure pass finds the live transitions (no zero
-    factor) and carries two ints per state, the summed l1 norm of its
-    partial sums and a bound on their t-degree; W comes from the final
-    total, of which every composition's norm is a summand.  Each column's
-    exponent is shifted by its least value, and the total shift is put
-    back when decoding.  The numeric pass replays the moves on packed
-    weights, each cell packed once per sweep from its rows (_pack_cell).
-    Each composition's value at q = t = 1 (packed._at_one) must be the
-    multinomial n! / prod comp_i!, since H(x; 1, 1) = (x_1 + ... + x_N)^n,
-    and for Hall-Littlewood the values must sum to h_lambda(1^N), since
-    H(x; 0, 1) = h_lambda(x); otherwise ConsistencyError, before decoding.
-
-    Sums resolved by composition are checked for permutation invariance
-    before collapsing onto partitions, on the packed values (two values
-    packed at the same W and T are equal exactly when their polynomials
-    are), and then one value per partition is decoded.
+    and adds column i's increments to the composition.  A structure pass
+    finds the live transitions and carries per state the summed l1 norm of
+    its partial sums and a bound on their t-degree; each column's exponent
+    is shifted by its least value, put back when decoding.  The numeric
+    pass replays the moves on packed weights.  Its sums, keyed by
+    composition, are checked at q = t = 1 and for permutation invariance
+    on the packed values (_collapse_compositions) through one composition
+    index per (n, N) that x, dual and Hall-Littlewood share, as they share
+    the collapse (the oracle does not); then one value per partition is
+    decoded.
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
@@ -429,19 +411,15 @@ def partition_function_coeffs(lam, N, formula="x"):
     if formula == "hl":
         shape, dual = conjugate(lam), False
         tables = partial(_hl_moves, shape, N)
-        check = _check_h_at_one
     elif formula in ("x", "z"):
         dual = (formula == "z")
         shape = lam if dual else conjugate(lam)
         tables = partial(_column_moves, shape, N, dual)
-        check = _check_multinomials
     else:
         raise ValueError("formula must be 'x', 'z' or 'hl'")
-    values, at_one, comps, decode = _column_sweep(shape, N, dual, tables)
-    check(at_one, comps, lam, N)
-    by_comp = {comps[key]: v for key, v in values.items()}
-    return {mu: decode(v)
-            for mu, v in _collapse_compositions(by_comp).items()}
+    values, W, decode = _column_sweep(shape, N, dual, tables)
+    return {mu: decode(v) for mu, v in _collapse_compositions(
+        values, W, lam, N, formula == "hl").items()}
 
 
 def _add_move(sums, cur, partials, inc, w):
@@ -461,24 +439,19 @@ def _column_moves(shape, N, dual, powers):
     t^(shape_i - shape_j), a record from _phi_eval, with nu_{i+1,i} = 0.
 
     A state is an int id: the mixed-radix number of its chains' indices in
-    the chain sets of its cells, cell n least significant, so a cell's
-    place value is the same in every column.  Per cell and chain the table
-    holds the chain's steps d (_steps), its composition increment and its
-    id share.  The column's exponent in chi (dual: chi') is the pairwise
-    part a of the state's chains (_chi_split) minus, per cell j, d . R_j,
-    with R_j read from the below state's chains (_chi_later); so a chain's
-    chi share in cell j is one int per below state, and a is taken once
-    per state, by state(id), which returns (a, the state's chains).  Per
-    below state whose every cell has a live chain, the cell with the most
-    live chains is the innermost options list; every pick of the other
-    cells is one prefix, its fields summed (l1: multiplied) and its cells
-    in one tuple, built once and shared by the moves that extend it.
+    the chain sets of its cells, cell n least significant, the same place
+    values in every column.  Per cell and chain the table holds the steps
+    d (_steps), the composition increment and the id share.  The column's
+    exponent in chi (dual: chi') is the pairwise part a of the state's
+    chains (_chi_split), taken once per state by state(id) -> (a, chains),
+    minus, per cell j, d . R_j with R_j from the below state's chains
+    (_chi_later).  Per below state, the cell with the most live chains is
+    the innermost options list; every pick of the other cells is one
+    prefix, its fields summed (l1: multiplied) and its cells in one tuple.
 
-    The nonzero filter is a guard that never drops a valid chain: each
-    cell is Phi or Phi' of two nondecreasing chains with equal tops (the
-    diagonal cell the closed product of nutilde's binomials), whose
-    coefficients are nonnegative and sum to
-    prod_j C(nutilde^{j+1}, nutilde^j) >= 1."""
+    The nonzero filter never drops a valid chain: each cell is Phi or Phi'
+    of two nondecreasing chains with equal tops, whose coefficients are
+    nonnegative and sum to prod_j C(nutilde^{j+1}, nutilde^j) >= 1."""
     n = len(shape)
     sets = [_chains(shape.part(j) - shape.part(j + 1), N)
             for j in range(1, n + 1)]
@@ -543,15 +516,14 @@ def _binom_cell(a, b):
 
 def _hl_moves(shape, N, powers):
     """The live Hall-Littlewood moves of shape = lambda', in
-    _column_moves' form: returns column(i, belows).  A state is the index
-    of its one chain nutilde in column i's chain set, and every move's
-    prefix is empty.  Per chain, column(i, belows) takes the t-exponent
-    (the sum of d(d-1)/2 over nutilde's steps d) and the composition
-    increment once.  From below nu (0 before column n) the options are the
-    chains with nutilde >= nu entrywise, each with its Gaussian binomials
+    _column_moves' form.  A state is the index of its one chain nutilde in
+    column i's chain set, state(id) is (0, (nutilde,)), and every prefix is
+    empty.  Per chain, column(i, belows) takes the t-exponent (the sum of
+    d(d-1)/2 over nutilde's steps d) and the increment once.  From below nu
+    (0 before column n) the options are the chains with nutilde >= nu
+    entrywise, each with its Gaussian binomials
     [nutilde_{k+1} - nu_k, nutilde_k - nu_k]_t, k < N, as its cells, which
-    are all nonzero exactly then, since nutilde is nondecreasing; state(id)
-    is (0, (nutilde,))."""
+    are all nonzero exactly then, since nutilde is nondecreasing."""
     zero = (0,) * N
 
     def column(i, belows):
@@ -595,19 +567,15 @@ def _column_sweep(shape, N, dual, tables):
     tuples (state-id share, exponent share, increment share, l1 bound,
     t-degree bound, cells), l1 the product and cells the concatenation;
     its exponent of t (dual: of q) adds its state's a, where state(id) is
-    (a, the state's chains).  A cell is a cached record (l1 bound,
-    t-degree bound, rows, W, first, zq, zt, dual) from _phi_eval or _cell,
-    which has passed the negative-exponent check there.
+    (a, the state's chains).  A cell is a record from _phi_eval or _cell.
 
     The structure pass folds each move into the carried norm and degree of
     its state (in the last column, of the one state 0) and keeps one record
-    (below, cur, increment, exponent, prefix cells, option cells); a
-    state's a and increment are taken at its first move, and its records
-    share that increment.  The numeric pass packs each cell once at the
-    sweep's W and T (_pack_cell), keyed by id, since the records keep the
-    cells alive, and multiplies each prefix's cells once.  Returns the
-    packed sums and their values at q = t = 1 (packed._at_one) by key,
-    each key's composition (c_1, ..., c_N), and the decoder.
+    (below, cur, increment, exponent, prefix cells, option cells), a
+    state's a and increment taken at its first move.  The numeric pass
+    packs each cell once (_pack_cell), keyed by id, since the records keep
+    the cells alive, and multiplies each prefix's cells once.  Returns the
+    packed sums by key, W and the decoder.
     """
     B = sum(shape) + 1
     powers = [B ** k for k in range(N)]
@@ -623,11 +591,13 @@ def _column_sweep(shape, N, dual, tables):
         for below, (psid, pexpo, pinc, pl1, pdeg, pcells), options in moves:
             l1b, degb = tot[below] * pl1, tdeg[below] + pdeg
             for sid, expo, inc, l1, deg, cells in options:
-                sid += psid
+                if psid:  # never for Hall-Littlewood, whose prefix is empty
+                    sid += psid
                 known = seen.get(sid)
                 if known is None:
                     a, chains = state(sid)
-                    known = seen[sid] = a, pinc + inc, sid if i > 1 else 0
+                    known = seen[sid] = (a, inc + pinc if pinc else inc,
+                                         sid if i > 1 else 0)
                     if i > 1:
                         belows[sid] = chains
                 a, inc, cur = known
@@ -644,6 +614,7 @@ def _column_sweep(shape, N, dual, tables):
         tot = sums
         tdeg = degs if dual else {cur: d - low for cur, d in degs.items()}
         columns.append((records, low, i == 1))
+    seen = moves = state = None  # the numeric pass reads only the records
     # numeric pass: each composition's l1 norm is a summand of tot[0]
     W = _width(tot.get(0, 0))
     T = max(tdeg.values(), default=0) + 1
@@ -678,44 +649,72 @@ def _column_sweep(shape, N, dual, tables):
                 _add_move(sums, 0, partials, inc, w)
             group.clear()
         values = sums
-    values = values.get(0, {})
-    return values, {key: _at_one(v, W) for key, v in values.items()}, \
-        {key: tuple(key // p % B for p in powers) for key in values}, \
+    return values.get(0, {}), W, \
         lambda v: _unpack_qt(v, W, T, *((shift, 0) if dual else (0, shift)))
 
 
-def _check_multinomials(at_one, comps, lam, N):
-    """Each composition's value at q = t = 1 is n! / prod comp_i!, and no
-    composition of n = |lambda| into N parts is missing (their multinomials
-    sum to N^n); at_one is keyed as comps."""
-    weight = lam.weight()
-    for key, value in at_one.items():
-        expect = factorial(weight) // prod(map(factorial, comps[key]))
-        if value != expect:
+_COMPOSITION_CACHE = {}
+
+
+@memoized(_COMPOSITION_CACHE)
+def _composition_index(n, N):
+    """The compositions of n into N parts, each the steps of a chain
+    c_1 <= ... <= c_(N-1) <= n, keyed as _column_sweep keys them
+    (sum_k c_k B^k, B = n + 1): returns ({key: index}, parts), parts[index]
+    = (the partition of the sorted composition, n! / prod mu_i!) over the
+    partitions of n with at most N parts.  An index is a small int, so an
+    entry holds no object beyond its key."""
+    parts = [(mu, factorial(n) // prod(map(factorial, mu)))
+             for mu in partitions_of(n) if len(mu) <= N]
+    if not N:  # only n = 0 has a composition into no parts
+        return {0: 0} if not n else {}, parts
+    number = {mu.padded(N): k for k, (mu, _) in enumerate(parts)}
+    powers = [(n + 1) ** k for k in range(N)]
+    return {sum(map(mul, comp, powers)):
+            number[tuple(sorted(comp, reverse=True))]
+            for chain in combinations_with_replacement(range(n + 1), N - 1)
+            for comp in (_steps(chain + (n,)),)}, parts
+
+
+def _collapse_compositions(values, W, lam, N, hl):
+    """The sweep's packed values, keyed by composition key, checked and
+    keyed by partition, at one index lookup (_composition_index), one value
+    at q = t = 1 (packed._at_one) and one packed compare per composition.
+    x, dual: each value at q = t = 1 is the multinomial n! / prod comp_i!,
+    since H(x; 1, 1) = (x_1 + ... + x_N)^n, and none is missing (they sum
+    to N^n); Hall-Littlewood: they sum to h_lambda(1^N), since
+    H(x; 0, 1) = h_lambda.  Then compositions that permute each other
+    carry equal values (two values packed at the same W and T are equal
+    exactly when their polynomials are).  Else ConsistencyError."""
+    n = lam.weight()
+    index, parts = _composition_index(n, N)
+    out, total, differ = {}, 0, None
+    for key, v in values.items():
+        k = index.get(key)
+        if k is None:
+            raise ConsistencyError("the sweep key %d is not a composition "
+                                   "of %d into %d parts" % (key, n, N))
+        one = _at_one(v, W)
+        if not hl and one != parts[k][1]:
             raise ConsistencyError(
                 "value %d at q = t = 1 of the composition %r is not the "
-                "multinomial %d" % (value, comps[key], expect))
-    if sum(at_one.values()) != N ** weight:
-        raise ConsistencyError(
-            "a composition of %d into %d parts is missing" % (weight, N))
-
-
-def _check_h_at_one(at_one, comps, lam, N):
-    """The Hall-Littlewood values at t = 1 sum to h_lambda(1^N) =
-    prod_i C(lambda_i + N - 1, N - 1), since H_lambda(x; 0, 1) = h_lambda."""
-    got = sum(at_one.values())
-    expect = prod(comb(p + N - 1, N - 1) for p in lam)
-    if got != expect:
+                "multinomial %d" % (one, _composition(key, n, N),
+                                    parts[k][1]))
+        total += one
+        if out.setdefault(k, v) != v and differ is None:
+            differ = key
+    expect = prod(comb(p + N - 1, N - 1) for p in lam) if hl else N ** n
+    if total != expect:
         raise ConsistencyError(
             "the values at t = 1 sum to %d, not h_lambda(1^%d) = %d"
-            % (got, N, expect))
+            % (total, N, expect) if hl else
+            "a composition of %d into %d parts is missing" % (n, N))
+    if differ is not None:
+        raise ConsistencyError("composition-resolved coefficients differ "
+                               "at %r" % (_composition(differ, n, N),))
+    return {parts[k][0]: v for k, v in out.items()}
 
 
-def _collapse_compositions(by_comp):
-    """Assert permutation invariance and key results by partitions."""
-    out = {}
-    for comp, val in by_comp.items():
-        if out.setdefault(tuple(sorted(comp, reverse=True)), val) != val:
-            raise ConsistencyError(
-                "composition-resolved coefficients differ at %r" % (comp,))
-    return {Partition(key): val for key, val in out.items()}
+def _composition(key, n, N):
+    """The composition (c_1, ..., c_N) that a composition key encodes."""
+    return tuple(key // (n + 1) ** k % (n + 1) for k in range(N))

@@ -30,20 +30,22 @@ def _degree_bound(sp):
 # the 2^(top+1) of its prefactor) and in _packed_rows, the kernel of the
 # other term-sum routes, which returns (rows, W, l1) with l1 the summed
 # norm that chose W.  That triple is also the one cached form of Phi
-# (_POSITIVE_ROWS_CACHE per rotation orbit, _PHI_CACHE per pair,
-# _AT_ONE_CACHE), a z-shift being zero rows in front; _decode reads it into
-# the polynomial that the public functions return, and each lattice cell is
-# a view on it: the rows object itself, W and l1.  Both kernels read their
+# (_POSITIVE_ROWS_CACHE per rotation orbit, _AT_ONE_CACHE); _PHI_CACHE
+# holds per pair its orbit's triple and the pair's z-shift, no shifted
+# copy.  _decode reads rows at a z-shift into the polynomial that the
+# public functions return, and each lattice cell is a view on them: the
+# rows object itself, W, l1 and the shift.  Both kernels read their
 # binomials from the one packed table of their width (packed._gauss_table),
 # one subscript per factor.  phi_series takes its norm from the last row
 # alone: with c = a - b, C(a + s, b + s) is 0 while b + s < 0 (or c < 0)
 # and C(c + b + s, c) after, nondecreasing in s, so the product at s = D is
 # the largest.
 
-def _decode(rows, W, name="z"):
-    """The polynomial in (name, t) with rows[d] = its name^d coefficient at
-    t = 2^W."""
-    return _pruned(("t", name), {(i, d): c for d, value in enumerate(rows)
+def _decode(rows, W, name="z", shift=0):
+    """The polynomial in (name, t) with rows[d] = its name^(d + shift)
+    coefficient at t = 2^W."""
+    return _pruned(("t", name), {(i, d): c
+                                 for d, value in enumerate(rows, shift)
                                  for i, c in _digits(value, W)})
 
 
@@ -238,7 +240,7 @@ def _rotation(seq, k):
     after nu^k less nu^k, then the first k plus nu^N - nu^k."""
     low = seq[k - 1]
     high = seq[-1] - low
-    return tuple(v - low for v in seq[k:]) + tuple(v + high for v in seq[:k])
+    return tuple([v - low for v in seq[k:]] + [v + high for v in seq[:k]])
 
 
 def rotate(sp, k):
@@ -257,7 +259,7 @@ _POSITIVE_ROWS_CACHE = {}
 def _positive_rows(nu, nut):
     """The positive form of Phi_{nu|nut} (requires nu <= nut) as
     (rows, W, l1), packed by _packed_rows: one entry per rotation orbit,
-    keyed by the orbit's representative (see _phi_rows)."""
+    keyed by the orbit's representative (see _phi_view)."""
     return _packed_rows(_positive_terms(nu, nut))
 
 
@@ -265,41 +267,40 @@ _PHI_CACHE = {}
 
 
 @memoized(_PHI_CACHE)
-def _phi_rows(nu, nut):
-    """Phi_{nu|nut} as (rows, W, l1), packed as _packed_rows packs it, for
-    any valid pair.
-
-    The N rotations of the pair form its orbit; the least rotation with
-    nu <= nutilde is the orbit's representative, whose positive-form rows
-    (_positive_rows) every pair of the orbit reads, z-shifted by the
-    rotation's zshift.  With equal tops the k-fold rotation turns
-    nutilde - nu into a cyclic shift of itself less its k-th entry, so it
-    has nu <= nutilde exactly when k is an argmin of nutilde - nu, and then
-    zshift = -min(nutilde - nu) >= 0, the last entry being 0; a negative
-    shift may drop only zero rows."""
+def _phi_view(nu, nut):
+    """Phi_{nu|nut} for any valid pair as (rows, W, l1, zshift): its
+    rotation orbit's _POSITIVE_ROWS_CACHE entry, rows[d] the
+    z^(d + zshift) coefficient at t = 2^W.  With equal tops the k-fold
+    rotation has nu <= nutilde exactly when k is an argmin of
+    nutilde - nu, and then zshift = -min(nutilde - nu) >= 0.  The
+    representative is the least such rotation; a rotation shifts the steps
+    (nu^1, nu^2 - nu^1, ...) cyclically, and sequences compare as their
+    steps do, so it is the tied argmin whose shifted steps of nu, then of
+    nutilde, are least, and only it is built."""
     diffs = list(map(sub, nut, nu))
     low = min(diffs)
-    rows, W, l1 = _positive_rows(*min(
-        (_rotation(nu, k), _rotation(nut, k))
-        for k, diff in enumerate(diffs, 1) if diff == low))
-    zshift = -low
-    if zshift < 0 and any(rows[:-zshift]):
+    k, *ties = [k for k, diff in enumerate(diffs, 1) if diff == low]
+    if ties:
+        steps = [tuple(map(sub, seq, (0,) + seq)) * 2 for seq in (nu, nut)]
+        k = min(k, *ties, key=lambda j: [d[j:j + len(nu)] for d in steps])
+    rows, W, l1 = _positive_rows(_rotation(nu, k), _rotation(nut, k))
+    if low > 0 and any(rows[:low]):
         raise TruncationResidual(
             "rotated evaluation left negative z powers for %r | %r"
             % (nu, nut))
-    return (0,) * zshift + rows[max(0, -zshift):], W, l1
+    return rows, W, l1, -low
 
 
 def phi_normalized(sp):
     """Phi as a (z,t)-polynomial for an arbitrary pair, rotating if needed."""
-    rows, W, _ = _phi_rows(sp.nu, sp.nutilde)
-    return _decode(rows, W)
+    rows, W, _, zshift = _phi_view(sp.nu, sp.nutilde)
+    return _decode(rows, W, shift=zshift)
 
 
 def phi_prime(sp):
     """Phi'_{nu|nutilde}(z;t) = z^{nu^1} Phi_{r(nu)|nutilde}(z;t)."""
-    rows, W, _ = _phi_rows(_rotation(sp.nu, 1), sp.nutilde)
-    return _decode((0,) * sp.nu[0] + rows, W)
+    rows, W, _, zshift = _phi_view(_rotation(sp.nu, 1), sp.nutilde)
+    return _decode(rows, W, shift=sp.nu[0] + zshift)
 
 
 _AT_ONE_CACHE = {}

@@ -175,6 +175,23 @@ def phi_by_argmin_rotation(sp):
         * phi_positive(SequencePair(nu, nut))
 
 
+def orbit_representative(nu, nut):
+    """The representative of a valid pair's rotation orbit by the search
+    over whole rotations: the least (rotated nu, rotated nutilde) over the
+    argmins k of nutilde - nu, each k-fold rotation taken one step
+    (nu^2 - nu^1, ..., nu^N - nu^1, nu^N) at a time.  phi._phi_view must
+    pick the same one from the rotated steps."""
+    diffs = [b - a for a, b in zip(nu, nut)]
+
+    def rotated(seq, k):
+        for _ in range(k):
+            seq = tuple(v - seq[0] for v in seq[1:]) + (seq[-1],)
+        return seq
+
+    return min((rotated(nu, k), rotated(nut, k))
+               for k, diff in enumerate(diffs, 1) if diff == min(diffs))
+
+
 def weight_hl_factorization_check(f, x="x"):
     """Fused weight at z=0 vs prefactor times product of rank-one weights."""
     lhs = weight_fused(f, x=x, z=P(0))
@@ -434,3 +451,4 @@ def move_increment(cur, powers):
     B^k."""
     return sum((b - a) * p for chain in cur for p, a, b
                in zip(powers, (0,) + chain, chain))
+

@@ -274,7 +274,7 @@ def test_criterion_15_weight_8_routes_and_hall_littlewood_collapse():
         at0 = {mu: p.substitute({"q": P(0)}) for mu, p in x.items()}
         at0 = {mu: p for mu, p in at0.items() if not p.is_zero()}
         assert at0 == modified_HL(lam, N), lam
-    _report(15, 14.1, t0)
+    _report(15, 12.95, t0)
 
 
 # One route over every shape of a weight at the least N, in a child process

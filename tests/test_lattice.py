@@ -22,8 +22,9 @@ from modmacd.exactalg import (ExactPolynomial, ONE, P, RationalFunction,
                               poly_divexact, sym, ZERO)
 from modmacd.lattice import (_PHI_EVAL_CACHE, _as_poly, _cell, _phi_eval,
                              _BINOM_CELL_CACHE, _collapse_compositions,
-                             _column_moves, _hl_moves, chi, fundamental_L,
-                             fused_L_recurrence, fused_vertex_bruteforce,
+                             _column_moves, _composition_index, _hl_moves,
+                             chi, fundamental_L, fused_L_recurrence,
+                             fused_vertex_bruteforce,
                              partition_function_coeffs, rll_check)
 from modmacd.memo import clear_caches
 from modmacd.packed import _digits, _pack_qt, _unpack_qt, _width
@@ -511,12 +512,11 @@ def test_cell_bounds_hold_for_signed_rows(rows, qexp, texp, first, dual):
     packed = tuple(sum(c << W * i for i, c in enumerate(row))
                    for row in digits)
     l1 = sum(abs(c) for row in digits for c in row)
-    nu = (first, first + 1)
-    nut = (first + 1, first + 1)
+    # the rows stand at z^first: the pair's z-shift, nu^1 = 0 for Phi'
+    nu, nut = (0, 1), (1, 1)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice, "_phi_rows", lambda *_: (packed, W, l1))
+        mp.setattr(lattice, "_phi_view", lambda *_: (packed, W, l1, first))
         mp.setattr(lattice, "_at_one_rows", lambda *_: (packed, W, l1))
-        mp.setattr(lattice, "_rotation", lambda seq, k: seq)
         cell = _phi_eval.__wrapped__(nu, nut, qexp, texp, dual)
     terms = _cell_terms(cell) if cell else ()
     assume(terms)
@@ -647,14 +647,71 @@ def test_sweep_checks_the_multinomials(monkeypatch):
         clear_caches()
 
 
+def _sweep_values(values):
+    """{composition key: packed value} of {composition: packed value}, the
+    keys as _column_sweep makes them: sum_k c_k B^k with B = n + 1."""
+    return {sum(c * (sum(comp) + 1) ** k for k, c in enumerate(comp)): value
+            for comp, value in values.items()}
+
+
 def test_collapse_checks_permutation_invariance():
     # Compositions that permute each other must carry equal values; they
-    # collapse onto one partition (trailing zeros dropped).
-    same = {(1, 0, 2): 7, (2, 1, 0): 7, (0, 2, 1): 7, (3, 0, 0): 1}
-    assert _collapse_compositions(same) == {Partition((2, 1)): 7,
-                                            Partition((3,)): 1}
+    # collapse onto one partition (trailing zeros dropped).  Every
+    # composition of 3 into 3 parts is present, packed at W = 8, with its
+    # multinomial at q = t = 1: (2, 1)'s class carries 7 - 4t.
+    W = 8
+    value = {(3,): 1, (2, 1): 7 - (4 << W), (1, 1, 1): 6}
+    comps = [c for c in itertools.product(range(4), repeat=3) if sum(c) == 3]
+    same = {c: value[Partition(sorted(c, reverse=True)).parts] for c in comps}
+    assert _collapse_compositions(_sweep_values(same), W,
+                                  Partition((2, 1)), 3, False) \
+        == {Partition((3,)): 1, Partition((2, 1)): 7 - (4 << W),
+            Partition((1, 1, 1)): 6}
+    # (2, 1, 0) carrying 3, the same value at q = t = 1, differs
     with pytest.raises(ConsistencyError, match="differ"):
-        _collapse_compositions({(1, 0, 2): 7, (2, 1, 0): 8})
+        _collapse_compositions(_sweep_values({**same, (2, 1, 0): 3}), W,
+                               Partition((2, 1)), 3, False)
+    # the multinomial check runs first
+    with pytest.raises(ConsistencyError, match="multinomial"):
+        _collapse_compositions(_sweep_values({**same, (2, 1, 0): 4}), W,
+                               Partition((2, 1)), 3, False)
+
+
+def test_collapse_refuses_a_key_outside_the_index():
+    # A sweep key that is no composition of n into N parts (here 4, the key
+    # of (0, 1, 0), whose parts sum to 1, not 3) is a ConsistencyError, not
+    # a KeyError, for x and dual and for Hall-Littlewood.
+    with pytest.raises(ConsistencyError, match="not a composition"):
+        _collapse_compositions({4: 1}, 8, Partition((2, 1)), 3, False)
+    with pytest.raises(ConsistencyError, match="not a composition"):
+        _collapse_compositions({4: 1}, 8, Partition((2, 1)), 3, True)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_composition_index_matches_digit_decoding(n):
+    # For every N <= 8 the index holds every composition of n into N parts
+    # and no other key, and gives each the partition of its digits, decoded
+    # one at a time, sorted, and the multinomial n! / prod c_k!.
+    def compositions(n, N):
+        if not N:
+            yield from [()] * (n == 0)
+            return
+        for c in range(n + 1):
+            for rest in compositions(n - c, N - 1):
+                yield (c,) + rest
+
+    for N in range(9):
+        index, parts = _composition_index(n, N)
+        B = n + 1
+        comps = set(compositions(n, N))
+        assert len(index) == len(comps)
+        for key, k in index.items():
+            comp = tuple(key // B ** j % B for j in range(N))
+            assert comp in comps
+            mu, multinomial = parts[k]
+            assert mu == Partition(sorted(comp, reverse=True))
+            assert multinomial == math.factorial(n) // math.prod(
+                map(math.factorial, comp))
 
 
 def test_hl_sweep_checks_h_lambda_at_one(monkeypatch):

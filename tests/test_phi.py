@@ -18,8 +18,8 @@ from modmacd.phi import (g_poly, phi_at_one, phi_finite, phi_normalized,
                          phi_positive, phi_prime, phi_series, rotate)
 from modmacd.qseries import gauss_binomial
 
-from reference import (factor_product, phi_by_argmin_rotation,
-                       phi_prime_series, unpack_rows)
+from reference import (factor_product, orbit_representative,
+                       phi_by_argmin_rotation, phi_prime_series, unpack_rows)
 
 T = sym("t")
 Z = sym("z")
@@ -375,18 +375,49 @@ def test_term_cache_matches_the_independent_routes(sp):
 @example(SequencePair((1, 2, 2, 2), (0, 1, 1, 2)))
 @settings(max_examples=80, deadline=None)
 def test_orbit_rows_match_the_argmin_rotation(sp):
-    # _phi_rows reads one positive form per rotation orbit, at the orbit's
-    # least dominated rotation, and z-shifts it.  Its rows, read by the
-    # reference digit reader, must equal the positive form of the rotation
-    # at the first argmin of nutilde - nu, z-shifted, and every rotation of
-    # the pair must read the one orbit entry.
+    # _phi_view reads one positive form per rotation orbit, at the orbit's
+    # least dominated rotation, with the pair's z-shift.  Its rows at that
+    # shift, read by the reference digit reader, must equal the positive
+    # form of the rotation at the first argmin of nutilde - nu, z-shifted,
+    # and every rotation of the pair must read the one orbit entry.
     clear_caches()
-    assert unpack_rows(*phi._phi_rows(sp.nu, sp.nutilde)[:2]) \
-        == phi_by_argmin_rotation(sp)
+    rows, W, _, zshift = phi._phi_view(sp.nu, sp.nutilde)
+    assert unpack_rows((0,) * zshift + rows, W) == phi_by_argmin_rotation(sp)
     for k in range(1, sp.N + 1):
         rotated, _ = rotate(sp, k)
-        phi._phi_rows(rotated.nu, rotated.nutilde)
+        phi._phi_view(rotated.nu, rotated.nutilde)
     assert len(phi._POSITIVE_ROWS_CACHE) == 1
+    clear_caches()
+
+
+@st.composite
+def periodic_pairs(draw):
+    """A valid pair with N in 1..6 whose nu repeats a drawn block of steps
+    and whose nutilde permutes those steps, so that nutilde - nu has tied
+    argmins and rotations of nu tie, with nutilde deciding."""
+    block = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    steps = block * draw(st.integers(1, 6 // len(block)))
+    nut_steps = draw(st.permutations(steps))
+    return SequencePair(*(tuple(itertools.accumulate(d))
+                          for d in (steps, nut_steps)))
+
+
+@given(st.one_of(sequence_pairs(), periodic_pairs()))
+@example(SequencePair((2, 2, 2), (0, 1, 2)))
+@example(SequencePair((1, 2, 2), (0, 1, 2)))
+@example(SequencePair((1, 2, 2, 2), (0, 1, 1, 2)))
+@example(SequencePair((1, 1, 2, 2), (0, 1, 2, 2)))
+@example(SequencePair((1, 1, 2, 2, 3, 3), (1, 1, 1, 2, 3, 3)))
+@settings(max_examples=200, deadline=None)
+def test_orbit_key_picks_the_least_argmin_rotation(sp):
+    # _phi_view picks the representative from the cyclically shifted steps
+    # of nu and nutilde; it must be the least of the whole rotations at
+    # the argmins of nutilde - nu, ties included, so that the orbit cache
+    # keeps its keys.
+    clear_caches()
+    phi._phi_view(sp.nu, sp.nutilde)
+    assert list(phi._POSITIVE_ROWS_CACHE) \
+        == [orbit_representative(sp.nu, sp.nutilde)]
     clear_caches()
 
 
@@ -394,7 +425,7 @@ def test_orbit_rows_refuse_a_negative_shift_that_drops_a_nonzero_row():
     # Equal tops keep the shift >= 0; unequal ones (which SequencePair
     # refuses) give (0, 1) | (1, 2) the shift -1, whose dropped row is not 0.
     with pytest.raises(TruncationResidual, match="negative z powers"):
-        phi._phi_rows((0, 1), (1, 2))
+        phi._phi_view((0, 1), (1, 2))
 
 
 # -- the positive form's chain enumeration against its generator reference ----
